@@ -220,9 +220,9 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 	defer cancel()
 
 	par := imp.opts.Parallelism
-	jobs := make(chan rawChunk, par)    // reader -> workers; fixed depth = backpressure
-	done := make(chan convChunk, par)   // workers -> committer
-	readErr := make(chan error, 1)     // reader's terminal error, if any
+	jobs := make(chan rawChunk, par)  // reader -> workers; fixed depth = backpressure
+	done := make(chan convChunk, par) // workers -> committer
+	readErr := make(chan error, 1)    // reader's terminal error, if any
 	resume := !imp.opts.NoResume
 	arena := s.db.ArenaLayout()
 

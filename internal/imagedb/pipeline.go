@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bestring/internal/core"
@@ -446,10 +447,15 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 	// component the clause is a filter (default: every constraint must
 	// hold); without one the satisfied fraction becomes the ranking
 	// score.
+	//
+	// Without a Where clause the narrowed scan column is the ranked set as
+	// it stands; the candidate wrapper exists only to carry a clause's
+	// evaluation.
 	filterIn := len(cands0)
-	cands := make([]candidate, 0, len(cands0))
+	var cands []candidate
 	var whereByID map[string]candidate
 	if q.dsl != nil {
+		cands = make([]candidate, 0, len(cands0))
 		min := q.whereMin
 		if min < 0 {
 			if q.image != nil {
@@ -498,16 +504,13 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 		if shapes != nil && filterIn > 0 {
 			shapes.note(q.dsl.String(), float64(len(cands))/float64(filterIn))
 		}
-	} else {
-		for _, st := range cands0 {
-			cands = append(cands, candidate{st: st})
-		}
 	}
 	stages.FilterNanos = sinceNanos(&mark)
 
-	// Filter-first plans deferred the region filter to here: a direct
-	// geometric check per predicate survivor replaces the broad R-tree
-	// probe (see regionMatches for the equivalence).
+	// Filter-first plans (only chosen with a Where clause) deferred the
+	// region filter to here: a direct geometric check per predicate
+	// survivor replaces the broad R-tree probe (see regionMatches for the
+	// equivalence).
 	if ep.filterFirst && q.region != nil {
 		kept := cands[:0]
 		for _, c := range cands {
@@ -519,8 +522,12 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 		stages.RegionNanos = sinceNanos(&mark)
 	}
 
-	stages.Narrowed = len(cands)
-	if len(cands) == 0 {
+	narrowed := len(cands0)
+	if q.dsl != nil {
+		narrowed = len(cands)
+	}
+	stages.Narrowed = narrowed
+	if narrowed == 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -556,149 +563,38 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 		met = db.metrics.Load()
 	}
 
-	workers := q.parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
 	// Heap capacity covers the page plus the offset it skips, clamped to
 	// the candidate count so a client cannot drive preallocation.
 	heapK := 0
 	if q.k > 0 {
-		heapK = q.k + q.offset
-		if heapK > len(cands) {
-			heapK = len(cands)
-		}
+		heapK = min(q.k+q.offset, narrowed)
 	}
 
 	// Stage 4a — the refine stage's filter half. With a bound-declaring
 	// scorer and a ranked image, each candidate's signature upper bound
 	// is computed first (O(|labels|), no dynamic program); the exact
 	// scorer runs only when the bound could still place the candidate.
-	// Pruning never changes results — see the admission notes inside the
-	// worker loop; each skip is taken only when the evaluated path would
+	// Pruning never alters results — see the admission notes in
+	// ranker.chunk; each skip is taken only when the evaluated path would
 	// provably have made the same decision.
-	useBound := bound != nil && q.image != nil
-	var qsig core.Signature
-	if useBound {
-		qsig = core.SignatureOf(queryBE)
+	rk := &ranker{
+		q: q, cur: cur, img: img, queryBE: queryBE, scorer: scorer,
+		cache: cache, qkey: qkey, met: met, plain: cands0, filtered: cands,
 	}
-
-	heaps := make([]*topK, workers)
-	counts := make([]int, workers)
-	boundedN := make([]int, workers)
-	evaluatedN := make([]int, workers)
-	prunedN := make([]int, workers)
-	cacheHitN := make([]int, workers)
-	cacheMissN := make([]int, workers)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		h := newTopK(heapK)
-		heaps[w] = h
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				c := cands[i]
-				if useBound {
-					if sig, ok := snap.signature(c.st.ID); ok {
-						boundedN[w]++
-						ub := bound(qsig, sig)
-						if ub < q.minScore {
-							// exact <= ub < MinScore: evaluating would have
-							// dropped the candidate before it was counted.
-							prunedN[w]++
-							continue
-						}
-						if q.minScore <= 0 && h.full() && worse(Result{ID: c.st.ID, Score: ub}, h.min()) {
-							// The bound already loses to this worker's top-K
-							// floor, so the exact result (<= ub) would be
-							// rejected by h.add on the same comparison. It
-							// would still have been counted in Total: its
-							// score is >= 0 >= MinScore, and it is strictly
-							// worse than the cursor position because the
-							// floor — admitted past the cursor check — is.
-							// (With MinScore > 0 the exact score could fall
-							// below the threshold and change Total, so this
-							// shortcut is taken only when the threshold
-							// cannot filter; the MinScore bound above still
-							// prunes.)
-							counts[w]++
-							prunedN[w]++
-							continue
-						}
-					}
-				}
-				evaluatedN[w]++
-				var score float64
-				switch {
-				case q.image != nil:
-					if cache != nil {
-						// The bound check above already ran, so a hit skips
-						// the whole dynamic program, not just part of it.
-						k := cacheKey{query: qkey, entry: c.st}
-						var t0 time.Time
-						if met != nil {
-							t0 = time.Now()
-						}
-						s, ok := cache.get(k)
-						if met != nil {
-							met.observeCacheLookup(time.Since(t0))
-						}
-						if ok {
-							cacheHitN[w]++
-							score = s
-						} else {
-							cacheMissN[w]++
-							score = scorer(img, queryBE, c.st.Entry)
-							cache.put(k, score)
-						}
-					} else {
-						score = scorer(img, queryBE, c.st.Entry)
-					}
-				case q.dsl != nil:
-					score = c.where
-				}
-				r := Result{ID: c.st.ID, Name: c.st.Name, Score: score}
-				if r.Score < q.minScore {
-					continue
-				}
-				if cur != nil && !worse(r, Result{ID: cur.ID, Score: cur.Score}) {
-					continue
-				}
-				counts[w]++
-				h.add(r)
-			}
-		}(w)
+	if bound != nil && q.image != nil {
+		rk.bound = bound
+		rk.qsig = core.SignatureOf(queryBE)
 	}
-	var cancelled error
-feed:
-	for i := range cands {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			cancelled = ctx.Err()
-			break feed
-		}
+	heaps, tally, err := rk.run(ctx, narrowed, heapK)
+	if err != nil {
+		return nil, err
 	}
-	close(jobs)
-	wg.Wait()
-	if cancelled != nil {
-		return nil, cancelled
-	}
-
-	total := 0
-	for w := range counts {
-		total += counts[w]
-		stages.Bounded += boundedN[w]
-		stages.Evaluated += evaluatedN[w]
-		stages.Pruned += prunedN[w]
-		plan.CacheHits += cacheHitN[w]
-		plan.CacheMisses += cacheMissN[w]
-	}
+	total := tally.admitted
+	stages.Bounded = tally.bounded
+	stages.Evaluated = tally.evaluated
+	stages.Pruned = tally.pruned
+	plan.CacheHits = tally.cacheHits
+	plan.CacheMisses = tally.cacheMisses
 	ranked := mergeTopK(heaps, heapK)
 
 	// Pagination: drop the offset, truncate to the page.
@@ -728,4 +624,195 @@ feed:
 	stages.TotalNanos = int64(time.Since(start))
 	recordSpans(ctx, start, stages)
 	return page, nil
+}
+
+// rankChunk is how many consecutive candidates a rank worker claims per
+// atomic add. Small enough that a few hundred candidates still split
+// evenly over the workers and that a cancelled query stops within a
+// fraction of a millisecond; large enough that the claim and the context
+// check vanish beside the chunk's bound and scorer work.
+const rankChunk = 128
+
+// rankTally is one worker's share of the rank stage's counters.
+type rankTally struct {
+	admitted    int // results counted in Page.Total
+	bounded     int
+	evaluated   int
+	pruned      int
+	cacheHits   int
+	cacheMisses int
+}
+
+func (t *rankTally) add(o rankTally) {
+	t.admitted += o.admitted
+	t.bounded += o.bounded
+	t.evaluated += o.evaluated
+	t.pruned += o.pruned
+	t.cacheHits += o.cacheHits
+	t.cacheMisses += o.cacheMisses
+}
+
+// ranker is stage 4 of the pipeline: bound, then exact score, then top-K
+// admission over every narrowed candidate. The candidates are the
+// narrowed scan column itself (plain) or, when the query has a Where
+// clause and so an evaluation attached to each survivor, the candidate
+// wrappers (filtered); q.dsl says which, the other slice is not read.
+type ranker struct {
+	q       *Query
+	cur     *cursorPos
+	img     core.Image
+	queryBE core.BEString
+	scorer  Scorer
+
+	// bound is nil when the scorer declares none, pruning is off or the
+	// query has no ranked image; qsig is the query's signature otherwise.
+	bound Bound
+	qsig  core.Signature
+
+	cache *scorerCache // nil: not cacheable or caching off
+	qkey  string
+	met   *dbMetrics
+
+	plain    []*stored
+	filtered []candidate
+}
+
+// run ranks candidates [0, n) into per-worker top-K heaps. Workers claim
+// contiguous rankChunk-sized runs of the candidate slice with one atomic
+// add each and check the context once per claim, so there is no feeder,
+// no hand-off per candidate, and a cancelled query does at most one more
+// chunk per worker. Which worker scores which chunk varies run to run;
+// the merged ranking cannot (see chunk). A query that fits one worker
+// runs on the calling goroutine.
+func (r *ranker) run(ctx context.Context, n, heapK int) ([]*topK, rankTally, error) {
+	chunks := (n + rankChunk - 1) / rankChunk
+	workers := r.q.parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, chunks)
+
+	var next atomic.Int64
+	work := func(h *topK) rankTally {
+		var t rankTally
+		for {
+			lo := int(next.Add(rankChunk)) - rankChunk
+			if lo >= n || ctx.Err() != nil {
+				return t
+			}
+			r.chunk(lo, min(lo+rankChunk, n), h, &t)
+		}
+	}
+
+	heaps := make([]*topK, workers)
+	for w := range heaps {
+		heaps[w] = newTopK(heapK)
+	}
+	var tally rankTally
+	if workers == 1 {
+		tally = work(heaps[0])
+	} else {
+		tallies := make([]rankTally, workers)
+		var wg sync.WaitGroup
+		for w := range heaps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tallies[w] = work(heaps[w])
+			}()
+		}
+		wg.Wait()
+		for _, t := range tallies {
+			tally.add(t)
+		}
+	}
+	// A worker that saw the cancellation left candidates unscored, and
+	// cancellation is sticky, so this one check covers every worker.
+	if err := ctx.Err(); err != nil {
+		return nil, rankTally{}, err
+	}
+	return heaps, tally, nil
+}
+
+// chunk scores candidates [lo, hi) into h, one worker's heap. Every
+// pruning shortcut compares against h alone: a candidate is skipped only
+// when offering its exact result to this same heap would provably have
+// been rejected, so each heap ends up holding exactly the top K of the
+// candidates its worker saw, and the union of the heaps holds the global
+// top K however the chunks were dealt out.
+func (r *ranker) chunk(lo, hi int, h *topK, t *rankTally) {
+	q := r.q
+	for i := lo; i < hi; i++ {
+		var st *stored
+		var where float64
+		if q.dsl != nil {
+			st, where = r.filtered[i].st, r.filtered[i].where
+		} else {
+			st = r.plain[i]
+		}
+		if r.bound != nil {
+			t.bounded++
+			ub := r.bound(r.qsig, st.signature())
+			if ub < q.minScore {
+				// exact <= ub < MinScore: evaluating would have dropped
+				// the candidate before it was counted.
+				t.pruned++
+				continue
+			}
+			if q.minScore <= 0 && h.full() && worse(Result{ID: st.ID, Score: ub}, h.min()) {
+				// The bound already loses to this worker's top-K floor,
+				// so the exact result (<= ub) would be rejected by h.add
+				// on the same comparison. It would still have been
+				// counted in Total: its score is >= 0 >= MinScore, and it
+				// is strictly worse than the cursor position because the
+				// floor — admitted past the cursor check — is. (With
+				// MinScore > 0 the exact score could fall below the
+				// threshold and alter Total, so this shortcut is taken
+				// only when the threshold cannot filter; the MinScore
+				// bound above still prunes.)
+				t.admitted++
+				t.pruned++
+				continue
+			}
+		}
+		t.evaluated++
+		var score float64
+		switch {
+		case q.image != nil:
+			if r.cache != nil {
+				// The bound check above already ran, so a hit skips the
+				// whole dynamic program, not just part of it.
+				k := cacheKey{query: r.qkey, entry: st}
+				var t0 time.Time
+				if r.met != nil {
+					t0 = time.Now()
+				}
+				s, ok := r.cache.get(k)
+				if r.met != nil {
+					r.met.observeCacheLookup(time.Since(t0))
+				}
+				if ok {
+					t.cacheHits++
+					score = s
+				} else {
+					t.cacheMisses++
+					score = r.scorer(r.img, r.queryBE, st.Entry)
+					r.cache.put(k, score)
+				}
+			} else {
+				score = r.scorer(r.img, r.queryBE, st.Entry)
+			}
+		case q.dsl != nil:
+			score = where
+		}
+		res := Result{ID: st.ID, Name: st.Name, Score: score}
+		if res.Score < q.minScore {
+			continue
+		}
+		if r.cur != nil && !worse(res, Result{ID: r.cur.ID, Score: r.cur.Score}) {
+			continue
+		}
+		t.admitted++
+		h.add(res)
+	}
 }

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bestring/internal/core"
@@ -25,12 +27,20 @@ type composedSpec struct {
 	scorer      Scorer
 	minScore    float64
 	k, offset   int
+	cursor      *cursorPos // resume position: admit only strictly worse results
 }
 
 // referenceComposed is the filter-then-full-sort reference: apply every
 // filter serially per image, score everything that survives, sort
 // everything, then paginate. The pipeline must match it byte for byte.
 func referenceComposed(t *testing.T, db *DB, spec composedSpec) []Hit {
+	t.Helper()
+	return referencePage(t, db, spec).Hits
+}
+
+// referencePage is referenceComposed with the page's Total and
+// NextCursor as well.
+func referencePage(t *testing.T, db *DB, spec composedSpec) pageKey {
 	t.Helper()
 	var dq query.Query
 	if spec.dsl != "" {
@@ -88,8 +98,12 @@ func referenceComposed(t *testing.T, db *DB, spec composedSpec) []Hit {
 		if h.Score < spec.minScore {
 			continue
 		}
+		if c := spec.cursor; c != nil && !worse(Result{ID: h.ID, Score: h.Score}, Result{ID: c.ID, Score: c.Score}) {
+			continue
+		}
 		all = append(all, h)
 	}
+	total := len(all)
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Score != all[j].Score {
 			return all[i].Score > all[j].Score
@@ -104,7 +118,12 @@ func referenceComposed(t *testing.T, db *DB, spec composedSpec) []Hit {
 	if spec.k > 0 && len(all) > spec.k {
 		all = all[:spec.k]
 	}
-	return all
+	page := pageKey{Hits: all, Total: total}
+	if spec.k > 0 && len(all) == spec.k && total > spec.offset+spec.k {
+		last := all[len(all)-1]
+		page.Cursor = encodeCursor(Result{ID: last.ID, Score: last.Score}, db.Epoch())
+	}
+	return page
 }
 
 // seedSpatial builds a deterministic corpus where filters have known
@@ -503,8 +522,123 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
+// seedRankDB builds an n-scene corpus for the rank-stage tests, half of
+// it bulk-loaded (arena-backed entries) and half inserted one by one
+// (boxed entries). Every scene carries the pair "wl left-of wr", so a
+// Where clause naming it narrows nothing and the candidate count
+// entering the rank stage is n whatever the query's shape.
+func seedRankDB(t *testing.T, n int) (*DB, []core.Image) {
+	t.Helper()
+	g := workload.NewGenerator(workload.Config{Seed: 1407, Vocabulary: 12, Width: 64, Height: 64, Objects: 5})
+	scenes := make([]core.Image, n)
+	for i := range scenes {
+		scenes[i] = g.Scene().
+			WithObject(core.Object{Label: "wl", Box: core.NewRect(1, 1, 3, 3)}).
+			WithObject(core.Object{Label: "wr", Box: core.NewRect(10, 1, 12, 3)})
+	}
+	db := NewSharded(4)
+	items := make([]BulkItem, n/2)
+	for i := range items {
+		items[i] = BulkItem{ID: fmt.Sprintf("r%04d", i), Name: fmt.Sprintf("scene %d", i), Image: scenes[i]}
+	}
+	if err := db.BulkInsert(context.Background(), items, 2); err != nil {
+		t.Fatal(err)
+	}
+	for i := n / 2; i < n; i++ {
+		if err := db.Insert(fmt.Sprintf("r%04d", i), "", scenes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db, scenes
+}
+
+// TestRankChunkedByteIdentical pins the chunk-claiming rank stage
+// against the score-everything-and-full-sort reference: Hits, Total and
+// NextCursor are byte-identical at every worker count, for candidate
+// counts on both sides of every chunk boundary, under every option that
+// changes what the kernel does per candidate; and the stage counts keep
+// their meaning (Narrowed is the candidate count, every bounded
+// candidate is either evaluated or pruned).
+func TestRankChunkedByteIdentical(t *testing.T) {
+	ctx := context.Background()
+	const clause = "wl left-of wr; icon00 left-of icon01"
+	g := workload.NewGenerator(workload.Config{Seed: 99, Vocabulary: 12})
+	for _, n := range []int{0, 1, rankChunk - 1, rankChunk, rankChunk + 1, 3*rankChunk + 7} {
+		db, scenes := seedRankDB(t, n)
+		img := g.Scene()
+		if n > 0 {
+			img = g.SubsetQuery(scenes[n/3], 4)
+		}
+		first := referencePage(t, db, composedSpec{image: &img, whereMin: -1, k: 5})
+		var resume *cursorPos
+		if first.Cursor != "" {
+			c, err := decodeCursor(first.Cursor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resume = &c
+		}
+		variants := []struct {
+			name  string
+			match bool // rank by the Where clause's satisfied fraction, no image
+			opts  []QueryOption
+			spec  composedSpec
+		}{
+			{"plain", false, []QueryOption{WithK(10)}, composedSpec{k: 10}},
+			{"unbounded", false, nil, composedSpec{}},
+			{"min-score", false, []QueryOption{WithK(10), WithMinScore(0.35)}, composedSpec{k: 10, minScore: 0.35}},
+			{"offset", false, []QueryOption{WithK(5), WithOffset(7)}, composedSpec{k: 5, offset: 7}},
+			{"cursor", false, []QueryOption{WithK(5), WithCursor(first.Cursor)}, composedSpec{k: 5, cursor: resume}},
+			{"where", false, []QueryOption{WithK(10), Where(clause), WithWhereMin(0.5)}, composedSpec{k: 10, dsl: clause, whereMin: 0.5}},
+			{"where-ranked", true, []QueryOption{WithK(10), Where(clause)}, composedSpec{k: 10, dsl: clause, whereMin: -1}},
+			{"no-pruning", false, []QueryOption{WithK(10), WithPruning(false)}, composedSpec{k: 10}},
+			{"no-cache", false, []QueryOption{WithK(10), WithScorerCache(false)}, composedSpec{k: 10}},
+		}
+		for _, v := range variants {
+			spec := v.spec
+			base := NewMatchQuery()
+			if !v.match {
+				spec.image = &img
+				base = NewQuery(img)
+			}
+			if spec.dsl == "" {
+				spec.whereMin = -1
+			}
+			want := referencePage(t, db, spec)
+			if want.Hits == nil {
+				want.Hits = []Hit{}
+			}
+			wj, _ := json.Marshal(want)
+			for _, par := range []int{1, 2, 3, 8} {
+				label := fmt.Sprintf("n=%d %s parallelism=%d", n, v.name, par)
+				page, err := db.Query(ctx, base, append([]QueryOption{WithParallelism(par)}, v.opts...)...)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if gj := pageID(t, page); gj != string(wj) {
+					t.Fatalf("%s: diverged from the full-sort reference\n got %s\nwant %s", label, gj, wj)
+				}
+				sc := page.Stages
+				if sc.Narrowed != n {
+					t.Fatalf("%s: Narrowed = %d, want %d", label, sc.Narrowed, n)
+				}
+				if v.match || v.name == "no-pruning" {
+					if sc.Bounded != 0 || sc.Pruned != 0 || sc.Evaluated != n {
+						t.Fatalf("%s: stage counts %+v, want everything evaluated and nothing bounded", label, sc)
+					}
+				} else if sc.Bounded != n || sc.Evaluated+sc.Pruned != sc.Bounded {
+					t.Fatalf("%s: stage counts %+v, want Bounded = %d = Evaluated + Pruned", label, sc, n)
+				}
+			}
+		}
+	}
+}
+
 // TestQueryCancelled checks the pipeline surfaces context cancellation
-// from both the predicate-evaluation and the scoring stage.
+// from both the predicate-evaluation and the scoring stage. The scoring
+// stage has no feeder to stop: each worker checks the context when it
+// claims a chunk, so a query cancelled before it starts scores at most
+// one chunk per worker and leaves no goroutine behind.
 func TestQueryCancelled(t *testing.T) {
 	db := seedSpatial(t, 2, 30)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -512,6 +646,23 @@ func TestQueryCancelled(t *testing.T) {
 	if _, err := db.Query(ctx, NewMatchQuery(), Where("tag left-of anchor")); !errors.Is(err, context.Canceled) {
 		t.Errorf("dsl stage err = %v, want context.Canceled", err)
 	}
+
+	const workers = 3
+	ranked, scenes := seedRankDB(t, 6*rankChunk)
+	before := runtime.NumGoroutine()
+	var calls atomic.Int64
+	counting := func(q core.Image, qbe core.BEString, e Entry) float64 {
+		calls.Add(1)
+		return BEScorer()(q, qbe, e)
+	}
+	_, err := ranked.Query(ctx, NewQuery(scenes[0]), WithK(5), WithScorerFunc(counting), WithParallelism(workers))
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("rank stage err = %v, want context.Canceled", err)
+	}
+	if n := calls.Load(); n > workers*rankChunk {
+		t.Errorf("pre-cancelled query scored %d candidates, want at most one chunk (%d) per worker", n, rankChunk)
+	}
+	waitGoroutines(t, before)
 }
 
 func TestScorerRegistry(t *testing.T) {

@@ -9,12 +9,13 @@ import (
 	"testing"
 
 	"bestring/internal/core"
+	"bestring/internal/ingest"
 	"bestring/internal/workload"
 )
 
 // seedPruneDB builds a randomized corpus through the full mutation
 // surface — bulk insert, single inserts, object updates and deletes —
-// so the signature column is exercised on every txn path.
+// so signature memoisation is exercised on every txn path.
 func seedPruneDB(t *testing.T, seed int64, n int) (*DB, *workload.Generator) {
 	t.Helper()
 	g := workload.NewGenerator(workload.Config{Seed: seed, Vocabulary: 20, Objects: 7})
@@ -55,26 +56,25 @@ func firstLabel(t *testing.T, db *DB, id string) string {
 	return e.Image.Objects[0].Label
 }
 
-// TestSignatureColumnMatchesEntries pins the column invariant: every
-// version's signature column holds exactly SignatureOf(entry.BE) for
-// exactly the stored ids, across bulk/single/update/delete paths.
-func TestSignatureColumnMatchesEntries(t *testing.T) {
-	db, _ := seedPruneDB(t, 99, 40)
+// assertSignaturesInstalled checks the invariant that replaced the
+// per-shard signature map: every entry installed in db's current version
+// carries a memoised signature equal to SignatureOf(entry.BE), so the
+// rank stage reads it without deriving or looking anything up.
+func assertSignaturesInstalled(t *testing.T, db *DB) {
+	t.Helper()
 	snap := db.current.Load()
 	total := 0
 	for _, sv := range snap.shards {
-		if len(sv.sigs) != len(sv.entries) {
-			t.Fatalf("column size %d != entries %d", len(sv.sigs), len(sv.entries))
+		if len(sv.scan) != len(sv.entries) {
+			t.Fatalf("scan column size %d != entries %d", len(sv.scan), len(sv.entries))
 		}
 		for id, st := range sv.entries {
 			total++
-			want := core.SignatureOf(st.BE)
-			got, ok := sv.sigs[id]
-			if !ok {
-				t.Fatalf("no signature for %q", id)
+			if st.sig == nil {
+				t.Fatalf("installed entry %q carries no signature", id)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("signature for %q = %+v, want %+v", id, got, want)
+			if want := core.SignatureOf(st.BE); !reflect.DeepEqual(*st.sig, want) {
+				t.Fatalf("signature for %q = %+v, want %+v", id, *st.sig, want)
 			}
 		}
 	}
@@ -83,10 +83,63 @@ func TestSignatureColumnMatchesEntries(t *testing.T) {
 	}
 }
 
+// TestSignatureColumnMatchesEntries pins the invariant on every install
+// path: bulk, single insert, object update (replace), delete, streamed
+// import, and WAL recovery replaying all of them.
+func TestSignatureColumnMatchesEntries(t *testing.T) {
+	db, g := seedPruneDB(t, 99, 40)
+	assertSignaturesInstalled(t, db)
+
+	dir := t.TempDir()
+	s, err := OpenStore(dir, StoreOptions{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Import(context.Background(), ingest.FromItems(importScenes(5, 70)), ImportOptions{ChunkScenes: 32}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Insert("solo", "", g.Scene()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InsertObject("img00003", core.Object{Label: "extra", Box: core.NewRect(0, 0, 2, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete("img00004"); err != nil {
+		t.Fatal(err)
+	}
+	assertSignaturesInstalled(t, s.db)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = OpenStore(dir, StoreOptions{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Len() != 70 {
+		t.Fatalf("recovered %d entries, want 70", s.Len())
+	}
+	assertSignaturesInstalled(t, s.db)
+}
+
+// TestStoredSignatureFallback covers the one reader of a nil sig: an
+// entry built by hand, never installed through a txn, still answers
+// signature() by deriving it.
+func TestStoredSignatureFallback(t *testing.T) {
+	be := core.MustConvert(core.Figure1Image())
+	st := &stored{Entry: Entry{ID: "hand", BE: be}}
+	if got, want := st.signature(), core.SignatureOf(be); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fallback signature = %+v, want %+v", got, want)
+	}
+	if st.sig != nil {
+		t.Fatal("signature() memoised on a published-style read")
+	}
+}
+
 // TestBoundDominatesExactInEngine is the engine-level half of the
 // proof-pinning property test: over three seeds, for every stored entry
 // and every bound-declaring registered scorer, the bound computed from
-// the snapshot's signature column must dominate the exact score the
+// the entry's installed signature must dominate the exact score the
 // scorer returns. Together with the math-level test in
 // internal/similarity this guarantees pruning can never drop a true
 // result.
@@ -113,12 +166,11 @@ func TestBoundDominatesExactInEngine(t *testing.T) {
 					}
 					qsig := core.SignatureOf(qbe)
 					for _, id := range db.IDs() {
-						st, _ := snap.lookup(id)
-						sig, ok := snap.signature(id)
+						st, ok := snap.lookup(id)
 						if !ok {
-							t.Fatalf("no signature for %q", id)
+							t.Fatalf("no entry for %q", id)
 						}
-						ub := bound(qsig, sig)
+						ub := bound(qsig, st.signature())
 						exact := scorer(img, qbe, st.Entry)
 						if ub < exact {
 							t.Fatalf("scorer %s query %d entry %s: bound %.9f < exact %.9f",
@@ -280,15 +332,15 @@ func TestStageCountsAndStats(t *testing.T) {
 }
 
 // TestSignatureColumnSurvivesPersistence pins that signatures are
-// derived, not stored: a save/load round trip (which carries no
-// signature bytes) rebuilds the column, and pruned rankings on the
-// loaded database match the original.
+// derived, not stored: a JSON or gob save/load round trip (which carries
+// no signature bytes) re-derives them on install, and pruned rankings on
+// the loaded database match the original.
 func TestSignatureColumnSurvivesPersistence(t *testing.T) {
 	ctx := context.Background()
 	db, g := seedPruneDB(t, 31, 40)
 	img := g.SubsetQuery(g.Scene(), 3)
 
-	var buf bytes.Buffer
+	var buf, gobBuf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -296,12 +348,15 @@ func TestSignatureColumnSurvivesPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := loaded.current.Load()
-	for _, sv := range snap.shards {
-		if len(sv.sigs) != len(sv.entries) {
-			t.Fatalf("loaded column size %d != entries %d", len(sv.sigs), len(sv.entries))
-		}
+	assertSignaturesInstalled(t, loaded)
+	if err := db.SaveGob(&gobBuf); err != nil {
+		t.Fatal(err)
 	}
+	fromGob, err := LoadGob(&gobBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSignaturesInstalled(t, fromGob)
 	want, err := db.Query(ctx, NewQuery(img), WithK(10))
 	if err != nil {
 		t.Fatal(err)

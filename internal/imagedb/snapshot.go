@@ -37,17 +37,17 @@ type snapshot struct {
 	count   int
 }
 
-// shardView is one partition of one version: the entries, this shard's
-// slice of the inverted label index (icon label -> image ids), and the
-// signature column (image id -> symbol signature) that feeds the
-// filter-and-refine ranking stage. Signatures are derived data — a pure
+// shardView is one partition of one version, holding its entries three
+// ways: by id, by icon label (this shard's slice of the inverted label
+// index, label -> image ids) and in scan order. The symbol signature
+// that feeds the filter-and-refine ranking stage is not a fourth view:
+// it rides on the entry itself (stored.sig) — derived data, a pure
 // function of the entry's BE-string, computed once when the entry is
-// installed, never logged or persisted, and rebuilt for free on
-// recovery because recovery replays through the same install path.
+// installed, never logged or persisted, and rebuilt for free on recovery
+// because recovery replays through the same install path.
 type shardView struct {
 	entries map[string]*stored
 	labels  map[string]map[string]bool
-	sigs    map[string]core.Signature
 	// scan is the shard's scan column: the same *stored pointers as
 	// entries, kept in insertion order in a plain slice. Full scans
 	// (collect without a prefilter) walk it instead of the map, so
@@ -70,7 +70,6 @@ func emptySnapshot(nshards int) *snapshot {
 		s.shards[i] = &shardView{
 			entries: make(map[string]*stored),
 			labels:  make(map[string]map[string]bool),
-			sigs:    make(map[string]core.Signature),
 		}
 	}
 	return s
@@ -99,19 +98,16 @@ func (s *snapshot) lookup(id string) (*stored, bool) {
 	return st, ok
 }
 
-// signature reads id's symbol signature from this version's signature
-// column. Like every snapshot read it touches only frozen maps.
-func (s *snapshot) signature(id string) (core.Signature, bool) {
-	sig, ok := s.shardFor(id).sigs[id]
-	return sig, ok
-}
-
 // collect gathers this version's entries, optionally pruned to images
 // sharing at least one of the given icon labels (the inverted-index
 // narrowing stage). Slice order is arbitrary; callers that need
 // determinism sort afterwards. No locks: the version is frozen.
 func (s *snapshot) collect(labels []string, prefilter bool) []*stored {
-	out := make([]*stored, 0, 64)
+	size := 64
+	if !prefilter {
+		size = s.count // a full scan returns every entry
+	}
+	out := make([]*stored, 0, size)
 	for _, sv := range s.shards {
 		if prefilter {
 			cand := make(map[string]bool)
@@ -222,16 +218,12 @@ func (m *txn) shard(idx int) *shardView {
 		sv := &shardView{
 			entries: make(map[string]*stored, len(src.entries)+1),
 			labels:  make(map[string]map[string]bool, len(src.labels)),
-			sigs:    make(map[string]core.Signature, len(src.sigs)+1),
 		}
 		for k, v := range src.entries {
 			sv.entries[k] = v
 		}
 		for k, v := range src.labels {
 			sv.labels[k] = v
-		}
-		for k, v := range src.sigs {
-			sv.sigs[k] = v
 		}
 		sv.scan = append(make([]*stored, 0, len(src.scan)+1), src.scan...)
 		m.shards[idx] = sv
@@ -291,22 +283,24 @@ func (m *txn) unindexLabel(idx int, sv *shardView, label, id string) {
 	}
 }
 
-// add installs a new stored entry (id must not exist in the base),
-// populating the signature column from the entry's precomputed
-// signature. When the caller did not precompute one outside the writer
-// lock, the signature is derived here — once — and memoised on the
-// entry, so no later read (the refine stage's bound checks in
+// memoSignature derives st's symbol signature unless the caller already
+// precomputed it outside the writer lock, so every installed entry
+// carries one and no later read (the refine stage's bound checks in
 // particular) ever re-derives it. st is not yet published, so writing
 // st.sig is safe.
-func (m *txn) add(st *stored) {
-	idx := shardIndex(st.ID, len(m.shards))
-	sv := m.shard(idx)
-	sv.entries[st.ID] = st
+func memoSignature(st *stored) {
 	if st.sig == nil {
 		sig := core.SignatureOf(st.BE)
 		st.sig = &sig
 	}
-	sv.sigs[st.ID] = *st.sig
+}
+
+// add installs a new stored entry (id must not exist in the base).
+func (m *txn) add(st *stored) {
+	idx := shardIndex(st.ID, len(m.shards))
+	sv := m.shard(idx)
+	memoSignature(st)
+	sv.entries[st.ID] = st
 	sv.scan = append(sv.scan, st)
 	t := m.tree()
 	for _, o := range st.Image.Objects {
@@ -321,7 +315,6 @@ func (m *txn) remove(st *stored) {
 	idx := shardIndex(st.ID, len(m.shards))
 	sv := m.shard(idx)
 	delete(sv.entries, st.ID)
-	delete(sv.sigs, st.ID)
 	for i, cur := range sv.scan {
 		if cur == st {
 			sv.scan = append(sv.scan[:i], sv.scan[i+1:]...)
@@ -337,8 +330,7 @@ func (m *txn) remove(st *stored) {
 }
 
 // replace swaps old for next under the same id (an object-level update;
-// the insertion sequence is preserved by the caller). The signature
-// column entry is recomputed with the new BE-string.
+// the insertion sequence is preserved by the caller).
 func (m *txn) replace(old, next *stored) {
 	idx := shardIndex(old.ID, len(m.shards))
 	sv := m.shard(idx)
@@ -347,12 +339,8 @@ func (m *txn) replace(old, next *stored) {
 		m.unindexLabel(idx, sv, o.Label, old.ID)
 		t.Delete(spatialID(old.ID, o.Label), o.Box)
 	}
+	memoSignature(next)
 	sv.entries[next.ID] = next
-	if next.sig == nil {
-		sig := core.SignatureOf(next.BE)
-		next.sig = &sig
-	}
-	sv.sigs[next.ID] = *next.sig
 	for i, cur := range sv.scan {
 		if cur == old {
 			sv.scan[i] = next

@@ -319,12 +319,18 @@ func TestQueryIterCancelNoLeak(t *testing.T) {
 		t.Fatalf("iterator delivered %d hits after a cancel at 10", yielded)
 	}
 
-	// All scoring workers must wind down; allow the runtime a moment.
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// before: all scoring workers must wind down; allow the runtime a moment.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
 		if n := runtime.NumGoroutine(); n <= before {
-			break
+			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())

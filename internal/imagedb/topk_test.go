@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -209,21 +210,30 @@ func TestSearchAllTiedResultsOrderByID(t *testing.T) {
 }
 
 func TestSearchCancelledMidShard(t *testing.T) {
-	db, scenes := seedSharded(t, 4, 60)
+	const workers, tripAt = 2, 5
+	db, scenes := seedSharded(t, 4, 8*rankChunk)
+	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var calls atomic.Int64
 	// The scorer trips cancellation partway through the corpus, while
-	// workers are mid-shard; the search must report the context error.
+	// workers are mid-chunk; the search must report the context error,
+	// and each worker stops when it goes to claim its next chunk.
 	scorer := func(q core.Image, qbe core.BEString, e Entry) float64 {
-		if calls.Add(1) == 5 {
+		if calls.Add(1) == tripAt {
 			cancel()
 		}
 		return BEScorer()(q, qbe, e)
 	}
-	_, err := db.Search(ctx, scenes[0], SearchOptions{K: 3, Scorer: scorer, Parallelism: 2})
+	_, err := db.Search(ctx, scenes[0], SearchOptions{K: 3, Scorer: scorer, Parallelism: workers})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
+	if n := calls.Load(); n > tripAt+workers*rankChunk {
+		t.Errorf("scored %d candidates after a cancel at %d, want each of %d workers to stop within its chunk of %d",
+			n, tripAt, workers, rankChunk)
+	}
+	waitGoroutines(t, before)
 }
 
 func TestStatsAndShardCount(t *testing.T) {

@@ -86,17 +86,27 @@ func NewTable(q, d core.Axis) *Table {
 	return t
 }
 
+// stackRow is the rolling-row length Length keeps on its own stack frame:
+// enough for an axis of 31 objects (4·objects+1 tokens, plus column 0).
+const stackRow = 128
+
 // Length returns the modified LCS length of two axes using O(min(m,n))
 // additional space (two rolling rows). It computes the same value as
 // NewTable(q, d).Len() without materialising the table; use it for
 // search-time scoring where the matched string itself is not needed.
+// Axes of up to stackRow-1 tokens cost no heap allocation.
 func Length(q, d core.Axis) int {
 	if len(d) < len(q) {
 		q, d = d, q // LCS is symmetric; roll the shorter axis
 	}
 	n := len(d)
-	prev := make([]int, n+1)
-	cur := make([]int, n+1)
+	var scratch [2 * stackRow]int
+	var prev, cur []int
+	if n < stackRow {
+		prev, cur = scratch[:n+1], scratch[stackRow:stackRow+n+1]
+	} else {
+		prev, cur = make([]int, n+1), make([]int, n+1)
+	}
 	for i := 1; i <= len(q); i++ {
 		qi := q[i-1]
 		cur[0] = 0
