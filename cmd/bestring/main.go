@@ -317,8 +317,10 @@ func cmdSearch(args []string) error {
 			fmt.Printf(" est-filter-rate=%.3f", p.EstFilterRate)
 		}
 		fmt.Println()
-		if p.CacheHits+p.CacheMisses > 0 {
-			fmt.Printf("scorer cache: %d hits, %d misses\n", p.CacheHits, p.CacheMisses)
+		if p.CacheBypassed {
+			// Always, for a cacheable scorer: the CLI is one query per
+			// process, and the cache admits a query on its second run.
+			fmt.Println("scorer cache: bypassed (first sighting of this query)")
 		}
 	}
 	if *explain && page.Stages != nil {

@@ -318,6 +318,9 @@ func (a *api) health(w http.ResponseWriter, _ *http.Request) {
 		"epoch":      stats.Epoch,
 		"entries":    stats.Images,
 		"goroutines": runtime.NumGoroutine(),
+		// Distinct icon labels in the label dictionary the rank kernel's
+		// integer ids come from; grows on writes only.
+		"labelDict": stats.Labels,
 		// Cumulative filter-and-refine counters: pruned/evaluated is the
 		// fraction of exact LCS work the signature bounds saved.
 		"search": stats.Search,
@@ -813,10 +816,16 @@ func (a *api) searchV1(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	page, err := runQuery(r.Context(), req, q, opts)
 	var stages any
+	shape := queryShape(req)
 	if page != nil && page.Stages != nil {
 		stages = page.Stages
 	}
-	a.logSlow(r, "/api/v1/search", start, queryShape(req), stages, err)
+	if page != nil && page.Plan != nil && page.Plan.CacheBypassed {
+		// A slow first-sighting query ran every refine evaluation itself;
+		// the same query repeated would be served from the scorer cache.
+		shape["cache_bypassed"] = true
+	}
+	a.logSlow(r, "/api/v1/search", start, shape, stages, err)
 	if err != nil {
 		writeErr(w, queryStatus(err), err)
 		return

@@ -48,11 +48,12 @@ func TestHealth(t *testing.T) {
 		t.Fatalf("status = %d", rec.Code)
 	}
 	var out struct {
-		OK     bool `json:"ok"`
-		Images int  `json:"images"`
+		OK        bool `json:"ok"`
+		Images    int  `json:"images"`
+		LabelDict int  `json:"labelDict"`
 	}
 	decode(t, rec, &out)
-	if !out.OK || out.Images != 10 {
+	if !out.OK || out.Images != 10 || out.LabelDict == 0 {
 		t.Errorf("health = %+v", out)
 	}
 }

@@ -56,6 +56,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE bestring_query_stage_seconds histogram",
 		`bestring_query_stage_seconds_count{stage="rank"} 1`,
 		"bestring_query_total 1",
+		"bestring_scorer_cache_bypassed_total 1", // the search above was its key's first sighting
+		"bestring_label_dict_labels 2",           // sceneBody's two icon labels
 		"# TYPE bestring_wal_fsync_seconds histogram",
 		"bestring_commit_mutations_total 1",
 		`bestring_store_lsn{kind="visible"} 1`,
@@ -187,6 +189,19 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("entry spans missing stage.rank: %+v", entry.Spans)
+	}
+
+	// A ranked query's line says whether it bypassed the scorer cache:
+	// the first sighting of its key does, the repeat does not.
+	for i, want := range []bool{true, false} {
+		logBuf.Reset()
+		if rec := do(t, mux, http.MethodPost, "/api/v1/search",
+			map[string]any{"image": sceneBody, "k": 3}); rec.Code != http.StatusOK {
+			t.Fatalf("search: %d", rec.Code)
+		}
+		if got := strings.Contains(logBuf.String(), `"cache_bypassed":true`); got != want {
+			t.Fatalf("run %d: cache_bypassed=%v, want %v: %q", i+1, got, want, logBuf.String())
+		}
 	}
 
 	// A fast threshold server logs nothing.

@@ -1064,7 +1064,7 @@ func PlannerCache(sizes []int, k int) (*Table, error) {
 				name:   "cache-warm",
 				query:  imagedb.NewQuery(queryImg),
 				opts:   nil, // unbounded: every survivor pays an exact evaluation
-				warmup: 1,
+				warmup: 2,   // first sighting bypasses the cache, the second fills it
 			},
 			{
 				name:   "cache-churn",

@@ -51,10 +51,10 @@ func TestSignatureSharedLabels(t *testing.T) {
 		{sig("x"), sig("y"), 0},
 	}
 	for _, tc := range cases {
-		if got := tc.a.SharedLabels(tc.b); got != tc.want {
+		if got := tc.a.SharedLabels(&tc.b); got != tc.want {
 			t.Errorf("shared(%v, %v) = %d, want %d", tc.a.Labels, tc.b.Labels, got, tc.want)
 		}
-		if got := tc.b.SharedLabels(tc.a); got != tc.want {
+		if got := tc.b.SharedLabels(&tc.a); got != tc.want {
 			t.Errorf("shared(%v, %v) = %d, want %d (asymmetric)", tc.b.Labels, tc.a.Labels, got, tc.want)
 		}
 	}

@@ -17,6 +17,7 @@ import (
 //	objects []core.Object  every entry's object list
 //	labels  []string       every signature's label slice
 //	sigs    []core.Signature
+//	codes   []uint32       every entry's coded X and Y axes
 //
 // Each entry's slices are three-index subslices of the slabs (capacity
 // pinned to length), so an append by any holder reallocates instead of
@@ -40,41 +41,41 @@ type entryArena struct {
 	objects []core.Object
 	labels  []string
 	sigs    []core.Signature
+	codes   []uint32
 }
 
-// arenaItem is one entry to be packed: the identity, the source image,
-// its converted BE-string, and optionally its precomputed signature
-// (computed during build when nil). The image's objects are copied into
-// the arena's slab, so the caller's image need not be pre-cloned.
+// arenaItem is one entry to be packed: the identity, the source image
+// and its converted BE-string. The image's objects are copied into the
+// arena's slab, so the caller's image need not be pre-cloned.
 type arenaItem struct {
 	id, name string
 	img      core.Image
 	be       core.BEString
-	sig      *core.Signature
 }
 
-// buildArena packs the items into one sealed arena. Two passes: size
-// every slab exactly, then fill — the slabs never grow after a subslice
-// is taken, which is what keeps all subslices aliased to one backing
-// array each.
-func buildArena(items []arenaItem) *entryArena {
+// buildArena packs the items into one sealed arena, deriving each
+// entry's signature and codes against dict on the way (the arena twin of
+// stored.index). Two passes: size every slab exactly, then fill — the
+// slabs never grow after a subslice is taken, which is what keeps all
+// subslices aliased to one backing array each.
+func buildArena(items []arenaItem, dict *core.LabelDict) *entryArena {
+	sigs := make([]core.Signature, len(items))
 	var nTok, nObj, nLab int
 	for i := range items {
-		if items[i].sig == nil {
-			sig := core.SignatureOf(items[i].be)
-			items[i].sig = &sig
-		}
+		sigs[i] = core.SignatureOf(items[i].be)
 		nTok += len(items[i].be.X) + len(items[i].be.Y)
 		nObj += len(items[i].img.Objects)
-		nLab += len(items[i].sig.Labels)
+		nLab += len(sigs[i].Labels)
 	}
 	a := &entryArena{
 		entries: make([]stored, len(items)),
 		tokens:  make([]core.Token, 0, nTok),
 		objects: make([]core.Object, 0, nObj),
 		labels:  make([]string, 0, nLab),
-		sigs:    make([]core.Signature, len(items)),
+		sigs:    sigs,
+		codes:   make([]uint32, nTok),
 	}
+	codesAt := 0
 	for i := range items {
 		it := &items[i]
 		x := a.claimTokens(it.be.X)
@@ -84,11 +85,14 @@ func buildArena(items []arenaItem) *entryArena {
 		a.objects = append(a.objects, it.img.Objects...)
 		objs := a.objects[start:len(a.objects):len(a.objects)]
 
-		sig := *it.sig
+		sig, ids := sigs[i].Intern(dict)
 		start = len(a.labels)
 		a.labels = append(a.labels, sig.Labels...)
 		sig.Labels = a.labels[start:len(a.labels):len(a.labels)]
 		a.sigs[i] = sig
+		nCodes := len(x) + len(y)
+		codes := core.EncodeBE(a.codes[codesAt:codesAt+nCodes], it.be, sig.Labels, ids)
+		codesAt += nCodes
 
 		a.entries[i] = stored{
 			Entry: Entry{
@@ -97,7 +101,8 @@ func buildArena(items []arenaItem) *entryArena {
 				Image: core.Image{XMax: it.img.XMax, YMax: it.img.YMax, Objects: objs},
 				BE:    core.BEString{X: x, Y: y},
 			},
-			sig: &a.sigs[i],
+			sig:   &a.sigs[i],
+			codes: codes,
 		}
 	}
 	return a

@@ -144,7 +144,8 @@ func TestBuildArenaLayout(t *testing.T) {
 		}
 		items[i] = arenaItem{id: fmt.Sprintf("a%02d", i), img: img, be: be}
 	}
-	a := buildArena(items)
+	dict := core.NewLabelDict()
+	a := buildArena(items, dict)
 	sts := a.pointers()
 	if len(sts) != len(items) {
 		t.Fatalf("%d pointers", len(sts))
@@ -159,10 +160,7 @@ func TestBuildArenaLayout(t *testing.T) {
 		if st.ID != items[i].id {
 			t.Fatalf("entry %d id %q", i, st.ID)
 		}
-		// The signature must match a fresh computation.
-		want := core.SignatureOf(items[i].be)
-		if !reflect.DeepEqual(*st.sig, want) {
-			t.Fatalf("entry %d slab signature diverges from fresh", i)
-		}
+		// The signature and codes must match a fresh computation.
+		assertIndexed(t, st, dict)
 	}
 }

@@ -28,7 +28,7 @@ func (db *DB) BulkInsert(ctx context.Context, items []BulkItem, parallelism int)
 	if len(items) == 0 {
 		return nil
 	}
-	sts, err := prepareBulk(ctx, items, parallelism, db.ArenaLayout())
+	sts, err := prepareBulk(ctx, items, parallelism, db.ArenaLayout(), db.labelDict())
 	if err != nil {
 		return err
 	}
@@ -38,11 +38,12 @@ func (db *DB) BulkInsert(ctx context.Context, items []BulkItem, parallelism int)
 // prepareBulk is the lock-free half of a bulk insert: id validation
 // (non-empty, unique within the batch), parallel conversion, and image
 // cloning. It returns the stored entries ready to install (sequence
-// numbers unassigned). The durable store calls it directly so a bulk
-// batch is fully validated before its WAL record is written. With arena
-// set, the entries are packed into one columnar arena slab instead of
-// being boxed individually (arena.go).
-func prepareBulk(ctx context.Context, items []BulkItem, parallelism int, arena bool) ([]*stored, error) {
+// numbers unassigned, signatures and codes derived against dict). The
+// durable store calls it directly so a bulk batch is fully validated
+// before its WAL record is written. With arena set, the entries are
+// packed into one columnar arena slab instead of being boxed
+// individually (arena.go).
+func prepareBulk(ctx context.Context, items []BulkItem, parallelism int, arena bool, dict *core.LabelDict) ([]*stored, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -91,23 +92,22 @@ feed:
 		}
 	}
 
-	// Build the stored entries (including the image clones and their
-	// symbol signatures) before any lock is taken; only map installs and
-	// index registration remain for the critical section.
+	// Build the stored entries (including the image clones, their symbol
+	// signatures and coded axes) before any lock is taken; only map
+	// installs and index registration remain for the critical section.
 	if arena {
 		packed := make([]arenaItem, len(items))
 		for i, it := range items {
 			packed[i] = arenaItem{id: it.ID, name: it.Name, img: it.Image, be: converted[i]}
 		}
-		return buildArena(packed).pointers(), nil
+		return buildArena(packed, dict).pointers(), nil
 	}
 	sts := make([]*stored, len(items))
 	for i, it := range items {
-		sig := core.SignatureOf(converted[i])
 		sts[i] = &stored{
 			Entry: Entry{ID: it.ID, Name: it.Name, Image: it.Image.Clone(), BE: converted[i]},
-			sig:   &sig,
 		}
+		sts[i].index(dict)
 	}
 	return sts, nil
 }

@@ -85,6 +85,9 @@ type DB struct {
 	// cacheEvictions counts LRU evictions across cache reconfigurations
 	// (the cache object holds a pointer to it).
 	cacheEvictions atomic.Uint64
+	// doorkeeper admits a query to the scorer cache from the second
+	// sighting of its key on (scorercache.go).
+	doorkeeper cacheDoorkeeper
 	// shapes is the planner's decaying per-query-shape predicate
 	// pass-rate table (plan.go).
 	shapes shapeStats
@@ -111,6 +114,10 @@ func NewSharded(n int) *DB {
 	db.cache.Store(newScorerCache(DefaultScorerCacheCapacity, &db.cacheEvictions))
 	return db
 }
+
+// labelDict returns the store's label dictionary (one object for the
+// DB's whole life; see snapshot.dict).
+func (db *DB) labelDict() *core.LabelDict { return db.current.Load().dict }
 
 // Epoch returns the epoch of the current version — the value a query
 // issued now would pin. It increases by one per published mutation.
@@ -146,17 +153,18 @@ func (db *DB) Insert(id, name string, img core.Image) error {
 // the tail of Insert, split out so the durable store (which converts once
 // during pre-log validation) does not pay conversion twice.
 func (db *DB) insertConverted(id, name string, img core.Image, be core.BEString) error {
+	// Clone and index (signature, codes) before taking the writer lock.
+	st := &stored{Entry: Entry{ID: id, Name: name, Image: img.Clone(), BE: be}}
+	st.index(db.labelDict())
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	cur := db.current.Load()
 	if _, exists := cur.lookup(id); exists {
 		return fmt.Errorf("insert %q: %w", id, ErrDuplicate)
 	}
+	st.seq = db.seq.Add(1)
 	m := beginTxn(cur)
-	m.add(&stored{
-		Entry: Entry{ID: id, Name: name, Image: img.Clone(), BE: be},
-		seq:   db.seq.Add(1),
-	})
+	m.add(st)
 	db.publish(m)
 	return nil
 }

@@ -224,7 +224,7 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 	done := make(chan convChunk, par) // workers -> committer
 	readErr := make(chan error, 1)    // reader's terminal error, if any
 	resume := !imp.opts.NoResume
-	arena := s.db.ArenaLayout()
+	arena, dict := s.db.ArenaLayout(), s.db.labelDict()
 
 	// Reader: cut the stream into chunks. Blocks on jobs when the
 	// pipeline is full — that is the backpressure bounding memory to
@@ -269,7 +269,8 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 		}
 	}()
 
-	// Workers: convert, sign and (with the arena layout) pack each chunk.
+	// Workers: convert, sign, encode and (with the arena layout) pack each
+	// chunk.
 	// A chunk whose key is already durable skips conversion entirely.
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
@@ -281,7 +282,7 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 				if resume && s.hasImportKey(rc.key) {
 					cc.skip = true
 				} else {
-					cc.sts, cc.err = prepareBulk(ctx, rc.items, 1, arena)
+					cc.sts, cc.err = prepareBulk(ctx, rc.items, 1, arena, dict)
 				}
 				select {
 				case done <- cc:

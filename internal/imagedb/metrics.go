@@ -32,6 +32,7 @@ type dbMetrics struct {
 
 	cacheHits          *obs.Counter
 	cacheMisses        *obs.Counter
+	cacheBypassed      *obs.Counter
 	cacheLookupSeconds *obs.Histogram
 }
 
@@ -65,6 +66,8 @@ func (db *DB) EnableMetrics(reg *obs.Registry) {
 			"Exact scorer evaluations served from the scorer cache."),
 		cacheMisses: reg.Counter("bestring_scorer_cache_misses_total",
 			"Cacheable scorer evaluations that ran the scorer (and populated the cache)."),
+		cacheBypassed: reg.Counter("bestring_scorer_cache_bypassed_total",
+			"Cacheable queries that did not consult the scorer cache (first sighting of their key)."),
 		cacheLookupSeconds: reg.Histogram("bestring_scorer_cache_lookup_seconds",
 			"Scorer-cache lookup latency (hits and misses alike).",
 			obs.DurationBuckets()),
@@ -84,6 +87,9 @@ func (db *DB) EnableMetrics(reg *obs.Registry) {
 			}
 			return 0
 		})
+	reg.GaugeFunc("bestring_label_dict_labels",
+		"Distinct icon labels in the store's label dictionary (grows on writes only, never shrinks).",
+		func() float64 { return float64(db.labelDict().Len()) })
 	reg.GaugeFunc("bestring_store_images",
 		"Images in the current published version.",
 		func() float64 { return float64(db.Len()) })
@@ -104,6 +110,9 @@ func (m *dbMetrics) observeQuery(page *Page) {
 		}
 		m.cacheHits.Add(uint64(p.CacheHits))
 		m.cacheMisses.Add(uint64(p.CacheMisses))
+		if p.CacheBypassed {
+			m.cacheBypassed.Inc()
+		}
 	}
 	m.queries.Inc()
 	m.querySeconds.Observe(float64(sc.TotalNanos) / 1e9)

@@ -85,7 +85,7 @@ func (db *DB) loadEntries(entries []Entry, wrap string) error {
 		})
 	}
 	if len(packed) > 0 {
-		for _, st := range buildArena(packed).pointers() {
+		for _, st := range buildArena(packed, m.base.dict).pointers() {
 			st.seq = db.seq.Add(1)
 			m.add(st)
 		}

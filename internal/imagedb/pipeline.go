@@ -313,12 +313,13 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 
 	// Resolve the scorer up front so an unknown name fails fast even if
 	// no candidate survives the filters. A registry scorer may carry an
-	// upper bound, enabling the refine stage below, and may be BE-pure,
-	// enabling the scorer cache; an explicit WithScorerFunc scorer is
-	// opaque and always evaluates exactly.
+	// upper bound, enabling the refine stage below, and may be BE-pure —
+	// it then declares a coded kernel, which the rank stage runs over
+	// entry codes and which makes its scores cacheable; an explicit
+	// WithScorerFunc scorer is opaque and always evaluates exactly.
 	scorer := q.scorer
-	var bound Bound
-	cacheable := false
+	var bound sigBound
+	var coded codedScorer
 	if scorer == nil && (q.image != nil || q.scorerName != "") {
 		r, ok := lookupRegistered(q.scorerName)
 		if !ok {
@@ -329,7 +330,7 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 		if !q.noPrune {
 			bound = r.bound
 		}
-		cacheable = r.pure
+		coded = r.coded
 	}
 
 	var img core.Image
@@ -373,8 +374,21 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 	plan := ep.Plan
 	stages := &StageCounts{}
 
+	// cols is the narrowed set as a list of columns. A query nothing
+	// narrows — no label narrowing, no Where clause, no region filter to
+	// apply — ranks straight over the version's own scan columns: no
+	// per-query copy of the corpus. Those columns are shared and
+	// immutable, so every branch that filters works on cands0, a slice
+	// this query owns (collect), and hands it over as the single column.
+	var cols [][]*stored
 	var cands0 []*stored
-	if ep.regionFirst {
+	pureScan := q.dsl == nil && !prefilter && (q.region == nil || ep.skipRegion)
+	if pureScan {
+		cols = snap.scanColumns()
+		stages.Indexed, stages.Region = snap.count, snap.count
+		stages.IndexNanos = sinceNanos(&mark)
+		stages.RegionNanos = sinceNanos(&mark)
+	} else if ep.regionFirst {
 		// Region-first: probe the (estimated tiny) region set, then
 		// recover the label narrowing as a membership filter over it.
 		ids := snap.regionIDSet(*q.region, q.regionLabel)
@@ -522,9 +536,12 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 		stages.RegionNanos = sinceNanos(&mark)
 	}
 
-	narrowed := len(cands0)
-	if q.dsl != nil {
+	narrowed := snap.count // a pure scan: cols are the version's columns
+	switch {
+	case q.dsl != nil:
 		narrowed = len(cands)
+	case !pureScan:
+		narrowed, cols = len(cands0), [][]*stored{cands0}
 	}
 	stages.Narrowed = narrowed
 	if narrowed == 0 {
@@ -547,15 +564,26 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 	// can serve it byte-identically; the *stored pointer in the key is
 	// the entry version (see scorercache.go). The query-side half of the
 	// key is computed once here.
+	//
+	// The cache is consulted only from a query key's second sighting on
+	// (cacheDoorkeeper): a first-time query bypasses it — no lookups, no
+	// fills — and says so in the plan.
 	var cache *scorerCache
 	var qkey string
-	if cacheable && q.image != nil && !q.noCache && db != nil {
-		if cache = db.cache.Load(); cache != nil {
+	var qhash uint64
+	if coded != nil && q.image != nil && !q.noCache && db != nil {
+		if c := db.cache.Load(); c != nil {
 			name := q.scorerName
 			if name == "" {
 				name = DefaultScorerName
 			}
 			qkey = cacheQueryKey(name, queryBE)
+			qhash = hashQueryKey(qkey)
+			if db.doorkeeper.sighted(qhash) {
+				cache = c
+			} else {
+				plan.CacheBypassed = true
+			}
 		}
 	}
 	met := (*dbMetrics)(nil)
@@ -577,13 +605,26 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 	// Pruning never alters results — see the admission notes in
 	// ranker.chunk; each skip is taken only when the evaluated path would
 	// provably have made the same decision.
+	//
+	// The query side of both halves is integer work prepared once, here,
+	// after the version was pinned: the query's signature and codes are
+	// looked up in the version's label dictionary — never added to it —
+	// so a query label no entry of this version carries becomes a symbol
+	// that matches nothing, which is exactly what it is.
 	rk := &ranker{
 		q: q, cur: cur, img: img, queryBE: queryBE, scorer: scorer,
-		cache: cache, qkey: qkey, met: met, plain: cands0, filtered: cands,
+		cache: cache, qkey: qkey, qhash: qhash, met: met, cols: cols, filtered: cands,
 	}
-	if bound != nil && q.image != nil {
-		rk.bound = bound
-		rk.qsig = core.SignatureOf(queryBE)
+	if q.image != nil && (bound != nil || coded != nil) {
+		qsig, ids := core.SignatureOf(queryBE).Lookup(snap.dict)
+		if bound != nil {
+			rk.bound, rk.qsig = bound, &qsig
+		}
+		if coded != nil {
+			rk.coded = coded(queryBE, func(be core.BEString) core.CodedBE {
+				return core.EncodeBE(make([]uint32, len(be.X)+len(be.Y)), be, qsig.Labels, ids)
+			})
+		}
 	}
 	heaps, tally, err := rk.run(ctx, narrowed, heapK)
 	if err != nil {
@@ -654,26 +695,35 @@ func (t *rankTally) add(o rankTally) {
 
 // ranker is stage 4 of the pipeline: bound, then exact score, then top-K
 // admission over every narrowed candidate. The candidates are the
-// narrowed scan column itself (plain) or, when the query has a Where
-// clause and so an evaluation attached to each survivor, the candidate
-// wrappers (filtered); q.dsl says which, the other slice is not read.
+// narrowed columns themselves (cols: the version's scan columns for an
+// un-narrowed query, one owned slice otherwise) or, when the query has a
+// Where clause and so an evaluation attached to each survivor, the
+// candidate wrappers (filtered); q.dsl says which, the other is not read.
 type ranker struct {
-	q       *Query
-	cur     *cursorPos
+	q   *Query
+	cur *cursorPos
+
+	// coded is the scorer's integer kernel over entry codes, prepared
+	// for this query; nil for scorers that declare none (WithScorerFunc,
+	// the type-i baselines, externally registered scorers), which are
+	// called as scorer(img, queryBE, entry) instead.
+	coded   codedKernel
 	img     core.Image
 	queryBE core.BEString
 	scorer  Scorer
 
 	// bound is nil when the scorer declares none, pruning is off or the
-	// query has no ranked image; qsig is the query's signature otherwise.
-	bound Bound
-	qsig  core.Signature
+	// query has no ranked image; qsig is the query's signature, interned
+	// against the pinned version's dictionary, otherwise.
+	bound sigBound
+	qsig  *core.Signature
 
-	cache *scorerCache // nil: not cacheable or caching off
+	cache *scorerCache // nil: not cacheable, caching off, or bypassed
 	qkey  string
+	qhash uint64
 	met   *dbMetrics
 
-	plain    []*stored
+	cols     [][]*stored
 	filtered []candidate
 }
 
@@ -742,17 +792,29 @@ func (r *ranker) run(ctx context.Context, n, heapK int) ([]*topK, rankTally, err
 // top K however the chunks were dealt out.
 func (r *ranker) chunk(lo, hi int, h *topK, t *rankTally) {
 	q := r.q
+	// Position (col, off) of candidate lo in the columns.
+	col, off := 0, lo
+	if q.dsl == nil {
+		for off >= len(r.cols[col]) {
+			off -= len(r.cols[col])
+			col++
+		}
+	}
 	for i := lo; i < hi; i++ {
 		var st *stored
 		var where float64
 		if q.dsl != nil {
 			st, where = r.filtered[i].st, r.filtered[i].where
 		} else {
-			st = r.plain[i]
+			for off == len(r.cols[col]) {
+				col, off = col+1, 0
+			}
+			st = r.cols[col][off]
+			off++
 		}
 		if r.bound != nil {
 			t.bounded++
-			ub := r.bound(r.qsig, st.signature())
+			ub := r.bound(r.qsig, st.sig)
 			if ub < q.minScore {
 				// exact <= ub < MinScore: evaluating would have dropped
 				// the candidate before it was counted.
@@ -778,30 +840,31 @@ func (r *ranker) chunk(lo, hi int, h *topK, t *rankTally) {
 		t.evaluated++
 		var score float64
 		switch {
-		case q.image != nil:
-			if r.cache != nil {
-				// The bound check above already ran, so a hit skips the
-				// whole dynamic program, not just part of it.
-				k := cacheKey{query: r.qkey, entry: st}
-				var t0 time.Time
-				if r.met != nil {
-					t0 = time.Now()
-				}
-				s, ok := r.cache.get(k)
-				if r.met != nil {
-					r.met.observeCacheLookup(time.Since(t0))
-				}
-				if ok {
-					t.cacheHits++
-					score = s
-				} else {
-					t.cacheMisses++
-					score = r.scorer(r.img, r.queryBE, st.Entry)
-					r.cache.put(k, score)
-				}
-			} else {
-				score = r.scorer(r.img, r.queryBE, st.Entry)
+		case r.cache != nil:
+			// A cache is only ever attached to a coded (BE-pure) scorer.
+			// The bound check above already ran, so a hit skips the whole
+			// dynamic program, not just part of it.
+			k := cacheKey{query: r.qkey, entry: st}
+			var t0 time.Time
+			if r.met != nil {
+				t0 = time.Now()
 			}
+			s, ok := r.cache.get(r.qhash, k)
+			if r.met != nil {
+				r.met.observeCacheLookup(time.Since(t0))
+			}
+			if ok {
+				t.cacheHits++
+				score = s
+			} else {
+				t.cacheMisses++
+				score = r.coded(st.codes)
+				r.cache.put(r.qhash, k, score)
+			}
+		case r.coded != nil:
+			score = r.coded(st.codes)
+		case q.image != nil:
+			score = r.scorer(r.img, r.queryBE, st.Entry)
 		case q.dsl != nil:
 			score = where
 		}

@@ -7,12 +7,16 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"bestring/internal/core"
+	"bestring/internal/ingest"
+	"bestring/internal/obs"
 	"bestring/internal/query"
 	"bestring/internal/workload"
 )
@@ -28,6 +32,8 @@ type composedSpec struct {
 	minScore    float64
 	k, offset   int
 	cursor      *cursorPos // resume position: admit only strictly worse results
+	// labelPrefilter keeps only images sharing an icon label with image.
+	labelPrefilter bool
 }
 
 // referenceComposed is the filter-then-full-sort reference: apply every
@@ -38,9 +44,17 @@ func referenceComposed(t *testing.T, db *DB, spec composedSpec) []Hit {
 	return referencePage(t, db, spec).Hits
 }
 
+// referenceSource is what the reference reads a version through: the
+// current one (*DB) or a pinned one (*Snapshot).
+type referenceSource interface {
+	IDs() []string
+	Get(id string) (Entry, bool)
+	Epoch() uint64
+}
+
 // referencePage is referenceComposed with the page's Total and
 // NextCursor as well.
-func referencePage(t *testing.T, db *DB, spec composedSpec) pageKey {
+func referencePage(t *testing.T, db referenceSource, spec composedSpec) pageKey {
 	t.Helper()
 	var dq query.Query
 	if spec.dsl != "" {
@@ -68,6 +82,12 @@ func referencePage(t *testing.T, db *DB, spec composedSpec) pageKey {
 	var all []Hit
 	for _, id := range db.IDs() {
 		e, _ := db.Get(id)
+		if spec.labelPrefilter && !slices.ContainsFunc(e.Image.Objects, func(o core.Object) bool {
+			_, shared := spec.image.Find(o.Label)
+			return shared
+		}) {
+			continue
+		}
 		if spec.region != nil {
 			found := false
 			for _, o := range e.Image.Objects {
@@ -522,34 +542,124 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
-// seedRankDB builds an n-scene corpus for the rank-stage tests, half of
-// it bulk-loaded (arena-backed entries) and half inserted one by one
-// (boxed entries). Every scene carries the pair "wl left-of wr", so a
-// Where clause naming it narrows nothing and the candidate count
-// entering the rank stage is n whatever the query's shape.
-func seedRankDB(t *testing.T, n int) (*DB, []core.Image) {
-	t.Helper()
-	g := workload.NewGenerator(workload.Config{Seed: 1407, Vocabulary: 12, Width: 64, Height: 64, Objects: 5})
+// rankScenes generates the n scenes of a rank-stage test corpus. Every
+// scene carries the pair "wl left-of wr", so a Where clause naming it —
+// or a label prefilter on a query holding "wl" — narrows nothing and the
+// candidate count entering the rank stage is n whatever the query's
+// shape.
+func rankScenes(n, vocabulary int) []core.Image {
+	g := workload.NewGenerator(workload.Config{Seed: 1407, Vocabulary: vocabulary, Width: 64, Height: 64, Objects: 5})
 	scenes := make([]core.Image, n)
 	for i := range scenes {
 		scenes[i] = g.Scene().
 			WithObject(core.Object{Label: "wl", Box: core.NewRect(1, 1, 3, 3)}).
 			WithObject(core.Object{Label: "wr", Box: core.NewRect(10, 1, 12, 3)})
 	}
+	return scenes
+}
+
+func rankSceneID(i int) string { return fmt.Sprintf("r%04d", i) }
+
+// seedRankDB builds an n-scene corpus for the rank-stage tests, half of
+// it bulk-loaded (arena-backed entries) and half inserted one by one
+// (boxed entries).
+func seedRankDB(t *testing.T, n int) (*DB, []core.Image) {
+	t.Helper()
+	return loadRankDB(t, rankScenes(n, 12))
+}
+
+func loadRankDB(t *testing.T, scenes []core.Image) (*DB, []core.Image) {
+	t.Helper()
+	n := len(scenes)
 	db := NewSharded(4)
 	items := make([]BulkItem, n/2)
 	for i := range items {
-		items[i] = BulkItem{ID: fmt.Sprintf("r%04d", i), Name: fmt.Sprintf("scene %d", i), Image: scenes[i]}
+		items[i] = BulkItem{ID: rankSceneID(i), Name: fmt.Sprintf("scene %d", i), Image: scenes[i]}
 	}
 	if err := db.BulkInsert(context.Background(), items, 2); err != nil {
 		t.Fatal(err)
 	}
 	for i := n / 2; i < n; i++ {
-		if err := db.Insert(fmt.Sprintf("r%04d", i), "", scenes[i]); err != nil {
+		if err := db.Insert(rankSceneID(i), "", scenes[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return db, scenes
+}
+
+// replayedRankStores loads the scenes into a durable store through every
+// write path (streamed import, single inserts, an object update, a
+// delete and re-insert), with a checkpoint in the middle so that
+// reopening recovers from snapshot + WAL tail, and returns the reopened
+// store and a follower that caught up from the primary's log. In both,
+// every entry — and the label dictionary under the entries' codes — was
+// rebuilt by replay; neither ever saw the dictionary of the process that
+// took the writes.
+func replayedRankStores(t *testing.T, scenes []core.Image) (reopened, follower *Store) {
+	t.Helper()
+	ctx := context.Background()
+	n := len(scenes)
+	dir := t.TempDir()
+	s, err := OpenStore(dir, StoreOptions{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err = OpenStore(t.TempDir(), StoreOptions{Replica: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { follower.Close() })
+	catchUp := func() {
+		t.Helper()
+		if err := follower.ApplyReplicatedBatch(collectDurableAfter(t, s, follower.AppliedLSN())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	imported := make([]ingest.Scene, n/2)
+	for i := range imported {
+		imported[i] = ingest.Scene{ID: rankSceneID(i), Name: fmt.Sprintf("scene %d", i), Image: scenes[i]}
+	}
+	if _, err := s.Import(ctx, ingest.FromItems(imported), ImportOptions{ChunkScenes: 100}); err != nil {
+		t.Fatal(err)
+	}
+	for i := n / 2; i < n; i++ {
+		if i == 3*n/4 {
+			catchUp() // the checkpoint prunes the log a follower at LSN 0 would need
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Insert(rankSceneID(i), "", scenes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An update and a delete + re-insert that leave the content as
+	// loadRankDB would have it, but replace arena and boxed entries.
+	extra := core.Object{Label: "replay-extra", Box: core.NewRect(20, 20, 22, 22)}
+	for _, id := range []string{rankSceneID(1), rankSceneID(n - 1)} {
+		if err := s.InsertObject(id, extra); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DeleteObject(id, extra.Label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Delete(rankSceneID(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Insert(rankSceneID(2), "scene 2", scenes[2]); err != nil {
+		t.Fatal(err)
+	}
+	catchUp()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err = OpenStore(dir, StoreOptions{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reopened.Close() })
+	return reopened, follower
 }
 
 // TestRankChunkedByteIdentical pins the chunk-claiming rank stage
@@ -560,77 +670,277 @@ func seedRankDB(t *testing.T, n int) (*DB, []core.Image) {
 // their meaning (Narrowed is the candidate count, every bounded
 // candidate is either evaluated or pruned).
 func TestRankChunkedByteIdentical(t *testing.T) {
+	const big = 3*rankChunk + 7
+	type corpus struct {
+		name   string
+		db     *DB
+		scenes []core.Image
+	}
+	var corpora []corpus
+	for _, n := range []int{0, 1, rankChunk - 1, rankChunk, rankChunk + 1, big} {
+		db, scenes := seedRankDB(t, n)
+		corpora = append(corpora, corpus{fmt.Sprintf("n=%d", n), db, scenes})
+	}
+	// Vocabulary 200: most label ids are 64 and up, so signatures live in
+	// the interned set's overflow list rather than its bitmap.
+	wide, wideScenes := loadRankDB(t, rankScenes(big, 200))
+	corpora = append(corpora, corpus{fmt.Sprintf("n=%d vocabulary=200", big), wide, wideScenes})
+	// The same corpus rebuilt by replay: reopened from checkpoint + WAL,
+	// and on a follower after catch-up.
+	reopened, follower := replayedRankStores(t, wideScenes)
+	corpora = append(corpora,
+		corpus{fmt.Sprintf("n=%d reopened store", big), reopened.db, wideScenes},
+		corpus{fmt.Sprintf("n=%d follower", big), follower.db, wideScenes})
+	for _, c := range corpora {
+		t.Run(c.name, func(t *testing.T) { rankChunkedSweep(t, c.db, c.scenes) })
+	}
+	assertSignaturesInstalled(t, reopened.db)
+	assertSignaturesInstalled(t, follower.db)
+}
+
+// rankChunkedSweep is the body of TestRankChunkedByteIdentical for one
+// corpus.
+func rankChunkedSweep(t *testing.T, db *DB, scenes []core.Image) {
 	ctx := context.Background()
 	const clause = "wl left-of wr; icon00 left-of icon01"
+	n := len(scenes)
 	g := workload.NewGenerator(workload.Config{Seed: 99, Vocabulary: 12})
-	for _, n := range []int{0, 1, rankChunk - 1, rankChunk, rankChunk + 1, 3*rankChunk + 7} {
-		db, scenes := seedRankDB(t, n)
-		img := g.Scene()
-		if n > 0 {
-			img = g.SubsetQuery(scenes[n/3], 4)
+	img := g.Scene()
+	if n > 0 {
+		img = g.SubsetQuery(scenes[n/3], 4)
+	}
+	// Every scene holds "wl", so with it in the query a label prefilter
+	// narrows nothing: same candidates, reached by collect instead of
+	// the scan columns.
+	if _, ok := img.Find("wl"); !ok {
+		img = img.WithObject(core.Object{Label: "wl", Box: core.NewRect(1, 1, 3, 3)})
+	}
+	// The same query with two icons no stored scene has ever carried:
+	// labels the dictionary cannot resolve.
+	stranger := img.
+		WithObject(core.Object{Label: "never-stored-a", Box: core.NewRect(30, 30, 34, 36)}).
+		WithObject(core.Object{Label: "never-stored-b", Box: core.NewRect(32, 5, 40, 9)})
+	first := referencePage(t, db, composedSpec{image: &img, whereMin: -1, k: 5})
+	var resume *cursorPos
+	if first.Cursor != "" {
+		c, err := decodeCursor(first.Cursor)
+		if err != nil {
+			t.Fatal(err)
 		}
-		first := referencePage(t, db, composedSpec{image: &img, whereMin: -1, k: 5})
-		var resume *cursorPos
-		if first.Cursor != "" {
-			c, err := decodeCursor(first.Cursor)
+		resume = &c
+	}
+	variants := []struct {
+		name  string
+		match bool        // rank by the Where clause's satisfied fraction, no image
+		img   *core.Image // nil: img
+		opts  []QueryOption
+		spec  composedSpec
+	}{
+		{name: "plain", opts: []QueryOption{WithK(10)}, spec: composedSpec{k: 10}},
+		{name: "unbounded"},
+		{name: "min-score", opts: []QueryOption{WithK(10), WithMinScore(0.35)}, spec: composedSpec{k: 10, minScore: 0.35}},
+		{name: "offset", opts: []QueryOption{WithK(5), WithOffset(7)}, spec: composedSpec{k: 5, offset: 7}},
+		{name: "cursor", opts: []QueryOption{WithK(5), WithCursor(first.Cursor)}, spec: composedSpec{k: 5, cursor: resume}},
+		{name: "where", opts: []QueryOption{WithK(10), Where(clause), WithWhereMin(0.5)}, spec: composedSpec{k: 10, dsl: clause, whereMin: 0.5}},
+		{name: "where-ranked", match: true, opts: []QueryOption{WithK(10), Where(clause)}, spec: composedSpec{k: 10, dsl: clause, whereMin: -1}},
+		{name: "no-pruning", opts: []QueryOption{WithK(10), WithPruning(false)}, spec: composedSpec{k: 10}},
+		{name: "no-cache", opts: []QueryOption{WithK(10), WithScorerCache(false)}, spec: composedSpec{k: 10}},
+		{name: "unknown-labels", img: &stranger, opts: []QueryOption{WithK(10)}, spec: composedSpec{k: 10}},
+		{name: "invariant", opts: []QueryOption{WithK(10), WithScorer("invariant")}, spec: composedSpec{k: 10, scorer: InvariantScorer(nil)}},
+		{name: "invariant-unknown-labels", img: &stranger, opts: []QueryOption{WithK(10), WithScorer("invariant")}, spec: composedSpec{k: 10, scorer: InvariantScorer(nil)}},
+		{name: "symbols", opts: []QueryOption{WithK(10), WithScorer("symbols")}, spec: composedSpec{k: 10, scorer: SymbolsOnlyScorer()}},
+		// The pure scan's twins: the label prefilter the planner turns
+		// into scan + membership check, and the postings union it runs
+		// with the planner off.
+		{name: "prefilter", opts: []QueryOption{WithK(10), WithLabelPrefilter(true)}, spec: composedSpec{k: 10, labelPrefilter: true}},
+		{name: "prefilter-postings", opts: []QueryOption{WithK(10), WithLabelPrefilter(true), WithPlanner(false)}, spec: composedSpec{k: 10, labelPrefilter: true}},
+	}
+	for _, v := range variants {
+		spec := v.spec
+		base := NewMatchQuery()
+		if !v.match {
+			spec.image = &img
+			if v.img != nil {
+				spec.image = v.img
+			}
+			base = NewQuery(*spec.image)
+		}
+		if spec.dsl == "" {
+			spec.whereMin = -1
+		}
+		want := referencePage(t, db, spec)
+		if want.Hits == nil {
+			want.Hits = []Hit{}
+		}
+		wj, _ := json.Marshal(want)
+		// Every parallelism twice over: the second round of a cacheable
+		// variant is past its first sighting, so it runs through the
+		// scorer cache (fills, then hits) instead of bypassing it.
+		for _, par := range []int{1, 2, 3, 8, 1, 8} {
+			label := fmt.Sprintf("%s parallelism=%d", v.name, par)
+			page, err := db.Query(ctx, base, append([]QueryOption{WithParallelism(par)}, v.opts...)...)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			resume = &c
+			if gj := pageID(t, page); gj != string(wj) {
+				t.Fatalf("%s: diverged from the full-sort reference\n got %s\nwant %s", label, gj, wj)
+			}
+			sc := page.Stages
+			if sc.Narrowed != n {
+				t.Fatalf("%s: Narrowed = %d, want %d", label, sc.Narrowed, n)
+			}
+			if v.match || v.name == "no-pruning" {
+				if sc.Bounded != 0 || sc.Pruned != 0 || sc.Evaluated != n {
+					t.Fatalf("%s: stage counts %+v, want everything evaluated and nothing bounded", label, sc)
+				}
+			} else if sc.Bounded != n || sc.Evaluated+sc.Pruned != sc.Bounded {
+				t.Fatalf("%s: stage counts %+v, want Bounded = %d = Evaluated + Pruned", label, sc, n)
+			}
 		}
-		variants := []struct {
-			name  string
-			match bool // rank by the Where clause's satisfied fraction, no image
-			opts  []QueryOption
-			spec  composedSpec
-		}{
-			{"plain", false, []QueryOption{WithK(10)}, composedSpec{k: 10}},
-			{"unbounded", false, nil, composedSpec{}},
-			{"min-score", false, []QueryOption{WithK(10), WithMinScore(0.35)}, composedSpec{k: 10, minScore: 0.35}},
-			{"offset", false, []QueryOption{WithK(5), WithOffset(7)}, composedSpec{k: 5, offset: 7}},
-			{"cursor", false, []QueryOption{WithK(5), WithCursor(first.Cursor)}, composedSpec{k: 5, cursor: resume}},
-			{"where", false, []QueryOption{WithK(10), Where(clause), WithWhereMin(0.5)}, composedSpec{k: 10, dsl: clause, whereMin: 0.5}},
-			{"where-ranked", true, []QueryOption{WithK(10), Where(clause)}, composedSpec{k: 10, dsl: clause, whereMin: -1}},
-			{"no-pruning", false, []QueryOption{WithK(10), WithPruning(false)}, composedSpec{k: 10}},
-			{"no-cache", false, []QueryOption{WithK(10), WithScorerCache(false)}, composedSpec{k: 10}},
-		}
-		for _, v := range variants {
-			spec := v.spec
-			base := NewMatchQuery()
-			if !v.match {
-				spec.image = &img
-				base = NewQuery(img)
-			}
-			if spec.dsl == "" {
-				spec.whereMin = -1
-			}
-			want := referencePage(t, db, spec)
-			if want.Hits == nil {
-				want.Hits = []Hit{}
-			}
-			wj, _ := json.Marshal(want)
-			for _, par := range []int{1, 2, 3, 8} {
-				label := fmt.Sprintf("n=%d %s parallelism=%d", n, v.name, par)
-				page, err := db.Query(ctx, base, append([]QueryOption{WithParallelism(par)}, v.opts...)...)
+	}
+}
+
+// TestDictGrowsUnderReaders runs writers that keep installing scenes
+// with labels the store has never held — growing the label dictionary —
+// against readers ranking on pinned versions with queries that name
+// those same labels, before and after they exist. Every page must equal
+// the full-sort reference computed over the version it reports: a label
+// interned after the pin resolves to an id no entry of that version
+// carries, a label never interned resolves to nothing, and neither may
+// change a score. Run under -race: the dictionary is the one structure
+// readers share with writers.
+func TestDictGrowsUnderReaders(t *testing.T) {
+	ctx := context.Background()
+	db, scenes := seedRankDB(t, rankChunk+7)
+	labelsBefore := db.Stats().Labels
+	const writers, readers, perReader = 2, 3, 12
+	fresh := func(w, i int) string { return fmt.Sprintf("fresh-%d-%04d", w, i) }
+
+	// Writers run for as long as the readers do, so every query overlaps
+	// writes; each write installs exactly one label never seen before.
+	readersDone := make(chan struct{})
+	var written atomic.Int64
+	var writing sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			g := workload.NewGenerator(workload.Config{Seed: int64(500 + w), Vocabulary: 12, Width: 64, Height: 64, Objects: 4})
+			for i := 0; ; i++ {
+				select {
+				case <-readersDone:
+					return
+				default:
+				}
+				obj := core.Object{Label: fresh(w, i), Box: core.NewRect(40, 40, 44, 46)}
+				var err error
+				switch i % 3 {
+				case 0:
+					err = db.Insert(fmt.Sprintf("w%d-%04d", w, i), "", g.Scene().WithObject(obj))
+				case 1:
+					err = db.BulkInsert(ctx, []BulkItem{
+						{ID: fmt.Sprintf("w%d-%04d", w, i), Image: g.Scene().WithObject(obj)},
+						{ID: fmt.Sprintf("w%d-%04d-b", w, i), Image: g.Scene()},
+					}, 1)
+				default:
+					err = db.InsertObject(rankSceneID((w+writers*i)%len(scenes)), obj)
+				}
 				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+					t.Errorf("writer %d op %d: %v", w, i, err)
+					return
 				}
+				written.Add(1)
+			}
+		}()
+	}
+	var reading sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			g := workload.NewGenerator(workload.Config{Seed: int64(900 + r), Vocabulary: 12})
+			for i := 0; i < perReader; i++ {
+				// A stored scene's subset plus one label a writer has
+				// installed, is installing, or will install — and one
+				// nobody ever will.
+				next := int(written.Load()) / writers
+				img := g.SubsetQuery(scenes[(r*31+i)%len(scenes)], 3).
+					WithObject(core.Object{Label: fresh(i%writers, next+i%3-1), Box: core.NewRect(40, 40, 44, 46)}).
+					WithObject(core.Object{Label: "never-installed", Box: core.NewRect(50, 2, 55, 8)})
+				scorer, ref := "be", BEScorer()
+				if i%4 == 3 {
+					scorer, ref = "invariant", InvariantScorer(nil)
+				}
+				snap := db.Snapshot()
+				page, err := snap.Query(ctx, NewQuery(img), WithK(10), WithScorer(scorer), WithParallelism(1+i%3))
+				if err != nil {
+					t.Errorf("reader %d query %d: %v", r, i, err)
+					return
+				}
+				if page.Epoch != snap.Epoch() {
+					t.Errorf("reader %d query %d: page reports epoch %d, pinned %d", r, i, page.Epoch, snap.Epoch())
+					return
+				}
+				want := referencePage(t, snap, composedSpec{image: &img, whereMin: -1, k: 10, scorer: ref})
+				wj, _ := json.Marshal(want)
 				if gj := pageID(t, page); gj != string(wj) {
-					t.Fatalf("%s: diverged from the full-sort reference\n got %s\nwant %s", label, gj, wj)
-				}
-				sc := page.Stages
-				if sc.Narrowed != n {
-					t.Fatalf("%s: Narrowed = %d, want %d", label, sc.Narrowed, n)
-				}
-				if v.match || v.name == "no-pruning" {
-					if sc.Bounded != 0 || sc.Pruned != 0 || sc.Evaluated != n {
-						t.Fatalf("%s: stage counts %+v, want everything evaluated and nothing bounded", label, sc)
-					}
-				} else if sc.Bounded != n || sc.Evaluated+sc.Pruned != sc.Bounded {
-					t.Fatalf("%s: stage counts %+v, want Bounded = %d = Evaluated + Pruned", label, sc, n)
+					t.Errorf("reader %d query %d at epoch %d: diverged from the full-sort reference\n got %s\nwant %s",
+						r, i, page.Epoch, gj, wj)
+					return
 				}
 			}
+		}()
+	}
+	reading.Wait()
+	close(readersDone)
+	writing.Wait()
+	if written.Load() < writers {
+		t.Fatalf("only %d writes ran beside %d queries; the test raced nothing", written.Load(), readers*perReader)
+	}
+	if got, want := db.Stats().Labels, labelsBefore+int(written.Load()); got != want {
+		t.Fatalf("dictionary holds %d labels, want %d (%d before + one per write; queries add none)", got, want, labelsBefore)
+	}
+	assertSignaturesInstalled(t, db)
+}
+
+// TestQueriesNeverGrowDictionary pins the other half of the contract: a
+// hostile client sending 10 000 queries, each with labels the store has
+// never seen, leaves the label dictionary — and so server memory —
+// exactly as it was.
+func TestQueriesNeverGrowDictionary(t *testing.T) {
+	ctx := context.Background()
+	db, _ := seedRankDB(t, 8)
+	reg := obs.NewRegistry()
+	db.EnableMetrics(reg)
+	gauge := func() string {
+		var b strings.Builder
+		if err := reg.WriteText(&b); err != nil {
+			t.Fatal(err)
 		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(line, "bestring_label_dict_labels ") {
+				return line
+			}
+		}
+		t.Fatal("bestring_label_dict_labels missing from the exposition")
+		return ""
+	}
+	before := gauge()
+	for i := 0; i < 10000; i++ {
+		img := core.NewImage(64, 64,
+			core.Object{Label: fmt.Sprintf("hostile-%d-a", i), Box: core.NewRect(1, 1, 5, 5)},
+			core.Object{Label: fmt.Sprintf("hostile-%d-b", i), Box: core.NewRect(3, 8, 9, 12)},
+			core.Object{Label: "wl", Box: core.NewRect(20, 20, 22, 22)})
+		opts := []QueryOption{WithK(3)}
+		if i%2 == 1 {
+			opts = append(opts, WithScorer("invariant"), WithLabelPrefilter(true))
+		}
+		if _, err := db.Query(ctx, NewQuery(img), opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := gauge(); after != before {
+		t.Fatalf("10 000 queries with fresh labels moved the dictionary gauge: %q -> %q", before, after)
 	}
 }
 

@@ -66,6 +66,11 @@ type QueryPlan struct {
 	// (both zero when the query is not cacheable or the cache is off).
 	CacheHits   int `json:"cacheHits"`
 	CacheMisses int `json:"cacheMisses"`
+	// CacheBypassed reports that the query was cacheable but did not
+	// consult the scorer cache because its key had not been sighted
+	// before: the cache admits a query from its second run on, so a
+	// one-off query costs it nothing.
+	CacheBypassed bool `json:"cacheBypassed,omitempty"`
 }
 
 // Plan names. planFixed is the planner-off order (label → region →

@@ -238,22 +238,36 @@ func TestPlannerAndCacheMetrics(t *testing.T) {
 		"bestring_scorer_cache_misses_total",
 		"bestring_scorer_cache_evictions_total",
 		"bestring_scorer_cache_entries",
+		"bestring_scorer_cache_bypassed_total",
+		"bestring_label_dict_labels",
 	} {
 		if !strings.Contains(text, series) {
 			t.Fatalf("series %q missing from exposition", series)
 		}
 	}
 
-	// Run the same cacheable query twice: one scan plan counted per run,
-	// misses on the first, hits on the second.
-	for i := 0; i < 2; i++ {
-		if _, err := db.Query(ctx, NewQuery(img)); err != nil {
+	// Run the same cacheable query three times: one scan plan counted per
+	// run; the first sighting bypasses the cache, the second misses and
+	// fills it, the third hits.
+	for i, want := range []struct {
+		bypassed     bool
+		misses, hits bool
+	}{{bypassed: true}, {misses: true}, {hits: true}} {
+		page, err := db.Query(ctx, NewQuery(img))
+		if err != nil {
 			t.Fatal(err)
+		}
+		p := page.Plan
+		if p.CacheBypassed != want.bypassed || (p.CacheMisses > 0) != want.misses || (p.CacheHits > 0) != want.hits {
+			t.Fatalf("run %d: plan %+v, want bypassed=%v misses=%v hits=%v", i+1, p, want.bypassed, want.misses, want.hits)
 		}
 	}
 	text = render()
-	if !strings.Contains(text, `bestring_query_plan_total{plan="scan"} 2`) {
+	if !strings.Contains(text, `bestring_query_plan_total{plan="scan"} 3`) {
 		t.Fatalf("scan plan not counted:\n%s", text)
+	}
+	if !strings.Contains(text, "bestring_scorer_cache_bypassed_total 1\n") {
+		t.Fatalf("first-sighting bypass not counted once:\n%s", text)
 	}
 	if strings.Contains(text, "bestring_scorer_cache_hits_total 0\n") {
 		t.Fatalf("no cache hits recorded on a repeated query:\n%s", text)

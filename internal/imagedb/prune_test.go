@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"bestring/internal/core"
@@ -56,10 +58,50 @@ func firstLabel(t *testing.T, db *DB, id string) string {
 	return e.Image.Objects[0].Label
 }
 
+// assertIndexed checks one entry's rank-kernel data against a fresh
+// derivation: the signature's exported fields equal SignatureOf(BE), its
+// interned set decodes (through dict) to exactly sig.Labels, and the
+// axis codes decode to exactly the entry's BE-string.
+func assertIndexed(t *testing.T, st *stored, dict *core.LabelDict) {
+	t.Helper()
+	if st.sig == nil {
+		t.Fatalf("installed entry %q carries no signature", st.ID)
+	}
+	want := core.SignatureOf(st.BE)
+	got := *st.sig
+	if !slices.Equal(got.Labels, want.Labels) ||
+		got.LenX != want.LenX || got.LenY != want.LenY ||
+		got.DummiesX != want.DummiesX || got.DummiesY != want.DummiesY {
+		t.Fatalf("signature for %q = %+v, want %+v", st.ID, got, want)
+	}
+	ids, from := st.sig.InternedIDs()
+	if from != dict {
+		t.Fatalf("signature for %q interned against %p, want the store's dictionary %p", st.ID, from, dict)
+	}
+	labels := make([]string, len(ids))
+	for i, id := range ids {
+		var ok bool
+		if labels[i], ok = dict.Label(id); !ok {
+			t.Fatalf("signature for %q holds id %d the dictionary never issued", st.ID, id)
+		}
+	}
+	sort.Strings(labels)
+	if !slices.Equal(labels, want.Labels) {
+		t.Fatalf("interned set of %q decodes to %v, want %v", st.ID, labels, want.Labels)
+	}
+	x, okX := dict.Decode(st.codes.X)
+	y, okY := dict.Decode(st.codes.Y)
+	if !okX || !okY || !(core.BEString{X: x, Y: y}).Equal(st.BE) {
+		t.Fatalf("codes of %q decode to %v | %v, want %v", st.ID, x, y, st.BE)
+	}
+}
+
 // assertSignaturesInstalled checks the invariant that replaced the
 // per-shard signature map: every entry installed in db's current version
-// carries a memoised signature equal to SignatureOf(entry.BE), so the
-// rank stage reads it without deriving or looking anything up.
+// carries a memoised signature equal to SignatureOf(entry.BE), interned
+// against the store's label dictionary, and its axes coded against the
+// same, so the rank stage reads both without deriving or looking
+// anything up.
 func assertSignaturesInstalled(t *testing.T, db *DB) {
 	t.Helper()
 	snap := db.current.Load()
@@ -68,14 +110,9 @@ func assertSignaturesInstalled(t *testing.T, db *DB) {
 		if len(sv.scan) != len(sv.entries) {
 			t.Fatalf("scan column size %d != entries %d", len(sv.scan), len(sv.entries))
 		}
-		for id, st := range sv.entries {
+		for _, st := range sv.entries {
 			total++
-			if st.sig == nil {
-				t.Fatalf("installed entry %q carries no signature", id)
-			}
-			if want := core.SignatureOf(st.BE); !reflect.DeepEqual(*st.sig, want) {
-				t.Fatalf("signature for %q = %+v, want %+v", id, *st.sig, want)
-			}
+			assertIndexed(t, st, snap.dict)
 		}
 	}
 	if total != db.Len() {
@@ -84,8 +121,9 @@ func assertSignaturesInstalled(t *testing.T, db *DB) {
 }
 
 // TestSignatureColumnMatchesEntries pins the invariant on every install
-// path: bulk, single insert, object update (replace), delete, streamed
-// import, and WAL recovery replaying all of them.
+// path: bulk, single insert, object update (replace, of boxed and of
+// arena entries), delete, streamed import, replica apply, and WAL
+// recovery replaying all of them.
 func TestSignatureColumnMatchesEntries(t *testing.T) {
 	db, g := seedPruneDB(t, 99, 40)
 	assertSignaturesInstalled(t, db)
@@ -101,6 +139,7 @@ func TestSignatureColumnMatchesEntries(t *testing.T) {
 	if err := s.Insert("solo", "", g.Scene()); err != nil {
 		t.Fatal(err)
 	}
+	// img00003 is an arena entry (imported); the update copies it out.
 	if err := s.InsertObject("img00003", core.Object{Label: "extra", Box: core.NewRect(0, 0, 2, 2)}); err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +147,22 @@ func TestSignatureColumnMatchesEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSignaturesInstalled(t, s.db)
+
+	// Replica apply: a follower rebuilds every entry — and its own label
+	// dictionary — from the shipped records alone.
+	follower, err := OpenStore(t.TempDir(), StoreOptions{Replica: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	if err := follower.ApplyReplicatedBatch(collectDurable(t, s)); err != nil {
+		t.Fatal(err)
+	}
+	if follower.Len() != s.Len() {
+		t.Fatalf("follower holds %d entries, primary %d", follower.Len(), s.Len())
+	}
+	assertSignaturesInstalled(t, follower.db)
+
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,20 +175,6 @@ func TestSignatureColumnMatchesEntries(t *testing.T) {
 		t.Fatalf("recovered %d entries, want 70", s.Len())
 	}
 	assertSignaturesInstalled(t, s.db)
-}
-
-// TestStoredSignatureFallback covers the one reader of a nil sig: an
-// entry built by hand, never installed through a txn, still answers
-// signature() by deriving it.
-func TestStoredSignatureFallback(t *testing.T) {
-	be := core.MustConvert(core.Figure1Image())
-	st := &stored{Entry: Entry{ID: "hand", BE: be}}
-	if got, want := st.signature(), core.SignatureOf(be); !reflect.DeepEqual(got, want) {
-		t.Fatalf("fallback signature = %+v, want %+v", got, want)
-	}
-	if st.sig != nil {
-		t.Fatal("signature() memoised on a published-style read")
-	}
 }
 
 // TestBoundDominatesExactInEngine is the engine-level half of the
@@ -170,7 +211,7 @@ func TestBoundDominatesExactInEngine(t *testing.T) {
 						if !ok {
 							t.Fatalf("no entry for %q", id)
 						}
-						ub := bound(qsig, st.signature())
+						ub := bound(qsig, *st.sig)
 						exact := scorer(img, qbe, st.Entry)
 						if ub < exact {
 							t.Fatalf("scorer %s query %d entry %s: bound %.9f < exact %.9f",

@@ -292,7 +292,7 @@ func applyRecordTxn(db *DB, m *txn, rec *wal.Record) error {
 				}
 				packed[i] = arenaItem{id: it.ID, name: it.Name, img: it.Image, be: be}
 			}
-			for _, st := range buildArena(packed).pointers() {
+			for _, st := range buildArena(packed, m.base.dict).pointers() {
 				st.seq = db.seq.Add(1)
 				m.add(st)
 			}

@@ -14,7 +14,14 @@ import (
 // collectDurable drains a primary's WAL through its durable horizon.
 func collectDurable(t *testing.T, s *Store) []wal.Record {
 	t.Helper()
-	tl := s.TailWAL(0)
+	return collectDurableAfter(t, s, 0)
+}
+
+// collectDurableAfter drains the records after afterLSN — what a
+// follower that has applied afterLSN still needs.
+func collectDurableAfter(t *testing.T, s *Store, afterLSN uint64) []wal.Record {
+	t.Helper()
+	tl := s.TailWAL(afterLSN)
 	defer tl.Close()
 	durable := s.DurableLSN()
 	var recs []wal.Record

@@ -2,8 +2,7 @@ package imagedb
 
 import (
 	"container/list"
-	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -40,6 +39,15 @@ import (
 // not determine, and custom WithScorerFunc scorers are opaque — both
 // always evaluate exactly.
 //
+// Admission: a query is allowed to use the cache only from the second
+// time its key is sighted (see cacheDoorkeeper). A stream of distinct
+// queries — an unfiltered ranked scan of ever-new query images — can
+// never hit, and letting it fill the cache costs a lock, a map insert
+// and a list element per surviving candidate just to evict the entries
+// repeating queries would have reused. Such queries bypass the cache
+// entirely; a query that does repeat fills it on its second run and
+// hits from its third.
+//
 // Memory: a cached key retains its *stored entry (image + BE-string)
 // even after every snapshot dropped it. That is bounded by the LRU
 // capacity and is the usual cache trade — dead versions age out of the
@@ -58,6 +66,39 @@ const scorerCacheShards = 16
 type cacheKey struct {
 	query string
 	entry *stored
+}
+
+// hashQueryKey is FNV-1a (64-bit) over a query encoding. It is computed
+// once per query and serves twice: as the doorkeeper's sighting tag and
+// as the seed of the per-candidate stripe routing.
+func hashQueryKey(qkey string) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(qkey); i++ {
+		h ^= uint64(qkey[i])
+		h *= prime64
+	}
+	return h
+}
+
+// cacheDoorkeeperSlots is the size of the sighting table: large enough
+// that a few hundred interleaved distinct queries rarely overwrite a
+// hot query's slot between two of its runs, small enough (32 KiB) to be
+// a fixed part of every DB.
+const cacheDoorkeeperSlots = 1 << 12
+
+// cacheDoorkeeper remembers which query keys were sighted recently: a
+// fixed, direct-mapped table of 64-bit key hashes. It decides only
+// WHETHER a query consults the scorer cache, never what the cache
+// returns — the cache stays keyed by the full query encoding — so a
+// hash collision or an overwritten slot can at worst let a first-time
+// query fill the cache or make a repeating one wait one more run.
+type cacheDoorkeeper [cacheDoorkeeperSlots]atomic.Uint64
+
+// sighted records the key hash and reports whether its slot already
+// held it, i.e. whether this is (at least) the key's second sighting.
+func (d *cacheDoorkeeper) sighted(qhash uint64) bool {
+	return d[qhash%cacheDoorkeeperSlots].Swap(qhash) == qhash
 }
 
 // cacheVal is one LRU element's payload.
@@ -101,26 +142,24 @@ func newScorerCache(capacity int, evict *atomic.Uint64) *scorerCache {
 	return c
 }
 
-// shardFor routes a key to its stripe (FNV-1a over the query encoding
-// seeded by the entry's id, so one hot query image spreads across
-// stripes by entry).
-func (c *scorerCache) shardFor(k cacheKey) *cacheShard {
-	const offset32, prime32 = 2166136261, 16777619
-	h := uint32(offset32)
+// shardFor routes a key to its stripe: the query's hash (hashQueryKey
+// of k.query, computed once per query) continued FNV-style over the
+// entry's id, so one hot query image spreads across stripes by entry
+// without re-hashing its whole encoding per candidate.
+func (c *scorerCache) shardFor(qhash uint64, k cacheKey) *cacheShard {
+	const prime64 = 1099511628211
+	h := qhash
 	for i := 0; i < len(k.entry.ID); i++ {
-		h ^= uint32(k.entry.ID[i])
-		h *= prime32
+		h ^= uint64(k.entry.ID[i])
+		h *= prime64
 	}
-	for i := 0; i < len(k.query); i++ {
-		h ^= uint32(k.query[i])
-		h *= prime32
-	}
-	return &c.shards[h&(scorerCacheShards-1)]
+	return &c.shards[(h^h>>32)&(scorerCacheShards-1)]
 }
 
-// get returns the memoised score and marks the entry most recently used.
-func (c *scorerCache) get(k cacheKey) (float64, bool) {
-	s := c.shardFor(k)
+// get returns the memoised score and marks the entry most recently
+// used. qhash is hashQueryKey(k.query).
+func (c *scorerCache) get(qhash uint64, k cacheKey) (float64, bool) {
+	s := c.shardFor(qhash, k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.m[k]
@@ -134,8 +173,8 @@ func (c *scorerCache) get(k cacheKey) (float64, bool) {
 // put memoises a score, evicting the stripe's least recently used entry
 // when full. A concurrent duplicate put (two workers missing the same
 // key) degenerates to a refresh: both computed the same exact score.
-func (c *scorerCache) put(k cacheKey, score float64) {
-	s := c.shardFor(k)
+func (c *scorerCache) put(qhash uint64, k cacheKey, score float64) {
+	s := c.shardFor(qhash, k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.m[k]; ok {
@@ -166,27 +205,31 @@ func (c *scorerCache) Len() int { return int(c.size.Load()) }
 // injective: two distinct (scorer, BE) pairs can never collide, which is
 // what lets a cache hit stand in for the exact evaluation byte-for-byte.
 func cacheQueryKey(scorer string, be core.BEString) string {
-	var b strings.Builder
-	b.Grow(len(scorer) + 8*(len(be.X)+len(be.Y)) + 16)
-	fmt.Fprintf(&b, "%d:%s", len(scorer), scorer)
-	writeAxis := func(a core.Axis) {
+	b := make([]byte, 0, len(scorer)+8*(len(be.X)+len(be.Y))+16)
+	lenPrefixed := func(str string) {
+		b = strconv.AppendInt(b, int64(len(str)), 10)
+		b = append(b, ':')
+		b = append(b, str...)
+	}
+	axis := func(a core.Axis) {
 		for _, t := range a {
 			if t.Dummy {
-				b.WriteString("E;")
+				b = append(b, 'E', ';')
 				continue
 			}
-			fmt.Fprintf(&b, "%d:%s", len(t.Label), t.Label)
+			lenPrefixed(t.Label)
 			if t.Kind == core.End {
-				b.WriteByte('-')
+				b = append(b, '-')
 			} else {
-				b.WriteByte('+')
+				b = append(b, '+')
 			}
 		}
 	}
-	writeAxis(be.X)
-	b.WriteByte('|')
-	writeAxis(be.Y)
-	return b.String()
+	lenPrefixed(scorer)
+	axis(be.X)
+	b = append(b, '|')
+	axis(be.Y)
+	return string(b)
 }
 
 // SetScorerCacheCapacity resizes the DB's scorer cache to the given

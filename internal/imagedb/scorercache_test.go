@@ -230,9 +230,17 @@ func TestScorerCacheEvictionAndStats(t *testing.T) {
 	db, g := seedPruneDB(t, 8, 60)
 	img := g.SubsetQuery(g.Scene(), 3)
 
-	// Shrink to 16 entries (one per stripe); an unbounded query over ~58
-	// survivors must evict.
+	// Shrink to 16 entries (one per stripe). The query's first sighting
+	// bypasses the cache and so cannot evict; its second run fills, and
+	// an unbounded query over ~58 survivors must then evict.
 	db.SetScorerCacheCapacity(16)
+	page, err := db.Query(ctx, NewQuery(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := db.ScorerCacheStats(); !page.Plan.CacheBypassed || st.Entries != 0 || st.Evictions != 0 {
+		t.Fatalf("first sighting touched the cache: plan %+v, stats %+v", page.Plan, st)
+	}
 	if _, err := db.Query(ctx, NewQuery(img)); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +265,7 @@ func TestScorerCacheEvictionAndStats(t *testing.T) {
 
 	// Disabled: queries run, no outcomes, stats say so.
 	db.SetScorerCacheCapacity(0)
-	page, err := db.Query(ctx, NewQuery(img))
+	page, err = db.Query(ctx, NewQuery(img))
 	if err != nil {
 		t.Fatal(err)
 	}

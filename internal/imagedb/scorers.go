@@ -7,6 +7,7 @@ import (
 
 	"bestring/internal/baseline/typesim"
 	"bestring/internal/core"
+	"bestring/internal/lcs"
 	"bestring/internal/similarity"
 )
 
@@ -31,18 +32,44 @@ const DefaultScorerName = "be"
 // candidate.
 type Bound func(query, entry core.Signature) float64
 
+// sigBound is the shape the rank kernel calls a bound in: the two
+// signatures by pointer (they are ~100 bytes each, and the call goes
+// through a function value once per candidate). The query signature is
+// interned against the pinned version's label dictionary, like every
+// installed entry's, so the label intersection inside the built-in
+// bounds is integer work. An externally registered Bound is wrapped
+// into this shape once, at registration.
+type sigBound func(query, entry *core.Signature) float64
+
+// codedScorer is the integer form of a BE-pure scorer. It is called
+// once per query with the query BE-string and an encoder that rewrites
+// the query (or any reordering of its symbols — a transform, a
+// dummy-stripped copy) as codes of the pinned version's label
+// dictionary, and returns the per-entry kernel: entry codes in, exactly
+// the score Scorer would return out.
+type codedScorer func(queryBE core.BEString, encode beEncoder) codedKernel
+
+type (
+	// beEncoder rewrites a BE-string over the query's labels as codes.
+	beEncoder func(core.BEString) core.CodedBE
+	// codedKernel scores one entry, given as its codes.
+	codedKernel func(entry core.CodedBE) float64
+)
+
 // registeredScorer pairs a scorer with its (optional) bound and its
-// cacheability. pure marks scorers whose exact score is a function of
-// the two BE-strings alone — no image coordinates, no hidden state —
-// which is what lets the scorer cache key an evaluation by (query BE,
-// entry version, name) and serve it byte-identically later (see
-// scorercache.go). Externally registered scorers are never marked pure:
-// the engine cannot verify the property, and a wrong claim would
-// silently corrupt rankings, so only the audited built-ins opt in.
+// (optional) coded kernel. Declaring a coded kernel is what marks a
+// scorer BE-pure: its exact score is a function of the two BE-strings
+// alone — no image coordinates, no hidden state. That lets the rank
+// stage score entry codes instead of calling score, and lets the scorer
+// cache key an evaluation by (query BE, entry version, name) and serve
+// it byte-identically later (see scorercache.go). Externally registered
+// scorers never carry one: the engine cannot verify the property, and a
+// wrong claim would silently corrupt rankings, so only the audited
+// built-ins opt in.
 type registeredScorer struct {
 	score Scorer
-	bound Bound
-	pure  bool
+	bound sigBound
+	coded codedScorer
 }
 
 // scorerRegistry maps scorer names to implementations, so every surface
@@ -51,7 +78,7 @@ type registeredScorer struct {
 var scorerRegistry = struct {
 	mu sync.RWMutex
 	m  map[string]registeredScorer
-}{m: make(map[string]registeredScorer)}
+}{m: builtinScorers()}
 
 // RegisterScorer adds a named scorer to the registry, with no bound:
 // queries ranking with it evaluate every candidate exactly. Names are
@@ -78,7 +105,11 @@ func RegisterBoundedScorer(name string, s Scorer, b Bound) error {
 	if _, exists := scorerRegistry.m[name]; exists {
 		return fmt.Errorf("register scorer %q: already registered", name)
 	}
-	scorerRegistry.m[name] = registeredScorer{score: s, bound: b}
+	r := registeredScorer{score: s}
+	if b != nil {
+		r.bound = func(query, entry *core.Signature) float64 { return b(*query, *entry) }
+	}
+	scorerRegistry.m[name] = r
 	return nil
 }
 
@@ -87,7 +118,7 @@ func RegisterBoundedScorer(name string, s Scorer, b Bound) error {
 // resolves to DefaultScorerName.
 func ScorerCacheable(name string) bool {
 	r, ok := lookupRegistered(name)
-	return ok && r.pure
+	return ok && r.coded != nil
 }
 
 // lookupRegistered resolves a registry entry by name. The empty name
@@ -117,7 +148,7 @@ func LookupBound(name string) (Bound, bool) {
 	if !ok || r.bound == nil {
 		return nil, false
 	}
-	return r.bound, true
+	return func(query, entry core.Signature) float64 { return r.bound(&query, &entry) }, true
 }
 
 // ScorerNames lists the registered scorer names, sorted.
@@ -132,32 +163,46 @@ func ScorerNames() []string {
 	return names
 }
 
-func init() {
+// builtinScorers is the registry's initial content.
+func builtinScorers() map[string]registeredScorer {
 	// The LCS-family scorers declare the signature bounds proven in
-	// internal/similarity (UB >= exact is pinned by property test); the
-	// clique-based type-i baselines have no cheap sound bound and stay
-	// exact-only, as does any custom WithScorerFunc scorer. The same
-	// LCS family is BE-pure (their score reads only the two BE-strings),
-	// so their evaluations are scorer-cacheable; the type-i baselines
-	// read raw image coordinates, which the BE-string does not
-	// determine, and stay uncached.
-	for name, r := range map[string]registeredScorer{
-		"be":        {score: BEScorer(), bound: similarity.UpperBound, pure: true},
-		"invariant": {score: InvariantScorer(nil), bound: similarity.UpperBoundInvariant, pure: true},
-		"type0":     {score: TypeSimScorer(typesim.Type0)},
-		"type1":     {score: TypeSimScorer(typesim.Type1)},
-		"type2":     {score: TypeSimScorer(typesim.Type2)},
-		"symbols":   {score: SymbolsOnlyScorer(), bound: similarity.UpperBoundSymbolsOnly, pure: true},
-	} {
-		if err := RegisterBoundedScorer(name, r.score, r.bound); err != nil {
-			panic(err)
-		}
-		if r.pure {
-			scorerRegistry.mu.Lock()
-			e := scorerRegistry.m[name]
-			e.pure = true
-			scorerRegistry.m[name] = e
-			scorerRegistry.mu.Unlock()
-		}
+	// internal/similarity (UB >= exact is pinned by property test) and,
+	// being BE-pure (their score reads only the two BE-strings), the
+	// coded kernels that compute the identical score over dictionary
+	// codes; the clique-based type-i baselines read raw image
+	// coordinates, which the BE-string does not determine, have no cheap
+	// sound bound, and stay exact-only, uncoded and uncached — as does
+	// any custom WithScorerFunc scorer.
+	return map[string]registeredScorer{
+		"be": {
+			score: BEScorer(), bound: similarity.Bound,
+			coded: func(q core.BEString, encode beEncoder) codedKernel {
+				cq := encode(q)
+				return func(e core.CodedBE) float64 { return similarity.EvaluateCoded(cq, e).Key() }
+			},
+		},
+		"invariant": {
+			score: InvariantScorer(nil), bound: similarity.BoundInvariant,
+			coded: func(q core.BEString, encode beEncoder) codedKernel {
+				// Transform as tokens, then encode: a reversed axis is
+				// re-canonicalised by label string, an order codes do not
+				// carry. Eight small encodings per query, none per entry.
+				cqs := make([]core.CodedBE, len(core.AllTransforms))
+				for i, tr := range core.AllTransforms {
+					cqs[i] = encode(q.Apply(tr))
+				}
+				return func(e core.CodedBE) float64 { return similarity.EvaluateInvariantCoded(cqs, e).Key() }
+			},
+		},
+		"symbols": {
+			score: SymbolsOnlyScorer(), bound: similarity.BoundSymbolsOnly,
+			coded: func(q core.BEString, encode beEncoder) codedKernel {
+				cq := encode(core.BEString{X: lcs.StripDummies(q.X), Y: lcs.StripDummies(q.Y)})
+				return func(e core.CodedBE) float64 { return similarity.EvaluateSymbolsOnlyCoded(cq, e).Key() }
+			},
+		},
+		"type0": {score: TypeSimScorer(typesim.Type0)},
+		"type1": {score: TypeSimScorer(typesim.Type1)},
+		"type2": {score: TypeSimScorer(typesim.Type2)},
 	}
 }

@@ -15,23 +15,31 @@ import (
 type stored struct {
 	Entry
 	seq uint64
-	// sig is the entry's symbol signature. The bulk and import paths
-	// precompute it outside the writer lock (so a 100k-image batch pays no
-	// signature work in its critical section); for every other path
-	// txn.add/replace derive it once at install time and memoise it here.
-	// After install it is never nil, so no read ever re-derives a
-	// signature.
-	sig *core.Signature
+	// sig and codes are the entry's rank-kernel data: its symbol
+	// signature with the label set interned against the store's label
+	// dictionary, and its BE-string rewritten as dictionary codes. Both
+	// are derived — pure functions of BE and the dictionary, never logged
+	// or persisted. The prepare paths (single insert, bulk, import)
+	// derive them outside the writer lock; for every other path
+	// txn.add/replace do it at install time (see index). After install
+	// sig is never nil, so the rank stage reads both without deriving or
+	// looking anything up.
+	sig   *core.Signature
+	codes core.CodedBE
 }
 
-// signature returns the entry's symbol signature. The nil branch exists
-// only for entries that never went through txn.add (tests constructing
-// stored values by hand); installed entries always carry a memoised one.
-func (st *stored) signature() core.Signature {
+// index derives st's signature and codes against dict unless a prepare
+// path already did. st is not yet published, so writing it is safe.
+// Interning is what grows the dictionary, and it happens here — before
+// the version holding st is published — so a query that pinned a version
+// finds every label of every entry in it.
+func (st *stored) index(dict *core.LabelDict) {
 	if st.sig != nil {
-		return *st.sig
+		return
 	}
-	return core.SignatureOf(st.BE)
+	sig, ids := core.SignatureOf(st.BE).Intern(dict)
+	st.sig = &sig
+	st.codes = core.EncodeBE(make([]uint32, len(st.BE.X)+len(st.BE.Y)), st.BE, sig.Labels, ids)
 }
 
 // defaultShards sizes the shard ring to the machine, floored at 16:
@@ -86,6 +94,11 @@ type Stats struct {
 	Shards   int    `json:"shards"`
 	Images   int    `json:"images"`
 	PerShard []int  `json:"perShard"`
+	// Labels is the size of the store's label dictionary: the distinct
+	// icon labels ever installed. Like Search it is a process-lifetime
+	// figure, not a property of the pinned version — the dictionary only
+	// grows, on writes, never on queries.
+	Labels int `json:"labels"`
 	// Search holds the cumulative filter-and-refine counters. Unlike the
 	// occupancy fields they are process-lifetime totals, not a property
 	// of the pinned version.

@@ -35,14 +35,21 @@ type snapshot struct {
 	shards  []*shardView
 	spatial *rtree.Tree
 	count   int
+	// dict is the store's label dictionary — one append-only object
+	// shared by every version, not versioned itself. It only ever grows,
+	// and an entry's labels are interned before the version holding the
+	// entry is published, so whichever version a query pinned, a lookup
+	// made after the pin finds every label that version contains.
+	dict *core.LabelDict
 }
 
 // shardView is one partition of one version, holding its entries three
 // ways: by id, by icon label (this shard's slice of the inverted label
 // index, label -> image ids) and in scan order. The symbol signature
 // that feeds the filter-and-refine ranking stage is not a fourth view:
-// it rides on the entry itself (stored.sig) — derived data, a pure
-// function of the entry's BE-string, computed once when the entry is
+// it rides on the entry itself (stored.sig, with the entry's coded axes
+// beside it) — derived data, a pure function of the entry's BE-string and
+// the store's label dictionary, computed once when the entry is
 // installed, never logged or persisted, and rebuilt for free on recovery
 // because recovery replays through the same install path.
 type shardView struct {
@@ -65,6 +72,7 @@ func emptySnapshot(nshards int) *snapshot {
 		epoch:   1,
 		shards:  make([]*shardView, nshards),
 		spatial: rtree.New(rtree.DefaultMaxEntries),
+		dict:    core.NewLabelDict(),
 	}
 	for i := range s.shards {
 		s.shards[i] = &shardView{
@@ -98,10 +106,22 @@ func (s *snapshot) lookup(id string) (*stored, bool) {
 	return st, ok
 }
 
-// collect gathers this version's entries, optionally pruned to images
-// sharing at least one of the given icon labels (the inverted-index
-// narrowing stage). Slice order is arbitrary; callers that need
-// determinism sort afterwards. No locks: the version is frozen.
+// scanColumns returns every shard's scan column — the whole version, in
+// place. The columns belong to the (immutable) version: callers read
+// them and must never filter or reorder them in place.
+func (s *snapshot) scanColumns() [][]*stored {
+	cols := make([][]*stored, len(s.shards))
+	for i, sv := range s.shards {
+		cols[i] = sv.scan
+	}
+	return cols
+}
+
+// collect gathers this version's entries into a fresh slice the caller
+// owns (the narrowing stages filter it in place), optionally pruned to
+// images sharing at least one of the given icon labels (the
+// inverted-index narrowing stage). Slice order is arbitrary; callers
+// that need determinism sort afterwards. No locks: the version is frozen.
 func (s *snapshot) collect(labels []string, prefilter bool) []*stored {
 	size := 64
 	if !prefilter {
@@ -174,7 +194,7 @@ func (s *snapshot) orderedEntries() []Entry {
 
 // stats reports occupancy of this version.
 func (s *snapshot) stats() Stats {
-	st := Stats{Epoch: s.epoch, Shards: len(s.shards), PerShard: make([]int, len(s.shards))}
+	st := Stats{Epoch: s.epoch, Shards: len(s.shards), PerShard: make([]int, len(s.shards)), Labels: s.dict.Len()}
 	for i, sv := range s.shards {
 		st.PerShard[i] = len(sv.entries)
 		st.Images += st.PerShard[i]
@@ -283,23 +303,11 @@ func (m *txn) unindexLabel(idx int, sv *shardView, label, id string) {
 	}
 }
 
-// memoSignature derives st's symbol signature unless the caller already
-// precomputed it outside the writer lock, so every installed entry
-// carries one and no later read (the refine stage's bound checks in
-// particular) ever re-derives it. st is not yet published, so writing
-// st.sig is safe.
-func memoSignature(st *stored) {
-	if st.sig == nil {
-		sig := core.SignatureOf(st.BE)
-		st.sig = &sig
-	}
-}
-
 // add installs a new stored entry (id must not exist in the base).
 func (m *txn) add(st *stored) {
 	idx := shardIndex(st.ID, len(m.shards))
 	sv := m.shard(idx)
-	memoSignature(st)
+	st.index(m.base.dict)
 	sv.entries[st.ID] = st
 	sv.scan = append(sv.scan, st)
 	t := m.tree()
@@ -339,7 +347,7 @@ func (m *txn) replace(old, next *stored) {
 		m.unindexLabel(idx, sv, o.Label, old.ID)
 		t.Delete(spatialID(old.ID, o.Label), o.Box)
 	}
-	memoSignature(next)
+	next.index(m.base.dict)
 	sv.entries[next.ID] = next
 	for i, cur := range sv.scan {
 		if cur == old {
@@ -364,6 +372,7 @@ func (m *txn) build() *snapshot {
 		shards:  m.shards,
 		spatial: spatial,
 		count:   m.count,
+		dict:    m.base.dict,
 	}
 }
 

@@ -449,12 +449,9 @@ func (s *Store) Insert(id, name string, img core.Image) error {
 	if err != nil {
 		return fmt.Errorf("insert %q: %w", id, err)
 	}
-	sig := core.SignatureOf(be)
 	clone := img.Clone()
-	st := &stored{
-		Entry: Entry{ID: id, Name: name, Image: clone, BE: be},
-		sig:   &sig,
-	}
+	st := &stored{Entry: Entry{ID: id, Name: name, Image: clone, BE: be}}
+	st.index(s.db.labelDict())
 	return s.batcher.submit(&commitReq{
 		kind: commitInsert, id: id, name: name, st: st, img: &clone,
 		size: 128 + 2*(len(id)+len(name)) + imageSizeHint(&clone),
@@ -657,7 +654,7 @@ func (s *Store) BulkInsert(ctx context.Context, items []BulkItem, parallelism in
 	if s.batcher == nil {
 		return s.bulkInsertDirect(ctx, items, parallelism)
 	}
-	sts, err := prepareBulk(ctx, items, parallelism, s.db.ArenaLayout())
+	sts, err := prepareBulk(ctx, items, parallelism, s.db.ArenaLayout(), s.db.labelDict())
 	if err != nil {
 		return err
 	}
@@ -677,7 +674,7 @@ func (s *Store) BulkInsert(ctx context.Context, items []BulkItem, parallelism in
 }
 
 func (s *Store) bulkInsertDirect(ctx context.Context, items []BulkItem, parallelism int) error {
-	sts, err := prepareBulk(ctx, items, parallelism, s.db.ArenaLayout())
+	sts, err := prepareBulk(ctx, items, parallelism, s.db.ArenaLayout(), s.db.labelDict())
 	if err != nil {
 		return err
 	}

@@ -131,6 +131,63 @@ func Length(q, d core.Axis) int {
 	return abs(prev[n])
 }
 
+// LengthCodes is Length over dictionary-coded axes (core.CodedBE.X or
+// .Y): the identical Algorithm-2 recurrence with token equality replaced
+// by integer equality and "is the dummy" by "is code 0". Codes are equal
+// exactly when the tokens they encode are, so for axes coded against one
+// dictionary LengthCodes(encode(q), encode(d)) == Length(q, d) — pinned by
+// FuzzLengthCodes. A code the dictionary never issued (a query symbol the
+// store has not seen) equals no database code and so never matches. This
+// is the kernel the engine's ranked scan runs per surviving candidate;
+// Length stays the reference.
+func LengthCodes(q, d []uint32) int {
+	if len(d) < len(q) {
+		q, d = d, q
+	}
+	n := len(d)
+	var scratch [2 * stackRow]int32
+	var prev, cur []int32
+	if n < stackRow {
+		prev, cur = scratch[:n+1], scratch[stackRow:stackRow+n+1]
+	} else {
+		prev, cur = make([]int32, n+1), make([]int32, n+1)
+	}
+	for _, qi := range q {
+		// diag and left carry W[i-1][j-1] and W[i][j-1] across the row
+		// in registers; both are column 0, hence zero, at its start.
+		var diag, left int32
+		row := prev[1 : n+1]
+		out := cur[1 : n+1]
+		for j, dj := range d {
+			up := row[j]
+			best := left
+			if abs32(up) >= abs32(left) {
+				best = up
+			}
+			if qi == dj && (qi != 0 || diag >= 0) {
+				if ext := abs32(diag) + 1; ext > abs32(best) {
+					best = ext
+					if qi == 0 {
+						best = -best
+					}
+				}
+			}
+			out[j] = best
+			diag, left = up, best
+		}
+		prev, cur = cur, prev
+	}
+	return int(abs32(prev[n]))
+}
+
+// abs32 is abs for the int32 rows of LengthCodes, written without a
+// branch: the sign of a cell is data-dependent noise to the predictor,
+// and the kernel takes five magnitudes per cell.
+func abs32(v int32) int32 {
+	m := v >> 31
+	return (v ^ m) - m
+}
+
 // Reconstruct replays Algorithm 3 (Print-2D-Be-LCS) on the table,
 // returning one modified LCS as a token sequence in forward order. The
 // paper states it recursively; this is the equivalent iteration (the moves

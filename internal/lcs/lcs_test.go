@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"bestring/internal/core"
+	"bestring/internal/workload"
 )
 
 func mustAxis(t *testing.T, s string) core.Axis {
@@ -291,3 +292,35 @@ func randomImage(seed int) core.Image {
 	}
 	return core.NewImage(xmax, ymax, objs...)
 }
+
+// BenchmarkLength measures the refine kernel on one realistic axis pair
+// (8-object scenes, vocabulary 64): the Token/string reference against
+// the integer kernel over the same pair coded against one dictionary.
+func BenchmarkLength(b *testing.B) {
+	g := workload.NewGenerator(workload.Config{Seed: 1, Vocabulary: 64, Objects: 8})
+	const pairs = 256
+	qs, ds := make([]core.Axis, pairs), make([]core.Axis, pairs)
+	cqs, cds := make([][]uint32, pairs), make([][]uint32, pairs)
+	dict := core.NewLabelDict()
+	code := func(be core.BEString) []uint32 {
+		sig, ids := core.SignatureOf(be).Intern(dict)
+		return core.EncodeBE(make([]uint32, len(be.X)+len(be.Y)), be, sig.Labels, ids).X
+	}
+	for i := range qs {
+		q, d := core.MustConvert(g.Scene()), core.MustConvert(g.Scene())
+		qs[i], ds[i] = q.X, d.X
+		cqs[i], cds[i] = code(q), code(d)
+	}
+	b.Run("tokens", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink += Length(qs[i%pairs], ds[i%pairs])
+		}
+	})
+	b.Run("codes", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink += LengthCodes(cqs[i%pairs], cds[i%pairs])
+		}
+	})
+}
+
+var sink int

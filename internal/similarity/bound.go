@@ -51,7 +51,15 @@ func boundScore(ubx, uby, qLen, dLen int) float64 {
 // UpperBound(sq, sd) >= Evaluate(q, d).Key() for every query/database
 // pair whose signatures are sq and sd. Equality is reached when the two
 // images fully accord.
-func UpperBound(q, d core.Signature) float64 {
+func UpperBound(q, d core.Signature) float64 { return Bound(&q, &d) }
+
+// Bound is UpperBound taking its signatures by pointer — the form the
+// engine's rank kernel calls, once per candidate through a function
+// value, where copying two ~100-byte structs per call is measurable.
+// When both signatures are interned against one dictionary the label
+// intersection inside is integer work (core.Signature.SharedLabels);
+// the bound's value is the same either way.
+func Bound(q, d *core.Signature) float64 {
 	shared := q.SharedLabels(d)
 	return boundScore(
 		axisUpperBound(q.LenX, q.DummiesX, d.LenX, d.DummiesX, shared),
@@ -67,14 +75,22 @@ func UpperBound(q, d core.Signature) float64 {
 // changing any intersection), so the eight transformed signatures
 // collapse to two: the query's own and its axis-swapped twin. The bound
 // is the max of the two plain bounds.
-func UpperBoundInvariant(q, d core.Signature) float64 {
-	return max(UpperBound(q, d), UpperBound(q.SwapAxes(), d))
+func UpperBoundInvariant(q, d core.Signature) float64 { return BoundInvariant(&q, &d) }
+
+// BoundInvariant is the pointer form of UpperBoundInvariant (see Bound).
+func BoundInvariant(q, d *core.Signature) float64 {
+	swapped := q.SwapAxes()
+	return max(Bound(q, d), Bound(&swapped, d))
 }
 
 // UpperBoundSymbolsOnly bounds EvaluateSymbolsOnly(q, d).Key(): dummies
 // are stripped before matching, so the per-axis bound loses its dummy
 // term and the normaliser shrinks to the symbol counts.
-func UpperBoundSymbolsOnly(q, d core.Signature) float64 {
+func UpperBoundSymbolsOnly(q, d core.Signature) float64 { return BoundSymbolsOnly(&q, &d) }
+
+// BoundSymbolsOnly is the pointer form of UpperBoundSymbolsOnly (see
+// Bound).
+func BoundSymbolsOnly(q, d *core.Signature) float64 {
 	shared := q.SharedLabels(d)
 	return boundScore(
 		min(2*shared, q.LenX-q.DummiesX, d.LenX-d.DummiesX),

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bestring/internal/core"
+	"bestring/internal/lcs"
 	"bestring/internal/workload"
 )
 
@@ -37,32 +38,78 @@ func workloadPairs(seed int64) []boundedPair {
 	return pairs
 }
 
+// codedPair is a boundedPair as a store's rank kernel sees it: the
+// database side interned into a dictionary (which then holds d's labels
+// only), the query side merely looked up in it — so a relabelled query's
+// labels are unknown to the dictionary, as a hostile query's would be.
+type codedPair struct {
+	sq, sd core.Signature
+	// encode rewrites the query (or a transform or dummy-stripped copy
+	// of it) as codes; cd is the coded database side.
+	encode func(core.BEString) core.CodedBE
+	cd     core.CodedBE
+}
+
+func codePair(p boundedPair) codedPair {
+	dict := core.NewLabelDict()
+	sd, dids := core.SignatureOf(p.d).Intern(dict)
+	sq, qids := core.SignatureOf(p.q).Lookup(dict)
+	return codedPair{
+		sq: sq, sd: sd,
+		encode: func(be core.BEString) core.CodedBE {
+			return core.EncodeBE(make([]uint32, len(be.X)+len(be.Y)), be, sq.Labels, qids)
+		},
+		cd: core.EncodeBE(make([]uint32, len(p.d.X)+len(p.d.Y)), p.d, sd.Labels, dids),
+	}
+}
+
 // TestUpperBoundDominatesExact is the proof-pinning property test of the
 // filter-and-refine refactor: for randomized workloads over three seeds,
 // every signature bound must dominate the exact score it shortcuts —
 // for the plain, transform-invariant and symbols-only scorers alike. A
 // single violation would mean pruning can drop a true top-K result.
+//
+// Every pair is checked twice: through the Token/string reference
+// functions, and through what the engine actually runs — interned
+// signatures by pointer and the coded scorers — which must give the
+// identical bound and the identical score, bit for bit.
 func TestUpperBoundDominatesExact(t *testing.T) {
 	for _, seed := range []int64{7, 8881, 20010407} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			for _, p := range workloadPairs(seed) {
 				sq, sd := core.SignatureOf(p.q), core.SignatureOf(p.d)
+				c := codePair(p)
+				transformed := make([]core.CodedBE, len(core.AllTransforms))
+				for i, tr := range core.AllTransforms {
+					transformed[i] = c.encode(p.q.Apply(tr))
+				}
+				stripped := c.encode(core.BEString{X: lcs.StripDummies(p.q.X), Y: lcs.StripDummies(p.q.Y)})
 				checks := []struct {
-					scorer string
-					bound  float64
-					exact  float64
+					scorer             string
+					bound, internBound float64
+					exact, codedExact  Score
 				}{
-					{"be", UpperBound(sq, sd), Evaluate(p.q, p.d).Key()},
-					{"invariant", UpperBoundInvariant(sq, sd), EvaluateInvariant(p.q, p.d, nil).Key()},
-					{"symbols", UpperBoundSymbolsOnly(sq, sd), EvaluateSymbolsOnly(p.q, p.d).Key()},
+					{"be", UpperBound(sq, sd), Bound(&c.sq, &c.sd),
+						Evaluate(p.q, p.d), EvaluateCoded(c.encode(p.q), c.cd)},
+					{"invariant", UpperBoundInvariant(sq, sd), BoundInvariant(&c.sq, &c.sd),
+						EvaluateInvariant(p.q, p.d, nil).Score, EvaluateInvariantCoded(transformed, c.cd)},
+					{"symbols", UpperBoundSymbolsOnly(sq, sd), BoundSymbolsOnly(&c.sq, &c.sd),
+						EvaluateSymbolsOnly(p.q, p.d), EvaluateSymbolsOnlyCoded(stripped, c.cd)},
 				}
 				for _, c := range checks {
-					if c.bound < c.exact {
+					if c.bound < c.exact.Key() {
 						t.Fatalf("%s: %s bound %.6f < exact %.6f (q=%s d=%s)",
-							p.name, c.scorer, c.bound, c.exact, p.q, p.d)
+							p.name, c.scorer, c.bound, c.exact.Key(), p.q, p.d)
 					}
 					if c.bound < 0 || c.bound > 1+1e-12 {
 						t.Fatalf("%s: %s bound %.6f outside [0, 1]", p.name, c.scorer, c.bound)
+					}
+					if c.internBound != c.bound {
+						t.Fatalf("%s: %s interned bound %v != string bound %v", p.name, c.scorer, c.internBound, c.bound)
+					}
+					if c.codedExact != c.exact {
+						t.Fatalf("%s: %s coded score %+v != token score %+v (q=%s d=%s)",
+							p.name, c.scorer, c.codedExact, c.exact, p.q, p.d)
 					}
 				}
 			}

@@ -133,3 +133,55 @@ func Identical(a, b core.BEString) bool {
 	return s.LX == len(a.X) && s.LX == len(b.X) &&
 		s.LY == len(a.Y) && s.LY == len(b.Y)
 }
+
+// EvaluateCoded is Evaluate over two BE-strings coded against the same
+// label dictionary (core.EncodeBE): the same two modified-LCS lengths
+// through the integer kernel, the same newScore arithmetic, hence the
+// same Score to the last bit. It is what the engine's ranked scan calls;
+// Evaluate remains the reference it is tested against.
+func EvaluateCoded(query, db core.CodedBE) Score {
+	return newScore(
+		lcs.LengthCodes(query.X, db.X),
+		lcs.LengthCodes(query.Y, db.Y),
+		len(query.X)+len(query.Y),
+		len(db.X)+len(db.Y),
+	)
+}
+
+// EvaluateInvariantCoded is EvaluateInvariant with the query's
+// transforms applied and coded ahead of time (once per query, not once
+// per candidate): the best EvaluateCoded over them, the earliest
+// transform winning ties exactly as in EvaluateInvariant.
+func EvaluateInvariantCoded(transformed []core.CodedBE, db core.CodedBE) Score {
+	var best Score
+	for _, q := range transformed {
+		if s := EvaluateCoded(q, db); s.Key() > best.Key() {
+			best = s
+		}
+	}
+	return best
+}
+
+// EvaluateSymbolsOnlyCoded is EvaluateSymbolsOnly with the query
+// already stripped of dummies and coded; the database side is used as it
+// stands. Its dummies need no stripping: a dummy (code 0) equals no
+// symbol of a dummy-free query, and elements that can match nothing do
+// not change an LCS, so the lengths — and with the symbol counts as
+// normalisers the Score — are those of the stripped pair.
+func EvaluateSymbolsOnlyCoded(strippedQuery, db core.CodedBE) Score {
+	symbols := func(a []uint32) int {
+		n := 0
+		for _, c := range a {
+			if c != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	return newScore(
+		lcs.LengthCodes(strippedQuery.X, db.X),
+		lcs.LengthCodes(strippedQuery.Y, db.Y),
+		len(strippedQuery.X)+len(strippedQuery.Y),
+		symbols(db.X)+symbols(db.Y),
+	)
+}

@@ -7,6 +7,8 @@
 #   curl -sf localhost:8096/metrics > /tmp/metrics.txt
 #   scripts/check-metrics.sh /tmp/metrics.txt \
 #     '^bestring_query_stage_seconds_count' \
+#     '^bestring_scorer_cache_bypassed_total' \
+#     '^bestring_label_dict_labels [1-9]' \
 #     '^bestring_wal_fsync_seconds_count' \
 #     '^bestring_repl_follower_lag_lsn'
 #
