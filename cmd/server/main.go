@@ -31,7 +31,7 @@
 // Usage:
 //
 //	server [-addr :8081] [-data-dir DIR [-fsync always|interval|never]
-//	       [-segment-bytes N] [-commit-window 1ms] [-commit-batch 128]
+//	       [-segment-bytes N] [-commit-batch 128]
 //	       [-replicate-from URL]]
 //	       [-dbfile db.json] [-seed 0 -count 0] [-shards 0]
 //	       [-parallelism 0] [-slow-query 0] [-pprof-addr ""]
@@ -47,18 +47,18 @@
 // separate listener, keeping profiling off the public port.
 //
 // Flags are validated up front: a negative -shards/-parallelism/-count/
-// -segment-bytes/-commit-window, a -commit-batch below 1 or an unknown
-// -fsync policy exits with a one-line error before anything is opened,
+// -segment-bytes, a -commit-batch below 1 or an unknown -fsync policy
+// exits with a one-line error before anything is opened,
 // instead of surfacing as undefined behavior deep in the engine.
 //
 // With -data-dir the server runs on the durable store: every mutation is
 // written to the write-ahead log before it is acknowledged, and a restart
 // (or crash) recovers the state from the latest snapshot plus the log
 // tail. Concurrent mutations group-commit — they coalesce into one WAL
-// append and share one fsync; -commit-window bounds how long a mutation
-// may linger for its group (0 commits each drained group immediately)
-// and -commit-batch caps the group size (1 disables grouping). /healthz
-// reports the coalescing counters under "commit".
+// append and share one fsync; a lone writer is a group of one and never
+// waits. -commit-batch caps the group size (1: one WAL frame and one
+// fsync per mutation). /healthz reports the coalescing counters under
+// "commit".
 //
 // A durable server is always a capable replication primary: it serves
 // its WAL on /repl/v1/stream and reports connected followers on
@@ -112,10 +112,8 @@ func run(args []string) error {
 	dataDir := fs.String("data-dir", "", "durable store directory (WAL + snapshots); overrides -dbfile")
 	fsyncS := fs.String("fsync", "always", "WAL fsync policy with -data-dir: always, interval or never")
 	segBytes := fs.Int64("segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = 4 MiB)")
-	commitWindow := fs.Duration("commit-window", bestring.DefaultCommitWindow,
-		"max time a mutation lingers for its commit group with -data-dir (0 = commit each group as soon as it is drained)")
 	commitBatch := fs.Int("commit-batch", bestring.DefaultCommitBatch,
-		"max mutations coalesced into one WAL append with -data-dir (1 = disable group commit)")
+		"max mutations coalesced into one WAL append with -data-dir (1 = one frame and one fsync per mutation)")
 	count := fs.Int("count", 0, "generate a synthetic database of this size when empty")
 	seed := fs.Int64("seed", 1, "generator seed for -count")
 	shards := fs.Int("shards", 0, "shard count for a synthetic or empty database (0 = GOMAXPROCS)")
@@ -150,9 +148,6 @@ func run(args []string) error {
 	}
 	if *segBytes < 0 {
 		return fmt.Errorf("-segment-bytes must be >= 0, got %d", *segBytes)
-	}
-	if *commitWindow < 0 {
-		return fmt.Errorf("-commit-window must be >= 0, got %v", *commitWindow)
 	}
 	if *commitBatch < 1 {
 		return fmt.Errorf("-commit-batch must be >= 1, got %d", *commitBatch)
@@ -191,14 +186,7 @@ func run(args []string) error {
 			Fsync:        policy,
 			SegmentBytes: *segBytes,
 			CommitBatch:  *commitBatch,
-			CommitWindow: *commitWindow,
 			Replica:      *replicateFrom != "",
-		}
-		if *commitWindow == 0 {
-			opts.CommitWindow = -1 // commit each drained group immediately
-		}
-		if *commitBatch == 1 {
-			opts.NoGroupCommit = true // a group of one is just a mutation
 		}
 		s, err := bestring.OpenStore(*dataDir, opts)
 		if err != nil {

@@ -21,7 +21,6 @@ func TestFlagValidation(t *testing.T) {
 		{"negative parallelism", []string{"-parallelism", "-2"}, "-parallelism"},
 		{"negative segment bytes", []string{"-segment-bytes", "-1"}, "-segment-bytes"},
 		{"negative count", []string{"-count", "-5"}, "-count"},
-		{"negative commit window", []string{"-commit-window", "-1ms"}, "-commit-window"},
 		{"zero commit batch", []string{"-commit-batch", "0"}, "-commit-batch"},
 		{"negative commit batch", []string{"-commit-batch", "-4"}, "-commit-batch"},
 		{"unknown fsync", []string{"-fsync", "sometimes"}, "fsync"},

@@ -532,9 +532,10 @@ func Incremental(ns []int) (*Table, error) {
 //
 // Every point measures DURABLE throughput: the timed region ends with an
 // explicit WAL flush, so interval/never do not get credit for appends
-// still sitting in the OS page cache when the clock stops. Group commit
-// is disabled — this grid is the sequential, one-record-one-fsync
-// baseline; the concurrent-writer coalescing axis is E11b.
+// still sitting in the OS page cache when the clock stops. The one
+// writer here is sequential, so every commit is a group of one — this
+// grid is the one-record-one-fsync baseline; the concurrent-writer
+// coalescing axis is E11b.
 func WALThroughput(batchSizes []int) (*Table, error) {
 	t := &Table{
 		ID:      "E11",
@@ -560,7 +561,6 @@ func WALThroughput(batchSizes []int) (*Table, error) {
 				Fsync:           policy,
 				FsyncInterval:   10 * time.Millisecond,
 				CheckpointBytes: -1,
-				NoGroupCommit:   true,
 			})
 			if err != nil {
 				os.RemoveAll(dir)
@@ -642,10 +642,11 @@ func measureDurable(minDuration time.Duration, flush func() error, fn func()) (t
 }
 
 // GroupCommitScaling is experiment E11b: acknowledged-write throughput
-// at fsync=always as the number of concurrent writers grows, with group
-// commit on versus off. Unbatched, every writer's insert pays its own
-// fsync under the store's mutation lock, so throughput is flat in writer
-// count (the disk serialises everyone). With group commit, writers that
+// at fsync=always as the number of concurrent writers grows, with the
+// commit group capped at one mutation (CommitBatch: 1) versus the
+// default cap. Unbatched, every insert is its own frame and pays its own
+// fsync in the committer, so throughput is flat in writer count (the
+// disk serialises everyone). With group commit, writers that
 // arrive during a commit's fsync coalesce into the next group — one
 // frame, one fsync, one published version for the lot — so throughput
 // scales with the writer count until the committer's CPU work per record
@@ -658,11 +659,11 @@ func GroupCommitScaling(writerCounts []int, window time.Duration) (*Table, error
 		Header:  []string{"writers", "unbatched rec/s", "batched rec/s", "speedup", "mean group", "largest"},
 	}
 	for _, writers := range writerCounts {
-		base, _, err := groupCommitPoint(writers, true, window)
+		base, _, err := groupCommitPoint(writers, 1, window)
 		if err != nil {
 			return nil, fmt.Errorf("E11b: %w", err)
 		}
-		batched, cs, err := groupCommitPoint(writers, false, window)
+		batched, cs, err := groupCommitPoint(writers, 0, window)
 		if err != nil {
 			return nil, fmt.Errorf("E11b: %w", err)
 		}
@@ -684,8 +685,9 @@ func GroupCommitScaling(writerCounts []int, window time.Duration) (*Table, error
 
 // groupCommitPoint runs one E11b cell: `writers` goroutines inserting
 // distinct ids into a fresh fsync=always store for the measure window,
-// with group commit disabled (the baseline) or enabled.
-func groupCommitPoint(writers int, unbatched bool, window time.Duration) (float64, imagedb.CommitStats, error) {
+// with commit groups capped at batch mutations: 1 is the unbatched
+// baseline, 0 the default cap.
+func groupCommitPoint(writers, batch int, window time.Duration) (float64, imagedb.CommitStats, error) {
 	// A write-rate benchmark on a growing store is dominated by GC churn
 	// at the default target; relax it identically for both modes so the
 	// table compares commit protocols, not collector schedules.
@@ -703,7 +705,7 @@ func groupCommitPoint(writers int, unbatched bool, window time.Duration) (float6
 		Shards:          1024,
 		Fsync:           imagedb.FsyncAlways,
 		CheckpointBytes: -1,
-		NoGroupCommit:   unbatched,
+		CommitBatch:     batch,
 	})
 	if err != nil {
 		return 0, imagedb.CommitStats{}, err

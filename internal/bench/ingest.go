@@ -68,7 +68,6 @@ func (h *heapSampler) Stop() float64 {
 }
 
 // ingestStore opens a fresh throwaway store tuned for load measurement:
-// group commit off (a single loader has nothing to coalesce) and
 // auto-checkpoint off so snapshot writes don't pollute the timings.
 func ingestStore(arena bool) (*imagedb.Store, string, error) {
 	dir, err := os.MkdirTemp("", "bestring-e17-*")
@@ -78,7 +77,6 @@ func ingestStore(arena bool) (*imagedb.Store, string, error) {
 	s, err := imagedb.OpenStore(dir, imagedb.StoreOptions{
 		Fsync:           imagedb.FsyncAlways,
 		CheckpointBytes: -1,
-		NoGroupCommit:   true,
 	})
 	if err != nil {
 		os.RemoveAll(dir)

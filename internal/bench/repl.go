@@ -72,7 +72,6 @@ func replicationPoint(t *Table, n, paced int, pace time.Duration) error {
 		Fsync:           imagedb.FsyncInterval,
 		FsyncInterval:   5 * time.Millisecond,
 		CheckpointBytes: -1,
-		NoGroupCommit:   true,
 	})
 	if err != nil {
 		return err

@@ -7,14 +7,12 @@ import (
 	"sync"
 
 	"bestring/internal/core"
+	"bestring/internal/wal"
 )
 
-// BulkItem is one image in a bulk insertion.
-type BulkItem struct {
-	ID    string
-	Name  string
-	Image core.Image
-}
+// BulkItem is one image in a bulk insertion — the same value the WAL
+// logs for it.
+type BulkItem = wal.BulkItem
 
 // BulkInsert converts many images in parallel (the conversions are
 // independent and CPU-bound, the expensive part of an insert) and then
@@ -28,22 +26,18 @@ func (db *DB) BulkInsert(ctx context.Context, items []BulkItem, parallelism int)
 	if len(items) == 0 {
 		return nil
 	}
-	sts, err := prepareBulk(ctx, items, parallelism, db.ArenaLayout(), db.labelDict())
-	if err != nil {
-		return err
-	}
-	return db.installBulk(sts)
+	return db.mutate(ctx, wal.Record{Op: wal.OpBulk, Items: items}, parallelism)
 }
 
-// prepareBulk is the lock-free half of a bulk insert: id validation
-// (non-empty, unique within the batch), parallel conversion, and image
-// cloning. It returns the stored entries ready to install (sequence
-// numbers unassigned, signatures and codes derived against dict). The
-// durable store calls it directly so a bulk batch is fully validated
-// before its WAL record is written. With arena set, the entries are
-// packed into one columnar arena slab instead of being boxed
-// individually (arena.go).
-func prepareBulk(ctx context.Context, items []BulkItem, parallelism int, arena bool, dict *core.LabelDict) ([]*stored, error) {
+// prepareBulk is the batch arm of prepare: id validation (non-empty,
+// unique within the batch), parallel conversion, and image cloning. It
+// returns the stored entries ready to install (sequence numbers
+// unassigned, signatures and codes derived against the label
+// dictionary), so a batch is fully validated before its WAL record is
+// written — live, replayed or replicated alike. With the arena layout
+// on, the entries are packed into one columnar arena slab instead of
+// being boxed individually (arena.go).
+func (db *DB) prepareBulk(ctx context.Context, items []BulkItem, parallelism int) ([]*stored, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -95,7 +89,8 @@ feed:
 	// Build the stored entries (including the image clones, their symbol
 	// signatures and coded axes) before any lock is taken; only map
 	// installs and index registration remain for the critical section.
-	if arena {
+	dict := db.labelDict()
+	if db.ArenaLayout() {
 		packed := make([]arenaItem, len(items))
 		for i, it := range items {
 			packed[i] = arenaItem{id: it.ID, name: it.Name, img: it.Image, be: converted[i]}
@@ -104,32 +99,8 @@ feed:
 	}
 	sts := make([]*stored, len(items))
 	for i, it := range items {
-		sts[i] = &stored{
-			Entry: Entry{ID: it.ID, Name: it.Name, Image: it.Image.Clone(), BE: converted[i]},
-		}
+		sts[i] = newStored(it.ID, it.Name, it.Image.Clone(), converted[i], 0)
 		sts[i].index(dict)
 	}
 	return sts, nil
-}
-
-// installBulk is the critical section of a bulk insert: under the writer
-// mutex it re-checks for id collisions against the current version and
-// then builds and publishes one next version holding the whole batch —
-// or publishes nothing.
-func (db *DB) installBulk(sts []*stored) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	cur := db.current.Load()
-	for _, st := range sts {
-		if _, exists := cur.lookup(st.ID); exists {
-			return fmt.Errorf("bulk insert %q: %w", st.ID, ErrDuplicate)
-		}
-	}
-	m := beginTxn(cur)
-	for _, st := range sts {
-		st.seq = db.seq.Add(1)
-		m.add(st)
-	}
-	db.publish(m)
-	return nil
 }

@@ -1,31 +1,31 @@
 package imagedb
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
-	"bestring/internal/core"
 	"bestring/internal/wal"
 )
 
-// This file is the group-commit layer of the durable store. Without it,
-// every mutation pays one WAL frame, one fsync and one MVCC publish, so
-// FsyncAlways throughput is capped at the disk's sync rate no matter how
-// many writers run. With it, concurrent callers enqueue *prepared*
-// mutations (validation that needs no database state, conversion and
-// cloning all happen caller-side, in parallel) into a commit queue; a
-// single committer goroutine drains the queue and commits the whole
-// batch as ONE WAL frame, ONE fsync and ONE published version. Each
-// caller blocks until its group's fsync completes and observes its own
-// result: a mutation that fails validation against the batch's
-// transaction state fails only that caller, never the rest of the group.
+// This file is the group-commit layer of the durable store — the only
+// way a local mutation reaches the log. If every mutation paid its own
+// WAL frame, fsync and MVCC publish, FsyncAlways throughput would be
+// capped at the disk's sync rate no matter how many writers run. Instead
+// concurrent callers enqueue *prepared* mutations (validation that needs
+// no database state, conversion and cloning all happen caller-side, in
+// parallel — DB.prepare) into a commit queue; a single committer
+// goroutine drains the queue and commits the whole batch as ONE WAL
+// frame, ONE fsync and ONE published version. Each caller blocks until
+// its group's fsync completes and observes its own result: a mutation
+// that fails validation against the batch's transaction state fails only
+// that caller, never the rest of the group. A solo writer is a group of
+// one, written as the plain record it always was.
 //
 // Commit protocol, in order (the ordering is the durability story):
 //
 //  1. drain   — the committer takes every queued request (up to the size
-//               cap), optionally lingering up to CommitWindow for more.
+//               cap), lingering at most commitWindow for more.
 //  2. apply   — under the store and writer locks, each request validates
 //               against and applies to one shared copy-on-write txn; a
 //               request that fails (duplicate id, missing id, conversion
@@ -47,18 +47,20 @@ import (
 //
 // The linger heuristic is adaptive rather than a fixed window: the
 // committer waits for more work only while the forming batch is smaller
-// than the PREVIOUS group, bounded by CommitWindow. A lone sequential
+// than the PREVIOUS group, bounded by commitWindow. A lone sequential
 // writer therefore never waits (its previous group was 1), while a burst
 // of N writers converges on groups of ~N within two commits. This
 // matters because an fsync here costs ~100-200µs: a fixed 1ms linger
 // would ADD latency for sequential writers instead of removing it.
 
-// Group-commit defaults. The window only bounds the adaptive linger —
-// see batcher.linger — so the default is deliberately generous.
-const (
-	DefaultCommitWindow = time.Millisecond
-	DefaultCommitBatch  = 128
-)
+// DefaultCommitBatch caps the mutations coalesced into one commit group.
+const DefaultCommitBatch = 128
+
+// commitWindow only bounds the adaptive linger (see batcher.linger),
+// which leaves after two quiet yields long before the bound, so it is
+// deliberately generous — and a constant: no workload ever set another
+// value.
+const commitWindow = time.Millisecond
 
 // maxGroupBytes splits an oversized drain into multiple groups so the
 // encoded frame stays safely under the WAL's 64 MiB record bound. Size
@@ -66,32 +68,12 @@ const (
 // the 2x headroom.
 const maxGroupBytes = 32 << 20
 
-// commitKind discriminates the queued mutation types.
-type commitKind uint8
-
-const (
-	commitInsert commitKind = iota
-	commitDelete
-	commitInsertObject
-	commitDeleteObject
-	commitBulk
-)
-
 // commitReq is one caller's prepared mutation waiting in the commit
 // queue. The caller blocks on done; the committer fills err (nil on
 // success) before closing it.
 type commitReq struct {
-	kind  commitKind
-	id    string
-	name  string
-	label string         // delete-object: label to remove
-	obj   core.Object    // insert-object: object to add
-	st    *stored        // insert: prepared entry (cloned image, BE, signature)
-	img   *core.Image    // insert: WAL payload (the clone held by st)
-	sts   []*stored      // bulk: prepared entries
-	items []wal.BulkItem // bulk: WAL payload
-
-	size int // conservative encoded-frame contribution, bytes
+	*mutation
+	size int // conservative encoded-frame contribution, bytes (sizeHint)
 
 	// enqueuedAt is stamped by enqueue only while store metrics are
 	// enabled; it feeds the commit-queue-wait histogram. Zero otherwise.
@@ -101,96 +83,10 @@ type commitReq struct {
 	done chan struct{}
 }
 
-// applyTo validates the request against the group's transaction state
-// and, on success, applies it and returns its WAL sub-record. The txn is
-// the batch's view of the database: an insert in this group is visible
-// to a later delete in the same group. Validation is complete before the
-// first txn mutation, so a failing request leaves the txn untouched.
-func (r *commitReq) applyTo(db *DB, m *txn) (wal.Record, error) {
-	switch r.kind {
-	case commitInsert:
-		if _, exists := m.lookup(r.id); exists {
-			return wal.Record{}, fmt.Errorf("insert %q: %w", r.id, ErrDuplicate)
-		}
-		r.st.seq = db.seq.Add(1)
-		m.add(r.st)
-		return wal.Record{Op: wal.OpInsert, ID: r.id, Name: r.name, Image: r.img}, nil
-	case commitDelete:
-		st, ok := m.lookup(r.id)
-		if !ok {
-			return wal.Record{}, fmt.Errorf("delete %q: %w", r.id, ErrNotFound)
-		}
-		m.remove(st)
-		return wal.Record{Op: wal.OpDelete, ID: r.id}, nil
-	case commitInsertObject:
-		st, ok := m.lookup(r.id)
-		if !ok {
-			return wal.Record{}, fmt.Errorf("update %q: %w", r.id, ErrNotFound)
-		}
-		next := st.Image.WithObject(r.obj)
-		be, err := core.Convert(next)
-		if err != nil {
-			return wal.Record{}, fmt.Errorf("update %q: %w", r.id, err)
-		}
-		m.replace(st, &stored{
-			Entry: Entry{ID: r.id, Name: st.Name, Image: next, BE: be},
-			seq:   st.seq,
-		})
-		return wal.Record{Op: wal.OpInsertObject, ID: r.id, Object: &r.obj}, nil
-	case commitDeleteObject:
-		st, ok := m.lookup(r.id)
-		if !ok {
-			return wal.Record{}, fmt.Errorf("update %q: %w", r.id, ErrNotFound)
-		}
-		next, found := st.Image.WithoutObject(r.label)
-		if !found {
-			return wal.Record{}, fmt.Errorf("delete object %q from %q: %w", r.label, r.id, ErrNotFound)
-		}
-		be, err := core.Convert(next)
-		if err != nil {
-			return wal.Record{}, fmt.Errorf("update %q: %w", r.id, err)
-		}
-		m.replace(st, &stored{
-			Entry: Entry{ID: r.id, Name: st.Name, Image: next, BE: be},
-			seq:   st.seq,
-		})
-		return wal.Record{Op: wal.OpDeleteObject, ID: r.id, Label: r.label}, nil
-	case commitBulk:
-		for _, st := range r.sts {
-			if _, exists := m.lookup(st.ID); exists {
-				return wal.Record{}, fmt.Errorf("bulk insert %q: %w", st.ID, ErrDuplicate)
-			}
-		}
-		for _, st := range r.sts {
-			st.seq = db.seq.Add(1)
-			m.add(st)
-		}
-		return wal.Record{Op: wal.OpBulk, Items: r.items}, nil
-	}
-	return wal.Record{}, fmt.Errorf("unknown commit kind %d", r.kind)
-}
-
-// imageSizeHint over-estimates an image's encoded JSON size.
-func imageSizeHint(img *core.Image) int {
-	n := 128
-	for _, o := range img.Objects {
-		n += 160 + 2*len(o.Label)
-	}
-	return n
-}
-
-// lookup finds the stored entry for id in the transaction's working
-// state — the base version overlaid with this mutation's changes.
-func (m *txn) lookup(id string) (*stored, bool) {
-	st, ok := m.shards[shardIndex(id, len(m.shards))].entries[id]
-	return st, ok
-}
-
 // batcher owns the commit queue and the committer goroutine.
 type batcher struct {
-	s      *Store
-	window time.Duration // upper bound on lingering; <= 0 disables lingering
-	max    int           // size cap per commit group
+	s   *Store
+	max int // size cap per commit group
 
 	mu     sync.Mutex
 	queue  []*commitReq
@@ -209,13 +105,12 @@ type batcher struct {
 	done chan struct{} // closed when the committer goroutine exits
 }
 
-func newBatcher(s *Store, window time.Duration, max int) *batcher {
+func newBatcher(s *Store, max int) *batcher {
 	b := &batcher{
-		s:      s,
-		window: window,
-		max:    max,
-		wake:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
+		s:    s,
+		max:  max,
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	go b.run()
 	return b
@@ -240,9 +135,9 @@ func (b *batcher) enqueue(req *commitReq) error {
 	return nil
 }
 
-// submit queues the request and blocks until its commit group resolves.
-func (b *batcher) submit(req *commitReq) error {
-	req.done = make(chan struct{})
+// submit queues the mutation and blocks until its commit group resolves.
+func (b *batcher) submit(mu *mutation, size int) error {
+	req := &commitReq{mutation: mu, size: size, done: make(chan struct{})}
 	if err := b.enqueue(req); err != nil {
 		return err
 	}
@@ -311,12 +206,9 @@ func (b *batcher) run() {
 // group on an otherwise idle machine. The window bounds the total
 // collection time for pathological arrival patterns.
 func (b *batcher) linger(batch []*commitReq) []*commitReq {
-	if b.window <= 0 {
-		return batch
-	}
 	start := time.Now()
 	quiet := 0
-	for len(batch) < b.max && quiet < 2 && time.Since(start) < b.window {
+	for len(batch) < b.max && quiet < 2 && time.Since(start) < commitWindow {
 		runtime.Gosched()
 		more, closed := b.take(b.max - len(batch))
 		batch = append(batch, more...)
@@ -385,37 +277,27 @@ func (s *Store) commitGroup(reqs []*commitReq) {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 
-	m := beginTxn(db.current.Load())
+	m := db.begin()
 	recs := make([]wal.Record, 0, len(reqs))
 	accepted := make([]*commitReq, 0, len(reqs))
-	rejected := 0
 	for _, r := range reqs {
-		rec, err := r.applyTo(db, m)
-		if err != nil {
-			r.err = err
-			rejected++
-			continue
+		if r.err = m.apply(r.mutation); r.err == nil {
+			recs = append(recs, r.rec)
+			accepted = append(accepted, r)
 		}
-		recs = append(recs, rec)
-		accepted = append(accepted, r)
 	}
+	rejected := len(reqs) - len(accepted)
 	if len(recs) == 0 {
 		s.noteCommit(0, rejected) // every request failed validation; nothing to log or publish
 		return
 	}
-	rec := recs[0]
-	if len(recs) > 1 {
-		rec = wal.Record{Op: wal.OpGroup, Subs: recs}
-	}
-	if _, err := s.append(rec); err != nil {
+	if _, err := s.commitLocked(m, recs, nil); err != nil {
 		for _, r := range accepted {
 			r.err = err
 		}
 		s.noteCommit(0, rejected)
-		return // nothing durable, so nothing publishes
+		return
 	}
-	db.publish(m)
-	s.markVisibleLocked(s.appliedLSN)
 	s.noteCommit(len(accepted), rejected)
 	if met != nil {
 		met.groupSeconds.Observe(time.Since(t0).Seconds())
@@ -440,10 +322,10 @@ func (s *Store) noteCommit(accepted, rejected int) {
 
 // CommitStats describes the group committer, for /healthz and tooling.
 type CommitStats struct {
-	// Enabled reports whether mutations are coalesced (false: every
-	// mutation is its own WAL frame, fsync and version).
+	// Enabled reports whether this store commits local mutations (false
+	// only on a replica, whose state advances by replication alone).
 	Enabled bool `json:"enabled"`
-	// Window is the configured linger bound, e.g. "1ms".
+	// Window is the linger bound, e.g. "1ms".
 	Window string `json:"window,omitempty"`
 	// MaxBatch is the configured size cap per commit group.
 	MaxBatch int `json:"maxBatch,omitempty"`

@@ -113,6 +113,33 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if got := saveBytes(t, s2.Save); !bytes.Equal(got, want) {
 		t.Fatal("recovered state is not byte-identical to the pre-close state")
 	}
+
+	// A solo sequential writer is a group of one, and a group of one is
+	// written as the plain record it always was: four inserts are four
+	// LSNs, four plain insert frames, four groups of size one.
+	soloDir := t.TempDir()
+	solo, err := OpenStore(soloDir, StoreOptions{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := solo.Insert(fmt.Sprintf("img%d", i), "", storeImage(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st = solo.StoreStats()
+	if !st.Commit.Enabled || st.Commit.Groups != 4 || st.Commit.Largest != 1 || st.LastLSN != 4 {
+		t.Fatalf("solo writer: commit stats = %+v, LastLSN = %d, want 4 groups of 1 and one record per mutation", st.Commit, st.LastLSN)
+	}
+	if err := solo.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ins, err = InspectStore(soloDir); err != nil {
+		t.Fatal(err)
+	}
+	if ins.Records != 4 || ins.RecordOps["insert"] != 4 {
+		t.Fatalf("solo writer: log holds %d records (%v), want four plain insert records", ins.Records, ins.RecordOps)
+	}
 }
 
 // TestGroupCommitFailureIsolation pins the isolation invariant: a
@@ -429,28 +456,5 @@ func TestGroupCommitCloseDrains(t *testing.T) {
 		if !s2.Has(id) {
 			t.Fatalf("acknowledged insert %s missing after reopen", id)
 		}
-	}
-}
-
-// TestGroupCommitDisabled checks the NoGroupCommit escape hatch: the
-// direct path still works, reports itself, and never coalesces.
-func TestGroupCommitDisabled(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenStore(dir, StoreOptions{NoGroupCommit: true, CheckpointBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 4; i++ {
-		if err := s.Insert(fmt.Sprintf("img%d", i), "", storeImage(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.StoreStats()
-	if st.Commit.Enabled || st.Commit.Groups != 0 {
-		t.Fatalf("commit stats = %+v, want disabled and zero groups", st.Commit)
-	}
-	if st.LastLSN != 4 {
-		t.Fatalf("LastLSN = %d, want one record per mutation", st.LastLSN)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"bestring/internal/baseline/typesim"
 	"bestring/internal/core"
 	"bestring/internal/similarity"
+	"bestring/internal/wal"
 )
 
 // Entry is one stored image: the symbolic image plus its precomputed 2D
@@ -139,49 +140,12 @@ func splitSpatialID(id string) (imageID, label string) {
 
 // Insert converts the image to its 2D BE-string and stores it under id.
 func (db *DB) Insert(id, name string, img core.Image) error {
-	if id == "" {
-		return ErrEmptyID
-	}
-	be, err := core.Convert(img)
-	if err != nil {
-		return fmt.Errorf("insert %q: %w", id, err)
-	}
-	return db.insertConverted(id, name, img, be)
-}
-
-// insertConverted installs an entry whose BE-string is already computed —
-// the tail of Insert, split out so the durable store (which converts once
-// during pre-log validation) does not pay conversion twice.
-func (db *DB) insertConverted(id, name string, img core.Image, be core.BEString) error {
-	// Clone and index (signature, codes) before taking the writer lock.
-	st := &stored{Entry: Entry{ID: id, Name: name, Image: img.Clone(), BE: be}}
-	st.index(db.labelDict())
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	cur := db.current.Load()
-	if _, exists := cur.lookup(id); exists {
-		return fmt.Errorf("insert %q: %w", id, ErrDuplicate)
-	}
-	st.seq = db.seq.Add(1)
-	m := beginTxn(cur)
-	m.add(st)
-	db.publish(m)
-	return nil
+	return db.mutate(context.Background(), wal.Record{Op: wal.OpInsert, ID: id, Name: name, Image: &img}, 0)
 }
 
 // Delete removes the image with the given id.
 func (db *DB) Delete(id string) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	cur := db.current.Load()
-	st, exists := cur.lookup(id)
-	if !exists {
-		return fmt.Errorf("delete %q: %w", id, ErrNotFound)
-	}
-	m := beginTxn(cur)
-	m.remove(st)
-	db.publish(m)
-	return nil
+	return db.mutate(context.Background(), wal.Record{Op: wal.OpDelete, ID: id}, 0)
 }
 
 // Has reports whether an image with the given id is stored — existence
@@ -206,78 +170,15 @@ func (db *DB) Len() int { return db.current.Load().count }
 // IDs returns the stored ids in insertion order.
 func (db *DB) IDs() []string { return db.current.Load().orderedIDsMatching(nil) }
 
-// InsertObject adds an object to a stored image, reindexing it.
+// InsertObject adds an object to a stored image, reindexing it; the
+// update is rejected if the result no longer converts.
 func (db *DB) InsertObject(id string, o core.Object) error {
-	return db.updateImage(id, func(img core.Image) core.Image {
-		return img.WithObject(o)
-	})
+	return db.mutate(context.Background(), wal.Record{Op: wal.OpInsertObject, ID: id, Object: &o}, 0)
 }
 
 // DeleteObject removes a labelled object from a stored image, reindexing.
 func (db *DB) DeleteObject(id, label string) error {
-	var missing bool
-	err := db.updateImage(id, func(img core.Image) core.Image {
-		out, found := img.WithoutObject(label)
-		missing = !found
-		return out
-	})
-	if err != nil {
-		return err
-	}
-	if missing {
-		return fmt.Errorf("delete object %q from %q: %w", label, id, ErrNotFound)
-	}
-	return nil
-}
-
-// updateImage applies fn to the stored image and reindexes; the update is
-// rejected if the result no longer converts. The entry is replaced, never
-// mutated: published snapshots hold *stored pointers, so an entry must
-// stay immutable once any version references it (copy-on-write).
-func (db *DB) updateImage(id string, fn func(core.Image) core.Image) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	cur := db.current.Load()
-	st, ok := cur.lookup(id)
-	if !ok {
-		return fmt.Errorf("update %q: %w", id, ErrNotFound)
-	}
-	img := fn(st.Image.Clone())
-	be, err := core.Convert(img)
-	if err != nil {
-		return fmt.Errorf("update %q: %w", id, err)
-	}
-	next := &stored{
-		Entry: Entry{ID: id, Name: st.Name, Image: img, BE: be},
-		seq:   st.seq,
-	}
-	m := beginTxn(cur)
-	m.replace(st, next)
-	db.publish(m)
-	return nil
-}
-
-// replaceImage swaps the stored image of id for a pre-validated
-// (image, BE-string) pair, keeping the entry's insertion sequence. The
-// durable store uses it after logging an object mutation it has already
-// simulated and converted; direct callers should go through updateImage,
-// which recomputes under the writer lock.
-func (db *DB) replaceImage(id string, img core.Image, be core.BEString) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	cur := db.current.Load()
-	st, ok := cur.lookup(id)
-	if !ok {
-		return fmt.Errorf("update %q: %w", id, ErrNotFound)
-	}
-	next := &stored{
-		Entry: Entry{ID: id, Name: st.Name, Image: img, BE: be},
-		seq:   st.seq,
-	}
-	m := beginTxn(cur)
-	m.replace(st, next)
-	db.publish(m)
-	return nil
+	return db.mutate(context.Background(), wal.Record{Op: wal.OpDeleteObject, ID: id, Label: label}, 0)
 }
 
 func copyEntry(e *Entry) Entry {

@@ -158,8 +158,8 @@ type rawChunk struct {
 
 type convChunk struct {
 	rawChunk
-	sts  []*stored
-	skip bool // key already durable; conversion skipped
+	mu   *mutation // the prepared OpImport record; nil when skipped
+	skip bool      // key already durable; conversion skipped
 	err  error
 }
 
@@ -224,7 +224,6 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 	done := make(chan convChunk, par) // workers -> committer
 	readErr := make(chan error, 1)    // reader's terminal error, if any
 	resume := !imp.opts.NoResume
-	arena, dict := s.db.ArenaLayout(), s.db.labelDict()
 
 	// Reader: cut the stream into chunks. Blocks on jobs when the
 	// pipeline is full — that is the backpressure bounding memory to
@@ -260,7 +259,7 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 				return
 			}
 			items = append(items, BulkItem{ID: scene.ID, Name: scene.Name, Image: scene.Image})
-			bytes += int64(96 + 2*(len(scene.ID)+len(scene.Name)) + imageSizeHint(&scene.Image))
+			bytes += int64(itemSizeHint(&items[len(items)-1]))
 			if len(items) >= imp.opts.ChunkScenes || bytes >= imp.opts.ChunkBytes {
 				if !flush() {
 					return
@@ -282,7 +281,7 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 				if resume && s.hasImportKey(rc.key) {
 					cc.skip = true
 				} else {
-					cc.sts, cc.err = prepareBulk(ctx, rc.items, 1, arena, dict)
+					cc.mu, cc.err = s.db.prepare(ctx, wal.Record{Op: wal.OpImport, Key: rc.key, Items: rc.items}, 1)
 				}
 				select {
 				case done <- cc:
@@ -317,6 +316,12 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 			next++
 			err := c.err
 			if err == nil {
+				// The committer must see a cancellation itself: one raised
+				// from Progress can lose every select in the reader and the
+				// workers, and the whole stream would commit.
+				err = ctx.Err()
+			}
+			if err == nil {
 				err = imp.commitChunk(&c)
 			}
 			if err != nil {
@@ -343,10 +348,10 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 }
 
 // commitChunk is the per-chunk critical section: under the store's
-// writer lock it settles resume, validates id uniqueness against the
-// live state, appends the chunk's OpImport record (fsynced per policy)
-// and publishes it as one MVCC version. Mirrors bulkInsertDirect, with
-// the batcher bypassed — the stream is already batched.
+// writer lock it settles resume, then runs the chunk's prepared OpImport
+// mutation through apply (which validates id uniqueness against the live
+// state) and the commit tail — one record (fsynced per policy), one MVCC
+// version. The batcher is bypassed — the stream is already batched.
 func (imp *Importer) commitChunk(cc *convChunk) error {
 	s := imp.s
 	s.mu.Lock()
@@ -377,25 +382,17 @@ func (imp *Importer) commitChunk(cc *convChunk) error {
 			return fmt.Errorf("%d of %d scenes already present — source or chunk "+
 				"options changed since the interrupted run? (%w)", present, len(cc.items), ErrDuplicate)
 		}
-	} else {
-		for i := range cc.items {
-			if s.db.Has(cc.items[i].ID) {
-				return fmt.Errorf("scene %q: %w", cc.items[i].ID, ErrDuplicate)
-			}
-		}
 	}
-	recItems := make([]wal.BulkItem, len(cc.items))
-	for i, it := range cc.items {
-		recItems[i] = wal.BulkItem{ID: it.ID, Name: it.Name, Image: it.Image}
+	s.db.writeMu.Lock()
+	defer s.db.writeMu.Unlock()
+	m := s.db.begin()
+	if err := m.apply(cc.mu); err != nil {
+		return err // an id collision, which only NoResume lets get this far
 	}
-	n, err := s.append(wal.Record{Op: wal.OpImport, Key: cc.key, Items: recItems})
+	n, err := s.commitLocked(m, []wal.Record{cc.mu.rec}, nil)
 	if err != nil {
 		return err
 	}
-	if err := s.db.installBulk(cc.sts); err != nil {
-		return err // unreachable: ids were checked under s.mu, which all writers hold
-	}
-	s.markVisibleLocked(s.appliedLSN)
 	s.noteImportKey(cc.key)
 	imp.noteCommitted(cc, n, s.appliedLSN)
 	return nil

@@ -108,13 +108,21 @@ func TestImportCrashResume(t *testing.T) {
 	}
 	wantJSON := searchJSON(t, control, 172)
 
-	for round := 0; round < 4; round++ {
+	for round := 0; round < 5; round++ {
 		// Randomised chunk boundaries: resume must work at any chunking, as
 		// long as the re-run uses the same one. The bounds keep the total
 		// chunk count well above stopAfter plus the pipeline depth, so a
 		// cancellation can never race the whole import to completion.
 		opts := ImportOptions{ChunkScenes: 16 + rng.Intn(40), Parallelism: 1 + rng.Intn(2)}
 		stopAfter := 1 + rng.Intn(3)
+		// The last round is deterministic: a cancel raised from Progress
+		// after chunk 1 must stop the committer before chunk 2, however the
+		// reader's and worker's selects fall (with the chunks already
+		// converted and queued, they used to commit regardless).
+		exact := round == 4
+		if exact {
+			opts, stopAfter = ImportOptions{ChunkScenes: 50, Parallelism: 1}, 1
+		}
 
 		dir := t.TempDir()
 		s, err := OpenStore(dir, StoreOptions{Fsync: FsyncAlways})
@@ -138,6 +146,9 @@ func TestImportCrashResume(t *testing.T) {
 		partial := s.Len()
 		if partial == 0 || partial == n {
 			t.Fatalf("round %d: partial Len = %d, want a genuine interruption", round, partial)
+		}
+		if exact && partial != stopAfter*opts.ChunkScenes {
+			t.Fatalf("round %d: partial Len = %d, want exactly %d chunk(s): a chunk committed after the cancel", round, partial, stopAfter)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)

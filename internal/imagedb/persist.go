@@ -1,14 +1,15 @@
 package imagedb
 
 import (
+	"context"
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 
-	"bestring/internal/core"
 	"bestring/internal/fsutil"
+	"bestring/internal/wal"
 )
 
 // snapshotJSON is the on-disk format: a versioned list of entries.
@@ -42,55 +43,29 @@ func saveEntries(w io.Writer, entries []Entry) error {
 }
 
 // loadEntries validates and installs a decoded snapshot as one published
-// version: every entry's BE-string is re-derived from its image and
+// version — a bulk batch through the one write path — with one check of
+// its own: every entry's BE-string is re-derived from its image and
 // cross-checked against the stored one, so a corrupted or hand-edited
 // snapshot cannot desynchronise index and data. One version for the
 // whole load keeps recovery linear — per-entry Insert would copy the
 // target shard once per entry.
 func (db *DB) loadEntries(entries []Entry, wrap string) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	m := beginTxn(db.current.Load())
-	arena := db.ArenaLayout()
-	var packed []arenaItem
-	if arena {
-		packed = make([]arenaItem, 0, len(entries))
+	items := make([]BulkItem, len(entries))
+	for i, e := range entries {
+		items[i] = BulkItem{ID: e.ID, Name: e.Name, Image: e.Image}
 	}
-	seen := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		if e.ID == "" {
-			return fmt.Errorf("%s: %w", wrap, ErrEmptyID)
-		}
-		if _, exists := m.shards[shardIndex(e.ID, len(m.shards))].entries[e.ID]; exists || seen[e.ID] {
-			return fmt.Errorf("%s: insert %q: %w", wrap, e.ID, ErrDuplicate)
-		}
-		seen[e.ID] = true
-		be, err := core.Convert(e.Image)
-		if err != nil {
-			return fmt.Errorf("%s: insert %q: %w", wrap, e.ID, err)
-		}
-		if len(e.BE.X) > 0 && !be.Equal(e.BE) {
+	mu, err := db.prepare(context.Background(), wal.Record{Op: wal.OpBulk, Items: items}, 0)
+	if err != nil {
+		return fmt.Errorf("%s: %w", wrap, err)
+	}
+	for i, e := range entries {
+		if len(e.BE.X) > 0 && !mu.sts[i].BE.Equal(e.BE) {
 			return fmt.Errorf("%s: entry %q: stored BE-string does not match its image", wrap, e.ID)
 		}
-		if arena {
-			// Defer the install: the whole load packs into one columnar
-			// arena (arena.go), so a recovered corpus gets the same slab
-			// locality a live bulk insert would.
-			packed = append(packed, arenaItem{id: e.ID, name: e.Name, img: e.Image, be: be})
-			continue
-		}
-		m.add(&stored{
-			Entry: Entry{ID: e.ID, Name: e.Name, Image: e.Image.Clone(), BE: be},
-			seq:   db.seq.Add(1),
-		})
 	}
-	if len(packed) > 0 {
-		for _, st := range buildArena(packed, m.base.dict).pointers() {
-			st.seq = db.seq.Add(1)
-			m.add(st)
-		}
+	if err := db.install(mu); err != nil {
+		return fmt.Errorf("%s: %w", wrap, err)
 	}
-	db.publish(m)
 	return nil
 }
 

@@ -18,20 +18,57 @@ import (
 	"bestring/internal/wal"
 )
 
-// mutation is one step of a randomized script, applied identically to the
+// mutator is the mutation surface DB and Store share.
+type mutator interface {
+	Insert(id, name string, img core.Image) error
+	Delete(id string) error
+	InsertObject(id string, o core.Object) error
+	DeleteObject(id, label string) error
+	BulkInsert(ctx context.Context, items []BulkItem, parallelism int) error
+}
+
+// scriptOp is one step of a randomized script, applied identically to the
 // durable store under test and to a plain in-memory mirror.
-type mutation struct {
+type scriptOp struct {
 	desc  string
 	store func(s *Store) error
 	db    func(db *DB) error
+	// want is the errors.Is class the step must fail with through every
+	// door; nil means it must succeed.
+	want error
+	// op and muts describe the WAL record an accepted step logs: its
+	// operation and how many logical mutations it carries.
+	op   string
+	muts int
+	// uses is the id (if any) the step's outcome depends on being present,
+	// adds the ids an accepted step inserts. A writer that edits an id
+	// before its insert was acknowledged may rightly be told "not found",
+	// so concurrent drivers must not issue a step while an insert of its
+	// uses id is still in flight.
+	uses string
+	adds []string
 }
 
 // genScript builds a deterministic random mutation script. Every step is
 // valid against the state the previous steps produce, so the store under
 // test acknowledges all of them.
-func genScript(rng *rand.Rand, steps int) []mutation {
-	var script []mutation
-	live := []string{} // ids present, insertion order
+func genScript(rng *rand.Rand, steps int) []scriptOp { return genOpScript(rng, steps, false) }
+
+// genOpScript is genScript with, when failing is set, steps that must be
+// rejected mixed in: duplicate, missing and empty ids, in-batch
+// duplicates, object edits that no longer convert, deletes of absent
+// labels. The generator tracks ids and labels itself, so a step never
+// reads database state — it means the same thing sequentially, inside a
+// commit group, replayed and replicated.
+func genOpScript(rng *rand.Rand, steps int, failing bool) []scriptOp {
+	var script []scriptOp
+	emit := func(op scriptOp, run func(m mutator) error) {
+		op.store = func(s *Store) error { return run(s) }
+		op.db = func(db *DB) error { return run(db) }
+		script = append(script, op)
+	}
+	live := []string{}              // ids present, insertion order
+	labels := map[string][]string{} // id -> its object labels, in image order
 	img := func() core.Image {
 		n := 2 + rng.Intn(3)
 		objs := make([]core.Object, n)
@@ -44,71 +81,87 @@ func genScript(rng *rand.Rand, steps int) []mutation {
 		}
 		return core.NewImage(12, 12, objs...)
 	}
-	next := 0
+	next, fresh := 0, 0
+	newID := func() string { next++; return fmt.Sprintf("img%03d", next-1) }
+	track := func(id string, im core.Image) {
+		live = append(live, id)
+		for _, o := range im.Objects {
+			labels[id] = append(labels[id], o.Label)
+		}
+	}
+	pick := func() string { return live[rng.Intn(len(live))] }
+	ctx := context.Background()
 	for len(script) < steps {
+		if failing && len(live) > 0 && rng.Intn(3) == 0 {
+			id, ghost := pick(), fmt.Sprintf("ghost%03d", rng.Intn(1000))
+			box := core.NewRect(0, 0, 1, 1)
+			switch rng.Intn(9) {
+			case 0:
+				im := img()
+				emit(scriptOp{desc: "dup insert " + id, op: wal.OpInsert, want: ErrDuplicate}, func(m mutator) error { return m.Insert(id, "dup", im) })
+			case 1:
+				emit(scriptOp{desc: "delete missing " + ghost, op: wal.OpDelete, want: ErrNotFound}, func(m mutator) error { return m.Delete(ghost) })
+			case 2:
+				im := img()
+				emit(scriptOp{desc: "insert empty id", op: wal.OpInsert, want: ErrEmptyID}, func(m mutator) error { return m.Insert("", "", im) })
+			case 3: // in-batch duplicate: the fresh id is not consumed — nothing of the batch may land
+				items := []BulkItem{{ID: fmt.Sprintf("img%03d", next), Image: img()}, {ID: fmt.Sprintf("img%03d", next), Image: img()}}
+				emit(scriptOp{desc: "bulk in-batch dup", op: wal.OpBulk, want: ErrDuplicate}, func(m mutator) error { return m.BulkInsert(ctx, items, 0) })
+			case 4: // batch colliding with a live id, behind a fresh one that must not land either
+				items := []BulkItem{{ID: fmt.Sprintf("img%03d", next), Image: img()}, {ID: id, Image: img()}}
+				emit(scriptOp{desc: "bulk dup " + id, op: wal.OpBulk, want: ErrDuplicate}, func(m mutator) error { return m.BulkInsert(ctx, items, 0) })
+			case 5:
+				items := []BulkItem{{ID: fmt.Sprintf("img%03d", next), Image: img()}, {ID: "", Image: img()}}
+				emit(scriptOp{desc: "bulk empty id", op: wal.OpBulk, want: ErrEmptyID}, func(m mutator) error { return m.BulkInsert(ctx, items, 0) })
+			case 6: // an object that no longer converts: its label is already on the image
+				o := core.Object{Label: labels[id][0], Box: box}
+				emit(scriptOp{desc: "insert-object dup label " + id, op: wal.OpInsertObject, want: core.ErrDuplicateLabel, uses: id}, func(m mutator) error { return m.InsertObject(id, o) })
+			case 7:
+				emit(scriptOp{desc: "delete-object absent label " + id, op: wal.OpDeleteObject, want: ErrNotFound}, func(m mutator) error { return m.DeleteObject(id, "absent") })
+			default:
+				o := core.Object{Label: "Z", Box: box}
+				emit(scriptOp{desc: "insert-object missing " + ghost, op: wal.OpInsertObject, want: ErrNotFound}, func(m mutator) error { return m.InsertObject(ghost, o) })
+			}
+			continue
+		}
 		switch op := rng.Intn(10); {
 		case op < 5 || len(live) == 0: // insert
-			id := fmt.Sprintf("img%03d", next)
-			next++
-			im := img()
-			live = append(live, id)
-			script = append(script, mutation{
-				desc:  "insert " + id,
-				store: func(s *Store) error { return s.Insert(id, "scripted", im) },
-				db:    func(db *DB) error { return db.Insert(id, "scripted", im) },
-			})
+			id, im := newID(), img()
+			track(id, im)
+			emit(scriptOp{desc: "insert " + id, op: wal.OpInsert, muts: 1, adds: []string{id}}, func(m mutator) error { return m.Insert(id, "scripted", im) })
 		case op < 6: // delete a random live id
 			i := rng.Intn(len(live))
 			id := live[i]
 			live = append(live[:i], live[i+1:]...)
-			script = append(script, mutation{
-				desc:  "delete " + id,
-				store: func(s *Store) error { return s.Delete(id) },
-				db:    func(db *DB) error { return db.Delete(id) },
-			})
+			delete(labels, id)
+			emit(scriptOp{desc: "delete " + id, op: wal.OpDelete, muts: 1, uses: id}, func(m mutator) error { return m.Delete(id) })
 		case op < 7: // add an object with a fresh label
-			id := live[rng.Intn(len(live))]
+			id := pick()
 			o := core.Object{
-				Label: fmt.Sprintf("X%d", rng.Intn(1000)),
+				Label: fmt.Sprintf("X%d", fresh),
 				Box:   core.NewRect(0, 0, 1+rng.Intn(3), 1+rng.Intn(3)),
 			}
-			script = append(script, mutation{
-				desc:  "insert-object " + id + "/" + o.Label,
-				store: func(s *Store) error { return s.InsertObject(id, o) },
-				db:    func(db *DB) error { return db.InsertObject(id, o) },
-			})
+			fresh++
+			labels[id] = append(labels[id], o.Label)
+			emit(scriptOp{desc: "insert-object " + id + "/" + o.Label, op: wal.OpInsertObject, muts: 1, uses: id}, func(m mutator) error { return m.InsertObject(id, o) })
 		case op < 8: // bulk batch of 2-4 fresh images
-			n := 2 + rng.Intn(3)
-			items := make([]BulkItem, n)
+			items := make([]BulkItem, 2+rng.Intn(3))
+			ids := make([]string, len(items))
 			for i := range items {
-				items[i] = BulkItem{ID: fmt.Sprintf("img%03d", next), Name: "bulk", Image: img()}
-				live = append(live, items[i].ID)
-				next++
+				items[i] = BulkItem{ID: newID(), Name: "bulk", Image: img()}
+				track(items[i].ID, items[i].Image)
+				ids[i] = items[i].ID
 			}
-			script = append(script, mutation{
-				desc:  fmt.Sprintf("bulk x%d", n),
-				store: func(s *Store) error { return s.BulkInsert(context.Background(), items, 0) },
-				db:    func(db *DB) error { return db.BulkInsert(context.Background(), items, 0) },
-			})
-		default: // delete one object (images here always keep >= 1 left)
-			// Only target scripted multi-object images: pick an id, and at
-			// apply time drop its first object if more than one remains.
-			// To keep store and mirror identical the decision must be a
-			// pure function of state, so we skip the step when the image
-			// has a single object.
-			id := live[rng.Intn(len(live))]
-			del := func(get func(string) (Entry, bool), rm func(string, string) error) error {
-				e, ok := get(id)
-				if !ok || len(e.Image.Objects) < 2 {
-					return nil // deterministic no-op on both sides
-				}
-				return rm(id, e.Image.Objects[0].Label)
+			emit(scriptOp{desc: fmt.Sprintf("bulk x%d", len(items)), op: wal.OpBulk, muts: len(items), adds: ids}, func(m mutator) error { return m.BulkInsert(ctx, items, 0) })
+		default: // drop the first object of an image, or — when it is the last — fail to
+			id := pick()
+			label, want := labels[id][0], error(nil)
+			if len(labels[id]) > 1 {
+				labels[id] = labels[id][1:]
+			} else if want = core.ErrEmptyImage; !failing {
+				continue
 			}
-			script = append(script, mutation{
-				desc:  "delete-object " + id,
-				store: func(s *Store) error { return del(s.Get, s.DeleteObject) },
-				db:    func(db *DB) error { return del(db.Get, db.DeleteObject) },
-			})
+			emit(scriptOp{desc: "delete-object " + id + "/" + label, op: wal.OpDeleteObject, muts: 1, want: want, uses: id}, func(m mutator) error { return m.DeleteObject(id, label) })
 		}
 	}
 	return script

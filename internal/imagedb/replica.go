@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"bestring/internal/core"
 	"bestring/internal/fsutil"
 	"bestring/internal/wal"
 )
@@ -19,9 +18,9 @@ import (
 // This file is the store's replication surface (DESIGN.md section 9).
 // A follower store (StoreOptions.Replica) never originates mutations:
 // its state advances only through ApplyReplicatedBatch, which replays
-// WAL records shipped from a primary through the same validate→apply
-// machinery local mutations use — one transaction, one append to the
-// follower's OWN log (a byte-for-byte re-framing of the primary's
+// WAL records shipped from a primary through the same prepare → apply →
+// commit-tail path local mutations use — one transaction, one append to
+// the follower's OWN log (a byte-for-byte re-framing of the primary's
 // records, preserving LSNs), one fsync, one published MVCC version.
 // The primary side exposes the durable horizon (DurableLSN, WaitDurable,
 // TailWAL) the internal/repl server streams from, and the prune floor
@@ -140,18 +139,20 @@ func (s *Store) SetPruneFloor(fn func() uint64) {
 // re-verifies). The batch is all-or-nothing and follows the same
 // durability-before-visibility order as a local commit group:
 //
-//  1. validate + apply every record to ONE copy-on-write transaction —
-//     a record that fails leaves the store untouched and poisons the
-//     stream (the follower disconnects rather than diverge);
+//  1. prepare + apply every record to ONE copy-on-write transaction
+//     (txn.replay, the door recovery uses too; batches convert in
+//     parallel) — a record that fails leaves the store untouched and
+//     poisons the stream (the follower disconnects rather than diverge);
 //  2. append all records to the follower's own WAL as one batch with
 //     one fsync, preserving the primary's LSNs byte-for-byte, so a
 //     follower crash recovers locally and resumes from its own log;
 //  3. publish the transaction as one MVCC version and mark it visible.
 //
-// It bypasses the group-commit batcher (a follower has no concurrent
-// writers to coalesce — the stream is already serialised) but reuses
-// the same txn/publish machinery, so reads on a follower see exactly
-// the states the primary published, batch-granular.
+// Steps 2 and 3 are the store's one commit tail (commitLocked). The
+// group-commit batcher is bypassed (a follower has no concurrent
+// writers to coalesce — the stream is already serialised); reads on a
+// follower see exactly the states the primary published,
+// batch-granular.
 func (s *Store) ApplyReplicatedBatch(recs []wal.Record) error {
 	return s.applyReplicated(recs, nil)
 }
@@ -184,28 +185,16 @@ func (s *Store) applyReplicated(recs []wal.Record, frames [][]byte) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 
-	m := beginTxn(db.current.Load())
+	m := db.begin()
 	for i := range recs {
-		if err := applyRecordTxn(db, m, &recs[i]); err != nil {
+		if err := m.replay(&recs[i]); err != nil {
 			return fmt.Errorf("replicated record lsn %d (%s %q): %w",
 				recs[i].LSN, recs[i].Op, recs[i].ID, err)
 		}
 	}
-	var n int
-	var err error
-	if frames != nil {
-		n, err = s.log.AppendBatchFrames(recs, frames)
-	} else {
-		n, err = s.log.AppendBatch(recs)
+	if _, err := s.commitLocked(m, recs, frames); err != nil {
+		return err
 	}
-	if err != nil {
-		return err // nothing durable, nothing publishes
-	}
-	s.appliedLSN = recs[len(recs)-1].LSN
-	s.bytesSince += int64(n)
-	db.publish(m)
-	s.markVisibleLocked(s.appliedLSN)
-	s.maybeCheckpointLocked()
 	// Remember replicated import chunk keys: should this follower be
 	// promoted, a resumed import against it skips the chunks it already
 	// replayed.
@@ -213,116 +202,6 @@ func (s *Store) applyReplicated(recs []wal.Record, frames [][]byte) error {
 		if recs[i].Op == wal.OpImport && recs[i].Key != "" {
 			s.noteImportKey(recs[i].Key)
 		}
-	}
-	return nil
-}
-
-// applyRecordTxn applies one WAL record to an in-progress transaction —
-// the replica-side twin of applyRecord, validating against the txn's
-// working state so a multi-record batch sees its own earlier effects.
-func applyRecordTxn(db *DB, m *txn, rec *wal.Record) error {
-	switch rec.Op {
-	case wal.OpInsert:
-		if rec.Image == nil {
-			return errors.New("record has no image")
-		}
-		if rec.ID == "" {
-			return ErrEmptyID
-		}
-		if _, exists := m.lookup(rec.ID); exists {
-			return ErrDuplicate
-		}
-		be, err := core.Convert(*rec.Image)
-		if err != nil {
-			return err
-		}
-		st := &stored{Entry: Entry{ID: rec.ID, Name: rec.Name, Image: rec.Image.Clone(), BE: be}}
-		st.seq = db.seq.Add(1)
-		m.add(st)
-	case wal.OpDelete:
-		st, ok := m.lookup(rec.ID)
-		if !ok {
-			return ErrNotFound
-		}
-		m.remove(st)
-	case wal.OpInsertObject:
-		if rec.Object == nil {
-			return errors.New("record has no object")
-		}
-		st, ok := m.lookup(rec.ID)
-		if !ok {
-			return ErrNotFound
-		}
-		next := st.Image.WithObject(*rec.Object)
-		be, err := core.Convert(next)
-		if err != nil {
-			return err
-		}
-		m.replace(st, &stored{Entry: Entry{ID: rec.ID, Name: st.Name, Image: next, BE: be}, seq: st.seq})
-	case wal.OpDeleteObject:
-		st, ok := m.lookup(rec.ID)
-		if !ok {
-			return ErrNotFound
-		}
-		next, found := st.Image.WithoutObject(rec.Label)
-		if !found {
-			return ErrNotFound
-		}
-		be, err := core.Convert(next)
-		if err != nil {
-			return err
-		}
-		m.replace(st, &stored{Entry: Entry{ID: rec.ID, Name: st.Name, Image: next, BE: be}, seq: st.seq})
-	case wal.OpBulk, wal.OpImport:
-		// Import chunk frames ship verbatim and replay exactly like a bulk
-		// batch; the arena packing below gives a follower the same slab
-		// locality the primary's importer produced.
-		for i := range rec.Items {
-			if _, exists := m.lookup(rec.Items[i].ID); exists {
-				return fmt.Errorf("bulk item %q: %w", rec.Items[i].ID, ErrDuplicate)
-			}
-		}
-		if db.ArenaLayout() {
-			packed := make([]arenaItem, len(rec.Items))
-			for i := range rec.Items {
-				it := &rec.Items[i]
-				be, err := core.Convert(it.Image)
-				if err != nil {
-					return fmt.Errorf("bulk item %q: %w", it.ID, err)
-				}
-				packed[i] = arenaItem{id: it.ID, name: it.Name, img: it.Image, be: be}
-			}
-			for _, st := range buildArena(packed, m.base.dict).pointers() {
-				st.seq = db.seq.Add(1)
-				m.add(st)
-			}
-			break
-		}
-		for i := range rec.Items {
-			it := &rec.Items[i]
-			be, err := core.Convert(it.Image)
-			if err != nil {
-				return fmt.Errorf("bulk item %q: %w", it.ID, err)
-			}
-			st := &stored{Entry: Entry{ID: it.ID, Name: it.Name, Image: it.Image.Clone(), BE: be}}
-			st.seq = db.seq.Add(1)
-			m.add(st)
-		}
-	case wal.OpGroup:
-		if len(rec.Subs) == 0 {
-			return errors.New("empty group record")
-		}
-		for i := range rec.Subs {
-			sub := &rec.Subs[i]
-			if sub.Op == wal.OpGroup {
-				return fmt.Errorf("group sub-record %d: nested group", i)
-			}
-			if err := applyRecordTxn(db, m, sub); err != nil {
-				return fmt.Errorf("group sub-record %d (%s %q): %w", i, sub.Op, sub.ID, err)
-			}
-		}
-	default:
-		return fmt.Errorf("unknown op %q", rec.Op)
 	}
 	return nil
 }

@@ -238,7 +238,6 @@ func TestPruneFloorRetainsSegments(t *testing.T) {
 		Fsync:           FsyncAlways,
 		SegmentBytes:    512,
 		CheckpointBytes: -1, // manual checkpoints only
-		NoGroupCommit:   true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 // riding the engine's MVCC discipline: a stored entry is immutable once
 // any published version references it, and every mutation that touches
 // an entry installs a NEW *stored (txn.replace / txn.add allocate; see
-// updateImage). The cache key therefore embeds the *stored pointer
+// txn.apply). The cache key therefore embeds the *stored pointer
 // itself — the entry-version identity. An update can never serve a stale
 // score (the new version is a new pointer, a guaranteed miss), and an
 // old pinned snapshot walking a cursor still hits the scores of ITS

@@ -10,7 +10,7 @@ import (
 // the global insertion sequence number used to reconstruct insertion
 // order across shards. A stored entry is immutable once published: any
 // number of snapshots reference *stored pointers concurrently, so
-// updates replace the entry (copy-on-write in updateImage) rather than
+// updates replace the entry (copy-on-write in txn.apply) rather than
 // mutating it.
 type stored struct {
 	Entry
@@ -26,6 +26,11 @@ type stored struct {
 	// looking anything up.
 	sig   *core.Signature
 	codes core.CodedBE
+}
+
+// newStored boxes one entry; sig and codes are left for index.
+func newStored(id, name string, img core.Image, be core.BEString, seq uint64) *stored {
+	return &stored{Entry: Entry{ID: id, Name: name, Image: img, BE: be}, seq: seq}
 }
 
 // index derives st's signature and codes against dict unless a prepare

@@ -209,6 +209,7 @@ func (s *snapshot) stats() Stats {
 // lazily with path copying — untouched structure is shared with the
 // base version and every older retained one.
 type txn struct {
+	db     *DB
 	base   *snapshot
 	shards []*shardView
 	dirty  []bool
@@ -220,8 +221,11 @@ type txn struct {
 	count   int
 }
 
-func beginTxn(base *snapshot) *txn {
+// begin opens a transaction on the current version.
+func (db *DB) begin() *txn {
+	base := db.current.Load()
 	return &txn{
+		db:     db,
 		base:   base,
 		shards: append([]*shardView(nil), base.shards...),
 		dirty:  make([]bool, len(base.shards)),

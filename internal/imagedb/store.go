@@ -63,20 +63,10 @@ type StoreOptions struct {
 	// bytes accumulate since the last one (0 means 16 MiB; negative
 	// disables automatic checkpointing — Checkpoint can still be called).
 	CheckpointBytes int64
-	// CommitWindow bounds how long the group committer may linger waiting
-	// for more mutations to join a commit group (0 means 1ms; negative
-	// disables lingering — groups still form from whatever has queued).
-	// The bound is rarely reached: lingering is adaptive and a sequential
-	// writer never waits. See groupcommit.go.
-	CommitWindow time.Duration
 	// CommitBatch caps the mutations coalesced into one commit group
-	// (0 means 128).
+	// (0 means 128; 1 means one WAL frame and one fsync per mutation).
+	// See groupcommit.go.
 	CommitBatch int
-	// NoGroupCommit disables commit coalescing entirely: every mutation
-	// is validated, logged, fsynced and published on its own, as before
-	// group commit existed. This is the E11b baseline and a debugging
-	// escape hatch, not a recommended configuration.
-	NoGroupCommit bool
 	// Replica opens the store as a read-only replication follower: local
 	// mutations return ErrReadOnlyReplica and state advances only through
 	// ApplyReplicatedBatch, which replays the primary's WAL records into
@@ -105,7 +95,7 @@ type Store struct {
 
 	// batcher coalesces concurrent mutations into commit groups sharing
 	// one WAL frame, one fsync and one published version (groupcommit.go);
-	// nil when NoGroupCommit routes every mutation down the direct path.
+	// nil on a replica, which commits nothing of its own.
 	batcher *batcher
 
 	// mu serialises mutations: WAL append order must equal apply order,
@@ -223,9 +213,6 @@ func OpenStore(dataDir string, opts StoreOptions) (*Store, error) {
 	if opts.CheckpointBytes == 0 {
 		opts.CheckpointBytes = DefaultCheckpointBytes
 	}
-	if opts.CommitWindow == 0 {
-		opts.CommitWindow = DefaultCommitWindow
-	}
 	if opts.CommitBatch <= 0 {
 		opts.CommitBatch = DefaultCommitBatch
 	}
@@ -295,15 +282,22 @@ func OpenStore(dataDir string, opts StoreOptions) (*Store, error) {
 	// check: a restarted import skips every chunk whose key is already in
 	// the durable log (import.go).
 	importKeys := make(map[string]bool)
+	// The whole tail replays into ONE transaction, published once: no
+	// reader exists yet to observe intermediate versions, cursors cannot
+	// outlive the process (epochs restart with it), and a replay error
+	// abandons the database altogether — so per-record copy-on-write,
+	// versions and history-ring entries would buy nothing.
+	m := db.begin()
 	rinfo, err := wal.Recover(dataDir, snapLSN, tolerantTail, func(rec wal.Record) error {
 		if rec.Op == wal.OpImport && rec.Key != "" {
 			importKeys[rec.Key] = true
 		}
-		return applyRecord(db, rec)
+		return m.replay(&rec)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("open store: %w", err)
 	}
+	db.publish(m)
 	lastLSN := rinfo.LastLSN
 
 	log, err := wal.Open(dataDir, lastLSN+1, wal.Options{
@@ -326,73 +320,51 @@ func OpenStore(dataDir string, opts StoreOptions) (*Store, error) {
 		log.Close()
 		return nil, fmt.Errorf("open store: %w", err)
 	}
-	if !opts.NoGroupCommit && !opts.Replica {
-		s.batcher = newBatcher(s, opts.CommitWindow, opts.CommitBatch)
+	if !opts.Replica {
+		s.batcher = newBatcher(s, opts.CommitBatch)
 	}
 	ok = true
 	return s, nil
 }
 
-// applyRecord replays one WAL record into the database. Records are
-// validated against the then-current state before they are logged, so a
-// record that fails to apply means the log and the snapshot disagree —
-// replay surfaces that instead of guessing.
-func applyRecord(db *DB, rec wal.Record) error {
-	switch rec.Op {
-	case wal.OpInsert:
-		if rec.Image == nil {
-			return errors.New("record has no image")
+// commitLocked is the one commit tail of the durable store: it makes the
+// mutations applied to m durable and only then visible. recs are the
+// records describing them, in apply order. A primary's commit is one
+// frame — a plain record when it holds one mutation (so a sequential
+// writer's log is one record per mutation), an OpGroup envelope
+// otherwise — assigned the next LSN; a replica re-frames (or, given the
+// wire frames, copies verbatim) the primary's pre-numbered records as one
+// batch. Either way: one fsync per policy, one published version. On an
+// append error nothing is durable, so nothing publishes (groupcommit.go
+// has the full argument). Callers hold s.mu and db.writeMu and have
+// applied every record to m, so the log can only ever hold records that
+// apply to the state its prefix produces. Returns the framed bytes
+// appended.
+func (s *Store) commitLocked(m *txn, recs []wal.Record, frames [][]byte) (int, error) {
+	var lsn uint64
+	var n int
+	var err error
+	switch {
+	case !s.opts.Replica:
+		rec := recs[0]
+		if len(recs) > 1 {
+			rec = wal.Record{Op: wal.OpGroup, Subs: recs}
 		}
-		return db.Insert(rec.ID, rec.Name, *rec.Image)
-	case wal.OpDelete:
-		return db.Delete(rec.ID)
-	case wal.OpInsertObject:
-		if rec.Object == nil {
-			return errors.New("record has no object")
-		}
-		return db.InsertObject(rec.ID, *rec.Object)
-	case wal.OpDeleteObject:
-		return db.DeleteObject(rec.ID, rec.Label)
-	case wal.OpBulk, wal.OpImport:
-		items := make([]BulkItem, len(rec.Items))
-		for i, it := range rec.Items {
-			items[i] = BulkItem{ID: it.ID, Name: it.Name, Image: it.Image}
-		}
-		return db.BulkInsert(context.Background(), items, 0)
-	case wal.OpGroup:
-		// One commit group: the frame's CRC guarantees it arrived whole,
-		// so replay applies every sub-mutation (failed callers were
-		// excluded before the frame was written). Each sub-record bumps
-		// the epoch individually here, which is fine offline — recovery
-		// ends on the same state, and epochs restart per process anyway.
-		if len(rec.Subs) == 0 {
-			return errors.New("empty group record")
-		}
-		for i := range rec.Subs {
-			sub := &rec.Subs[i]
-			if sub.Op == wal.OpGroup {
-				return fmt.Errorf("group sub-record %d: nested group", i)
-			}
-			if err := applyRecord(db, *sub); err != nil {
-				return fmt.Errorf("group sub-record %d (%s %q): %w", i, sub.Op, sub.ID, err)
-			}
-		}
-		return nil
+		lsn, n, err = s.log.Append(rec)
+	case frames != nil:
+		lsn = recs[len(recs)-1].LSN
+		n, err = s.log.AppendBatchFrames(recs, frames)
 	default:
-		return fmt.Errorf("unknown op %q", rec.Op)
+		lsn = recs[len(recs)-1].LSN
+		n, err = s.log.AppendBatch(recs)
 	}
-}
-
-// append logs one record and accounts for it, returning the framed size.
-// Callers hold s.mu and have validated that the subsequent apply cannot
-// fail.
-func (s *Store) append(rec wal.Record) (int, error) {
-	lsn, n, err := s.log.Append(rec)
 	if err != nil {
 		return 0, err
 	}
 	s.appliedLSN = lsn
 	s.bytesSince += int64(n)
+	s.db.publish(m)
+	s.markVisibleLocked(lsn)
 	s.maybeCheckpointLocked()
 	return n, nil
 }
@@ -425,99 +397,38 @@ func (s *Store) markVisibleLocked(lsn uint64) {
 	s.visibleCh = make(chan struct{})
 }
 
+// commit is the door every single-record local mutation takes: replica
+// check, a cheap presence fast-fail, prepare outside every lock, then
+// the commit queue — the caller blocks until its group's fsync.
+func (s *Store) commit(rec wal.Record) error {
+	if s.opts.Replica {
+		return ErrReadOnlyReplica
+	}
+	// Fast-fail without paying conversion or a trip through the queue.
+	// Racy only in the benign direction: the commit-time check in
+	// txn.apply is authoritative.
+	if err := presenceErr(&rec, s.db.Has(rec.ID)); err != nil {
+		return err
+	}
+	mu, err := s.db.prepare(context.Background(), rec, 0)
+	if err != nil {
+		return err
+	}
+	return s.batcher.submit(mu, sizeHint(&mu.rec))
+}
+
 // Insert durably stores the image under id: the mutation is validated,
 // framed into the WAL (fsynced per policy) and only then applied.
 // Conversion and cloning happen before the mutation enters the commit
 // queue, so concurrent writers pay the CPU-bound half of an insert in
 // parallel and share one fsync (see groupcommit.go).
 func (s *Store) Insert(id, name string, img core.Image) error {
-	if s.opts.Replica {
-		return ErrReadOnlyReplica
-	}
-	if s.batcher == nil {
-		return s.insertDirect(id, name, img)
-	}
-	if id == "" {
-		return ErrEmptyID
-	}
-	if s.db.Has(id) {
-		// Fast-fail without paying conversion. Racy only in the benign
-		// direction: the commit-time check in applyTo is authoritative.
-		return fmt.Errorf("insert %q: %w", id, ErrDuplicate)
-	}
-	be, err := core.Convert(img)
-	if err != nil {
-		return fmt.Errorf("insert %q: %w", id, err)
-	}
-	clone := img.Clone()
-	st := &stored{Entry: Entry{ID: id, Name: name, Image: clone, BE: be}}
-	st.index(s.db.labelDict())
-	return s.batcher.submit(&commitReq{
-		kind: commitInsert, id: id, name: name, st: st, img: &clone,
-		size: 128 + 2*(len(id)+len(name)) + imageSizeHint(&clone),
-	})
-}
-
-func (s *Store) insertDirect(id, name string, img core.Image) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStoreClosed
-	}
-	if id == "" {
-		return ErrEmptyID
-	}
-	if s.db.Has(id) {
-		return fmt.Errorf("insert %q: %w", id, ErrDuplicate)
-	}
-	be, err := core.Convert(img)
-	if err != nil {
-		return fmt.Errorf("insert %q: %w", id, err)
-	}
-	if _, err := s.append(wal.Record{Op: wal.OpInsert, ID: id, Name: name, Image: &img}); err != nil {
-		return err
-	}
-	if err := s.db.insertConverted(id, name, img, be); err != nil {
-		return err
-	}
-	s.markVisibleLocked(s.appliedLSN)
-	return nil
+	return s.commit(wal.Record{Op: wal.OpInsert, ID: id, Name: name, Image: &img})
 }
 
 // Delete durably removes the image with the given id.
 func (s *Store) Delete(id string) error {
-	if s.opts.Replica {
-		return ErrReadOnlyReplica
-	}
-	if s.batcher == nil {
-		return s.deleteDirect(id)
-	}
-	if !s.db.Has(id) {
-		return fmt.Errorf("delete %q: %w", id, ErrNotFound)
-	}
-	return s.batcher.submit(&commitReq{
-		kind: commitDelete, id: id,
-		size: 96 + 2*len(id),
-	})
-}
-
-func (s *Store) deleteDirect(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStoreClosed
-	}
-	if !s.db.Has(id) {
-		return fmt.Errorf("delete %q: %w", id, ErrNotFound)
-	}
-	if _, err := s.append(wal.Record{Op: wal.OpDelete, ID: id}); err != nil {
-		return err
-	}
-	if err := s.db.Delete(id); err != nil {
-		return err
-	}
-	s.markVisibleLocked(s.appliedLSN)
-	return nil
+	return s.commit(wal.Record{Op: wal.OpDelete, ID: id})
 }
 
 // InsertObject durably adds an object to a stored image. The new image
@@ -525,89 +436,12 @@ func (s *Store) deleteDirect(id string) error {
 // include earlier mutations of the same group), so the conversion runs
 // in the committer.
 func (s *Store) InsertObject(id string, o core.Object) error {
-	if s.opts.Replica {
-		return ErrReadOnlyReplica
-	}
-	if s.batcher == nil {
-		return s.insertObjectDirect(id, o)
-	}
-	if !s.db.Has(id) {
-		return fmt.Errorf("update %q: %w", id, ErrNotFound)
-	}
-	return s.batcher.submit(&commitReq{
-		kind: commitInsertObject, id: id, obj: o,
-		size: 256 + 2*(len(id)+len(o.Label)),
-	})
-}
-
-func (s *Store) insertObjectDirect(id string, o core.Object) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStoreClosed
-	}
-	e, ok := s.db.Get(id)
-	if !ok {
-		return fmt.Errorf("update %q: %w", id, ErrNotFound)
-	}
-	next := e.Image.WithObject(o)
-	be, err := core.Convert(next)
-	if err != nil {
-		return fmt.Errorf("update %q: %w", id, err)
-	}
-	if _, err := s.append(wal.Record{Op: wal.OpInsertObject, ID: id, Object: &o}); err != nil {
-		return err
-	}
-	if err := s.db.replaceImage(id, next, be); err != nil {
-		return err
-	}
-	s.markVisibleLocked(s.appliedLSN)
-	return nil
+	return s.commit(wal.Record{Op: wal.OpInsertObject, ID: id, Object: &o})
 }
 
 // DeleteObject durably removes a labelled object from a stored image.
 func (s *Store) DeleteObject(id, label string) error {
-	if s.opts.Replica {
-		return ErrReadOnlyReplica
-	}
-	if s.batcher == nil {
-		return s.deleteObjectDirect(id, label)
-	}
-	if !s.db.Has(id) {
-		return fmt.Errorf("update %q: %w", id, ErrNotFound)
-	}
-	return s.batcher.submit(&commitReq{
-		kind: commitDeleteObject, id: id, label: label,
-		size: 256 + 2*(len(id)+len(label)),
-	})
-}
-
-func (s *Store) deleteObjectDirect(id, label string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStoreClosed
-	}
-	e, ok := s.db.Get(id)
-	if !ok {
-		return fmt.Errorf("update %q: %w", id, ErrNotFound)
-	}
-	next, found := e.Image.WithoutObject(label)
-	if !found {
-		return fmt.Errorf("delete object %q from %q: %w", label, id, ErrNotFound)
-	}
-	be, err := core.Convert(next)
-	if err != nil {
-		return fmt.Errorf("update %q: %w", id, err)
-	}
-	if _, err := s.append(wal.Record{Op: wal.OpDeleteObject, ID: id, Label: label}); err != nil {
-		return err
-	}
-	if err := s.db.replaceImage(id, next, be); err != nil {
-		return err
-	}
-	s.markVisibleLocked(s.appliedLSN)
-	return nil
+	return s.commit(wal.Record{Op: wal.OpDeleteObject, ID: id, Label: label})
 }
 
 // bulkChunkThreshold is the conservative size estimate above which a
@@ -616,16 +450,6 @@ func (s *Store) deleteObjectDirect(id, label string) error {
 // for the estimate being an estimate. A package var so tests can lower
 // it without building multi-megabyte batches.
 var bulkChunkThreshold = int64(maxGroupBytes)
-
-// bulkSizeHint conservatively estimates the encoded WAL size of a batch
-// (the same per-item arithmetic the group committer uses).
-func bulkSizeHint(items []BulkItem) int64 {
-	size := int64(96)
-	for i := range items {
-		size += int64(96 + 2*(len(items[i].ID)+len(items[i].Name)) + imageSizeHint(&items[i].Image))
-	}
-	return size
-}
 
 // BulkInsert durably inserts a batch with the same all-or-nothing
 // contract as DB.BulkInsert: the whole batch is validated and converted
@@ -648,58 +472,20 @@ func (s *Store) BulkInsert(ctx context.Context, items []BulkItem, parallelism in
 	if len(items) == 0 {
 		return nil
 	}
-	if bulkSizeHint(items) > bulkChunkThreshold {
+	rec := wal.Record{Op: wal.OpBulk, Items: items}
+	size := sizeHint(&rec)
+	if int64(size) > bulkChunkThreshold {
 		return s.importOversizedBulk(ctx, items, parallelism)
 	}
-	if s.batcher == nil {
-		return s.bulkInsertDirect(ctx, items, parallelism)
-	}
-	sts, err := prepareBulk(ctx, items, parallelism, s.db.ArenaLayout(), s.db.labelDict())
+	mu, err := s.db.prepare(ctx, rec, parallelism)
 	if err != nil {
 		return err
 	}
-	recItems := make([]wal.BulkItem, len(items))
-	size := 96
-	for i, it := range items {
-		recItems[i] = wal.BulkItem{ID: it.ID, Name: it.Name, Image: it.Image}
-		size += 96 + 2*(len(it.ID)+len(it.Name)) + imageSizeHint(&it.Image)
-	}
-	err = s.batcher.submit(&commitReq{
-		kind: commitBulk, sts: sts, items: recItems, size: size,
-	})
+	err = s.batcher.submit(mu, size)
 	if err != nil && !errors.Is(err, ErrDuplicate) && !errors.Is(err, ErrStoreClosed) {
 		return fmt.Errorf("bulk insert (%d items): %w", len(items), err)
 	}
 	return err
-}
-
-func (s *Store) bulkInsertDirect(ctx context.Context, items []BulkItem, parallelism int) error {
-	sts, err := prepareBulk(ctx, items, parallelism, s.db.ArenaLayout(), s.db.labelDict())
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStoreClosed
-	}
-	for _, st := range sts {
-		if s.db.Has(st.ID) {
-			return fmt.Errorf("bulk insert %q: %w", st.ID, ErrDuplicate)
-		}
-	}
-	recItems := make([]wal.BulkItem, len(items))
-	for i, it := range items {
-		recItems[i] = wal.BulkItem{ID: it.ID, Name: it.Name, Image: it.Image}
-	}
-	if _, err := s.append(wal.Record{Op: wal.OpBulk, Items: recItems}); err != nil {
-		return fmt.Errorf("bulk insert (%d items): %w", len(items), err)
-	}
-	if err := s.db.installBulk(sts); err != nil {
-		return err
-	}
-	s.markVisibleLocked(s.appliedLSN)
-	return nil
 }
 
 // Checkpoint writes a snapshot of the current state next to the log and
@@ -872,7 +658,7 @@ func (s *Store) StoreStats() StoreStats {
 		Import:        s.ImportStats(),
 	}
 	if s.batcher != nil {
-		st.Commit.Window = s.opts.CommitWindow.String()
+		st.Commit.Window = commitWindow.String()
 		st.Commit.MaxBatch = s.opts.CommitBatch
 	}
 	st.LastLSN = st.WAL.LastLSN

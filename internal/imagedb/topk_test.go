@@ -311,7 +311,7 @@ func TestInsertionOrderSurvivesShardingAndReload(t *testing.T) {
 // TestConcurrentUpdateAndSearch pins the copy-on-write invariant: search
 // workers read snapshot entries outside any lock, so in-place object
 // updates must replace the stored entry, never mutate it. Run under
-// -race this fails if updateImage writes a published entry.
+// -race this fails if an object update writes a published entry.
 func TestConcurrentUpdateAndSearch(t *testing.T) {
 	db, scenes := seedSharded(t, 4, 16)
 	done := make(chan struct{})

@@ -277,7 +277,7 @@ func TestFollowerWrongPrimaryRefused(t *testing.T) {
 
 func TestStreamRejectsAheadAndPruned(t *testing.T) {
 	store, _, srv := newPrimary(t, imagedb.StoreOptions{
-		Fsync: imagedb.FsyncAlways, SegmentBytes: 512, CheckpointBytes: -1, NoGroupCommit: true,
+		Fsync: imagedb.FsyncAlways, SegmentBytes: 512, CheckpointBytes: -1,
 	})
 	for i := 0; i < 20; i++ {
 		if err := store.Insert(fmt.Sprintf("img%d", i), "n", testImage(i)); err != nil {
@@ -311,7 +311,7 @@ func TestStreamRejectsAheadAndPruned(t *testing.T) {
 
 func TestRetentionFloorFollowsAcks(t *testing.T) {
 	store, p, srv := newPrimary(t, imagedb.StoreOptions{
-		Fsync: imagedb.FsyncAlways, SegmentBytes: 512, CheckpointBytes: -1, NoGroupCommit: true,
+		Fsync: imagedb.FsyncAlways, SegmentBytes: 512, CheckpointBytes: -1,
 	})
 	for i := 0; i < 20; i++ {
 		if err := store.Insert(fmt.Sprintf("img%d", i), "n", testImage(i)); err != nil {

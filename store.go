@@ -29,14 +29,10 @@ type (
 	CommitStats = imagedb.CommitStats
 )
 
-// Group-commit defaults: concurrent mutations coalesce into one WAL
-// frame and share one fsync; the window bounds how long a mutation may
-// wait for its group and the batch cap bounds group size. See DESIGN.md
-// section 5 and EXPERIMENTS.md E11b.
-const (
-	DefaultCommitWindow = imagedb.DefaultCommitWindow
-	DefaultCommitBatch  = imagedb.DefaultCommitBatch
-)
+// DefaultCommitBatch is the default group-commit size cap: concurrent
+// mutations coalesce into one WAL frame and share one fsync, at most
+// this many to a group. See DESIGN.md section 5 and EXPERIMENTS.md E11b.
+const DefaultCommitBatch = imagedb.DefaultCommitBatch
 
 // Fsync policies: every append (safest, the default), a background
 // interval (bounded loss window), or never (OS-paced, fastest). See
