@@ -191,11 +191,11 @@ func BenchmarkE5Retrieval(b *testing.B) {
 			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
 				round := w.Rounds[i%len(w.Rounds)]
-				results, err := w.DB.Search(ctx, round.Query, imagedb.SearchOptions{Scorer: m.scorer})
+				page, err := w.DB.Query(ctx, imagedb.NewQuery(round.Query), imagedb.WithScorerFunc(m.scorer))
 				if err != nil {
 					b.Fatal(err)
 				}
-				sink += len(results)
+				sink += len(page.Hits)
 			}
 		})
 	}
@@ -329,28 +329,25 @@ func BenchmarkSearch(b *testing.B) {
 		if err := db.BulkInsert(ctx, items, 0); err != nil {
 			b.Fatal(err)
 		}
-		query := gen.SubsetQuery(scenes[n/2], 4)
+		query := imagedb.NewQuery(gen.SubsetQuery(scenes[n/2], 4))
 		b.Run(fmt.Sprintf("images=%d/engine=fullsort", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				results, err := db.Search(ctx, query, imagedb.SearchOptions{})
+				page, err := db.Query(ctx, query)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(results) > 10 {
-					results = results[:10]
-				}
-				sink += len(results)
+				sink += min(len(page.Hits), 10)
 			}
 		})
 		b.Run(fmt.Sprintf("images=%d/engine=topk", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				results, err := db.Search(ctx, query, imagedb.SearchOptions{K: 10})
+				page, err := db.Query(ctx, query, imagedb.WithK(10))
 				if err != nil {
 					b.Fatal(err)
 				}
-				sink += len(results)
+				sink += len(page.Hits)
 			}
 		})
 	}
@@ -429,18 +426,16 @@ func BenchmarkLabelPrefilter(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	query := gen.SubsetQuery(gen.Scene(), 3)
+	query := imagedb.NewQuery(gen.SubsetQuery(gen.Scene(), 3))
 	ctx := context.Background()
 	for _, pre := range []bool{false, true} {
 		b.Run(fmt.Sprintf("prefilter=%v", pre), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results, err := db.Search(ctx, query, imagedb.SearchOptions{
-					K: 10, LabelPrefilter: pre,
-				})
+				page, err := db.Query(ctx, query, imagedb.WithK(10), imagedb.WithLabelPrefilter(pre))
 				if err != nil {
 					b.Fatal(err)
 				}
-				sink += len(results)
+				sink += len(page.Hits)
 			}
 		})
 	}
@@ -460,12 +455,13 @@ func BenchmarkSearchDSL(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
+	match := imagedb.NewMatchQuery()
 	for i := 0; i < b.N; i++ {
-		results, err := db.SearchDSL(ctx, q, 10)
+		page, err := db.Query(ctx, match, imagedb.WhereQuery(q), imagedb.WithK(10))
 		if err != nil {
 			b.Fatal(err)
 		}
-		sink += len(results)
+		sink += len(page.Hits)
 	}
 }
 
@@ -479,16 +475,16 @@ func BenchmarkSearchParallelism(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	query := gen.Scene()
+	query := imagedb.NewQuery(gen.Scene())
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
-				results, err := db.Search(ctx, query, imagedb.SearchOptions{Parallelism: workers})
+				page, err := db.Query(ctx, query, imagedb.WithParallelism(workers))
 				if err != nil {
 					b.Fatal(err)
 				}
-				sink += len(results)
+				sink += len(page.Hits)
 			}
 		})
 	}

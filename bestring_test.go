@@ -9,6 +9,17 @@ import (
 	"bestring"
 )
 
+// hits runs a query through the facade's one read door and returns the
+// page's hits.
+func hits(t *testing.T, db *bestring.DB, q *bestring.Query, opts ...bestring.QueryOption) []bestring.QueryHit {
+	t.Helper()
+	page, err := db.Query(context.Background(), q, opts...)
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	return page.Hits
+}
+
 // TestPublicAPIEndToEnd drives the whole public surface the way a
 // downstream user would: build images, index, score, search, transform,
 // rasterise, persist.
@@ -59,21 +70,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
-	results, err := db.Search(context.Background(), scenes[4], bestring.SearchOptions{K: 3})
-	if err != nil {
-		t.Fatalf("Search: %v", err)
-	}
+	results := hits(t, db, bestring.NewQuery(scenes[4]), bestring.WithK(3))
 	if results[0].ID != bestring.ClassLabel(4) || results[0].Score != 1 {
 		t.Errorf("top result = %+v", results[0])
 	}
 
 	// Baseline scorer through the facade.
-	results, err = db.Search(context.Background(), scenes[4], bestring.SearchOptions{
-		K: 1, Scorer: bestring.TypeSimScorer(bestring.Type2),
-	})
-	if err != nil {
-		t.Fatalf("baseline Search: %v", err)
-	}
+	results = hits(t, db, bestring.NewQuery(scenes[4]),
+		bestring.WithK(1), bestring.WithScorerFunc(bestring.TypeSimScorer(bestring.Type2)))
 	if results[0].ID != bestring.ClassLabel(4) {
 		t.Errorf("baseline top result = %+v", results[0])
 	}
@@ -164,16 +168,15 @@ func TestPublicSpatialQueryAPI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseQuery: %v", err)
 	}
-	results, err := db.SearchDSL(context.Background(), q, 0)
-	if err != nil {
-		t.Fatalf("SearchDSL: %v", err)
+	if results := hits(t, db, bestring.NewMatchQuery(), bestring.WhereQuery(q)); len(results) != 1 || !results[0].Full {
+		t.Errorf("WhereQuery = %+v", results)
 	}
-	if len(results) != 1 || !results[0].Full {
-		t.Errorf("SearchDSL = %+v", results)
+	corner := bestring.NewRect(13, 13, 19, 19) // holds the sun's box and nothing of the sea
+	if results := hits(t, db, bestring.NewMatchQuery(), bestring.InRegionLabel(corner, "sun")); len(results) != 1 || results[0].ID != "beach" {
+		t.Errorf("InRegionLabel(sun) = %+v", results)
 	}
-	hits := db.SearchRegion(bestring.NewRect(13, 13, 19, 19), "")
-	if len(hits) != 1 || hits[0].Label != "sun" {
-		t.Errorf("SearchRegion = %+v", hits)
+	if results := hits(t, db, bestring.NewMatchQuery(), bestring.InRegionLabel(corner, "sea")); len(results) != 0 {
+		t.Errorf("InRegionLabel(sea) = %+v, want none", results)
 	}
 	if got := db.ImagesWithLabel("sea"); len(got) != 1 || got[0] != "beach" {
 		t.Errorf("ImagesWithLabel = %v", got)

@@ -136,12 +136,8 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if trName != "" {
 		scorerName = "invariant"
 	}
-	scorer, ok := bestring.LookupScorer(scorerName)
-	if !ok {
-		http.Error(w, fmt.Sprintf("scorer %q not registered", scorerName), http.StatusInternalServerError)
-		return
-	}
-	results, err := s.db.Search(r.Context(), img, bestring.SearchOptions{K: k, Scorer: scorer})
+	page, err := s.db.Query(r.Context(), bestring.NewQuery(img),
+		bestring.WithK(k), bestring.WithScorer(scorerName))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -156,8 +152,8 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Transform string
 		Keep      int
 		BEX, BEY  string
-		Results   []bestring.Result
-	}{id, trName, keep, be.X.String(), be.Y.String(), results}
+		Results   []bestring.QueryHit
+	}{id, trName, keep, be.X.String(), be.Y.String(), page.Hits}
 	if err := searchTmpl.Execute(w, data); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}

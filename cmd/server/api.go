@@ -42,9 +42,6 @@ type engine interface {
 	Len() int
 	Stats() bestring.DBStats
 	BulkInsert(ctx context.Context, items []bestring.BulkItem, parallelism int) error
-	Search(ctx context.Context, query bestring.Image, opts bestring.SearchOptions) ([]bestring.Result, error)
-	SearchDSL(ctx context.Context, q bestring.SpatialQuery, k int) ([]bestring.QueryResult, error)
-	SearchRegion(region bestring.Rect, label string) []bestring.RegionHit
 	Query(ctx context.Context, q *bestring.Query, opts ...bestring.QueryOption) (*bestring.QueryPage, error)
 	Snapshot() *bestring.Snapshot
 }
@@ -68,11 +65,10 @@ type muxConfig struct {
 	slowLog     *bestring.SlowQueryLog
 }
 
-// newMux wires the REST routes onto a database. Resource routes are
-// served under both /api and /api/v1; the composable query endpoint
-// POST /api/v1/search supersedes the v0 trio (POST /api/search,
-// GET /api/search/dsl, GET /api/region), which stay as aliases of the
-// same pipeline.
+// newMux wires the REST routes onto a database: the image resource, the
+// composable query endpoint POST /api/v1/search — the only read door
+// besides fetching an entry — and the streaming import, all under
+// /api/v1.
 func newMux(e engine) http.Handler { return newMuxWith(e, 0) }
 
 // newMuxWith additionally sets the server-wide default scoring
@@ -105,15 +101,10 @@ func newServerMux(cfg muxConfig) http.Handler {
 	api.store, _ = cfg.engine.(*bestring.Store)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", api.health)
-	for _, p := range []string{"/api", "/api/v1"} {
-		mux.HandleFunc("GET "+p+"/images", api.listImages)
-		mux.HandleFunc("POST "+p+"/images", api.insertImage)
-		mux.HandleFunc("GET "+p+"/images/{id}", api.getImage)
-		mux.HandleFunc("DELETE "+p+"/images/{id}", api.deleteImage)
-		mux.HandleFunc("GET "+p+"/search/dsl", api.searchDSL)
-		mux.HandleFunc("GET "+p+"/region", api.region)
-	}
-	mux.HandleFunc("POST /api/search", api.search)
+	mux.HandleFunc("GET /api/v1/images", api.listImages)
+	mux.HandleFunc("POST /api/v1/images", api.insertImage)
+	mux.HandleFunc("GET /api/v1/images/{id}", api.getImage)
+	mux.HandleFunc("DELETE /api/v1/images/{id}", api.deleteImage)
 	mux.HandleFunc("POST /api/v1/search", api.searchV1)
 	mux.HandleFunc("POST /api/v1/import", api.importScenes)
 	if cfg.metrics != nil {
@@ -175,18 +166,18 @@ func (w *statusWriter) Flush() {
 
 // routeLabel maps a request path onto the server's route patterns, so
 // the HTTP metrics keep a small fixed label set whatever paths clients
-// probe (unmatched paths all share "other").
+// probe (unmatched paths, the retired /api/* set included, all share
+// "other"). The label values carry no version segment: they predate
+// /api/v1 and dashboards and the load harness match on them.
 func routeLabel(path string) string {
 	switch path {
 	case "/healthz", "/metrics", bestring.ReplStreamPath, bestring.ReplAckPath:
 		return path
 	}
-	p, ok := strings.CutPrefix(path, "/api")
-	if !ok {
-		return "other"
-	}
-	p = strings.TrimPrefix(p, "/v1")
+	p, ok := strings.CutPrefix(path, "/api/v1")
 	switch {
+	case !ok:
+		return "other"
 	case p == "/images":
 		return "/api/images"
 	case strings.HasPrefix(p, "/images/"):
@@ -195,10 +186,6 @@ func routeLabel(path string) string {
 		return "/api/search"
 	case p == "/import":
 		return "/api/import"
-	case p == "/search/dsl":
-		return "/api/search/dsl"
-	case p == "/region":
-		return "/api/region"
 	}
 	return "other"
 }
@@ -274,10 +261,10 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 
 // decodeBody reads a JSON body under the maxBodyBytes limit and reports
 // the HTTP status a decode failure deserves (413 for an oversized body,
-// 400 otherwise). strict rejects unknown fields — used by the v1 route
-// so a v0 client still sending "method" instead of "scorer" gets a 400
-// instead of silently ranking with the default scorer; the v0 aliases
-// keep the lenient decoding they always had.
+// 400 otherwise). strict rejects unknown fields — used by the search
+// route so a client sending the retired "method" instead of "scorer"
+// gets a 400 instead of silently ranking with the default scorer; the
+// insert route keeps the lenient decoding it always had.
 func decodeBody(w http.ResponseWriter, r *http.Request, strict bool, v any) (int, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
@@ -306,6 +293,24 @@ func queryStatus(err error) int {
 	default:
 		return http.StatusBadRequest
 	}
+}
+
+// mutationStatus classifies a write-path error by its sentinel;
+// fallback is the status of an error none matches — 400 where the
+// request carries a payload that can be invalid (insert), 500 where it
+// carries none (delete).
+func mutationStatus(err error, fallback int) int {
+	switch {
+	case errors.Is(err, bestring.ErrNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, bestring.ErrDuplicate):
+		return http.StatusConflict
+	case errors.Is(err, bestring.ErrRecordTooLarge):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, bestring.ErrStoreClosed):
+		return http.StatusServiceUnavailable
+	}
+	return fallback
 }
 
 func (a *api) health(w http.ResponseWriter, _ *http.Request) {
@@ -414,7 +419,7 @@ func (a *api) listImages(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ids": a.db.IDs()})
 }
 
-// insertRequest is the POST /api/images payload.
+// insertRequest is the POST /api/v1/images payload.
 type insertRequest struct {
 	ID    string         `json:"id"`
 	Name  string         `json:"name"`
@@ -431,11 +436,7 @@ func (a *api) insertImage(w http.ResponseWriter, r *http.Request) {
 		if a.redirectedWrite(w, r, err) {
 			return
 		}
-		status := http.StatusBadRequest
-		if errors.Is(err, bestring.ErrDuplicate) {
-			status = http.StatusConflict
-		}
-		writeErr(w, status, err)
+		writeErr(w, mutationStatus(err, http.StatusBadRequest), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, a.writeLSNs(map[string]any{"id": req.ID}))
@@ -455,115 +456,10 @@ func (a *api) deleteImage(w http.ResponseWriter, r *http.Request) {
 		if a.redirectedWrite(w, r, err) {
 			return
 		}
-		writeErr(w, http.StatusNotFound, err)
+		writeErr(w, mutationStatus(err, http.StatusInternalServerError), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, a.writeLSNs(map[string]any{"deleted": true}))
-}
-
-// searchRequest is the POST /api/search payload (v0). K, minScore,
-// parallelism and labelPrefilter map directly onto
-// bestring.SearchOptions, so clients can tune the engine per request.
-type searchRequest struct {
-	Image  bestring.Image `json:"image"`
-	K      int            `json:"k"`
-	Method string         `json:"method"` // a registered scorer name; see /api/v1/search
-	// MinScore drops results scoring below the threshold.
-	MinScore float64 `json:"minScore"`
-	// Parallelism bounds the scoring workers (0 means GOMAXPROCS).
-	Parallelism int `json:"parallelism"`
-	// LabelPrefilter prunes images sharing no icon label with the query.
-	LabelPrefilter bool `json:"labelPrefilter"`
-}
-
-func (a *api) search(w http.ResponseWriter, r *http.Request) {
-	var req searchRequest
-	if status, err := decodeBody(w, r, false, &req); err != nil {
-		writeErr(w, status, err)
-		return
-	}
-	scorer, ok := bestring.LookupScorer(req.Method)
-	if !ok {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown method %q", req.Method))
-		return
-	}
-	if req.K < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad k %d", req.K))
-		return
-	}
-	if req.Parallelism < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad parallelism %d", req.Parallelism))
-		return
-	}
-	parallelism := req.Parallelism
-	if parallelism == 0 {
-		parallelism = a.parallelism
-	}
-	start := time.Now()
-	results, err := a.db.Search(r.Context(), req.Image, bestring.SearchOptions{
-		K:              req.K,
-		Scorer:         scorer,
-		MinScore:       req.MinScore,
-		Parallelism:    parallelism,
-		LabelPrefilter: req.LabelPrefilter,
-	})
-	a.logSlow(r, "/api/search", start, map[string]any{
-		"method": req.Method, "k": req.K, "objects": len(req.Image.Objects),
-	}, nil, err)
-	if err != nil {
-		writeErr(w, queryStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
-}
-
-func (a *api) searchDSL(w http.ResponseWriter, r *http.Request) {
-	qs := r.URL.Query().Get("q")
-	q, err := bestring.ParseQuery(qs)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	k := 0
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		if k, err = strconv.Atoi(ks); err != nil || k < 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad k %q", ks))
-			return
-		}
-	}
-	start := time.Now()
-	results, err := a.db.SearchDSL(r.Context(), q, k)
-	a.logSlow(r, "/api/search/dsl", start, map[string]any{"q": q.String(), "k": k}, nil, err)
-	if err != nil {
-		// The query parsed, so a failure here is a cancellation, a
-		// timeout, or a pipeline rejection — a client condition, not an
-		// internal error.
-		writeErr(w, queryStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"query": q.String(), "results": results})
-}
-
-func (a *api) region(w http.ResponseWriter, r *http.Request) {
-	coord := func(name string) (int, error) {
-		v := r.URL.Query().Get(name)
-		if v == "" {
-			return 0, fmt.Errorf("missing %s", name)
-		}
-		return strconv.Atoi(v)
-	}
-	x0, err1 := coord("x0")
-	y0, err2 := coord("y0")
-	x1, err3 := coord("x1")
-	y1, err4 := coord("y1")
-	for _, err := range []error{err1, err2, err3, err4} {
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	hits := a.db.SearchRegion(bestring.NewRect(x0, y0, x1, y1), r.URL.Query().Get("label"))
-	writeJSON(w, http.StatusOK, map[string]any{"hits": hits})
 }
 
 // queryRequest is the POST /api/v1/search payload: any combination of a
@@ -899,13 +795,9 @@ func (a *api) importScenes(w http.ResponseWriter, r *http.Request) {
 		if a.redirectedWrite(w, r, err) {
 			return
 		}
-		status := queryStatus(err)
-		if errors.Is(err, bestring.ErrDuplicate) {
-			status = http.StatusConflict
-		}
 		// Committed chunks stay durable even when the stream fails midway;
 		// report them so the client knows a re-POST will resume, not redo.
-		writeJSON(w, status, map[string]any{"error": err.Error(), "import": stats})
+		writeJSON(w, mutationStatus(err, queryStatus(err)), map[string]any{"error": err.Error(), "import": stats})
 		return
 	}
 	log.Printf("import: %d images in %d chunks (%d resumed) in %s",

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"bestring"
@@ -42,6 +44,29 @@ func decode(t *testing.T, rec *httptest.ResponseRecorder, v any) {
 	}
 }
 
+// v1Response is the POST /api/v1/search response shape (one page, or one
+// entry of a batch).
+type v1Response struct {
+	Hits       []bestring.QueryHit `json:"hits"`
+	Total      int                 `json:"total"`
+	NextCursor string              `json:"nextCursor"`
+	Error      string              `json:"error"`
+	Status     int                 `json:"status"`
+}
+
+// search posts one query to the only read door and decodes the page,
+// failing the test unless the server answers 200.
+func search(t *testing.T, h http.Handler, body map[string]any) v1Response {
+	t.Helper()
+	rec := do(t, h, http.MethodPost, "/api/v1/search", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("search %v: status = %d: %s", body, rec.Code, rec.Body.String())
+	}
+	var out v1Response
+	decode(t, rec, &out)
+	return out
+}
+
 func TestHealth(t *testing.T) {
 	rec := do(t, testMux(t), http.MethodGet, "/healthz", nil)
 	if rec.Code != http.StatusOK {
@@ -62,21 +87,21 @@ func TestImageCRUD(t *testing.T) {
 	mux := testMux(t)
 	img := bestring.Figure1Image()
 
-	rec := do(t, mux, http.MethodPost, "/api/images", map[string]any{
+	rec := do(t, mux, http.MethodPost, "/api/v1/images", map[string]any{
 		"id": "fig1", "name": "figure one", "image": img,
 	})
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("insert status = %d: %s", rec.Code, rec.Body.String())
 	}
 	// Duplicate -> 409.
-	rec = do(t, mux, http.MethodPost, "/api/images", map[string]any{
+	rec = do(t, mux, http.MethodPost, "/api/v1/images", map[string]any{
 		"id": "fig1", "image": img,
 	})
 	if rec.Code != http.StatusConflict {
 		t.Errorf("duplicate status = %d", rec.Code)
 	}
 	// Fetch.
-	rec = do(t, mux, http.MethodGet, "/api/images/fig1", nil)
+	rec = do(t, mux, http.MethodGet, "/api/v1/images/fig1", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("get status = %d", rec.Code)
 	}
@@ -86,7 +111,7 @@ func TestImageCRUD(t *testing.T) {
 		t.Errorf("entry = %+v", entry)
 	}
 	// List contains it.
-	rec = do(t, mux, http.MethodGet, "/api/images", nil)
+	rec = do(t, mux, http.MethodGet, "/api/v1/images", nil)
 	var list struct {
 		IDs []string `json:"ids"`
 	}
@@ -95,27 +120,27 @@ func TestImageCRUD(t *testing.T) {
 		t.Errorf("ids = %d, want 11", len(list.IDs))
 	}
 	// Delete.
-	rec = do(t, mux, http.MethodDelete, "/api/images/fig1", nil)
+	rec = do(t, mux, http.MethodDelete, "/api/v1/images/fig1", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("delete status = %d", rec.Code)
 	}
-	if rec := do(t, mux, http.MethodGet, "/api/images/fig1", nil); rec.Code != http.StatusNotFound {
+	if rec := do(t, mux, http.MethodGet, "/api/v1/images/fig1", nil); rec.Code != http.StatusNotFound {
 		t.Errorf("get after delete = %d", rec.Code)
 	}
-	if rec := do(t, mux, http.MethodDelete, "/api/images/fig1", nil); rec.Code != http.StatusNotFound {
+	if rec := do(t, mux, http.MethodDelete, "/api/v1/images/fig1", nil); rec.Code != http.StatusNotFound {
 		t.Errorf("double delete = %d", rec.Code)
 	}
 }
 
 func TestInsertErrors(t *testing.T) {
 	mux := testMux(t)
-	rec := do(t, mux, http.MethodPost, "/api/images", map[string]any{
+	rec := do(t, mux, http.MethodPost, "/api/v1/images", map[string]any{
 		"id": "bad", "image": bestring.NewImage(5, 5),
 	})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("invalid image status = %d", rec.Code)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/api/images", bytes.NewBufferString("{"))
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/images", bytes.NewBufferString("{"))
 	rec2 := httptest.NewRecorder()
 	mux.ServeHTTP(rec2, req)
 	if rec2.Code != http.StatusBadRequest {
@@ -134,27 +159,18 @@ func TestSearchEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("scene0006 missing")
 	}
-	for _, method := range []string{"be", "invariant", "type2"} {
-		rec := do(t, mux, http.MethodPost, "/api/search", map[string]any{
-			"image": entry.Image, "k": 3, "method": method,
-		})
-		if rec.Code != http.StatusOK {
-			t.Fatalf("method %s: status = %d: %s", method, rec.Code, rec.Body.String())
-		}
-		var out struct {
-			Results []bestring.Result `json:"results"`
-		}
-		decode(t, rec, &out)
-		if len(out.Results) != 3 || out.Results[0].ID != "scene0006" || out.Results[0].Score != 1 {
-			t.Errorf("method %s: results = %+v", method, out.Results)
+	for _, scorer := range []string{"be", "invariant", "type2"} {
+		out := search(t, mux, map[string]any{"image": entry.Image, "k": 3, "scorer": scorer})
+		if len(out.Hits) != 3 || out.Hits[0].ID != "scene0006" || out.Hits[0].Score != 1 {
+			t.Errorf("scorer %s: hits = %+v", scorer, out.Hits)
 		}
 	}
-	// Unknown method.
-	rec := do(t, mux, http.MethodPost, "/api/search", map[string]any{
-		"image": entry.Image, "method": "cosine",
+	// Unknown scorer.
+	rec := do(t, mux, http.MethodPost, "/api/v1/search", map[string]any{
+		"image": entry.Image, "scorer": "cosine",
 	})
 	if rec.Code != http.StatusBadRequest {
-		t.Errorf("unknown method status = %d", rec.Code)
+		t.Errorf("unknown scorer status = %d", rec.Code)
 	}
 }
 
@@ -171,25 +187,21 @@ func TestSearchDSLEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	mux := newMux(db)
-	rec := do(t, mux, http.MethodGet, "/api/search/dsl?q=sun+above+sea&k=5", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	out := search(t, mux, map[string]any{"dsl": "sun above sea", "k": 5})
+	if len(out.Hits) != 1 || out.Hits[0].ID != "beach" || !out.Hits[0].Full {
+		t.Errorf("hits = %+v", out.Hits)
 	}
-	var out struct {
-		Results []bestring.QueryResult `json:"results"`
-	}
-	decode(t, rec, &out)
-	if len(out.Results) != 1 || out.Results[0].ID != "beach" || !out.Results[0].Full {
-		t.Errorf("results = %+v", out.Results)
-	}
-	if rec := do(t, mux, http.MethodGet, "/api/search/dsl?q=bogus", nil); rec.Code != http.StatusBadRequest {
+	if rec := do(t, mux, http.MethodPost, "/api/v1/search", map[string]any{"dsl": "bogus"}); rec.Code != http.StatusBadRequest {
 		t.Errorf("bad query status = %d", rec.Code)
 	}
-	if rec := do(t, mux, http.MethodGet, "/api/search/dsl?q=sun+above+sea&k=-1", nil); rec.Code != http.StatusBadRequest {
+	if rec := do(t, mux, http.MethodPost, "/api/v1/search", map[string]any{"dsl": "sun above sea", "k": -1}); rec.Code != http.StatusBadRequest {
 		t.Errorf("bad k status = %d", rec.Code)
 	}
 }
 
+// TestRegionEndpoint covers the region filter and the documented way to
+// the icon boxes the retired GET /api/region listed: the query names the
+// images, GET /api/v1/images/{id} carries their boxes.
 func TestRegionEndpoint(t *testing.T) {
 	db, err := openDB("", 0, 0, 0)
 	if err != nil {
@@ -199,26 +211,33 @@ func TestRegionEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	mux := newMux(db)
-	rec := do(t, mux, http.MethodGet, "/api/region?x0=0&y0=0&x1=6&y1=6", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
+	region := bestring.NewRect(0, 0, 6, 6)
+	out := search(t, mux, map[string]any{"region": region})
+	if len(out.Hits) != 1 || out.Hits[0].ID != "fig1" {
+		t.Fatalf("hits = %+v, want fig1", out.Hits)
 	}
-	var out struct {
-		Hits []bestring.RegionHit `json:"hits"`
+	var entry bestring.Entry
+	decode(t, do(t, mux, http.MethodGet, "/api/v1/images/"+out.Hits[0].ID, nil), &entry)
+	inRegion := 0
+	for _, o := range entry.Image.Objects {
+		if o.Box.Intersects(region) {
+			inRegion++
+		}
 	}
-	decode(t, rec, &out)
-	if len(out.Hits) != 3 {
-		t.Errorf("hits = %+v, want 3 icons", out.Hits)
+	if inRegion != 3 {
+		t.Errorf("entry boxes in region = %d of %+v, want 3 icons", inRegion, entry.Image.Objects)
 	}
-	rec = do(t, mux, http.MethodGet, "/api/region?x0=0&y0=0&x1=6&y1=6&label=C", nil)
-	decode(t, rec, &out)
-	if len(out.Hits) != 1 || out.Hits[0].Label != "C" {
+	if out := search(t, mux, map[string]any{"region": region, "regionLabel": "C"}); len(out.Hits) != 1 {
 		t.Errorf("label-filtered hits = %+v", out.Hits)
 	}
-	if rec := do(t, mux, http.MethodGet, "/api/region?x0=0", nil); rec.Code != http.StatusBadRequest {
-		t.Errorf("missing coords status = %d", rec.Code)
+	if out := search(t, mux, map[string]any{"region": region, "regionLabel": "Z"}); len(out.Hits) != 0 {
+		t.Errorf("absent-label hits = %+v, want none", out.Hits)
 	}
-	if rec := do(t, mux, http.MethodGet, "/api/region?x0=a&y0=0&x1=6&y1=6", nil); rec.Code != http.StatusBadRequest {
+	if rec := do(t, mux, http.MethodPost, "/api/v1/search", map[string]any{"region": bestring.Rect{X0: 5, Y0: 5, X1: 1, Y1: 1}}); rec.Code != http.StatusBadRequest {
+		t.Errorf("inverted region status = %d", rec.Code)
+	}
+	if rec := do(t, mux, http.MethodPost, "/api/v1/search", map[string]any{
+		"region": map[string]any{"x0": "a", "y0": 0, "x1": 6, "y1": 6}}); rec.Code != http.StatusBadRequest {
 		t.Errorf("bad coord status = %d", rec.Code)
 	}
 }
@@ -260,22 +279,15 @@ func TestSearchEndpointEngineKnobs(t *testing.T) {
 		t.Fatal("scene0006 missing")
 	}
 	// A high minScore keeps only the exact match.
-	rec := do(t, mux, http.MethodPost, "/api/search", map[string]any{
+	out := search(t, mux, map[string]any{
 		"image": entry.Image, "k": 10, "minScore": 0.999,
 		"parallelism": 2, "labelPrefilter": true,
 	})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
-	}
-	var out struct {
-		Results []bestring.Result `json:"results"`
-	}
-	decode(t, rec, &out)
-	if len(out.Results) != 1 || out.Results[0].ID != "scene0006" || out.Results[0].Score != 1 {
-		t.Errorf("minScore results = %+v, want only scene0006 @ 1.0", out.Results)
+	if len(out.Hits) != 1 || out.Hits[0].ID != "scene0006" || out.Hits[0].Score != 1 {
+		t.Errorf("minScore hits = %+v, want only scene0006 @ 1.0", out.Hits)
 	}
 	// Negative parallelism is rejected.
-	rec = do(t, mux, http.MethodPost, "/api/search", map[string]any{
+	rec := do(t, mux, http.MethodPost, "/api/v1/search", map[string]any{
 		"image": entry.Image, "parallelism": -1,
 	})
 	if rec.Code != http.StatusBadRequest {
@@ -323,27 +335,30 @@ func spatialMux(t *testing.T, n int) (http.Handler, *bestring.DB) {
 	return newMux(db), db
 }
 
-type v1Response struct {
-	Hits       []bestring.QueryHit `json:"hits"`
-	Total      int                 `json:"total"`
-	NextCursor string              `json:"nextCursor"`
-	Error      string              `json:"error"`
-	Status     int                 `json:"status"`
-}
-
-// TestSearchNegativeK pins the v0 satellite fix: a negative K used to
-// silently mean "all results"; it is now a 400.
+// TestSearchNegativeK pins that a negative k is never "all results": it
+// is a 400 on its own, and inside a batch a per-entry 400 that leaves
+// the sibling queries answered.
 func TestSearchNegativeK(t *testing.T) {
 	db, err := openDB("", 5, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mux := newMux(db)
 	entry, _ := db.Get("scene0001")
-	rec := do(t, newMux(db), http.MethodPost, "/api/search", map[string]any{
-		"image": entry.Image, "k": -1,
-	})
+	rec := do(t, mux, http.MethodPost, "/api/v1/search", map[string]any{"image": entry.Image, "k": -1})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("negative k status = %d, want 400", rec.Code)
+	}
+	rec = do(t, mux, http.MethodPost, "/api/v1/search", map[string]any{
+		"queries": []map[string]any{{"image": entry.Image, "k": -1}, {"image": entry.Image, "k": 1}},
+	})
+	var out struct {
+		Results []v1Response `json:"results"`
+	}
+	decode(t, rec, &out)
+	if rec.Code != http.StatusOK || len(out.Results) != 2 ||
+		out.Results[0].Status != http.StatusBadRequest || len(out.Results[1].Hits) != 1 {
+		t.Errorf("batch with a negative k: status %d, results %+v", rec.Code, out.Results)
 	}
 }
 
@@ -521,11 +536,11 @@ func TestV1StatusCodes(t *testing.T) {
 }
 
 // TestBodyLimit pins the MaxBytesReader satellite: oversized JSON bodies
-// are rejected with 413, on the insert route and both search routes.
+// are rejected with 413, on the insert route and the search route.
 func TestBodyLimit(t *testing.T) {
 	mux, _ := spatialMux(t, 1)
 	huge := bytes.Repeat([]byte("x"), maxBodyBytes+1024)
-	for _, path := range []string{"/api/images", "/api/search", "/api/v1/search"} {
+	for _, path := range []string{"/api/v1/images", "/api/v1/search"} {
 		body, _ := json.Marshal(map[string]any{"name": string(huge)})
 		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 		rec := httptest.NewRecorder()
@@ -543,36 +558,98 @@ func TestDSLCancellationStatus(t *testing.T) {
 	mux, _ := spatialMux(t, 12)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := httptest.NewRequest(http.MethodGet, "/api/search/dsl?q=tag+left-of+anchor", nil).WithContext(ctx)
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, req)
-	if rec.Code != statusClientClosedRequest {
-		t.Errorf("cancelled dsl status = %d, want %d (%s)", rec.Code, statusClientClosedRequest, rec.Body.String())
-	}
-
 	body, _ := json.Marshal(map[string]any{"dsl": "tag left-of anchor"})
-	req = httptest.NewRequest(http.MethodPost, "/api/v1/search", bytes.NewReader(body)).WithContext(ctx)
-	rec = httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/search", bytes.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, req)
 	if rec.Code != statusClientClosedRequest {
 		t.Errorf("cancelled v1 status = %d, want %d (%s)", rec.Code, statusClientClosedRequest, rec.Body.String())
 	}
 }
 
-// TestV1Aliases checks the resource routes answer under /api/v1 too.
-func TestV1Aliases(t *testing.T) {
-	mux, _ := spatialMux(t, 8)
-	if rec := do(t, mux, http.MethodGet, "/api/v1/images", nil); rec.Code != http.StatusOK {
-		t.Errorf("v1 images status = %d", rec.Code)
+// TestRetiredRoutesGone pins the one-door route set: every retired v0
+// pattern answers 404/405 and is counted under route="other", and the
+// v1 twin README's "retired entry points" table names for each returns
+// the documented shape.
+func TestRetiredRoutesGone(t *testing.T) {
+	db := bestring.NewDB()
+	beach := bestring.NewImage(20, 20,
+		bestring.Object{Label: "sun", Box: bestring.NewRect(14, 14, 18, 18)},
+		bestring.Object{Label: "sea", Box: bestring.NewRect(0, 0, 20, 6)},
+	)
+	if err := db.Insert("beach", "", beach); err != nil {
+		t.Fatal(err)
 	}
-	if rec := do(t, mux, http.MethodGet, "/api/v1/images/img000", nil); rec.Code != http.StatusOK {
-		t.Errorf("v1 image get status = %d", rec.Code)
+	reg := bestring.NewMetricsRegistry()
+	mux := newServerMux(muxConfig{engine: db, metrics: reg})
+
+	retired := []struct{ method, path string }{
+		{http.MethodGet, "/api/images"},
+		{http.MethodPost, "/api/images"},
+		{http.MethodGet, "/api/images/beach"},
+		{http.MethodDelete, "/api/images/beach"},
+		{http.MethodPost, "/api/search"},
+		{http.MethodGet, "/api/search/dsl?q=sun+above+sea"},
+		{http.MethodGet, "/api/region?x0=0&y0=0&x1=20&y1=20"},
+		{http.MethodGet, "/api/v1/search/dsl?q=sun+above+sea"},
+		{http.MethodGet, "/api/v1/region?x0=0&y0=0&x1=20&y1=20"},
 	}
-	if rec := do(t, mux, http.MethodGet, "/api/v1/search/dsl?q=tag+left-of+anchor", nil); rec.Code != http.StatusOK {
-		t.Errorf("v1 dsl status = %d", rec.Code)
+	for _, r := range retired {
+		rec := do(t, mux, r.method, r.path, map[string]any{"id": "x", "image": beach})
+		if rec.Code != http.StatusNotFound && rec.Code != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status = %d, want 404 or 405", r.method, r.path, rec.Code)
+		}
+		if got := routeLabel(httptest.NewRequest(r.method, r.path, nil).URL.Path); got != "other" {
+			t.Errorf("%s %s labelled %q, want other", r.method, r.path, got)
+		}
 	}
-	if rec := do(t, mux, http.MethodGet, "/api/v1/region?x0=48&y0=48&x1=60&y1=60", nil); rec.Code != http.StatusOK {
-		t.Errorf("v1 region status = %d", rec.Code)
+	if !db.Has("beach") || db.Len() != 1 {
+		t.Fatalf("a retired route mutated the database: %v", db.IDs())
+	}
+
+	// The v1 twins, row by row.
+	ranked := search(t, mux, map[string]any{"image": beach, "scorer": "be"})
+	if len(ranked.Hits) != 1 || ranked.Hits[0].ID != "beach" || ranked.Hits[0].Score != 1 || ranked.Total != 1 {
+		t.Errorf("ranked twin = %+v", ranked)
+	}
+	dsl := search(t, mux, map[string]any{"dsl": "sun above sea", "k": 5})
+	if len(dsl.Hits) != 1 || !dsl.Hits[0].Full || dsl.Hits[0].Where != 1 {
+		t.Errorf("dsl twin = %+v", dsl)
+	}
+	region := search(t, mux, map[string]any{"region": bestring.NewRect(13, 13, 19, 19), "regionLabel": "sun"})
+	if len(region.Hits) != 1 || region.Hits[0].ID != "beach" {
+		t.Errorf("region twin = %+v", region)
+	}
+	var list struct {
+		IDs []string `json:"ids"`
+	}
+	decode(t, do(t, mux, http.MethodGet, "/api/v1/images", nil), &list)
+	if len(list.IDs) != 1 || list.IDs[0] != "beach" {
+		t.Errorf("v1 images = %+v", list)
+	}
+	var entry bestring.Entry
+	decode(t, do(t, mux, http.MethodGet, "/api/v1/images/beach", nil), &entry)
+	if len(entry.Image.Objects) != 2 || len(entry.BE.X) == 0 {
+		t.Errorf("v1 image entry = %+v", entry)
+	}
+
+	// The exposition: retired paths pooled under "other", the v1 routes
+	// under the label values they have always had.
+	text := do(t, mux, http.MethodGet, "/metrics", nil).Body.String()
+	for _, want := range []string{
+		`bestring_http_requests_total{code="404",route="other"}`,
+		`bestring_http_requests_total{code="200",route="/api/search"} 3`,
+		`bestring_http_requests_total{code="200",route="/api/images"} 1`,
+		`bestring_http_requests_total{code="200",route="/api/images/{id}"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q:\n%s", want, text)
+		}
+	}
+	for _, gone := range []string{`route="/api/search/dsl"`, `route="/api/region"`} {
+		if strings.Contains(text, gone) {
+			t.Errorf("exposition still carries %s", gone)
+		}
 	}
 }
 
@@ -593,11 +670,11 @@ func TestStoreBackedAPI(t *testing.T) {
 			{"label": "B", "box": map[string]int{"x0": 3, "y0": 3, "x1": 5, "y1": 5}},
 		},
 	}
-	if rec := do(t, mux, http.MethodPost, "/api/images", map[string]any{"id": "durable1", "image": img}); rec.Code != http.StatusCreated {
+	if rec := do(t, mux, http.MethodPost, "/api/v1/images", map[string]any{"id": "durable1", "image": img}); rec.Code != http.StatusCreated {
 		t.Fatalf("insert status = %d (%s)", rec.Code, rec.Body.String())
 	}
 	// Duplicate still maps to 409 through the store.
-	if rec := do(t, mux, http.MethodPost, "/api/images", map[string]any{"id": "durable1", "image": img}); rec.Code != http.StatusConflict {
+	if rec := do(t, mux, http.MethodPost, "/api/v1/images", map[string]any{"id": "durable1", "image": img}); rec.Code != http.StatusConflict {
 		t.Fatalf("duplicate status = %d", rec.Code)
 	}
 	rec := do(t, mux, http.MethodGet, "/healthz", nil)
@@ -641,9 +718,69 @@ func TestStoreBackedAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	rec = do(t, newMux(s2), http.MethodGet, "/api/images/durable1", nil)
+	rec = do(t, newMux(s2), http.MethodGet, "/api/v1/images/durable1", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("recovered get status = %d", rec.Code)
+	}
+}
+
+// TestMutationStatusCodes pins the write handlers' error classes under
+// a live mux: a missing id is the client's 404 and a duplicate its 409,
+// but a store closed underneath the server is a 503 on delete, insert
+// and import alike — a server-side fault must never read "not found" or
+// "bad request".
+func TestMutationStatusCodes(t *testing.T) {
+	s, err := bestring.OpenStore(t.TempDir(), bestring.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := newMux(s)
+	insert := map[string]any{"id": "kept", "image": sceneBody}
+	if rec := do(t, mux, http.MethodPost, "/api/v1/images", insert); rec.Code != http.StatusCreated {
+		t.Fatalf("insert status = %d (%s)", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, mux, http.MethodDelete, "/api/v1/images/ghost", nil); rec.Code != http.StatusNotFound {
+		t.Errorf("delete of a missing id = %d, want 404", rec.Code)
+	}
+	if rec := do(t, mux, http.MethodPost, "/api/v1/images", insert); rec.Code != http.StatusConflict {
+		t.Errorf("duplicate insert = %d, want 409", rec.Code)
+	}
+	if rec := do(t, mux, http.MethodPost, "/api/v1/images", map[string]any{"id": "bad", "image": bestring.NewImage(5, 5)}); rec.Code != http.StatusBadRequest {
+		t.Errorf("invalid image = %d, want 400", rec.Code)
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(t, mux, http.MethodDelete, "/api/v1/images/kept", nil); rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("delete on a closed store = %d, want 503 (%s)", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, mux, http.MethodPost, "/api/v1/images", map[string]any{"id": "late", "image": sceneBody}); rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("insert on a closed store = %d, want 503 (%s)", rec.Code, rec.Body.String())
+	}
+	if rec := postStream(t, mux, "/api/v1/import", ndjsonBody(2)); rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("import on a closed store = %d, want 503 (%s)", rec.Code, rec.Body.String())
+	}
+	// Reads keep working against the last published version.
+	if rec := do(t, mux, http.MethodGet, "/api/v1/images/kept", nil); rec.Code != http.StatusOK {
+		t.Errorf("get on a closed store = %d, want 200", rec.Code)
+	}
+
+	// The classes no live store produces on demand, straight through the
+	// classifier: the fallback is the caller's, the sentinels are not.
+	for _, tc := range []struct {
+		err      error
+		fallback int
+		want     int
+	}{
+		{errors.New("wal: write failed"), http.StatusInternalServerError, http.StatusInternalServerError},
+		{errors.New("image has no objects"), http.StatusBadRequest, http.StatusBadRequest},
+		{fmt.Errorf("import chunk 3: %w", bestring.ErrRecordTooLarge), http.StatusBadRequest, http.StatusRequestEntityTooLarge},
+		{fmt.Errorf("delete %q: %w", "x", bestring.ErrNotFound), http.StatusInternalServerError, http.StatusNotFound},
+	} {
+		if got := mutationStatus(tc.err, tc.fallback); got != tc.want {
+			t.Errorf("mutationStatus(%v, %d) = %d, want %d", tc.err, tc.fallback, got, tc.want)
+		}
 	}
 }
 

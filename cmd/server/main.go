@@ -2,7 +2,7 @@
 // API — the headless counterpart of cmd/demo, suitable for embedding the
 // retrieval system in a larger application.
 //
-// Endpoints (resource routes answer under both /api and /api/v1):
+// Endpoints:
 //
 //	GET    /healthz                           liveness: snapshot epoch, entry and
 //	                                          goroutine counts (+ WAL/checkpoint
@@ -11,10 +11,10 @@
 //	                                          stage histograms, WAL/commit/
 //	                                          replication instruments, HTTP
 //	                                          counters
-//	GET    /api/images                        list stored ids
-//	POST   /api/images                        insert {"id","name","image"}
-//	GET    /api/images/{id}                   fetch one entry
-//	DELETE /api/images/{id}                   remove one entry
+//	GET    /api/v1/images                     list stored ids
+//	POST   /api/v1/images                     insert {"id","name","image"}
+//	GET    /api/v1/images/{id}                fetch one entry (image, boxes, BE-string)
+//	DELETE /api/v1/images/{id}                remove one entry
 //	POST   /api/v1/search                     composable query: any mix of
 //	                                          {"image","dsl","region","regionLabel",
 //	                                          "scorer",k,offset,"cursor",minScore,
@@ -22,9 +22,7 @@
 //	                                          or a concurrent batch {"queries":[...]};
 //	                                          "consistent":true pins the whole
 //	                                          request to one snapshot epoch
-//	POST   /api/search                        v0 ranked search (alias of the pipeline)
-//	GET    /api/search/dsl?q=A+left-of+B&k=5  v0 spatial-predicate search (alias)
-//	GET    /api/region?x0=&y0=&x1=&y1=&label= v0 R-tree icon lookup (alias)
+//	POST   /api/v1/import?format=ndjson|csv   streaming bulk ingest (-data-dir only)
 //	GET    /repl/v1/stream?after=&follower=   primary: WAL replication stream
 //	POST   /repl/v1/ack?follower=&lsn=        primary: follower progress ack
 //

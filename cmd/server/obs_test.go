@@ -35,7 +35,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	s.EnableMetrics(reg)
 	mux := newServerMux(muxConfig{engine: s, metrics: reg})
 
-	rec := do(t, mux, http.MethodPost, "/api/images", map[string]any{"id": "m1", "image": sceneBody})
+	rec := do(t, mux, http.MethodPost, "/api/v1/images", map[string]any{"id": "m1", "image": sceneBody})
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("insert: %d (%s)", rec.Code, rec.Body.String())
 	}
@@ -267,7 +267,7 @@ func TestRequestIDPropagatesThroughRedirect(t *testing.T) {
 	// default client follows the 307 (method and headers preserved), so
 	// the response comes from the primary — and must echo our id.
 	body := mustJSON(t, map[string]any{"id": "via-follower", "image": sceneBody})
-	req, err := http.NewRequest(http.MethodPost, followerSrv.URL+"/api/images", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, followerSrv.URL+"/api/v1/images", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

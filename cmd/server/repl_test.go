@@ -61,7 +61,7 @@ func TestReplicatedServers(t *testing.T) {
 	}
 	var lastLSN uint64
 	for i := 0; i < 8; i++ {
-		rec := do(t, primarySrv.Config.Handler, http.MethodPost, "/api/images",
+		rec := do(t, primarySrv.Config.Handler, http.MethodPost, "/api/v1/images",
 			map[string]any{"id": fmt.Sprintf("img-%d", i), "image": img})
 		if rec.Code != http.StatusCreated {
 			t.Fatalf("primary insert %d: status %d (%s)", i, rec.Code, rec.Body.String())
@@ -120,13 +120,13 @@ func TestReplicatedServers(t *testing.T) {
 	}
 
 	// Writes on the follower redirect to the primary, method preserved.
-	req := httptest.NewRequest(http.MethodDelete, "/api/images/img-0", nil)
+	req := httptest.NewRequest(http.MethodDelete, "/api/v1/images/img-0", nil)
 	rr := httptest.NewRecorder()
 	followerMux.ServeHTTP(rr, req)
 	if rr.Code != http.StatusTemporaryRedirect {
 		t.Fatalf("follower delete: status %d, want 307", rr.Code)
 	}
-	if loc := rr.Header().Get("Location"); loc != primarySrv.URL+"/api/images/img-0" {
+	if loc := rr.Header().Get("Location"); loc != primarySrv.URL+"/api/v1/images/img-0" {
 		t.Fatalf("follower delete redirects to %q", loc)
 	}
 

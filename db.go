@@ -13,10 +13,6 @@ type (
 	DB = imagedb.DB
 	// Entry is one stored image with its BE-string index.
 	Entry = imagedb.Entry
-	// Result is one ranked search hit.
-	Result = imagedb.Result
-	// SearchOptions parameterise DB.Search.
-	SearchOptions = imagedb.SearchOptions
 	// Scorer ranks a database entry against a query.
 	Scorer = imagedb.Scorer
 	// DBStats describes shard occupancy of a DB.
@@ -57,12 +53,6 @@ func LoadDB(r io.Reader) (*DB, error) { return imagedb.Load(r) }
 
 // LoadDBFile reads a database snapshot from a file.
 func LoadDBFile(path string) (*DB, error) { return imagedb.LoadFile(path) }
-
-// LoadDBGob reads a gob snapshot written by DB.SaveGob.
-func LoadDBGob(r io.Reader) (*DB, error) { return imagedb.LoadGob(r) }
-
-// LoadDBGobFile reads a gob snapshot file written by DB.SaveGobFile.
-func LoadDBGobFile(path string) (*DB, error) { return imagedb.LoadGobFile(path) }
 
 // BEScorer ranks by the paper's modified-LCS similarity (the default).
 func BEScorer() Scorer { return imagedb.BEScorer() }

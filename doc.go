@@ -25,12 +25,12 @@
 //	score := bestring.Similarity(be, otherBE)
 //
 // For ranked retrieval over many images use DB — a sharded, concurrency-
-// safe store whose top-K search accumulates into per-worker bounded heaps
+// safe store whose top-K query accumulates into per-worker bounded heaps
 // (see DESIGN.md section 4 for the engine architecture):
 //
 //	db := bestring.NewDB()
 //	_ = db.Insert("scene-1", "beach", img)
-//	results, err := db.Search(ctx, query, bestring.SearchOptions{K: 10})
+//	page, err := db.Query(ctx, bestring.NewQuery(query), bestring.WithK(10))
 //
 // For a database that survives restarts and crashes, open a durable
 // Store instead: the same query surface over a write-ahead log with

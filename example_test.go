@@ -43,10 +43,10 @@ func ExampleSimilarity() {
 	// partial:   0.857
 }
 
-// ExampleDB_Search ranks a small database against a query image. The
-// exact image scores 1.0 and ranks first; the two-object variant follows
-// with a graded partial-match score.
-func ExampleDB_Search() {
+// ExampleDB_Query_ranked ranks a small database against a query image.
+// The exact image scores 1.0 and ranks first; the two-object variant
+// follows with a graded partial-match score.
+func ExampleDB_Query_ranked() {
 	img := bestring.Figure1Image()
 	partial, _ := img.WithoutObject("C")
 
@@ -55,12 +55,12 @@ func ExampleDB_Search() {
 	_ = db.Insert("fig1-partial", "A and B only", partial)
 	_ = db.Insert("fig1-rot", "rotated", bestring.ApplyToImage(img, bestring.Rot90))
 
-	results, err := db.Search(context.Background(), img, bestring.SearchOptions{K: 2})
+	page, err := db.Query(context.Background(), bestring.NewQuery(img), bestring.WithK(2))
 	if err != nil {
 		panic(err)
 	}
-	for _, r := range results {
-		fmt.Printf("%s %.3f\n", r.ID, r.Score)
+	for _, h := range page.Hits {
+		fmt.Printf("%s %.3f\n", h.ID, h.Score)
 	}
 	// Output:
 	// fig1 1.000

@@ -57,12 +57,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, err := db.SearchDSL(context.Background(), q, 0)
+	page, err := db.Query(context.Background(), bestring.NewMatchQuery(), bestring.WhereQuery(q))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("query: %s\n", q)
-	for _, r := range results {
+	for _, r := range page.Hits {
 		fmt.Printf("  %-14s score %.2f full=%v\n", r.ID, r.Score, r.Full)
 	}
 
@@ -71,32 +71,42 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, err = db.SearchDSL(context.Background(), q2, 0)
+	page, err = db.Query(context.Background(), bestring.NewMatchQuery(), bestring.WhereQuery(q2))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nquery: %s\n", q2)
-	for _, r := range results {
+	for _, r := range page.Hits {
 		fmt.Printf("  %-14s score %.2f full=%v\n", r.ID, r.Score, r.Full)
 	}
 
 	// 3. R-tree region lookup: which plans put something in the
-	// north-west quadrant?
-	hits := db.SearchRegion(bestring.NewRect(0, 30, 30, 60), "")
+	// north-west quadrant? The query answers with plans; the icons and
+	// their boxes are on the stored entry.
+	nw := bestring.NewRect(0, 30, 30, 60)
+	page, err = db.Query(context.Background(), bestring.NewMatchQuery(), bestring.InRegion(nw))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nicons intersecting the north-west quadrant:")
-	for _, h := range hits {
-		fmt.Printf("  %-14s %-10s %v\n", h.ImageID, h.Label, h.Box)
+	for _, h := range page.Hits {
+		e, _ := db.Get(h.ID)
+		for _, o := range e.Image.Objects {
+			if o.Box.Intersects(nw) {
+				fmt.Printf("  %-14s %-10s %v\n", h.ID, o.Label, o.Box)
+			}
+		}
 	}
 
 	// 4. The mirrored plan is a reflection: the BE-string invariant
 	// scorer retrieves it from the classic plan at full score.
-	res, err := db.Search(context.Background(), plans["plan-classic"],
-		bestring.SearchOptions{K: 3, Scorer: bestring.InvariantScorer(nil)})
+	page, err = db.Query(context.Background(), bestring.NewQuery(plans["plan-classic"]),
+		bestring.WithK(3), bestring.WithScorer("invariant"))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\ninvariant BE-string search with plan-classic as query:")
-	for i, r := range res {
+	for i, r := range page.Hits {
 		fmt.Printf("  %d. %-14s score %.4f\n", i+1, r.ID, r.Score)
 	}
 }

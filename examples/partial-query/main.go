@@ -49,11 +49,12 @@ func main() {
 	}
 	fmt.Printf("%-16s %-10s %-10s %s\n", "method", "rank", "score", "top result")
 	for _, sc := range scorers {
-		results, err := db.Search(context.Background(), query,
-			bestring.SearchOptions{Scorer: sc.scorer})
+		page, err := db.Query(context.Background(), bestring.NewQuery(query),
+			bestring.WithScorerFunc(sc.scorer))
 		if err != nil {
 			log.Fatal(err)
 		}
+		results := page.Hits
 		rank := 0
 		for i, r := range results {
 			if r.ID == targetID {
@@ -71,7 +72,7 @@ func main() {
 }
 
 // scoreOf finds the target's score in the ranked results.
-func scoreOf(results []bestring.Result, id string) float64 {
+func scoreOf(results []bestring.QueryHit, id string) float64 {
 	for _, r := range results {
 		if r.ID == id {
 			return r.Score

@@ -36,12 +36,12 @@ func main() {
 	fmt.Printf("query: %d remembered icons of photo042: %v\n",
 		len(query.Objects), query.Labels())
 
-	results, err := db.Search(context.Background(), query, bestring.SearchOptions{K: 5})
+	page, err := db.Query(context.Background(), bestring.NewQuery(query), bestring.WithK(5))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\ntop 5:")
-	for i, r := range results {
+	for i, r := range page.Hits {
 		marker := ""
 		if r.ID == "photo042" {
 			marker = "  <- the photo we remembered"

@@ -44,18 +44,17 @@ func main() {
 	for _, tr := range bestring.AllTransforms[1:] {
 		query := bestring.ApplyToImage(target, tr)
 
-		plain, err := db.Search(context.Background(), query,
-			bestring.SearchOptions{K: 1})
+		q := bestring.NewQuery(query)
+		plain, err := db.Query(context.Background(), q, bestring.WithK(1))
 		if err != nil {
 			log.Fatal(err)
 		}
-		inv, err := db.Search(context.Background(), query,
-			bestring.SearchOptions{K: 1, Scorer: bestring.InvariantScorer(nil)})
+		inv, err := db.Query(context.Background(), q, bestring.WithK(1), bestring.WithScorer("invariant"))
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-15s %-6s @ %.4f        %-6s @ %.4f\n",
-			tr, plain[0].ID, plain[0].Score, inv[0].ID, inv[0].Score)
+			tr, plain.Hits[0].ID, plain.Hits[0].Score, inv.Hits[0].ID, inv.Hits[0].Score)
 	}
 	fmt.Println("\nthe invariant scorer finds img13 at 1.0000 for every transform;")
 	fmt.Println("it costs only 8 string reversals per query — no reconversion.")

@@ -376,17 +376,17 @@ func SearchScaling(sizes []int, k int) (*Table, error) {
 		if err := db.BulkInsert(ctx, items, 0); err != nil {
 			return nil, fmt.Errorf("E9: %w", err)
 		}
-		query := gen.SubsetQuery(scenes[n/2], 4)
+		query := imagedb.NewQuery(gen.SubsetQuery(scenes[n/2], 4))
 		fullD := MeasureOp(defaultMeasure, func() {
-			rs, err := db.Search(ctx, query, imagedb.SearchOptions{})
+			page, err := db.Query(ctx, query)
 			if err == nil {
-				Sink += len(rs)
+				Sink += len(page.Hits)
 			}
 		})
 		topD := MeasureOp(defaultMeasure, func() {
-			rs, err := db.Search(ctx, query, imagedb.SearchOptions{K: k})
+			page, err := db.Query(ctx, query, imagedb.WithK(k))
 			if err == nil {
-				Sink += len(rs)
+				Sink += len(page.Hits)
 			}
 		})
 		t.AddRow(FmtInt(n), FmtInt(db.ShardCount()), FmtDur(fullD), FmtDur(topD),

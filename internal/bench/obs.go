@@ -106,7 +106,7 @@ func searchPair(dbOff, dbOn *imagedb.DB, probes []core.Image, queries int) (off,
 	pass := func(db *imagedb.DB) (time.Duration, error) {
 		start := time.Now()
 		for i := 0; i < queries; i++ {
-			if _, err := db.Search(ctx, probes[i%len(probes)], imagedb.SearchOptions{K: 10}); err != nil {
+			if _, err := db.Query(ctx, imagedb.NewQuery(probes[i%len(probes)]), imagedb.WithK(10)); err != nil {
 				return 0, err
 			}
 		}

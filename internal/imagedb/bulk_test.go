@@ -43,7 +43,7 @@ func TestBulkInsertAllOrNothingOnConversionFailure(t *testing.T) {
 	if ids := db.ImagesWithLabel("B1"); len(ids) != 0 {
 		t.Fatalf("label index residue: %v", ids)
 	}
-	if hits := db.SearchRegion(core.NewRect(0, 0, 12, 12), ""); len(hits) != 2 {
+	if hits := db.current.Load().spatial.SearchIntersect(core.NewRect(0, 0, 12, 12)); len(hits) != 2 {
 		// Only the two icons of the pre-existing image may be indexed.
 		t.Fatalf("R-tree residue: %d hits", len(hits))
 	}

@@ -22,7 +22,6 @@ package imagedb
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -233,26 +232,6 @@ func sortResults(rs []Result) {
 	sort.Slice(rs, func(i, j int) bool { return worse(rs[j], rs[i]) })
 }
 
-// SearchOptions parameterise Search.
-type SearchOptions struct {
-	// K limits the number of results (0 means all). K > 0 enables the
-	// bounded-heap accumulation path: O(n log K) instead of O(n log n).
-	K int
-	// Scorer ranks entries; default BEScorer().
-	Scorer Scorer
-	// MinScore filters results scoring strictly below the threshold (a
-	// result scoring exactly MinScore is kept). Applied during heap
-	// accumulation, before a candidate can occupy a top-K slot.
-	MinScore float64
-	// Parallelism bounds the scoring workers (0 means GOMAXPROCS).
-	Parallelism int
-	// LabelPrefilter restricts scoring to images sharing at least one icon
-	// label with the query (via the inverted label index). Images that
-	// share nothing would score near zero anyway; skipping them trades
-	// exact tail ordering for throughput on large collections.
-	LabelPrefilter bool
-}
-
 // queryLabels lists the distinct icon labels of the query image.
 func queryLabels(query core.Image) []string {
 	out := make([]string, 0, len(query.Objects))
@@ -264,33 +243,4 @@ func queryLabels(query core.Image) []string {
 		}
 	}
 	return out
-}
-
-// Search ranks the stored images against the query image, best first.
-// Ties break by id so results are deterministic: for a given (query, K,
-// MinScore) the ranking is byte-identical whatever the shard count or
-// Parallelism. The context cancels in-flight scoring.
-//
-// Deprecated: Search is the image-only special case of the composable
-// pipeline; it remains as a thin wrapper over DB.Query and returns
-// byte-identical results. New code should build a Query.
-func (db *DB) Search(ctx context.Context, query core.Image, opts SearchOptions) ([]Result, error) {
-	spec := &Query{
-		image:          &query,
-		whereMin:       -1,
-		scorer:         opts.Scorer,
-		k:              max(opts.K, 0), // the seed engine treated K < 0 as "all"
-		minScore:       opts.MinScore,
-		parallelism:    opts.Parallelism,
-		labelPrefilter: opts.LabelPrefilter,
-	}
-	page, err := db.execute(ctx, spec)
-	if err != nil {
-		return nil, fmt.Errorf("search: %w", err)
-	}
-	out := make([]Result, len(page.Hits))
-	for i, h := range page.Hits {
-		out[i] = Result{ID: h.ID, Name: h.Name, Score: h.Score}
-	}
-	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -140,7 +141,7 @@ func TestObjectUpdate(t *testing.T) {
 
 func TestSearchRanksExactMatchFirst(t *testing.T) {
 	db, scenes := seedDB(t, 30)
-	results, err := db.Search(context.Background(), scenes[7], SearchOptions{K: 5})
+	results, err := search(context.Background(), db, scenes[7], WithK(5))
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -164,7 +165,7 @@ func TestSearchPartialQuery(t *testing.T) {
 	db, scenes := seedDB(t, 30)
 	g := workload.NewGenerator(workload.Config{Seed: 99})
 	q := g.SubsetQuery(scenes[3], 4)
-	results, err := db.Search(context.Background(), q, SearchOptions{K: 3})
+	results, err := search(context.Background(), db, q, WithK(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,13 +177,11 @@ func TestSearchPartialQuery(t *testing.T) {
 func TestSearchInvariantScorer(t *testing.T) {
 	db, scenes := seedDB(t, 20)
 	rotated := scenes[5].Rotate90CW()
-	plain, err := db.Search(context.Background(), rotated, SearchOptions{K: 1})
+	plain, err := search(context.Background(), db, rotated, WithK(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv, err := db.Search(context.Background(), rotated, SearchOptions{
-		K: 1, Scorer: InvariantScorer(nil),
-	})
+	inv, err := search(context.Background(), db, rotated, WithK(1), WithScorerFunc(InvariantScorer(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +195,7 @@ func TestSearchInvariantScorer(t *testing.T) {
 
 func TestSearchTypeSimScorer(t *testing.T) {
 	db, scenes := seedDB(t, 10)
-	results, err := db.Search(context.Background(), scenes[2], SearchOptions{
-		K: 1, Scorer: TypeSimScorer(typesim.Type2),
-	})
+	results, err := search(context.Background(), db, scenes[2], WithK(1), WithScorerFunc(TypeSimScorer(typesim.Type2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +206,11 @@ func TestSearchTypeSimScorer(t *testing.T) {
 
 func TestSearchMinScoreFilter(t *testing.T) {
 	db, scenes := seedDB(t, 10)
-	all, err := db.Search(context.Background(), scenes[0], SearchOptions{})
+	all, err := search(context.Background(), db, scenes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := db.Search(context.Background(), scenes[0], SearchOptions{MinScore: 0.999})
+	strict, err := search(context.Background(), db, scenes[0], WithMinScore(0.999))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,21 +228,21 @@ func TestSearchCancellation(t *testing.T) {
 	db, scenes := seedDB(t, 50)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.Search(ctx, scenes[0], SearchOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := search(ctx, db, scenes[0]); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestSearchInvalidQuery(t *testing.T) {
 	db, _ := seedDB(t, 3)
-	if _, err := db.Search(context.Background(), core.NewImage(5, 5), SearchOptions{}); err == nil {
+	if _, err := search(context.Background(), db, core.NewImage(5, 5)); err == nil {
 		t.Error("invalid query accepted")
 	}
 }
 
 func TestSearchEmptyDB(t *testing.T) {
 	db := New()
-	results, err := db.Search(context.Background(), core.Figure1Image(), SearchOptions{})
+	results, err := search(context.Background(), db, core.Figure1Image())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +257,7 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 	q := g.SubsetQuery(scenes[9], 3)
 	var base []Result
 	for _, workers := range []int{1, 2, 8} {
-		got, err := db.Search(context.Background(), q, SearchOptions{Parallelism: workers})
+		got, err := search(context.Background(), db, q, WithParallelism(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +288,7 @@ func TestConcurrentUse(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				switch w % 3 {
 				case 0:
-					if _, err := db.Search(context.Background(), scenes[i%len(scenes)], SearchOptions{K: 3}); err != nil {
+					if _, err := search(context.Background(), db, scenes[i%len(scenes)], WithK(3)); err != nil {
 						select {
 						case errCh <- err:
 						default:
@@ -341,6 +338,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Errorf("entry %q differs after round trip", id)
 		}
 	}
+	// The snapshot carries no index bytes: the loaded DB's R-tree is
+	// rebuilt on install and answers like the original's.
+	canvas := core.NewRect(0, 0, 1000, 1000)
+	if got, want := regionIDs(t, loaded, canvas, ""), wantRegionIDs(db, canvas, ""); len(got) != 8 || !slices.Equal(got, want) {
+		t.Errorf("loaded db region ids = %v, want %v", got, want)
+	}
 }
 
 func TestLoadRejectsCorruptedBE(t *testing.T) {
@@ -379,24 +382,6 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Errorf("loaded %d entries, want 3", loaded.Len())
 	}
 	if _, err := LoadFile(path + ".missing"); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
-func TestSaveGobFileRoundTrip(t *testing.T) {
-	db, _ := seedDB(t, 3)
-	path := t.TempDir() + "/db.gob"
-	if err := db.SaveGobFile(path); err != nil {
-		t.Fatalf("SaveGobFile: %v", err)
-	}
-	loaded, err := LoadGobFile(path)
-	if err != nil {
-		t.Fatalf("LoadGobFile: %v", err)
-	}
-	if loaded.Len() != 3 {
-		t.Errorf("loaded %d entries, want 3", loaded.Len())
-	}
-	if _, err := LoadGobFile(path + ".missing"); err == nil {
 		t.Error("missing file accepted")
 	}
 }

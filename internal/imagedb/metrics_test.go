@@ -102,7 +102,7 @@ func TestDBMetricsFeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := db.Search(context.Background(), img, SearchOptions{K: 5}); err != nil {
+		if _, err := search(context.Background(), db, img, WithK(5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func TestStatsCoherentUnderConcurrentCommits(t *testing.T) {
 				}
 				if i%8 == 0 {
 					img := storeImage(w*100 + i)
-					if _, err := s.Search(context.Background(), img, SearchOptions{K: 3}); err != nil {
+					if _, err := search(context.Background(), s, img, WithK(3)); err != nil {
 						t.Errorf("search: %v", err)
 						return
 					}
@@ -221,7 +221,7 @@ func TestStoreMetricsExposition(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if _, err := s.Search(context.Background(), storeImage(0), SearchOptions{K: 3}); err != nil {
+	if _, err := search(context.Background(), s, storeImage(0), WithK(3)); err != nil {
 		t.Fatal(err)
 	}
 

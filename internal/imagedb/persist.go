@@ -2,7 +2,6 @@ package imagedb
 
 import (
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -85,34 +84,6 @@ func Load(r io.Reader) (*DB, error) {
 	return db, nil
 }
 
-// SaveGob writes the database in the binary gob format — denser and
-// faster than JSON for large collections; Load/Save remain the
-// interchange format.
-func (db *DB) SaveGob(w io.Writer) error {
-	snap := snapshotJSON{Version: snapshotVersion, Entries: db.current.Load().orderedEntries()}
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("save image db (gob): %w", err)
-	}
-	return nil
-}
-
-// LoadGob reads a database written by SaveGob, with the same BE-string
-// cross-check as Load.
-func LoadGob(r io.Reader) (*DB, error) {
-	var snap snapshotJSON
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("load image db (gob): %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("load image db (gob): unsupported snapshot version %d", snap.Version)
-	}
-	db := New()
-	if err := db.loadEntries(snap.Entries, "load image db (gob)"); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
 // SaveFile writes the database to a file path atomically: the snapshot
 // is written to a temp file in the same directory, fsynced and renamed
 // over path, so a crash mid-save can never clobber the previous good
@@ -120,15 +91,6 @@ func LoadGob(r io.Reader) (*DB, error) {
 func (db *DB) SaveFile(path string) error {
 	if err := fsutil.AtomicWriteFile(path, db.Save); err != nil {
 		return fmt.Errorf("save image db: %w", err)
-	}
-	return nil
-}
-
-// SaveGobFile writes the database to a file path in the gob format, with
-// the same atomic-replace guarantee as SaveFile.
-func (db *DB) SaveGobFile(path string) error {
-	if err := fsutil.AtomicWriteFile(path, db.SaveGob); err != nil {
-		return fmt.Errorf("save image db (gob): %w", err)
 	}
 	return nil
 }
@@ -141,14 +103,4 @@ func LoadFile(path string) (*DB, error) {
 	}
 	defer f.Close()
 	return Load(f)
-}
-
-// LoadGobFile reads a database written by SaveGobFile.
-func LoadGobFile(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("load image db (gob): %w", err)
-	}
-	defer f.Close()
-	return LoadGob(f)
 }

@@ -155,10 +155,16 @@ type candidate struct {
 // query and that version is still retained, the current version
 // otherwise) and no lock is acquired after that.
 func (db *DB) Query(ctx context.Context, q *Query, opts ...QueryOption) (*Page, error) {
-	page, err := db.execute(ctx, q.clone().apply(opts))
+	spec := q.clone().apply(opts)
+	snap, cur, err := db.resolve(spec)
 	if err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}
+	page, err := executeOn(ctx, db, snap, spec, cur)
+	if err != nil {
+		return nil, fmt.Errorf("query: %w", err)
+	}
+	db.noteSearch(page)
 	return page, nil
 }
 
@@ -253,21 +259,6 @@ func (db *DB) resolve(q *Query) (*snapshot, *cursorPos, error) {
 		}
 	}
 	return db.current.Load(), cur, nil
-}
-
-// execute pins a version and runs the staged pipeline on it. Errors are
-// returned unprefixed; the public entry points (Query, Search,
-// SearchDSL) add their own context.
-func (db *DB) execute(ctx context.Context, q *Query) (*Page, error) {
-	snap, cur, err := db.resolve(q)
-	if err != nil {
-		return nil, err
-	}
-	page, err := executeOn(ctx, db, snap, q, cur)
-	if err == nil {
-		db.noteSearch(page)
-	}
-	return page, err
 }
 
 // noteSearch folds one executed page's stage counts and cache outcomes
@@ -475,7 +466,7 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 			if q.image != nil {
 				min = 1
 			} else {
-				min = 0 // any positive fraction, the SearchDSL contract
+				min = 0 // any positive fraction: satisfaction itself is the ranking
 			}
 		}
 		whereByID = make(map[string]candidate, len(cands0))
@@ -554,7 +545,7 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 	}
 
 	// Stage 4 — ranked scoring over the survivors, on the same bounded
-	// top-K heap machinery as plain Search. The ranking score is the
+	// top-K heap machinery as a plain ranked query. The ranking score is the
 	// scorer when the query has an image, the satisfied fraction when
 	// spatial satisfaction itself is the ranking, and 0 for region-only
 	// queries (ties break by id, so those list in id order).

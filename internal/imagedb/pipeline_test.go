@@ -238,94 +238,6 @@ func TestQueryMatchesComposedReference(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersByteIdentical pins the acceptance criterion:
-// Search, SearchDSL and SearchRegion are wrappers over the pipeline and
-// must produce byte-identical results to querying it directly.
-func TestDeprecatedWrappersByteIdentical(t *testing.T) {
-	ctx := context.Background()
-	db := seedSpatial(t, 3, 45)
-	g := workload.NewGenerator(workload.Config{Seed: 19, Vocabulary: 12, Width: 64, Height: 64})
-	img := g.Scene()
-
-	for _, opts := range []SearchOptions{
-		{}, {K: 5}, {K: 5, MinScore: 0.4}, {K: 3, Parallelism: 2, LabelPrefilter: true},
-		{Scorer: InvariantScorer(nil), K: 4},
-	} {
-		old, err := db.Search(ctx, img, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qopts := []QueryOption{WithK(opts.K), WithMinScore(opts.MinScore),
-			WithParallelism(opts.Parallelism), WithLabelPrefilter(opts.LabelPrefilter)}
-		if opts.Scorer != nil {
-			qopts = append(qopts, WithScorerFunc(opts.Scorer))
-		}
-		page, err := db.Query(ctx, NewQuery(img), qopts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(old) != len(page.Hits) {
-			t.Fatalf("opts %+v: wrapper %d results, pipeline %d", opts, len(old), len(page.Hits))
-		}
-		for i, r := range old {
-			h := page.Hits[i]
-			if r != (Result{ID: h.ID, Name: h.Name, Score: h.Score}) {
-				t.Fatalf("opts %+v: result %d = %+v, hit %+v", opts, i, r, h)
-			}
-		}
-		oj, _ := json.Marshal(old)
-		rj, _ := json.Marshal(referenceSearch(db, img, opts))
-		if !opts.LabelPrefilter && string(oj) != string(rj) {
-			t.Fatalf("opts %+v: wrapper diverged from full-sort reference\n got %s\nwant %s", opts, oj, rj)
-		}
-	}
-
-	dq, err := query.Parse("tag left-of anchor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{0, 3, 100} {
-		old, err := db.SearchDSL(ctx, dq, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		page, err := db.Query(ctx, NewMatchQuery(), WhereQuery(dq), WithK(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(old) != len(page.Hits) {
-			t.Fatalf("k=%d: wrapper %d results, pipeline %d", k, len(old), len(page.Hits))
-		}
-		for i, r := range old {
-			h := page.Hits[i]
-			if r != (QueryResult{ID: h.ID, Name: h.Name, Score: h.Score, Full: h.Full}) {
-				t.Fatalf("k=%d: result %d = %+v, hit %+v", k, i, r, h)
-			}
-		}
-	}
-
-	hits := db.SearchRegion(probeRegion, "probe")
-	page, err := db.Query(ctx, NewMatchQuery(), InRegionLabel(probeRegion, "probe"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := make(map[string]bool)
-	for _, h := range hits {
-		ids[h.ImageID] = true
-	}
-	if len(ids) != len(page.Hits) {
-		t.Fatalf("region wrapper found %d images, pipeline %d", len(ids), len(page.Hits))
-	}
-	for i, h := range page.Hits {
-		if !ids[h.ID] {
-			t.Fatalf("pipeline hit %q not in wrapper results", h.ID)
-		}
-		if i > 0 && page.Hits[i-1].ID >= h.ID {
-			t.Fatalf("region-only hits not in id order: %v", page.Hits)
-		}
-	}
-}
-
 // TestQueryCursorPagination walks the full ranking page by page and
 // checks the concatenation equals the one-shot ranking, with Total
 // constant and the cursor chain terminating.

@@ -373,15 +373,15 @@ func TestStageCountsAndStats(t *testing.T) {
 }
 
 // TestSignatureColumnSurvivesPersistence pins that signatures are
-// derived, not stored: a JSON or gob save/load round trip (which carries
-// no signature bytes) re-derives them on install, and pruned rankings on
+// derived, not stored: a JSON save/load round trip (which carries no
+// signature bytes) re-derives them on install, and pruned rankings on
 // the loaded database match the original.
 func TestSignatureColumnSurvivesPersistence(t *testing.T) {
 	ctx := context.Background()
 	db, g := seedPruneDB(t, 31, 40)
 	img := g.SubsetQuery(g.Scene(), 3)
 
-	var buf, gobBuf bytes.Buffer
+	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -390,14 +390,6 @@ func TestSignatureColumnSurvivesPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSignaturesInstalled(t, loaded)
-	if err := db.SaveGob(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
-	fromGob, err := LoadGob(&gobBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSignaturesInstalled(t, fromGob)
 	want, err := db.Query(ctx, NewQuery(img), WithK(10))
 	if err != nil {
 		t.Fatal(err)

@@ -144,8 +144,8 @@ func WithScorerFunc(s Scorer) QueryOption {
 // internal/query surface syntax ("A left-of B; B above C"). With a
 // ranked component the filter keeps images satisfying every clause
 // (tune with WithWhereMin); without one, the satisfied fraction becomes
-// the ranking score, exactly as DB.SearchDSL ranks. A parse error is
-// sticky and surfaces when the query executes.
+// the ranking score. A parse error is sticky and surfaces when the query
+// executes.
 func Where(dsl string) QueryOption {
 	return func(q *Query) {
 		parsed, err := query.Parse(dsl)
@@ -221,8 +221,9 @@ func WithParallelism(n int) QueryOption {
 }
 
 // WithLabelPrefilter restricts scoring to images sharing at least one
-// icon label with the query image (via the inverted label index) — the
-// same trade as SearchOptions.LabelPrefilter.
+// icon label with the query image (via the inverted label index).
+// Images that share nothing would score near zero anyway; skipping them
+// trades exact tail ordering for throughput on large collections.
 func WithLabelPrefilter(on bool) QueryOption {
 	return func(q *Query) { q.labelPrefilter = on }
 }

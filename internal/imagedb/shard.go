@@ -63,10 +63,9 @@ func (db *DB) ShardCount() int { return len(db.current.Load().shards) }
 // how many candidates its ranked queries narrowed, bounded, evaluated
 // and pruned since the database was created. They make pruning efficacy
 // observable in production — Pruned/Bounded is the fraction of exact
-// LCS evaluations the signature bound saved. Counted by DB.Query,
-// DB.QueryIter and the deprecated Search wrappers; queries served from
-// an explicit Snapshot are not attributed (a Snapshot may outlive the
-// DB handle that minted it).
+// LCS evaluations the signature bound saved. Counted by DB.Query and
+// DB.QueryIter; queries served from an explicit Snapshot are not
+// attributed (a Snapshot may outlive the DB handle that minted it).
 type SearchStats struct {
 	// Queries counts executed ranked/filtered queries (each QueryIter
 	// batch counts once).

@@ -1,119 +1,22 @@
 package imagedb
 
-import (
-	"context"
-	"fmt"
-	"sort"
+import "bestring/internal/core"
 
-	"bestring/internal/core"
-	"bestring/internal/query"
-)
-
-// RegionHit is one icon found by a location-constrained search.
-type RegionHit struct {
-	ImageID string    `json:"imageId"`
-	Label   string    `json:"label"`
-	Box     core.Rect `json:"box"`
-}
-
-// regionHits probes a version's R-tree for icons intersecting the
-// region, optionally restricted to one label, in arbitrary order. It is
-// the region stage shared by SearchRegion and the query pipeline.
-// Lock-free: the version's tree is frozen.
-func (s *snapshot) regionHits(region core.Rect, label string) []RegionHit {
+// regionIDSet probes a version's R-tree for icons intersecting the
+// region, optionally restricted to one label, and reduces them to the
+// set of image ids with at least one matching icon — the candidate
+// filter of the pipeline's region stage. Lock-free: the version's tree
+// is frozen.
+func (s *snapshot) regionIDSet(region core.Rect, label string) map[string]bool {
 	items := s.spatial.SearchIntersect(region)
-	out := make([]RegionHit, 0, len(items))
+	ids := make(map[string]bool, len(items))
 	for _, it := range items {
 		imageID, l := splitSpatialID(it.ID)
-		if label != "" && l != label {
-			continue
+		if label == "" || l == label {
+			ids[imageID] = true
 		}
-		out = append(out, RegionHit{ImageID: imageID, Label: l, Box: it.Box})
-	}
-	return out
-}
-
-// regionIDSet reduces the region probe to the set of image ids with at
-// least one matching icon — the candidate filter of the pipeline's
-// region stage.
-func (s *snapshot) regionIDSet(region core.Rect, label string) map[string]bool {
-	hits := s.regionHits(region, label)
-	ids := make(map[string]bool, len(hits))
-	for _, h := range hits {
-		ids[h.ImageID] = true
 	}
 	return ids
-}
-
-// sortRegionHits orders icon hits by (image id, label).
-func sortRegionHits(out []RegionHit) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ImageID != out[j].ImageID {
-			return out[i].ImageID < out[j].ImageID
-		}
-		return out[i].Label < out[j].Label
-	})
-}
-
-// SearchRegion returns every stored icon whose MBR intersects the region,
-// optionally restricted to one label — the "by size and location"
-// indexing category of the paper's related work, answered by the R-tree.
-// Results are sorted by (image id, label).
-//
-// Deprecated: SearchRegion is the icon-level view of the pipeline's
-// region stage; to retrieve images (rather than icons), build a Query
-// with InRegion, which composes with ranking and Where clauses.
-func (db *DB) SearchRegion(region core.Rect, label string) []RegionHit {
-	if !region.Valid() {
-		return nil
-	}
-	out := db.current.Load().regionHits(region, label)
-	sortRegionHits(out)
-	return out
-}
-
-// SearchRegion is the icon-level region probe against this pinned
-// version, sorted by (image id, label).
-func (sn *Snapshot) SearchRegion(region core.Rect, label string) []RegionHit {
-	if !region.Valid() {
-		return nil
-	}
-	out := sn.snap.regionHits(region, label)
-	sortRegionHits(out)
-	return out
-}
-
-// QueryResult is one image ranked by spatial-predicate satisfaction.
-type QueryResult struct {
-	ID    string  `json:"id"`
-	Name  string  `json:"name,omitempty"`
-	Score float64 `json:"score"` // satisfied fraction of constraints
-	Full  bool    `json:"full"`  // every constraint satisfied
-}
-
-// SearchDSL evaluates a spatial-predicate query (internal/query syntax,
-// e.g. "A left-of B; B above C") against every stored image and returns
-// images ranked by the satisfied fraction, best first; ties break by id.
-// The per-shard inverted label indexes prune images containing none of the
-// query's labels. k <= 0 returns all scoring images.
-//
-// Deprecated: SearchDSL is the Where-only special case of the composable
-// pipeline; it remains as a thin wrapper over DB.Query and returns
-// byte-identical results. New code should build a Query with WhereQuery.
-func (db *DB) SearchDSL(ctx context.Context, q query.Query, k int) ([]QueryResult, error) {
-	if len(q.Constraints) == 0 {
-		return nil, fmt.Errorf("search dsl: empty query")
-	}
-	spec := &Query{dsl: &q, whereMin: -1, k: max(k, 0)}
-	page, err := db.execute(ctx, spec)
-	if err != nil {
-		return nil, fmt.Errorf("search dsl: %w", err)
-	}
-	out := make([]QueryResult, len(page.Hits))
-	for i, h := range page.Hits {
-		out[i] = QueryResult{ID: h.ID, Name: h.Name, Score: h.Score, Full: h.Full}
-	}
-	return out, nil
 }
 
 // ImagesWithLabel returns the ids of images containing the icon label,

@@ -1,9 +1,11 @@
 package imagedb
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"bestring/internal/core"
@@ -19,6 +21,39 @@ func beachScene() core.Image {
 	)
 }
 
+// regionIDs runs a region-only query (label "" means any icon) and
+// returns the matching image ids, which such a query ranks in id order.
+func regionIDs(t *testing.T, db *DB, region core.Rect, label string) []string {
+	t.Helper()
+	page, err := db.Query(context.Background(), NewMatchQuery(), InRegionLabel(region, label))
+	if err != nil {
+		t.Fatalf("region query %v %q: %v", region, label, err)
+	}
+	ids := make([]string, len(page.Hits))
+	for i, h := range page.Hits {
+		ids[i] = h.ID
+	}
+	return ids
+}
+
+// wantRegionIDs is the naive reference for regionIDs: the sorted ids of
+// the stored images with a (matching) box intersecting the region, read
+// from the entries themselves rather than the R-tree.
+func wantRegionIDs(db *DB, region core.Rect, label string) []string {
+	var ids []string
+	for _, id := range db.IDs() {
+		e, _ := db.Get(id)
+		for _, o := range e.Image.Objects {
+			if (label == "" || o.Label == label) && o.Box.Intersects(region) {
+				ids = append(ids, id)
+				break
+			}
+		}
+	}
+	sort.Strings(ids)
+	return ids
+}
+
 func TestSearchRegion(t *testing.T) {
 	db := New()
 	if err := db.Insert("beach", "", beachScene()); err != nil {
@@ -27,24 +62,26 @@ func TestSearchRegion(t *testing.T) {
 	if err := db.Insert("fig1", "", core.Figure1Image()); err != nil {
 		t.Fatal(err)
 	}
-	// Top-right corner of the beach: only the sun.
-	hits := db.SearchRegion(core.NewRect(15, 15, 20, 20), "")
-	if len(hits) != 1 || hits[0].ImageID != "beach" || hits[0].Label != "sun" {
-		t.Errorf("hits = %+v, want sun in beach", hits)
-	}
-	// Label-restricted search.
-	hits = db.SearchRegion(core.NewRect(0, 0, 20, 20), "sea")
-	if len(hits) != 1 || hits[0].Label != "sea" {
-		t.Errorf("label-restricted hits = %+v", hits)
-	}
-	// A region covering everything finds every icon of both images.
-	hits = db.SearchRegion(core.NewRect(0, 0, 20, 20), "")
-	if len(hits) != 6 {
-		t.Errorf("full-region hits = %d, want 6", len(hits))
+	all, corner := core.NewRect(0, 0, 20, 20), core.NewRect(15, 15, 20, 20)
+	for _, tc := range []struct {
+		region core.Rect
+		label  string
+		want   []string
+	}{
+		{corner, "", []string{"beach"}},      // top-right corner of the beach: only the sun
+		{all, "sea", []string{"beach"}},      // label-restricted
+		{all, "A", []string{"fig1"}},         // a label only the other image has
+		{corner, "sea", nil},                 // the label exists, its box is elsewhere
+		{all, "", []string{"beach", "fig1"}}, // a region covering everything finds both images
+	} {
+		got, boxes := regionIDs(t, db, tc.region, tc.label), wantRegionIDs(db, tc.region, tc.label)
+		if !slices.Equal(got, tc.want) || !slices.Equal(got, boxes) {
+			t.Errorf("region %v label %q = %v, want %v (boxes say %v)", tc.region, tc.label, got, tc.want, boxes)
+		}
 	}
 	// Invalid region.
-	if got := db.SearchRegion(core.Rect{X0: 5, Y0: 5, X1: 1, Y1: 1}, ""); got != nil {
-		t.Errorf("invalid region should return nil, got %v", got)
+	if _, err := db.Query(context.Background(), NewMatchQuery(), InRegion(core.Rect{X0: 5, Y0: 5, X1: 1, Y1: 1})); err == nil {
+		t.Error("invalid region accepted")
 	}
 }
 
@@ -53,24 +90,30 @@ func TestSearchRegionTracksUpdates(t *testing.T) {
 	if err := db.Insert("beach", "", beachScene()); err != nil {
 		t.Fatal(err)
 	}
+	corner := core.NewRect(15, 15, 20, 20)
 	if err := db.DeleteObject("beach", "sun"); err != nil {
 		t.Fatal(err)
 	}
-	if hits := db.SearchRegion(core.NewRect(15, 15, 20, 20), ""); len(hits) != 0 {
-		t.Errorf("sun still indexed after DeleteObject: %+v", hits)
+	if ids := regionIDs(t, db, corner, ""); len(ids) != 0 {
+		t.Errorf("sun still indexed after DeleteObject: %v", ids)
 	}
 	if err := db.InsertObject("beach", core.Object{Label: "gull", Box: core.NewRect(16, 16, 17, 17)}); err != nil {
 		t.Fatal(err)
 	}
-	hits := db.SearchRegion(core.NewRect(15, 15, 20, 20), "")
-	if len(hits) != 1 || hits[0].Label != "gull" {
-		t.Errorf("hits after InsertObject = %+v", hits)
+	if ids := regionIDs(t, db, corner, "gull"); !slices.Equal(ids, []string{"beach"}) {
+		t.Errorf("gull not indexed after InsertObject: %v", ids)
+	}
+	if ids := regionIDs(t, db, corner, ""); !slices.Equal(ids, wantRegionIDs(db, corner, "")) || len(ids) != 1 {
+		t.Errorf("corner after InsertObject = %v", ids)
+	}
+	if ids := regionIDs(t, db, corner, "sun"); len(ids) != 0 {
+		t.Errorf("sun back in the index after InsertObject(gull): %v", ids)
 	}
 	if err := db.Delete("beach"); err != nil {
 		t.Fatal(err)
 	}
-	if hits := db.SearchRegion(core.NewRect(0, 0, 20, 20), ""); len(hits) != 0 {
-		t.Errorf("icons still indexed after image delete: %+v", hits)
+	if ids := regionIDs(t, db, core.NewRect(0, 0, 20, 20), ""); len(ids) != 0 {
+		t.Errorf("icons still indexed after image delete: %v", ids)
 	}
 }
 
@@ -90,10 +133,11 @@ func TestSearchDSL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := db.SearchDSL(context.Background(), q, 0)
+	page, err := db.Query(context.Background(), NewMatchQuery(), WhereQuery(q))
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := page.Hits
 	if len(results) != 1 {
 		t.Fatalf("results = %+v, want only the beach (flipped scene satisfies nothing)", results)
 	}
@@ -106,10 +150,11 @@ func TestSearchDSL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err = db.SearchDSL(context.Background(), q2, 0)
+	page, err = db.Query(context.Background(), NewMatchQuery(), WhereQuery(q2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	results = page.Hits
 	if len(results) != 1 || results[0].Score != 0.5 || results[0].Full {
 		t.Errorf("partial results = %+v, want beach at 0.5", results)
 	}
@@ -117,7 +162,7 @@ func TestSearchDSL(t *testing.T) {
 
 func TestSearchDSLErrors(t *testing.T) {
 	db := New()
-	if _, err := db.SearchDSL(context.Background(), query.Query{}, 0); err == nil {
+	if _, err := db.Query(context.Background(), NewMatchQuery(), WhereQuery(query.Query{})); err == nil {
 		t.Error("empty query accepted")
 	}
 	if err := db.Insert("beach", "", beachScene()); err != nil {
@@ -126,8 +171,8 @@ func TestSearchDSLErrors(t *testing.T) {
 	q, _ := query.Parse("sun above sea")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.SearchDSL(ctx, q, 0); err == nil {
-		t.Error("cancelled context accepted")
+	if _, err := db.Query(ctx, NewMatchQuery(), WhereQuery(q)); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -159,11 +204,11 @@ func TestLabelPrefilterMatchesFullSearch(t *testing.T) {
 		}
 	}
 	queryImg := gen.SubsetQuery(scenes[7], 4)
-	full, err := db.Search(context.Background(), queryImg, SearchOptions{K: 5})
+	full, err := search(context.Background(), db, queryImg, WithK(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	filtered, err := db.Search(context.Background(), queryImg, SearchOptions{K: 5, LabelPrefilter: true})
+	filtered, err := search(context.Background(), db, queryImg, WithK(5), WithLabelPrefilter(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,40 +290,5 @@ func TestBulkInsertAllOrNothing(t *testing.T) {
 	// Empty batch is a no-op.
 	if err := db.BulkInsert(context.Background(), nil, 2); err != nil {
 		t.Errorf("empty batch: %v", err)
-	}
-}
-
-func TestGobRoundTrip(t *testing.T) {
-	db := New()
-	gen := workload.NewGenerator(workload.Config{Seed: 3, Vocabulary: 20})
-	for i := 0; i < 6; i++ {
-		if err := db.Insert(fmt.Sprintf("g%d", i), "gob", gen.Scene()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := db.SaveGob(&buf); err != nil {
-		t.Fatalf("SaveGob: %v", err)
-	}
-	loaded, err := LoadGob(&buf)
-	if err != nil {
-		t.Fatalf("LoadGob: %v", err)
-	}
-	if loaded.Len() != db.Len() {
-		t.Fatalf("loaded %d, want %d", loaded.Len(), db.Len())
-	}
-	for _, id := range db.IDs() {
-		a, _ := db.Get(id)
-		b, ok := loaded.Get(id)
-		if !ok || !a.BE.Equal(b.BE) {
-			t.Errorf("entry %q differs after gob round trip", id)
-		}
-	}
-	// Loaded DB has working secondary indexes.
-	if hits := loaded.SearchRegion(core.NewRect(0, 0, 100, 100), ""); len(hits) == 0 {
-		t.Error("gob-loaded db has empty spatial index")
-	}
-	if _, err := LoadGob(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("garbage gob accepted")
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"bestring/internal/core"
 	"bestring/internal/fsutil"
-	"bestring/internal/query"
 	"bestring/internal/wal"
 )
 
@@ -692,21 +691,6 @@ func (s *Store) ShardCount() int { return s.db.ShardCount() }
 
 // Save writes a snapshot of the current state (see DB.Save).
 func (s *Store) Save(w io.Writer) error { return s.db.Save(w) }
-
-// Search ranks the stored images against the query image (see DB.Search).
-func (s *Store) Search(ctx context.Context, q core.Image, opts SearchOptions) ([]Result, error) {
-	return s.db.Search(ctx, q, opts)
-}
-
-// SearchDSL filters by a spatial-predicate query (see DB.SearchDSL).
-func (s *Store) SearchDSL(ctx context.Context, q query.Query, k int) ([]QueryResult, error) {
-	return s.db.SearchDSL(ctx, q, k)
-}
-
-// SearchRegion finds icons intersecting a region (see DB.SearchRegion).
-func (s *Store) SearchRegion(region core.Rect, label string) []RegionHit {
-	return s.db.SearchRegion(region, label)
-}
 
 // Query executes a composable query (see DB.Query).
 func (s *Store) Query(ctx context.Context, q *Query, opts ...QueryOption) (*Page, error) {

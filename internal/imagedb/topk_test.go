@@ -72,11 +72,30 @@ func seedSharded(t *testing.T, shards, n int) (*DB, []core.Image) {
 	return db, scenes
 }
 
+// search runs a ranked query for img through the one read door and
+// reduces the page to the (id, name, score) triples the full-sort
+// reference produces. db is a *DB, *Store or *Snapshot.
+func search(ctx context.Context, db interface {
+	Query(context.Context, *Query, ...QueryOption) (*Page, error)
+}, img core.Image, opts ...QueryOption) ([]Result, error) {
+	page, err := db.Query(ctx, NewQuery(img), opts...)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(page.Hits))
+	for i, h := range page.Hits {
+		out[i] = Result{ID: h.ID, Name: h.Name, Score: h.Score}
+	}
+	return out, nil
+}
+
 // referenceSearch is the seed engine's semantics, reimplemented serially:
-// score every candidate, sort everything, filter, truncate.
-func referenceSearch(db *DB, query core.Image, opts SearchOptions) []Result {
+// score every candidate, sort everything, filter, truncate. It reads the
+// image, scorer, K and MinScore of the same options the engine is given.
+func referenceSearch(db *DB, query core.Image, opts ...QueryOption) []Result {
+	spec := NewQuery(query).apply(opts)
 	queryBE := core.MustConvert(query)
-	scorer := opts.Scorer
+	scorer := spec.scorer
 	if scorer == nil {
 		scorer = BEScorer()
 	}
@@ -84,7 +103,7 @@ func referenceSearch(db *DB, query core.Image, opts SearchOptions) []Result {
 	for _, id := range db.IDs() {
 		e, _ := db.Get(id)
 		score := scorer(query, queryBE, e)
-		if score < opts.MinScore {
+		if score < spec.minScore {
 			continue
 		}
 		all = append(all, Result{ID: e.ID, Name: e.Name, Score: score})
@@ -95,8 +114,8 @@ func referenceSearch(db *DB, query core.Image, opts SearchOptions) []Result {
 		}
 		return all[i].ID < all[j].ID
 	})
-	if opts.K > 0 && len(all) > opts.K {
-		all = all[:opts.K]
+	if spec.k > 0 && len(all) > spec.k {
+		all = all[:spec.k]
 	}
 	return all
 }
@@ -112,25 +131,29 @@ func TestSearchMatchesFullSortReference(t *testing.T) {
 		db, scenes := seedSharded(t, shards, 40)
 		queries = append(queries, scenes[7])
 		for _, q := range queries {
-			for _, opts := range []SearchOptions{
-				{},
-				{K: 1},
-				{K: 5},
-				{K: 40},
-				{K: 1000},
-				{K: 5, MinScore: 0.4},
-				{MinScore: 0.4},
-				{K: 3, Parallelism: 1},
-				{K: 3, Parallelism: 2},
-				{K: 3, Parallelism: 16},
-				{K: 5, LabelPrefilter: true},
+			for _, tc := range []struct {
+				name string
+				opts []QueryOption
+			}{
+				{name: "all"},
+				{name: "k=1", opts: []QueryOption{WithK(1)}},
+				{name: "k=5", opts: []QueryOption{WithK(5)}},
+				{name: "k=40", opts: []QueryOption{WithK(40)}},
+				{name: "k=1000", opts: []QueryOption{WithK(1000)}},
+				{name: "k=5 min=0.4", opts: []QueryOption{WithK(5), WithMinScore(0.4)}},
+				{name: "min=0.4", opts: []QueryOption{WithMinScore(0.4)}},
+				{name: "k=3 par=1", opts: []QueryOption{WithK(3), WithParallelism(1)}},
+				{name: "k=3 par=2", opts: []QueryOption{WithK(3), WithParallelism(2)}},
+				{name: "k=3 par=16", opts: []QueryOption{WithK(3), WithParallelism(16)}},
+				{name: "k=4 invariant func", opts: []QueryOption{WithK(4), WithScorerFunc(InvariantScorer(nil))}},
+				{name: "k=5 prefilter", opts: []QueryOption{WithK(5), WithLabelPrefilter(true)}},
 			} {
-				got, err := db.Search(context.Background(), q, opts)
+				got, err := search(context.Background(), db, q, tc.opts...)
 				if err != nil {
-					t.Fatalf("shards=%d opts=%+v: %v", shards, opts, err)
+					t.Fatalf("shards=%d %s: %v", shards, tc.name, err)
 				}
-				want := referenceSearch(db, q, opts)
-				if opts.LabelPrefilter {
+				want := referenceSearch(db, q, tc.opts...)
+				if NewQuery(q).apply(tc.opts).labelPrefilter {
 					// The reference scores everything; the prefiltered top-K
 					// must still lead it identically when K results survive.
 					if len(got) > len(want) {
@@ -139,13 +162,13 @@ func TestSearchMatchesFullSortReference(t *testing.T) {
 					want = want[:len(got)]
 				}
 				if len(got) != len(want) {
-					t.Fatalf("shards=%d opts=%+v: got %d results, want %d",
-						shards, opts, len(got), len(want))
+					t.Fatalf("shards=%d %s: got %d results, want %d",
+						shards, tc.name, len(got), len(want))
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("shards=%d opts=%+v: result %d = %+v, want %+v",
-							shards, opts, i, got[i], want[i])
+						t.Fatalf("shards=%d %s: result %d = %+v, want %+v",
+							shards, tc.name, i, got[i], want[i])
 					}
 				}
 			}
@@ -160,14 +183,14 @@ func TestSearchMinScoreBoundaryKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A result scoring exactly MinScore is kept (filter is strictly-below).
-	results, err := db.Search(context.Background(), img, SearchOptions{K: 5, MinScore: 1.0})
+	results, err := search(context.Background(), db, img, WithK(5), WithMinScore(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != 1 || results[0].ID != "exact" || results[0].Score != 1 {
 		t.Errorf("boundary results = %+v, want exact @ 1.0", results)
 	}
-	results, err = db.Search(context.Background(), img, SearchOptions{K: 5, MinScore: 1.0000001})
+	results, err = search(context.Background(), db, img, WithK(5), WithMinScore(1.0000001))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +201,7 @@ func TestSearchMinScoreBoundaryKept(t *testing.T) {
 
 func TestSearchKLargerThanCorpus(t *testing.T) {
 	db, scenes := seedSharded(t, 4, 6)
-	results, err := db.Search(context.Background(), scenes[0], SearchOptions{K: 500})
+	results, err := search(context.Background(), db, scenes[0], WithK(500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +220,7 @@ func TestSearchAllTiedResultsOrderByID(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	results, err := db.Search(context.Background(), img, SearchOptions{K: 4})
+	results, err := search(context.Background(), db, img, WithK(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +248,7 @@ func TestSearchCancelledMidShard(t *testing.T) {
 		}
 		return BEScorer()(q, qbe, e)
 	}
-	_, err := db.Search(ctx, scenes[0], SearchOptions{K: 3, Scorer: scorer, Parallelism: workers})
+	_, err := search(ctx, db, scenes[0], WithK(3), WithScorerFunc(scorer), WithParallelism(workers))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
@@ -331,10 +354,12 @@ func TestConcurrentUpdateAndSearch(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 30; i++ {
-		if _, err := db.Search(context.Background(), scenes[i%16], SearchOptions{K: 3, Parallelism: 2}); err != nil {
+		if _, err := search(context.Background(), db, scenes[i%16], WithK(3), WithParallelism(2)); err != nil {
 			t.Fatalf("Search: %v", err)
 		}
-		db.SearchRegion(core.NewRect(0, 0, 40, 40), "")
+		if _, err := db.Query(context.Background(), NewMatchQuery(), InRegion(core.NewRect(0, 0, 40, 40))); err != nil {
+			t.Fatalf("region query: %v", err)
+		}
 	}
 	<-done
 }

@@ -178,13 +178,13 @@ func BuildWorkload(cfg WorkloadConfig) (*Workload, error) {
 func (w *Workload) Run(ctx context.Context, scorer imagedb.Scorer) (Metrics, error) {
 	ms := make([]Metrics, 0, len(w.Rounds))
 	for i, round := range w.Rounds {
-		results, err := w.DB.Search(ctx, round.Query, imagedb.SearchOptions{Scorer: scorer})
+		page, err := w.DB.Query(ctx, imagedb.NewQuery(round.Query), imagedb.WithScorerFunc(scorer))
 		if err != nil {
 			return Metrics{}, fmt.Errorf("run round %d: %w", i, err)
 		}
-		ranked := make([]string, len(results))
-		for j, r := range results {
-			ranked[j] = r.ID
+		ranked := make([]string, len(page.Hits))
+		for j, h := range page.Hits {
+			ranked[j] = h.ID
 		}
 		ms = append(ms, Evaluate(ranked, round.Relevant, w.Config.K))
 	}

@@ -12,10 +12,6 @@ type (
 	SpatialQuery = query.Query
 	// SpatialConstraint is one clause of a SpatialQuery.
 	SpatialConstraint = query.Constraint
-	// RegionHit is one icon found by DB.SearchRegion.
-	RegionHit = imagedb.RegionHit
-	// QueryResult is one image ranked by DB.SearchDSL.
-	QueryResult = imagedb.QueryResult
 	// BulkItem is one image in DB.BulkInsert.
 	BulkItem = imagedb.BulkItem
 )

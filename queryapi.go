@@ -19,8 +19,7 @@ import (
 // inverted label index, then R-tree region probe, then spatial-predicate
 // evaluation, and only the survivors reach ranked top-K scoring — so DSL
 // and region retrieval are filters on ranked search, not separate code
-// paths. The deprecated Search/SearchDSL/SearchRegion entry points are
-// thin wrappers over the same pipeline.
+// paths.
 type (
 	// Query is a composable retrieval request (ranked similarity +
 	// spatial-predicate filter + region filter + pagination).

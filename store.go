@@ -2,6 +2,7 @@ package bestring
 
 import (
 	"bestring/internal/imagedb"
+	"bestring/internal/wal"
 )
 
 // Durable-store types, re-exported. A Store wraps a DB with a segmented
@@ -45,6 +46,10 @@ const (
 
 // ErrStoreClosed is returned by mutations on a closed Store.
 var ErrStoreClosed = imagedb.ErrStoreClosed
+
+// ErrRecordTooLarge matches (errors.Is) a mutation whose encoded WAL
+// record would exceed the log's payload bound.
+var ErrRecordTooLarge = wal.ErrRecordTooLarge
 
 // ErrReadOnlyReplica is returned by mutation methods on a follower
 // store (StoreOptions.Replica): writes belong on the primary.
