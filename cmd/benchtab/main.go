@@ -9,8 +9,8 @@
 // (replication: follower catch-up throughput vs local replay, plus
 // steady-state lag under paced writes), E15 (observability
 // overhead: search/write paths with the metrics registry off vs on) and
-// E16 (cost-based planner stage-order wins plus scorer-cache hit rates,
-// against the same queries with both off) and E17 (streaming-ingest
+// E16 (scorer-cache wins and hit rates, against the same queries with
+// the cache off) and E17 (streaming-ingest
 // scaling: the chunked importer vs legacy chunk-looped BulkInsert across
 // source format, chunk size and arena layout).
 // Run with -exp all (default) or a single experiment id.

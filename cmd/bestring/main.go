@@ -199,7 +199,7 @@ func cmdSearch(args []string) error {
 	minScore := fs.Float64("min-score", 0, "drop results scoring below the threshold")
 	explain := fs.Bool("explain", false, "print the chosen query plan, per-stage candidate counts and per-hit bound vs exact score")
 	noPrune := fs.Bool("no-prune", false, "disable filter-and-refine pruning (results are identical; for measurement)")
-	noPlan := fs.Bool("no-planner", false, "disable the cost-based stage planner (results are identical; for measurement)")
+	noPlan := fs.Bool("no-planner", false, "report the plan as \"fixed\" (the pipeline has one stage order; results are identical)")
 	noCache := fs.Bool("no-cache", false, "disable the scorer cache for this query (results are identical; for measurement)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -309,12 +309,6 @@ func cmdSearch(args []string) error {
 		fmt.Printf("plan: %s (%s)", p.Name, strings.Join(p.Order, " -> "))
 		if p.EstLabel > 0 {
 			fmt.Printf(" est-label=%d", p.EstLabel)
-		}
-		if p.EstRegion > 0 {
-			fmt.Printf(" est-region=%d", p.EstRegion)
-		}
-		if p.EstFilterRate > 0 {
-			fmt.Printf(" est-filter-rate=%.3f", p.EstFilterRate)
 		}
 		fmt.Println()
 		if p.CacheBypassed {

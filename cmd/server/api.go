@@ -492,8 +492,8 @@ type queryRequest struct {
 	Consistent bool `json:"consistent,omitempty"`
 
 	// Debug adds the per-stage candidate counts (narrowed, bounded,
-	// evaluated, pruned) and the planner's chosen plan (stage order,
-	// selectivity estimates, scorer-cache hits) to the response — on a
+	// evaluated, pruned) and the executed plan (stage order, the
+	// label-narrowing estimate, scorer-cache hits) to the response — on a
 	// batch, to every sub-response. Results are unaffected.
 	Debug bool `json:"debug,omitempty"`
 
@@ -580,8 +580,8 @@ type queryResponse struct {
 	// Stages carries the per-stage candidate counts when the request set
 	// "debug": true.
 	Stages *bestring.QueryStages `json:"stages,omitempty"`
-	// Plan carries the planner's chosen stage order, selectivity
-	// estimates and scorer-cache hit/miss counts when the request set
+	// Plan carries the executed stage order, the label-narrowing
+	// estimate and scorer-cache hit/miss counts when the request set
 	// "debug": true.
 	Plan   *bestring.QueryPlan `json:"plan,omitempty"`
 	Error  string              `json:"error,omitempty"`

@@ -1,7 +1,7 @@
 // Floorplan: spatial-predicate retrieval over structured scenes — the
 // paper introduction's motivating query ("find all images which icon A
 // locates at the left side and icon B locates at the right") expressed in
-// the query DSL, combined with R-tree region lookup and BE-string ranking.
+// the query DSL, combined with region lookup and BE-string ranking.
 package main
 
 import (
@@ -80,7 +80,7 @@ func main() {
 		fmt.Printf("  %-14s score %.2f full=%v\n", r.ID, r.Score, r.Full)
 	}
 
-	// 3. R-tree region lookup: which plans put something in the
+	// 3. Region lookup: which plans put something in the
 	// north-west quadrant? The query answers with plans; the icons and
 	// their boxes are on the stored entry.
 	nw := bestring.NewRect(0, 30, 30, 60)

@@ -1001,21 +1001,19 @@ func PruneEfficacy(sizes, selectivities, ks []int) (*Table, error) {
 }
 
 // PlannerCache is experiment E16 (engine, not from the paper): what the
-// cost-based query planner and the scorer cache buy, measured against the
-// same queries with both turned off. The plan scenarios pick workloads
-// that trigger each reordering rule — a tiny region (region-first), a
-// clause whose labels blanket the corpus (scan with the postings union
-// skipped), and a selective clause under a broad region (filter-first,
-// after a warmup run feeds the shape statistics). The cache scenarios
-// re-run a refine-heavy unbounded ranked query warm, and under per-op
-// write churn that invalidates one entry version per query. Rankings are
-// byte-identical base vs opt in every row (pinned by
-// TestPlannerRankingByteIdentical / TestScorerCacheRankingByteIdentical);
-// the table shows only the cost difference.
+// scorer cache buys, measured against the same queries with it turned
+// off — a refine-heavy unbounded ranked query re-run warm, and under
+// per-op write churn that invalidates one entry version per query.
+// Rankings are byte-identical base vs opt in every row (pinned by
+// TestScorerCacheRankingByteIdentical); the table shows only the cost
+// difference. The experiment used to carry three stage-order rows
+// (region-first, label-skip, filter-first); those plans are gone — a
+// region is a per-candidate test and narrowing is one merge expression —
+// and their last measurements are in EXPERIMENTS.md E23.
 func PlannerCache(sizes []int, k int) (*Table, error) {
 	t := &Table{
 		ID: "E16",
-		Caption: "cost-based planner + scorer cache: stage-order and memoisation wins " +
+		Caption: "scorer cache: memoisation wins " +
 			"(base = planner and cache off; opt = on; identical rankings)",
 		Header: []string{"scenario", "images", "plan", "base us/op", "opt us/op", "speedup", "hit rate"},
 	}
@@ -1039,29 +1037,11 @@ func PlannerCache(sizes []int, k int) (*Table, error) {
 			name   string
 			query  *imagedb.Query
 			opts   []imagedb.QueryOption
-			warmup int          // opt-side runs before measuring (shape stats, cache)
+			warmup int          // opt-side runs before measuring (cache admission and fill)
 			churn  func() error // executed inside every measured op, both sides
 		}
-		tiny := core.NewRect(0, 0, 6, 6)
-		blanket := "icon00 left-of icon01; icon02 left-of icon03; icon04 left-of icon05"
 		churnObj := core.Object{Label: "zz-churn", Box: core.NewRect(0, 0, 3, 3)}
 		scenarios := []scenario{
-			{
-				name:  "region-first",
-				query: imagedb.NewQuery(queryImg),
-				opts:  []imagedb.QueryOption{imagedb.WithK(k), imagedb.InRegion(tiny), imagedb.WithLabelPrefilter(true)},
-			},
-			{
-				name:  "label-skip",
-				query: imagedb.NewMatchQuery(),
-				opts:  []imagedb.QueryOption{imagedb.WithK(k), imagedb.Where(blanket)},
-			},
-			{
-				name:   "filter-first",
-				query:  imagedb.NewMatchQuery(),
-				opts:   []imagedb.QueryOption{imagedb.WithK(k), imagedb.Where("icon00 contains icon01"), imagedb.InRegion(core.NewRect(0, 0, 95, 95))},
-				warmup: 2,
-			},
 			{
 				name:   "cache-warm",
 				query:  imagedb.NewQuery(queryImg),

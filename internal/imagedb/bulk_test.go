@@ -3,6 +3,7 @@ package imagedb
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"bestring/internal/core"
@@ -10,9 +11,9 @@ import (
 
 // TestBulkInsertAllOrNothingOnConversionFailure pins the documented
 // BulkInsert contract: a conversion failure in the MIDDLE of a batch
-// leaves the database exactly as it was — no entries, no label-index
-// residue, no R-tree residue — even though earlier items of the batch
-// converted fine.
+// leaves the database exactly as it was — no entries, no posting-run
+// residue, nothing a region query can find — even though earlier items
+// of the batch converted fine.
 func TestBulkInsertAllOrNothingOnConversionFailure(t *testing.T) {
 	db := New()
 	if err := db.Insert("pre", "", storeImage(0)); err != nil {
@@ -43,10 +44,12 @@ func TestBulkInsertAllOrNothingOnConversionFailure(t *testing.T) {
 	if ids := db.ImagesWithLabel("B1"); len(ids) != 0 {
 		t.Fatalf("label index residue: %v", ids)
 	}
-	if hits := db.current.Load().spatial.SearchIntersect(core.NewRect(0, 0, 12, 12)); len(hits) != 2 {
-		// Only the two icons of the pre-existing image may be indexed.
-		t.Fatalf("R-tree residue: %d hits", len(hits))
+	// Only the pre-existing image may answer a region query, and every
+	// posting run must name it alone.
+	if ids := regionIDs(t, db, core.NewRect(0, 0, 12, 12), ""); !slices.Equal(ids, []string{"pre"}) {
+		t.Fatalf("region residue: %v", ids)
 	}
+	assertPostings(t, db)
 }
 
 // TestBulkInsertAllOrNothingOnCollision pins the same guarantee for an

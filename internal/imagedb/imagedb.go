@@ -5,7 +5,7 @@
 // the clique-based type-i baselines) and JSON persistence.
 //
 // The store is MVCC: every version of the database — sharded entry maps,
-// inverted label indexes and the spatial R-tree — is an immutable
+// scan columns and label posting runs — is an immutable
 // snapshot published through one atomic pointer with a monotonically
 // increasing epoch. Mutations serialise on a writer mutex, build the
 // next version copy-on-write (sharing all untouched structure) and
@@ -88,10 +88,6 @@ type DB struct {
 	// doorkeeper admits a query to the scorer cache from the second
 	// sighting of its key on (scorercache.go).
 	doorkeeper cacheDoorkeeper
-	// shapes is the planner's decaying per-query-shape predicate
-	// pass-rate table (plan.go).
-	shapes shapeStats
-
 	// arenaOff disables the columnar arena layout for bulk-loaded
 	// segments (arena.go). Inverted so the zero value keeps the default:
 	// arena on.
@@ -123,20 +119,6 @@ func (db *DB) labelDict() *core.LabelDict { return db.current.Load().dict }
 // issued now would pin. It increases by one per published mutation.
 func (db *DB) Epoch() uint64 { return db.current.Load().epoch }
 
-// spatialID keys one icon of one image in the R-tree. Labels cannot
-// contain NUL (they come from validated images), so the join is unambiguous.
-func spatialID(imageID, label string) string { return imageID + "\x00" + label }
-
-// splitSpatialID undoes spatialID.
-func splitSpatialID(id string) (imageID, label string) {
-	for i := 0; i < len(id); i++ {
-		if id[i] == 0 {
-			return id[:i], id[i+1:]
-		}
-	}
-	return id, ""
-}
-
 // Insert converts the image to its 2D BE-string and stores it under id.
 func (db *DB) Insert(id, name string, img core.Image) error {
 	return db.mutate(context.Background(), wal.Record{Op: wal.OpInsert, ID: id, Name: name, Image: &img}, 0)
@@ -167,7 +149,7 @@ func (db *DB) Get(id string) (Entry, bool) {
 func (db *DB) Len() int { return db.current.Load().count }
 
 // IDs returns the stored ids in insertion order.
-func (db *DB) IDs() []string { return db.current.Load().orderedIDsMatching(nil) }
+func (db *DB) IDs() []string { return db.current.Load().orderedIDs() }
 
 // InsertObject adds an object to a stored image, reindexing it; the
 // update is rejected if the result no longer converts.

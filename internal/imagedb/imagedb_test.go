@@ -3,6 +3,7 @@ package imagedb
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -319,7 +320,7 @@ func TestConcurrentUse(t *testing.T) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	db, _ := seedDB(t, 8)
+	db, scenes := seedDB(t, 8)
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -338,11 +339,45 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Errorf("entry %q differs after round trip", id)
 		}
 	}
-	// The snapshot carries no index bytes: the loaded DB's R-tree is
-	// rebuilt on install and answers like the original's.
+	// The snapshot carries no index bytes: the loaded DB's posting runs
+	// are rebuilt on install and it answers region queries like the
+	// original.
 	canvas := core.NewRect(0, 0, 1000, 1000)
 	if got, want := regionIDs(t, loaded, canvas, ""), wantRegionIDs(db, canvas, ""); len(got) != 8 || !slices.Equal(got, want) {
 		t.Errorf("loaded db region ids = %v, want %v", got, want)
+	}
+	label := scenes[0].Objects[0].Label // a labelled region reads that label's run
+	if got, want := regionIDs(t, loaded, canvas, label), wantRegionIDs(db, canvas, label); len(got) == 0 || !slices.Equal(got, want) {
+		t.Errorf("loaded db region ids for %q = %v, want %v", label, got, want)
+	}
+	assertPostings(t, loaded)
+}
+
+// TestSaveMatchesWholeValueEncoding pins the snapshot format: Save
+// streams entry by entry, and the bytes must be exactly what encoding
+// the whole snapshot value with two-space indentation produces — for an
+// empty database, a generated one, and ids and names that need escaping.
+func TestSaveMatchesWholeValueEncoding(t *testing.T) {
+	seeded, _ := seedDB(t, 8)
+	odd := New()
+	for _, id := range []string{"a\x00b", `<tag> & "quotes"`, "ünï\u2028cødé", "plain"} {
+		if err := odd.Insert(id, "name of "+id, storeImage(len(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, db := range map[string]*DB{"empty": New(), "seeded": seeded, "odd ids": odd} {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(snapshotJSON{Version: snapshotVersion, Entries: db.current.Load().orderedEntries()}); err != nil {
+			t.Fatal(err)
+		}
+		if got := saveBytes(t, db.Save); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: Save wrote\n%s\nwant\n%s", name, got, want.Bytes())
+		}
+		if _, err := Load(bytes.NewReader(saveBytes(t, db.Save))); err != nil {
+			t.Errorf("%s: Load of its own Save: %v", name, err)
+		}
 	}
 }
 

@@ -61,7 +61,7 @@ func (db *DB) EnableMetrics(reg *obs.Registry) {
 		candBounded:   reg.Counter("bestring_query_candidates_total", candHelp, "stage", "bounded"),
 		candEvaluated: reg.Counter("bestring_query_candidates_total", candHelp, "stage", "evaluated"),
 		candPruned:    reg.Counter("bestring_query_candidates_total", candHelp, "stage", "pruned"),
-		planTotal:     make(map[string]*obs.Counter, 5),
+		planTotal:     make(map[string]*obs.Counter, len(planNames())),
 		cacheHits: reg.Counter("bestring_scorer_cache_hits_total",
 			"Exact scorer evaluations served from the scorer cache."),
 		cacheMisses: reg.Counter("bestring_scorer_cache_misses_total",

@@ -20,8 +20,9 @@ import (
 // commit group in script order; (c) that store reopened, from the WAL
 // alone and from a mid-script checkpoint plus the tail; (d) a follower
 // fed the primary's frames. Each step fails with the same errors.Is class
-// on (a) and (b), and all four end on identical Save bytes, IDs() order
-// and fully indexed entries. The log's structure is checked through
+// on (a) and (b), and all four end on identical Save bytes, IDs() order,
+// fully indexed entries, sound posting runs and the reference's answer to
+// the same random queries. The log's structure is checked through
 // InspectStore: one frame per group that accepted anything, a plain
 // record when it accepted exactly one mutation.
 func TestOpScriptEveryDoor(t *testing.T) {
@@ -48,6 +49,7 @@ func TestOpScriptEveryDoor(t *testing.T) {
 					if err != nil {
 						rejected++
 					}
+					assertPostings(t, db) // after every step, accepted or rejected
 				}
 				if rejected < steps/8 || rejected > steps/2 {
 					t.Fatalf("script rejects %d of %d steps: not the mix this test is for", rejected, steps)
@@ -62,6 +64,7 @@ func TestOpScriptEveryDoor(t *testing.T) {
 						t.Fatalf("%s: IDs() = %v, want %v", door, got.IDs(), wantIDs)
 					}
 					assertSignaturesInstalled(t, got)
+					assertNarrowingMatchesReference(t, door, got, seed)
 				}
 				same("db", db)
 

@@ -1,6 +1,8 @@
 package imagedb
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -30,12 +32,34 @@ func (db *DB) Save(w io.Writer) error {
 
 // saveEntries writes a versioned JSON snapshot of the given entries —
 // the shared encoding behind DB.Save and the store's checkpointer (which
-// pins a version and encodes entirely outside the writer lock).
+// pins a version and encodes entirely outside the writer lock). The
+// bytes are those of encoding a snapshotJSON with two-space indentation,
+// produced one entry at a time: encoding/json renders a whole value into
+// memory before it writes the first byte, and a checkpoint that fires
+// under write load must not hold a second copy of the corpus as text.
 func saveEntries(w io.Writer, entries []Entry) error {
-	snap := snapshotJSON{Version: snapshotVersion, Entries: entries}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "{\n  \"version\": %d,\n  \"entries\": [", snapshotVersion)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("    ", "  ")
+	for i := range entries {
+		buf.Reset()
+		if err := enc.Encode(&entries[i]); err != nil {
+			return fmt.Errorf("save image db: %w", err)
+		}
+		sep := ",\n    "
+		if i == 0 {
+			sep = "\n    "
+		}
+		bw.WriteString(sep)
+		bw.Write(bytes.TrimSuffix(buf.Bytes(), []byte("\n")))
+	}
+	if len(entries) > 0 {
+		bw.WriteString("\n  ")
+	}
+	bw.WriteString("]\n}\n")
+	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("save image db: %w", err)
 	}
 	return nil

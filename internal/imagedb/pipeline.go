@@ -44,8 +44,8 @@ type Page struct {
 	// through for this query — the observability hook for pruning
 	// efficacy. Always populated by the pipeline.
 	Stages *StageCounts `json:"stages,omitempty"`
-	// Plan records the stage order the cost-based planner chose for
-	// this query, its selectivity estimates and the query's scorer-cache
+	// Plan records how this query's candidate set was assembled, the
+	// estimate of the label narrowing and the query's scorer-cache
 	// hit/miss counts (plan.go). Always populated by the pipeline;
 	// surfaced by the CLI's -explain and the server's "debug":true.
 	Plan *QueryPlan `json:"plan,omitempty"`
@@ -55,22 +55,20 @@ type Page struct {
 // how the staged pipeline narrowed the corpus down to the entries that
 // actually paid an exact scorer evaluation. Hits/Total/NextCursor are
 // byte-identical whatever these counts say; they only describe how much
-// work producing them took. Under the cost-based planner the narrowing
-// counts follow the EXECUTED order recorded in Page.Plan.Order (e.g. a
-// region-first plan reports the region probe's output as Indexed);
-// Narrowed — the set entering ranked scoring — is plan-invariant.
+// work producing them took. Indexed >= Region >= Narrowed.
 type StageCounts struct {
-	// Indexed counts candidates after the plan's first narrowing step
-	// (the inverted-label narrowing under the fixed order; the full
-	// version size when nothing narrows).
+	// Indexed counts the candidates the posting-run narrowing resolved:
+	// the images that hold both labels of a Where constraint (of every
+	// constraint, when all must hold; of at least one otherwise), share a
+	// label with the query image under LabelPrefilter, and hold the
+	// region label — whichever of the three the query has. The full
+	// version size when it has none.
 	Indexed int `json:"indexed"`
-	// Region counts candidates once label and region narrowing both ran
-	// (equal to Indexed when the query has no region; under a
-	// filter-first plan the region check runs inside the predicate
-	// stage, so Region equals Indexed there too).
+	// Region counts the Indexed candidates that passed the region test
+	// (equal to Indexed when the query has no region).
 	Region int `json:"region"`
 	// Narrowed counts candidates surviving the spatial-predicate filter
-	// — the set entering ranked scoring. Plan-invariant.
+	// — the set entering ranked scoring.
 	Narrowed int `json:"narrowed"`
 	// Bounded counts candidates whose signature upper bound was
 	// computed in the refine stage (zero when the scorer declares no
@@ -92,8 +90,8 @@ type StageCounts struct {
 	// additionally covers scorer resolution and query conversion before
 	// stage 1. Omitted from JSON when zero (e.g. pages decoded from old
 	// servers). These feed the bestring_query_stage_seconds histograms
-	// and the slow-query log, and are the raw selectivity/latency
-	// statistics the planned cost-based planner needs.
+	// and the slow-query log. IndexNanos covers the posting-run merges
+	// and their resolution to entries, RegionNanos the region test.
 	IndexNanos  int64 `json:"indexNs,omitempty"`
 	RegionNanos int64 `json:"regionNs,omitempty"`
 	FilterNanos int64 `json:"filterNs,omitempty"`
@@ -138,17 +136,16 @@ func recordSpans(ctx context.Context, start time.Time, sc *StageCounts) {
 type candidate struct {
 	st    *stored
 	where float64
-	full  bool
 }
 
 // Query executes a composed retrieval request against the store. The
 // candidate set flows through staged narrowers, cheapest first —
-// inverted label index, R-tree region probe, spatial-predicate
-// evaluation — and only the survivors reach the ranked top-K scoring
-// the engine runs for plain similarity search. Extra options apply to a
-// copy, so the Query value can be reused. The ranking is deterministic:
-// score descending, id ascending on ties, whatever the shard count or
-// parallelism.
+// posting-run merges over the inverted label index, the region test,
+// spatial-predicate evaluation — and only the survivors reach the ranked
+// top-K scoring the engine runs for plain similarity search. Extra
+// options apply to a copy, so the Query value can be reused. The ranking
+// is deterministic: score descending, id ascending on ties, whatever the
+// shard count or parallelism.
 //
 // The whole pipeline runs against one pinned version of the store: an
 // epoch is resolved once (the cursor's epoch when resuming a paginated
@@ -193,8 +190,8 @@ func (db *DB) QueryIter(ctx context.Context, q *Query, opts ...QueryOption) iter
 
 // iterOn streams a query's results from one pinned version — the shared
 // engine behind DB.QueryIter and Snapshot.QueryIter. db supplies the
-// scorer cache and planner statistics (nil: both unavailable); cur is
-// the decoded resume position of the spec's initial cursor, if any;
+// scorer cache (nil: unavailable); cur is the decoded resume position
+// of the spec's initial cursor, if any;
 // note (optional) receives each executed batch's page so a DB-backed
 // iteration feeds the cumulative search counters.
 func iterOn(ctx context.Context, db *DB, snap *snapshot, spec *Query, cur *cursorPos, note func(*Page)) iter.Seq2[Hit, error] {
@@ -287,11 +284,10 @@ func (db *DB) noteSearch(page *Page) {
 }
 
 // executeOn runs the staged pipeline against one pinned, immutable
-// version; db supplies the scorer cache and planner statistics (nil:
-// both unavailable); cur is the query's already-decoded cursor (nil
-// when none). From here on the query acquires no locks: every stage —
-// label narrowing, region probe, predicate evaluation, top-K scoring —
-// reads frozen maps and a frozen tree, so the view is consistent by
+// version; db supplies the scorer cache (nil: unavailable); cur is the
+// query's already-decoded cursor (nil when none). From here on the query acquires no locks: every stage —
+// label narrowing, region test, predicate evaluation, top-K scoring —
+// reads frozen maps, columns and runs, so the view is consistent by
 // construction and concurrent writers cost readers nothing.
 func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *cursorPos) (*Page, error) {
 	if q.err != nil {
@@ -334,206 +330,89 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 		}
 	}
 
-	// Stage 1 inputs. A Where clause narrows to images containing at
-	// least one of its labels (an image satisfying any clause must),
-	// otherwise an explicit LabelPrefilter narrows to images sharing an
-	// icon label with the query image.
+	// The Where threshold: with a ranked component the clause is a filter
+	// (default: every constraint must hold); without one the satisfied
+	// fraction becomes the ranking score and any positive fraction passes.
+	whereMin := q.whereMin
+	if whereMin < 0 {
+		whereMin = 0
+		if q.image != nil {
+			whereMin = 1
+		}
+	}
+
+	// Stage 1 — label narrowing: what the query can narrow by before it
+	// looks at an entry, as one expression of merges per shard, resolved
+	// against the shard's scan column (postings.go). A query with no label
+	// to narrow by — no Where clause, no LabelPrefilter, no region label —
+	// keeps the version's own scan columns: shared and immutable, so read
+	// in place and never filtered in place.
 	mark := time.Now()
-	var labels []string
-	prefilter := false
-	switch {
-	case q.dsl != nil:
-		for label := range q.dsl.Labels() {
-			labels = append(labels, label)
+	nar := compileNarrowing(snap.dict, q, whereMin)
+	plan := planQuery(snap, q, &nar)
+	stages := &StageCounts{Indexed: snap.count}
+	cols := snap.scanColumns()
+	if nar.active() {
+		cands0 := make([]*stored, 0, plan.EstLabel)
+		for _, sv := range snap.shards {
+			cands0 = resolveRun(cands0, sv.scan, nar.run(sv))
 		}
-		prefilter = true
-	case q.image != nil && q.labelPrefilter:
-		labels = queryLabels(img)
-		prefilter = true
+		stages.Indexed, cols = len(cands0), [][]*stored{cands0}
 	}
+	stages.IndexNanos = sinceNanos(&mark)
 
-	// Plan — the cost-based planner picks the narrowing order from
-	// snapshot statistics before any per-entry work; WithPlanner(false)
-	// pins the fixed label → region → predicate order. Every plan
-	// assembles the exact same candidate set (see plan.go), so the
-	// branches below differ in work, never in results.
-	var shapes *shapeStats
-	if db != nil {
-		shapes = &db.shapes
-	}
-	ep := planQuery(snap, q, labels, prefilter, shapes)
-	plan := ep.Plan
-	stages := &StageCounts{}
-
-	// cols is the narrowed set as a list of columns. A query nothing
-	// narrows — no label narrowing, no Where clause, no region filter to
-	// apply — ranks straight over the version's own scan columns: no
-	// per-query copy of the corpus. Those columns are shared and
-	// immutable, so every branch that filters works on cands0, a slice
-	// this query owns (collect), and hands it over as the single column.
-	var cols [][]*stored
-	var cands0 []*stored
-	pureScan := q.dsl == nil && !prefilter && (q.region == nil || ep.skipRegion)
-	if pureScan {
-		cols = snap.scanColumns()
-		stages.Indexed, stages.Region = snap.count, snap.count
-		stages.IndexNanos = sinceNanos(&mark)
-		stages.RegionNanos = sinceNanos(&mark)
-	} else if ep.regionFirst {
-		// Region-first: probe the (estimated tiny) region set, then
-		// recover the label narrowing as a membership filter over it.
-		ids := snap.regionIDSet(*q.region, q.regionLabel)
-		cands0 = make([]*stored, 0, len(ids))
-		for id := range ids {
-			if st, ok := snap.lookup(id); ok {
-				cands0 = append(cands0, st)
-			}
+	// Stage 2 — region: the geometric test on every surviving candidate
+	// (the whole version, for an unlabelled region with nothing else to
+	// narrow by), into a slice this query owns.
+	stages.Region = stages.Indexed
+	if q.region != nil {
+		var kept []*stored
+		if nar.active() {
+			kept = cols[0][:0] // ours: filter in place
 		}
-		stages.Indexed = len(cands0)
-		stages.IndexNanos = sinceNanos(&mark)
-		if prefilter {
-			kept := cands0[:0]
-			for _, st := range cands0 {
-				if snap.hasAnyLabel(st.ID, labels) {
+		seen := 0
+		for _, col := range cols {
+			for _, st := range col {
+				if seen&1023 == 0 {
+					if err := ctx.Err(); err != nil {
+						return nil, err
+					}
+				}
+				seen++
+				if regionMatches(&st.Image, *q.region, q.regionLabel) {
 					kept = append(kept, st)
 				}
 			}
-			cands0 = kept
 		}
-		stages.Region = len(cands0)
-		stages.RegionNanos = sinceNanos(&mark)
-	} else {
-		// Label (or scan) first. A skipped postings union degrades to a
-		// full scan; the label restriction is then recovered inline for
-		// image-only prefilters and by the Where evaluation otherwise
-		// (an image with none of the clause's labels satisfies nothing).
-		if prefilter && !ep.skipLabels {
-			cands0 = snap.collect(labels, prefilter)
-		} else {
-			cands0 = snap.collect(nil, false)
-			if ep.skipLabels && prefilter && q.dsl == nil {
-				kept := cands0[:0]
-				for _, st := range cands0 {
-					if snap.hasAnyLabel(st.ID, labels) {
-						kept = append(kept, st)
-					}
-				}
-				cands0 = kept
-			}
-		}
-		stages.Indexed = len(cands0)
-		stages.IndexNanos = sinceNanos(&mark)
-
-		// Region filter — unless the plan defers it past the predicate
-		// (filter-first) or proved it a no-op (region ⊇ corpus bounds).
-		if q.region != nil && !ep.filterFirst && !ep.skipRegion {
-			kept := cands0[:0]
-			if ep.regionMember {
-				for _, st := range cands0 {
-					if snap.shardFor(st.ID).labels[q.regionLabel][st.ID] {
-						kept = append(kept, st)
-					}
-				}
-			} else {
-				ids := snap.regionIDSet(*q.region, q.regionLabel)
-				for _, st := range cands0 {
-					if ids[st.ID] {
-						kept = append(kept, st)
-					}
-				}
-			}
-			cands0 = kept
-		}
-		stages.Region = len(cands0)
-		stages.RegionNanos = sinceNanos(&mark)
+		stages.Region, cols = len(kept), [][]*stored{kept}
 	}
+	stages.RegionNanos = sinceNanos(&mark)
 
-	// Predicate stage — spatial-predicate evaluation. With a ranked
-	// component the clause is a filter (default: every constraint must
-	// hold); without one the satisfied fraction becomes the ranking
-	// score.
-	//
-	// Without a Where clause the narrowed scan column is the ranked set as
-	// it stands; the candidate wrapper exists only to carry a clause's
-	// evaluation.
-	filterIn := len(cands0)
+	// Stage 3 — spatial-predicate evaluation. Without a Where clause the
+	// narrowed columns are the ranked set as they stand; the candidate
+	// wrapper exists only to carry a clause's satisfied fraction, which
+	// is the ranking score of a query without an image. (A Where clause
+	// always narrows, so there is exactly one column to evaluate.)
+	narrowed := stages.Region
 	var cands []candidate
-	var whereByID map[string]candidate
 	if q.dsl != nil {
-		cands = make([]candidate, 0, len(cands0))
-		min := q.whereMin
-		if min < 0 {
-			if q.image != nil {
-				min = 1
-			} else {
-				min = 0 // any positive fraction: satisfaction itself is the ranking
-			}
-		}
-		whereByID = make(map[string]candidate, len(cands0))
-		for i, st := range cands0 {
+		cands = make([]candidate, 0, narrowed)
+		for i, st := range cols[0] {
 			if i&1023 == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 			}
-			frac, full := q.dsl.Eval(st.Image)
-			if frac <= 0 || frac < min {
+			frac, _ := q.dsl.Eval(st.Image)
+			if frac <= 0 || frac < whereMin {
 				continue
 			}
-			c := candidate{st: st, where: frac, full: full}
-			cands = append(cands, c)
-			whereByID[st.ID] = c
+			cands = append(cands, candidate{st: st, where: frac})
 		}
-		// The label stage narrowed on the clause's labels; an explicit
-		// LabelPrefilter additionally requires sharing an icon label
-		// with the query image.
-		if q.image != nil && q.labelPrefilter {
-			qset := make(map[string]bool)
-			for _, l := range queryLabels(img) {
-				qset[l] = true
-			}
-			kept := cands[:0]
-			for _, c := range cands {
-				for _, o := range c.st.Image.Objects {
-					if qset[o.Label] {
-						kept = append(kept, c)
-						break
-					}
-				}
-			}
-			cands = kept
-		}
-		// Feed the observed pass-rate back into the planner's decaying
-		// per-shape table (only meaningful when the clause actually
-		// filtered a non-empty input).
-		if shapes != nil && filterIn > 0 {
-			shapes.note(q.dsl.String(), float64(len(cands))/float64(filterIn))
-		}
+		narrowed = len(cands)
 	}
 	stages.FilterNanos = sinceNanos(&mark)
 
-	// Filter-first plans (only chosen with a Where clause) deferred the
-	// region filter to here: a direct geometric check per predicate
-	// survivor replaces the broad R-tree probe (see regionMatches for the
-	// equivalence).
-	if ep.filterFirst && q.region != nil {
-		kept := cands[:0]
-		for _, c := range cands {
-			if regionMatches(&c.st.Image, *q.region, q.regionLabel) {
-				kept = append(kept, c)
-			}
-		}
-		cands = kept
-		stages.RegionNanos = sinceNanos(&mark)
-	}
-
-	narrowed := snap.count // a pure scan: cols are the version's columns
-	switch {
-	case q.dsl != nil:
-		narrowed = len(cands)
-	case !pureScan:
-		narrowed, cols = len(cands0), [][]*stored{cands0}
-	}
 	stages.Narrowed = narrowed
 	if narrowed == 0 {
 		if err := ctx.Err(); err != nil {
@@ -643,9 +522,10 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 	for i, r := range ranked {
 		h := Hit{ID: r.ID, Name: r.Name, Score: r.Score}
 		if q.dsl != nil {
-			if c, ok := whereByID[r.ID]; ok {
-				h.Where, h.Full = c.where, c.full
-			}
+			// Only the page's hits report their evaluation, so it is
+			// redone for those few instead of being kept for every survivor.
+			st, _ := snap.lookup(r.ID)
+			h.Where, h.Full = q.dsl.Eval(st.Image)
 		}
 		page.Hits[i] = h
 	}

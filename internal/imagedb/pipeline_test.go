@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -82,7 +83,7 @@ func referencePage(t *testing.T, db referenceSource, spec composedSpec) pageKey 
 	var all []Hit
 	for _, id := range db.IDs() {
 		e, _ := db.Get(id)
-		if spec.labelPrefilter && !slices.ContainsFunc(e.Image.Objects, func(o core.Object) bool {
+		if spec.labelPrefilter && spec.image != nil && !slices.ContainsFunc(e.Image.Objects, func(o core.Object) bool {
 			_, shared := spec.image.Find(o.Label)
 			return shared
 		}) {
@@ -146,6 +147,16 @@ func referencePage(t *testing.T, db referenceSource, spec composedSpec) pageKey 
 	return page
 }
 
+// mustOp parses a predicate name.
+func mustOp(t *testing.T, name string) query.Op {
+	t.Helper()
+	q, err := query.Parse("a " + name + " b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q.Constraints[0].Op
+}
+
 // seedSpatial builds a deterministic corpus where filters have known
 // selectivity: every image gets random icons, every third image gets a
 // "tag left-of anchor" pair (satisfying the DSL below), and every fourth
@@ -187,6 +198,14 @@ func hitsEqual(t *testing.T, label string, got, want []Hit) {
 // combination of image, Where clause and region.
 func TestQueryMatchesComposedReference(t *testing.T) {
 	db := seedSpatial(t, 4, 60)
+	// Ids are opaque: one with a NUL byte, in the probe region and
+	// satisfying the clause, must be found like any other.
+	if err := db.Insert("img\x00nul", "", core.NewImage(64, 64,
+		core.Object{Label: "tag", Box: core.NewRect(1, 1, 3, 3)},
+		core.Object{Label: "anchor", Box: core.NewRect(10, 1, 12, 3)},
+		core.Object{Label: "probe", Box: core.NewRect(50, 50, 55, 55)})); err != nil {
+		t.Fatal(err)
+	}
 	g := workload.NewGenerator(workload.Config{Seed: 18, Vocabulary: 12, Width: 64, Height: 64})
 	img := g.Scene()
 	const dsl = "tag left-of anchor"
@@ -235,6 +254,141 @@ func TestQueryMatchesComposedReference(t *testing.T) {
 			}
 			hitsEqual(t, fmt.Sprintf("%s (parallelism %d)", tc.name, parallelism), page.Hits, want)
 		}
+	}
+
+	// Randomized narrowing specs, on this corpus and on one that came in
+	// through the importer (arena-packed entries).
+	assertNarrowingMatchesReference(t, "seeded", db, 1)
+	imported, err := OpenStore(t.TempDir(), StoreOptions{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer imported.Close()
+	if _, err := imported.Import(context.Background(), ingest.FromItems(importScenes(9, 90)), ImportOptions{ChunkScenes: 32}); err != nil {
+		t.Fatal(err)
+	}
+	assertNarrowingMatchesReference(t, "imported", imported.db, 2)
+}
+
+// assertNarrowingMatchesReference is the one reference test of the
+// narrowing layer: seeded random query specs — one to three Where
+// constraints over a handful of db's labels plus one no entry carries
+// (so constraints share labels and some can never hold), every Where
+// threshold, a region inside, straddling and containing the canvas with
+// and without a label, LabelPrefilter, with and without a query image —
+// each run with the planner on and off and compared, page for page
+// (Hits with Where/Full, Total, NextCursor), with referencePage's naive
+// pass over Get. It also checks the posting-run invariants.
+func assertNarrowingMatchesReference(t *testing.T, door string, db *DB, seed int64) {
+	t.Helper()
+	assertPostings(t, db)
+	ids := db.IDs()
+	if len(ids) == 0 {
+		return
+	}
+	rng := rand.New(rand.NewSource(seed))
+	first, _ := db.Get(ids[0])
+	w, h := first.Image.XMax, first.Image.YMax
+	seen := map[string]bool{}
+	var pool []string
+	for _, id := range ids {
+		e, _ := db.Get(id)
+		for _, o := range e.Image.Objects {
+			if !seen[o.Label] {
+				seen[o.Label] = true
+				pool = append(pool, o.Label)
+			}
+		}
+	}
+	sort.Strings(pool)
+	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	pool = append(pool[:min(len(pool), 5)], "no-such-label")
+	label := func() string { return pool[rng.Intn(len(pool))] }
+	ops := []string{"left-of", "right-of", "above", "below", "overlaps", "disjoint", "inside", "contains"}
+	regions := []core.Rect{
+		core.NewRect(w/4, h/4, w/2, h/2),   // inside the canvas
+		core.NewRect(-w, -h, w/3, h/3),     // straddling its corner
+		core.NewRect(-1, -1, 2*w+1, 2*h+1), // containing it
+	}
+
+	for n := 0; n < 60; n++ {
+		var spec composedSpec
+		var opts []QueryOption
+		// Half of what a spec asks for is read off one stored image, so
+		// that most specs have an answer; the rest is drawn blind.
+		src, _ := db.Get(ids[rng.Intn(len(ids))])
+		object := func() core.Object { return src.Image.Objects[rng.Intn(len(src.Image.Objects))] }
+		q := NewMatchQuery()
+		if rng.Intn(2) == 0 {
+			spec.image, q = &src.Image, NewQuery(src.Image)
+		}
+		spec.whereMin = -1
+		if rng.Intn(4) > 0 {
+			var clauses []string
+			for c := 1 + rng.Intn(3); c > 0; c-- {
+				a, b, op := label(), label(), ops[rng.Intn(len(ops))]
+				if o1, o2 := object(), object(); o1.Label != o2.Label && rng.Intn(3) > 0 {
+					a, b = o1.Label, o2.Label
+					for !query.Holds(mustOp(t, op), o1.Box, o2.Box) {
+						op = ops[rng.Intn(len(ops))]
+					}
+				}
+				for b == a {
+					b = label()
+				}
+				clauses = append(clauses, a+" "+op+" "+b)
+			}
+			spec.dsl = strings.Join(clauses, "; ")
+			opts = append(opts, Where(spec.dsl))
+			if min := []float64{-1, 0.5, 1}[rng.Intn(3)]; min > 0 {
+				spec.whereMin = min
+				opts = append(opts, WithWhereMin(min))
+			}
+		}
+		if rng.Intn(2) == 0 || spec.image == nil && spec.dsl == "" {
+			o := object()
+			spec.region = &regions[rng.Intn(len(regions))]
+			if rng.Intn(2) == 0 {
+				spec.region = &o.Box
+			}
+			switch rng.Intn(4) {
+			case 0:
+				spec.regionLabel = label()
+			case 1:
+				spec.regionLabel = o.Label
+			}
+			opts = append(opts, InRegionLabel(*spec.region, spec.regionLabel))
+		}
+		if rng.Intn(3) == 0 {
+			spec.labelPrefilter = true
+			opts = append(opts, WithLabelPrefilter(true))
+		}
+		if spec.k = []int{0, 2, 5}[rng.Intn(3)]; spec.k > 0 {
+			opts = append(opts, WithK(spec.k))
+		}
+		ref := referencePage(t, db, spec)
+		if ref.Hits == nil {
+			ref.Hits = []Hit{} // an empty page is [] on the wire, not null
+		}
+		want, _ := json.Marshal(ref)
+		for _, planner := range []bool{true, false} {
+			page, err := db.Query(context.Background(), q, append(opts, WithPlanner(planner))...)
+			if err != nil {
+				t.Fatalf("%s spec %d %+v: %v", door, n, spec, err)
+			}
+			if got := pageID(t, page); got != string(want) {
+				t.Fatalf("%s spec %d (planner %v) dsl %q min %v region %v/%q prefilter %v image %v k %d:\n got %s\nwant %s",
+					door, n, planner, spec.dsl, spec.whereMin, spec.region, spec.regionLabel,
+					spec.labelPrefilter, spec.image != nil, spec.k, got, want)
+			}
+			if page.Stages.Indexed < page.Stages.Region || page.Stages.Region < page.Stages.Narrowed {
+				t.Fatalf("%s spec %d: stage counts widen: %+v", door, n, page.Stages)
+			}
+		}
+	}
+	// A threshold of 0 is no threshold: rejected, not treated as "any".
+	if _, err := db.Query(context.Background(), NewMatchQuery(), Where(pool[0]+" above "+pool[1]), WithWhereMin(0)); err == nil {
+		t.Fatalf("%s: WithWhereMin(0) accepted", door)
 	}
 }
 

@@ -183,7 +183,7 @@ func WithWhereMin(f float64) QueryOption {
 }
 
 // InRegion keeps images with at least one icon whose MBR intersects the
-// region (answered by the R-tree before any scoring).
+// region (tested per candidate, before any scoring).
 func InRegion(r core.Rect) QueryOption {
 	return func(q *Query) {
 		if !r.Valid() {
@@ -195,7 +195,8 @@ func InRegion(r core.Rect) QueryOption {
 }
 
 // InRegionLabel is InRegion restricted to icons with the given label
-// ("" means any label).
+// ("" means any label). The label narrows the candidates to its posting
+// runs before the first box is looked at.
 func InRegionLabel(r core.Rect, label string) QueryOption {
 	return func(q *Query) {
 		InRegion(r)(q)
@@ -238,12 +239,12 @@ func WithPruning(on bool) QueryOption {
 	return func(q *Query) { q.noPrune = !on }
 }
 
-// WithPlanner toggles the cost-based stage planner (default on). When
-// off, the query executes in the fixed label → region → predicate order
-// (plan "fixed"). Plans change only how the candidate set is assembled,
-// never what it contains — Hits, Total and NextCursor are byte-identical
-// either way — so disabling the planner is only useful for measuring
-// what it saves (and as the baseline of the byte-identity tests).
+// WithPlanner toggles the stage planner (default on). The pipeline has
+// one order — label → region → predicate — and the planner no longer has
+// a cheaper one to pick (plan.go says why), so turning it off changes
+// only the reported plan name, to "fixed"; Hits, Total and NextCursor are
+// byte-identical either way. Kept as the second side of the
+// byte-identity tests.
 func WithPlanner(on bool) QueryOption {
 	return func(q *Query) { q.noPlan = !on }
 }

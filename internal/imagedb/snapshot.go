@@ -4,24 +4,24 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 
 	"bestring/internal/core"
-	"bestring/internal/rtree"
 )
 
 // This file is the MVCC core of the engine. Every read — Get, Len, the
 // whole staged query pipeline — executes against a snapshot: one
-// immutable version of the entire database (all shard maps, the inverted
-// label indexes and the R-tree) published atomically with a monotonically
-// increasing epoch. Writers serialise on DB.writeMu, build the next
-// version copy-on-write (only the touched shard and the touched R-tree
-// path are copied; everything else is shared by pointer) and publish it
-// with a single atomic store. Readers therefore acquire no locks at all:
-// they pin an epoch once (one atomic load) and traverse frozen data.
+// immutable version of the entire database (all shard maps, scan columns
+// and posting runs) published atomically with a monotonically increasing
+// epoch. Writers serialise on DB.writeMu, build the next version
+// copy-on-write (only the touched shards are copied; everything else is
+// shared by pointer) and publish it with a single atomic store. Readers
+// therefore acquire no locks at all: they pin an epoch once (one atomic
+// load) and traverse frozen data.
 //
 // Publish ordering is what makes torn reads impossible: a snapshot is
-// fully constructed — maps populated, tree cloned, count and epoch set —
+// fully constructed — maps and runs populated, count and epoch set —
 // before the atomic store, and is never mutated afterwards. The store
 // is the release point; a reader's atomic load acquires it, so a reader
 // either sees the previous complete version or the next complete
@@ -31,10 +31,9 @@ import (
 // fields are write-once: after publish, nothing reachable from a
 // snapshot ever changes (stored entries are already copy-on-write).
 type snapshot struct {
-	epoch   uint64
-	shards  []*shardView
-	spatial *rtree.Tree
-	count   int
+	epoch  uint64
+	shards []*shardView
+	count  int
 	// dict is the store's label dictionary — one append-only object
 	// shared by every version, not versioned itself. It only ever grows,
 	// and an entry's labels are interned before the version holding the
@@ -44,41 +43,54 @@ type snapshot struct {
 }
 
 // shardView is one partition of one version, holding its entries three
-// ways: by id, by icon label (this shard's slice of the inverted label
-// index, label -> image ids) and in scan order. The symbol signature
-// that feeds the filter-and-refine ranking stage is not a fourth view:
-// it rides on the entry itself (stored.sig, with the entry's coded axes
-// beside it) — derived data, a pure function of the entry's BE-string and
-// the store's label dictionary, computed once when the entry is
-// installed, never logged or persisted, and rebuilt for free on recovery
-// because recovery replays through the same install path.
+// ways: by id, in scan order, and by icon label (this shard's slice of
+// the inverted label index). The symbol signature that feeds the
+// filter-and-refine ranking stage is not a fourth view: it rides on the
+// entry itself (stored.sig, with the entry's coded axes beside it).
+// Signatures and posting runs alike are derived data — pure functions of
+// the installed entries and the store's label dictionary, never logged
+// or persisted, and rebuilt for free on load and recovery because both
+// replay through the same install path.
 type shardView struct {
 	entries map[string]*stored
-	labels  map[string]map[string]bool
 	// scan is the shard's scan column: the same *stored pointers as
-	// entries, kept in insertion order in a plain slice. Full scans
-	// (collect without a prefilter) walk it instead of the map, so
-	// arena-backed segments — whose entries live in one contiguous slab in
-	// insertion order — are visited cache-linearly rather than in random
-	// map order. Maintained copy-on-write like the maps: the slice header
-	// is copied on first touch, appends and removals act on the copy.
+	// entries in a plain slice, in insertion order — that is, ascending
+	// by seq, which is what lets a posting run be resolved against it by
+	// search. Full scans walk it instead of the map, so arena-backed
+	// segments — whose entries live in one contiguous slab in insertion
+	// order — are visited cache-linearly rather than in random map order.
+	// Copied whole on the shard's first touch by a transaction; appends
+	// and removals act on the copy.
 	scan []*stored
+	// post is the shard's inverted label index: post[id] is the posting
+	// run of the label the dictionary calls id — the seqs of the shard's
+	// entries holding that label, ascending, each once. A label no entry
+	// of the shard holds has an empty run (or lies past the end of post:
+	// the dictionary grows, a shard's slice only as far as it needs). A
+	// transaction copies the outer slice on first touch and the runs it
+	// changes as postings.go describes.
+	post [][]uint64
+}
+
+// run returns the posting run of the label with dictionary id label;
+// empty for a label this shard (or the dictionary) has never held.
+func (sv *shardView) run(label uint32) []uint64 {
+	if int(label) >= len(sv.post) {
+		return nil
+	}
+	return sv.post[label]
 }
 
 // emptySnapshot is version 1 of a fresh database. Epoch 0 is reserved to
 // mean "no pinned epoch" in pagination cursors.
 func emptySnapshot(nshards int) *snapshot {
 	s := &snapshot{
-		epoch:   1,
-		shards:  make([]*shardView, nshards),
-		spatial: rtree.New(rtree.DefaultMaxEntries),
-		dict:    core.NewLabelDict(),
+		epoch:  1,
+		shards: make([]*shardView, nshards),
+		dict:   core.NewLabelDict(),
 	}
 	for i := range s.shards {
-		s.shards[i] = &shardView{
-			entries: make(map[string]*stored),
-			labels:  make(map[string]map[string]bool),
-		}
+		s.shards[i] = &shardView{entries: make(map[string]*stored)}
 	}
 	return s
 }
@@ -117,54 +129,22 @@ func (s *snapshot) scanColumns() [][]*stored {
 	return cols
 }
 
-// collect gathers this version's entries into a fresh slice the caller
-// owns (the narrowing stages filter it in place), optionally pruned to
-// images sharing at least one of the given icon labels (the
-// inverted-index narrowing stage). Slice order is arbitrary; callers
-// that need determinism sort afterwards. No locks: the version is frozen.
-func (s *snapshot) collect(labels []string, prefilter bool) []*stored {
-	size := 64
-	if !prefilter {
-		size = s.count // a full scan returns every entry
-	}
-	out := make([]*stored, 0, size)
+// orderedIDs returns this version's ids in insertion order.
+func (s *snapshot) orderedIDs() []string {
+	all := make([]*stored, 0, s.count)
 	for _, sv := range s.shards {
-		if prefilter {
-			cand := make(map[string]bool)
-			for _, label := range labels {
-				for id := range sv.labels[label] {
-					cand[id] = true
-				}
-			}
-			for id := range cand {
-				out = append(out, sv.entries[id])
-			}
-		} else {
-			out = append(out, sv.scan...)
-		}
+		all = append(all, sv.scan...)
 	}
-	return out
+	return idsBySeq(all)
 }
 
-// orderedIDsMatching returns the ids accepted by keep (nil keeps all),
-// sorted by global insertion sequence.
-func (s *snapshot) orderedIDsMatching(keep func(sv *shardView, id string) bool) []string {
-	type idSeq struct {
-		id  string
-		seq uint64
-	}
-	all := make([]idSeq, 0, 64)
-	for _, sv := range s.shards {
-		for id, st := range sv.entries {
-			if keep == nil || keep(sv, id) {
-				all = append(all, idSeq{id, st.seq})
-			}
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	out := make([]string, len(all))
-	for i, v := range all {
-		out[i] = v.id
+// idsBySeq sorts the entries by global insertion sequence (in place)
+// and returns their ids.
+func idsBySeq(sts []*stored) []string {
+	sort.Slice(sts, func(i, j int) bool { return sts[i].seq < sts[j].seq })
+	out := make([]string, len(sts))
+	for i, st := range sts {
+		out[i] = st.ID
 	}
 	return out
 }
@@ -204,21 +184,16 @@ func (s *snapshot) stats() Stats {
 
 // txn builds the next version of the database copy-on-write. Callers
 // hold DB.writeMu; nothing here is safe concurrently. Only the shards
-// actually touched are copied (entries map plus the outer label map;
-// inner label sets copy lazily on first touch), and the R-tree clones
-// lazily with path copying — untouched structure is shared with the
-// base version and every older retained one.
+// actually touched are copied (entries map, scan column and the outer
+// posting slice; a posting run is copied only by a change that is not an
+// append) — untouched structure is shared with the base version and
+// every older retained one.
 type txn struct {
 	db     *DB
 	base   *snapshot
 	shards []*shardView
 	dirty  []bool
-	// fresh tracks, per dirty shard, the label sets already copied during
-	// this mutation, so a bulk batch touching one label many times pays
-	// the inner-set copy once.
-	fresh   []map[string]bool
-	spatial *rtree.Tree // nil until the first spatial change
-	count   int
+	count  int
 }
 
 // begin opens a transaction on the current version.
@@ -229,7 +204,6 @@ func (db *DB) begin() *txn {
 		base:   base,
 		shards: append([]*shardView(nil), base.shards...),
 		dirty:  make([]bool, len(base.shards)),
-		fresh:  make([]map[string]bool, len(base.shards)),
 		count:  base.count,
 	}
 }
@@ -241,142 +215,94 @@ func (m *txn) shard(idx int) *shardView {
 		src := m.shards[idx]
 		sv := &shardView{
 			entries: make(map[string]*stored, len(src.entries)+1),
-			labels:  make(map[string]map[string]bool, len(src.labels)),
+			scan:    append(make([]*stored, 0, len(src.scan)+1), src.scan...),
+			post:    append([][]uint64(nil), src.post...),
 		}
 		for k, v := range src.entries {
 			sv.entries[k] = v
 		}
-		for k, v := range src.labels {
-			sv.labels[k] = v
-		}
-		sv.scan = append(make([]*stored, 0, len(src.scan)+1), src.scan...)
 		m.shards[idx] = sv
 		m.dirty[idx] = true
-		m.fresh[idx] = make(map[string]bool)
 	}
 	return m.shards[idx]
 }
 
-// tree returns the writable R-tree for this mutation, cloning the base
-// version's tree (O(1); mutations then path-copy) on first touch.
-func (m *txn) tree() *rtree.Tree {
-	if m.spatial == nil {
-		m.spatial = m.base.spatial.Clone()
-	}
-	return m.spatial
+// labelIDs returns the dictionary ids of st's labels, ascending.
+func labelIDs(st *stored) []uint32 {
+	ids, _ := st.sig.InternedIDs()
+	return ids
 }
 
-// indexLabel registers id under label in shard idx, copying the inner
-// set if this mutation does not own it yet.
-func (m *txn) indexLabel(idx int, sv *shardView, label, id string) {
-	ids := sv.labels[label]
-	switch {
-	case ids == nil:
-		ids = make(map[string]bool, 1)
-	case !m.fresh[idx][label]:
-		c := make(map[string]bool, len(ids)+1)
-		for k := range ids {
-			c[k] = true
+// indexLabels adds seq to the posting run of every label in ids.
+func (sv *shardView) indexLabels(ids []uint32, seq uint64) {
+	for _, id := range ids {
+		for int(id) >= len(sv.post) {
+			sv.post = append(sv.post, nil)
 		}
-		ids = c
-	}
-	ids[id] = true
-	sv.labels[label] = ids
-	m.fresh[idx][label] = true
-}
-
-// unindexLabel removes id from label's set in shard idx, with the same
-// copy-on-first-touch rule; an emptied set is dropped from the index.
-func (m *txn) unindexLabel(idx int, sv *shardView, label, id string) {
-	ids := sv.labels[label]
-	if ids == nil {
-		return
-	}
-	if !m.fresh[idx][label] {
-		c := make(map[string]bool, len(ids))
-		for k := range ids {
-			c[k] = true
-		}
-		ids = c
-		sv.labels[label] = c
-		m.fresh[idx][label] = true
-	}
-	delete(ids, id)
-	if len(ids) == 0 {
-		delete(sv.labels, label)
+		sv.post[id] = runInsert(sv.post[id], seq)
 	}
 }
 
-// add installs a new stored entry (id must not exist in the base).
+// unindexLabels removes seq from the posting run of every label in ids.
+func (sv *shardView) unindexLabels(ids []uint32, seq uint64) {
+	for _, id := range ids {
+		sv.post[id] = runRemove(sv.post[id], seq)
+	}
+}
+
+// add installs a new stored entry (id must not exist in the base). Its
+// seq is the largest issued so far, so it goes last in the scan column
+// and in every run.
 func (m *txn) add(st *stored) {
-	idx := shardIndex(st.ID, len(m.shards))
-	sv := m.shard(idx)
+	sv := m.shard(shardIndex(st.ID, len(m.shards)))
 	st.index(m.base.dict)
 	sv.entries[st.ID] = st
 	sv.scan = append(sv.scan, st)
-	t := m.tree()
-	for _, o := range st.Image.Objects {
-		m.indexLabel(idx, sv, o.Label, st.ID)
-		t.Insert(spatialID(st.ID, o.Label), o.Box)
-	}
+	sv.indexLabels(labelIDs(st), st.seq)
 	m.count++
 }
 
 // remove uninstalls a stored entry present in the base.
 func (m *txn) remove(st *stored) {
-	idx := shardIndex(st.ID, len(m.shards))
-	sv := m.shard(idx)
+	sv := m.shard(shardIndex(st.ID, len(m.shards)))
 	delete(sv.entries, st.ID)
-	for i, cur := range sv.scan {
-		if cur == st {
-			sv.scan = append(sv.scan[:i], sv.scan[i+1:]...)
-			break
-		}
-	}
-	t := m.tree()
-	for _, o := range st.Image.Objects {
-		m.unindexLabel(idx, sv, o.Label, st.ID)
-		t.Delete(spatialID(st.ID, o.Label), o.Box)
-	}
+	i := scanIndex(sv.scan, st.seq)
+	sv.scan = slices.Delete(sv.scan, i, i+1)
+	sv.unindexLabels(labelIDs(st), st.seq)
 	m.count--
 }
 
-// replace swaps old for next under the same id (an object-level update;
-// the insertion sequence is preserved by the caller).
+// replace swaps old for next under the same id and seq (an object-level
+// update), so the scan position stays and only the runs of the labels
+// the update dropped or brought change.
 func (m *txn) replace(old, next *stored) {
-	idx := shardIndex(old.ID, len(m.shards))
-	sv := m.shard(idx)
-	t := m.tree()
-	for _, o := range old.Image.Objects {
-		m.unindexLabel(idx, sv, o.Label, old.ID)
-		t.Delete(spatialID(old.ID, o.Label), o.Box)
-	}
+	sv := m.shard(shardIndex(old.ID, len(m.shards)))
 	next.index(m.base.dict)
 	sv.entries[next.ID] = next
-	for i, cur := range sv.scan {
-		if cur == old {
-			sv.scan[i] = next
-			break
+	sv.scan[scanIndex(sv.scan, old.seq)] = next
+	was, now := labelIDs(old), labelIDs(next)
+	sv.unindexLabels(without(was, now), old.seq)
+	sv.indexLabels(without(now, was), next.seq)
+}
+
+// without returns the ids of a that are not in b.
+func without(a, b []uint32) []uint32 {
+	var out []uint32
+	for _, id := range a {
+		if !slices.Contains(b, id) {
+			out = append(out, id)
 		}
 	}
-	for _, o := range next.Image.Objects {
-		m.indexLabel(idx, sv, o.Label, next.ID)
-		t.Insert(spatialID(next.ID, o.Label), o.Box)
-	}
+	return out
 }
 
 // build seals the mutation into the next version.
 func (m *txn) build() *snapshot {
-	spatial := m.spatial
-	if spatial == nil {
-		spatial = m.base.spatial
-	}
 	return &snapshot{
-		epoch:   m.base.epoch + 1,
-		shards:  m.shards,
-		spatial: spatial,
-		count:   m.count,
-		dict:    m.base.dict,
+		epoch:  m.base.epoch + 1,
+		shards: m.shards,
+		count:  m.count,
+		dict:   m.base.dict,
 	}
 }
 
@@ -464,11 +390,10 @@ func (db *DB) SetSnapshotRetention(n int) {
 // nothing later.
 type Snapshot struct {
 	snap *snapshot
-	// db links back to the minting DB for the scorer cache and planner
-	// statistics. Queries on the Snapshot use them (both are
-	// version-safe: cache keys carry the entry version), but their
-	// counters are not folded into DB.Stats — a Snapshot may outlive the
-	// handle that minted it.
+	// db links back to the minting DB for the scorer cache. Queries on
+	// the Snapshot use it (it is version-safe: cache keys carry the entry
+	// version), but their counters are not folded into DB.Stats — a
+	// Snapshot may outlive the handle that minted it.
 	db *DB
 }
 
@@ -500,7 +425,7 @@ func (sn *Snapshot) Get(id string) (Entry, bool) {
 }
 
 // IDs returns this version's ids in insertion order.
-func (sn *Snapshot) IDs() []string { return sn.snap.orderedIDsMatching(nil) }
+func (sn *Snapshot) IDs() []string { return sn.snap.orderedIDs() }
 
 // Stats reports shard occupancy of this version.
 func (sn *Snapshot) Stats() Stats { return sn.snap.stats() }

@@ -38,7 +38,7 @@ func regionIDs(t *testing.T, db *DB, region core.Rect, label string) []string {
 
 // wantRegionIDs is the naive reference for regionIDs: the sorted ids of
 // the stored images with a (matching) box intersecting the region, read
-// from the entries themselves rather than the R-tree.
+// from the entries themselves rather than any index.
 func wantRegionIDs(db *DB, region core.Rect, label string) []string {
 	var ids []string
 	for _, id := range db.IDs() {

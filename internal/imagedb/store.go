@@ -39,7 +39,13 @@ var ErrStoreClosed = errors.New("store is closed")
 
 // Default store tuning.
 const (
-	DefaultCheckpointBytes = 16 << 20
+	// DefaultCheckpointBytes bounds the log a restart has to replay. A
+	// checkpoint rewrites the whole corpus, so the threshold is as large
+	// as the replay bound allows: recovery installs a tail of
+	// single-scene writes at tens of thousands of records a second (it
+	// was ~1 000 while every replayed delete searched an R-tree), so 64
+	// MiB — some 160 000 such writes — replays in seconds.
+	DefaultCheckpointBytes = 64 << 20
 	snapshotPrefix         = "snapshot-"
 	snapshotSuffix         = ".json"
 )
@@ -59,7 +65,7 @@ type StoreOptions struct {
 	// (0 means 100ms).
 	FsyncInterval time.Duration
 	// CheckpointBytes triggers a background checkpoint once this many WAL
-	// bytes accumulate since the last one (0 means 16 MiB; negative
+	// bytes accumulate since the last one (0 means 64 MiB; negative
 	// disables automatic checkpointing — Checkpoint can still be called).
 	CheckpointBytes int64
 	// CommitBatch caps the mutations coalesced into one commit group

@@ -166,24 +166,34 @@ func Holds(op Op, a, b core.Rect) bool {
 
 // Eval scores an image against the query: the fraction of constraints
 // satisfied. A constraint whose labels are absent from the image is
-// unsatisfied. The boolean reports full satisfaction.
+// unsatisfied. The boolean reports full satisfaction. It allocates
+// nothing: the engine runs it on every narrowed candidate.
 func (q Query) Eval(img core.Image) (float64, bool) {
 	if len(q.Constraints) == 0 {
 		return 0, false
 	}
-	boxes := make(map[string]core.Rect, len(img.Objects))
-	for _, o := range img.Objects {
-		boxes[o.Label] = o.Box
-	}
 	satisfied := 0
 	for _, c := range q.Constraints {
-		a, okA := boxes[c.A]
-		b, okB := boxes[c.B]
+		a, okA := box(img, c.A)
+		b, okB := box(img, c.B)
 		if okA && okB && Holds(c.Op, a, b) {
 			satisfied++
 		}
 	}
 	return float64(satisfied) / float64(len(q.Constraints)), satisfied == len(q.Constraints)
+}
+
+// box finds the MBR of the labelled object. Images hold a handful of
+// objects, so a scan beats building a lookup table per image; it runs
+// from the end so that on an unvalidated image repeating a label the
+// last occurrence wins, as it would filling a map in order.
+func box(img core.Image, label string) (core.Rect, bool) {
+	for i := len(img.Objects) - 1; i >= 0; i-- {
+		if img.Objects[i].Label == label {
+			return img.Objects[i].Box, true
+		}
+	}
+	return core.Rect{}, false
 }
 
 // Match reports whether the image satisfies every constraint.

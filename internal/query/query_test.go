@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -183,5 +184,51 @@ func TestEvalEmptyQuery(t *testing.T) {
 	score, match := q.Eval(figureImage())
 	if score != 0 || match {
 		t.Errorf("empty query Eval = (%v, %v)", score, match)
+	}
+}
+
+// TestEvalRepeatedLabel pins what Eval answers for an image that was
+// never validated and repeats a label: the last occurrence is the one a
+// constraint sees.
+func TestEvalRepeatedLabel(t *testing.T) {
+	img := core.Image{XMax: 20, YMax: 20, Objects: []core.Object{
+		{Label: "A", Box: core.NewRect(10, 0, 12, 2)},
+		{Label: "B", Box: core.NewRect(5, 0, 7, 2)},
+		{Label: "A", Box: core.NewRect(0, 0, 2, 2)}, // wins
+	}}
+	if score, match := mustParse(t, "A left-of B").Eval(img); score != 1 || !match {
+		t.Errorf("Eval = (%v, %v), want the last A (left of B) to be the one evaluated", score, match)
+	}
+	if score, _ := mustParse(t, "A right-of B").Eval(img); score != 0 {
+		t.Errorf("Eval = %v, want 0: the first A (right of B) must not be seen", score)
+	}
+}
+
+var evalSink float64
+
+// BenchmarkEval times one two-clause evaluation — what the engine pays
+// per narrowed candidate, and what the load harness's query.eval_ns probe
+// times — on the harness's eight-object scene and on a larger one (a
+// lookup table of more than eight labels would not fit the stack). Both
+// must report 0 allocs/op.
+func BenchmarkEval(b *testing.B) {
+	for _, n := range []int{8, 12} {
+		b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) {
+			objs := make([]core.Object, n)
+			for i := range objs {
+				objs[i] = core.Object{Label: fmt.Sprintf("icon%02d", i), Box: core.NewRect(8*i, 4*i, 8*i+6, 4*i+6)}
+			}
+			img := core.NewImage(100, 100, objs...)
+			q, err := Parse("icon01 left-of icon06; icon07 above icon02")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				score, _ := q.Eval(img)
+				evalSink += score
+			}
+		})
 	}
 }

@@ -16,10 +16,10 @@ import (
 //	        bestring.WithMinScore(0.4))
 //
 // Inside the engine the query compiles into a staged candidate pipeline:
-// inverted label index, then R-tree region probe, then spatial-predicate
-// evaluation, and only the survivors reach ranked top-K scoring — so DSL
-// and region retrieval are filters on ranked search, not separate code
-// paths.
+// posting-run merges over the inverted label index, then the region
+// test, then spatial-predicate evaluation, and only the survivors reach
+// ranked top-K scoring — so DSL and region retrieval are filters on
+// ranked search, not separate code paths.
 type (
 	// Query is a composable retrieval request (ranked similarity +
 	// spatial-predicate filter + region filter + pagination).
@@ -40,8 +40,8 @@ type (
 	ScorerBound = imagedb.Bound
 	// SearchStats are a DB's cumulative filter-and-refine counters.
 	SearchStats = imagedb.SearchStats
-	// QueryPlan records the stage order the cost-based planner chose for
-	// one executed query, its selectivity estimates and the query's
+	// QueryPlan records how one executed query's candidate set was
+	// assembled, the label-narrowing estimate and the query's
 	// scorer-cache hit/miss counts; reported on every QueryPage.
 	QueryPlan = imagedb.QueryPlan
 	// ScorerCacheStats is a point-in-time view of a DB's scorer cache.
@@ -116,9 +116,9 @@ func WithLabelPrefilter(on bool) QueryOption {
 // measuring what the signature upper bounds save.
 func WithPruning(on bool) QueryOption { return imagedb.WithPruning(on) }
 
-// WithPlanner toggles the cost-based stage planner (default on). Plans
-// change only how the candidate set is assembled, never what it
-// contains — rankings are byte-identical either way.
+// WithPlanner toggles the stage planner (default on). The pipeline has
+// one stage order, so off only renames the reported plan to "fixed" —
+// rankings are byte-identical either way.
 func WithPlanner(on bool) QueryOption { return imagedb.WithPlanner(on) }
 
 // WithScorerCache toggles this query's use of the engine's scorer cache
