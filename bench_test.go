@@ -635,53 +635,3 @@ func BenchmarkSnapshotSearch(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkPrunedSearch is experiment E13: the filter-and-refine refine
-// stage (signature upper bounds ahead of exact LCS scoring) on versus
-// off, over a corpus sweep with the default scorer and K=10. Both paths
-// return byte-identical rankings; the pruned fraction is reported as a
-// custom metric.
-func BenchmarkPrunedSearch(b *testing.B) {
-	for _, n := range []int{1000, 10000, 100000} {
-		if testing.Short() && n > 1000 {
-			continue
-		}
-		gen := workload.NewGenerator(workload.Config{Seed: 43, Vocabulary: 32, Objects: 8})
-		scenes := gen.Dataset(n)
-		items := make([]imagedb.BulkItem, n)
-		for i, s := range scenes {
-			items[i] = imagedb.BulkItem{ID: fmt.Sprintf("img%06d", i), Image: s}
-		}
-		db := imagedb.New()
-		ctx := context.Background()
-		if err := db.BulkInsert(ctx, items, 0); err != nil {
-			b.Fatal(err)
-		}
-		q := imagedb.NewQuery(gen.SubsetQuery(scenes[n/2], 4))
-		b.Run(fmt.Sprintf("images=%d/prune=off", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				page, err := db.Query(ctx, q, imagedb.WithK(10), imagedb.WithPruning(false))
-				if err != nil {
-					b.Fatal(err)
-				}
-				sink += len(page.Hits)
-			}
-		})
-		b.Run(fmt.Sprintf("images=%d/prune=on", n), func(b *testing.B) {
-			b.ReportAllocs()
-			pruned := 0.0
-			for i := 0; i < b.N; i++ {
-				page, err := db.Query(ctx, q, imagedb.WithK(10))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if s := page.Stages; s != nil && s.Bounded > 0 {
-					pruned = float64(s.Pruned) / float64(s.Bounded)
-				}
-				sink += len(page.Hits)
-			}
-			b.ReportMetric(100*pruned, "pruned%")
-		})
-	}
-}

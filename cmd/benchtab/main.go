@@ -4,20 +4,19 @@
 // (filtered-search scaling through the composable query pipeline; e7b
 // is the adversarial clique companion), E11 (durable-store write
 // throughput across fsync policy x batch size), E12 (snapshot-reader
-// throughput under 0/1/4 concurrent writers), E13 (filter-and-refine
-// pruning efficacy: signature-bound refine stage on vs off), E14
-// (replication: follower catch-up throughput vs local replay, plus
-// steady-state lag under paced writes), E15 (observability
-// overhead: search/write paths with the metrics registry off vs on) and
-// E16 (scorer-cache wins and hit rates, against the same queries with
-// the cache off) and E17 (streaming-ingest
+// throughput under 0/1/4 concurrent writers), E14 (replication:
+// follower catch-up throughput vs local replay, plus steady-state lag
+// under paced writes), E15 (observability overhead: search/write paths
+// with the metrics registry off vs on) and E17 (streaming-ingest
 // scaling: the chunked importer vs legacy chunk-looped BulkInsert across
-// source format, chunk size and arena layout).
+// source format and chunk size). E13 (pruning on vs off) and E16
+// (scorer cache on vs off) are retired with the switches they timed;
+// their last tables are in EXPERIMENTS.md.
 // Run with -exp all (default) or a single experiment id.
 //
 // Usage:
 //
-//	benchtab [-exp e1|e2|...|e11b|...|e17|all] [-quick] [-csv]
+//	benchtab [-exp e1|e2|...|e11b|e12|e14|e15|e17|all] [-quick] [-csv]
 package main
 
 import (
@@ -40,7 +39,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment to run: e1..e17 (including e11b) or all")
+	exp := fs.String("exp", "all", "experiment to run: e1..e12, e11b, e14, e15, e17 or all")
 	quick := fs.Bool("quick", false, "smaller sweeps (for smoke tests)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	if err := fs.Parse(args); err != nil {
@@ -58,10 +57,6 @@ func run(args []string) error {
 	commitWriters, commitWindow := []int{1, 2, 4, 8, 16, 32}, 400*time.Millisecond
 	mixedCorpus, mixedReaders, mixedWindow := 4000, 4, 500*time.Millisecond
 	mixedWriters := []int{0, 1, 4}
-	pruneSizes := []int{1000, 10000, 100000}
-	pruneSelectivities := []int{10, 50, 100}
-	pruneKs := []int{1, 10, 100}
-	plannerSizes, plannerK := []int{1000, 10000}, 10
 	ingestSizes, ingestChunks := []int{100000, 1000000}, []int{8192, 32768}
 	replSizes, replPaced, replPace := []int{2000, 8000}, 300, 2*time.Millisecond
 	obsSizes, obsQueries, obsWrites := []int{1000, 10000}, 200, 4000
@@ -76,10 +71,6 @@ func run(args []string) error {
 		walBatches = []int{1, 16}
 		commitWriters, commitWindow = []int{1, 4, 16}, 150*time.Millisecond
 		mixedCorpus, mixedReaders, mixedWindow = 800, 2, 150*time.Millisecond
-		pruneSizes = []int{300, 1000}
-		pruneSelectivities = []int{10, 100}
-		pruneKs = []int{10}
-		plannerSizes = []int{500}
 		ingestSizes, ingestChunks = []int{5000}, []int{1024}
 		replSizes, replPaced, replPace = []int{1000}, 80, time.Millisecond
 		obsSizes, obsQueries, obsWrites = []int{500}, 40, 800
@@ -110,17 +101,11 @@ func run(args []string) error {
 		{"e12", func() (*bench.Table, error) {
 			return bench.MixedReadWrite(mixedCorpus, mixedWriters, mixedReaders, mixedWindow)
 		}},
-		{"e13", func() (*bench.Table, error) {
-			return bench.PruneEfficacy(pruneSizes, pruneSelectivities, pruneKs)
-		}},
 		{"e14", func() (*bench.Table, error) {
 			return bench.ReplicationCatchup(replSizes, replPaced, replPace)
 		}},
 		{"e15", func() (*bench.Table, error) {
 			return bench.ObservabilityOverhead(obsSizes, obsQueries, obsWrites)
-		}},
-		{"e16", func() (*bench.Table, error) {
-			return bench.PlannerCache(plannerSizes, plannerK)
 		}},
 		{"e17", func() (*bench.Table, error) {
 			return bench.IngestScaling(ingestSizes, ingestChunks)
@@ -168,7 +153,7 @@ func run(args []string) error {
 		}
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q (want e1..e17, e11b, or all)", *exp)
+		return fmt.Errorf("unknown experiment %q (want e1..e12, e11b, e14, e15, e17, or all)", *exp)
 	}
 	return nil
 }

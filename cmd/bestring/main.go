@@ -10,7 +10,7 @@
 //	bestring search    -dbfile db.json [-query q.json] [-k 10] [-offset 0]
 //	                   [-method be|invariant|type0|type1|type2|symbols]
 //	                   [-dsl "A left-of B"] [-region x0,y0,x1,y1] [-region-label L]
-//	                   [-min-score 0.4] [-explain] [-no-prune]
+//	                   [-min-score 0.4] [-explain]
 //	bestring transform -img scene.json -t rot90|rot180|rot270|flip-x|flip-y
 //	bestring mkdb      -out db.json [-count 50] [-seed 1] [-objects 8] [-vocab 24]
 //	bestring store     init|inspect|compact -data-dir DIR [flags]
@@ -198,9 +198,6 @@ func cmdSearch(args []string) error {
 	regionLabel := fs.String("region-label", "", "restrict -region to icons with this label")
 	minScore := fs.Float64("min-score", 0, "drop results scoring below the threshold")
 	explain := fs.Bool("explain", false, "print the chosen query plan, per-stage candidate counts and per-hit bound vs exact score")
-	noPrune := fs.Bool("no-prune", false, "disable filter-and-refine pruning (results are identical; for measurement)")
-	noPlan := fs.Bool("no-planner", false, "report the plan as \"fixed\" (the pipeline has one stage order; results are identical)")
-	noCache := fs.Bool("no-cache", false, "disable the scorer cache for this query (results are identical; for measurement)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -244,9 +241,6 @@ func cmdSearch(args []string) error {
 		bestring.WithOffset(*offset),
 		bestring.WithScorer(*method),
 		bestring.WithMinScore(*minScore),
-		bestring.WithPruning(!*noPrune),
-		bestring.WithPlanner(!*noPlan),
-		bestring.WithScorerCache(!*noCache),
 	}
 	if *dsl != "" {
 		opts = append(opts, bestring.Where(*dsl))

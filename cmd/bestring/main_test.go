@@ -165,8 +165,7 @@ func TestSearchComposedFlags(t *testing.T) {
 }
 
 // TestSearchExplain pins the -explain debugging view: per-hit bound vs
-// exact score and the per-stage candidate counts, with and without
-// pruning (-no-prune must not change the ranking lines).
+// exact score, the plan and the per-stage candidate counts.
 func TestSearchExplain(t *testing.T) {
 	dir := t.TempDir()
 	dbPath := filepath.Join(dir, "db.json")
@@ -203,27 +202,8 @@ func TestSearchExplain(t *testing.T) {
 	if !strings.Contains(out, "-> bounded") || !strings.Contains(out, "pruned") {
 		t.Fatalf("-explain output missing pipeline stages:\n%s", out)
 	}
-
-	// The ranking lines are byte-identical with pruning disabled; only
-	// the work-description lines — stage counters, wall-clock timing,
-	// plan and cache traffic (pruning changes how many evaluations the
-	// cache sees) — may differ.
-	stripStages := func(s string) string {
-		var kept []string
-		for _, line := range strings.Split(s, "\n") {
-			if !strings.HasPrefix(line, "stages:") && !strings.HasPrefix(line, "timing:") &&
-				!strings.HasPrefix(line, "plan:") && !strings.HasPrefix(line, "scorer cache:") {
-				kept = append(kept, line)
-			}
-		}
-		return strings.Join(kept, "\n")
-	}
-	off := capture("search", "-dbfile", dbPath, "-query", img, "-k", "5", "-explain", "-no-prune")
-	if stripStages(out) != stripStages(off) {
-		t.Fatalf("-no-prune changed the ranking:\n on: %s\noff: %s", out, off)
-	}
-	if !strings.Contains(off, "(pruned 0)") {
-		t.Fatalf("-no-prune still pruned:\n%s", off)
+	if !strings.Contains(out, "plan: scan (scan -> rank)") {
+		t.Fatalf("-explain output missing the plan line:\n%s", out)
 	}
 
 	// Exact-only scorers print "-" for the bound column: every hit line

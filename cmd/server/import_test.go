@@ -2,10 +2,13 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"bestring"
 )
@@ -99,6 +102,63 @@ func TestImportEndpoint(t *testing.T) {
 	rec = postStream(t, h, "/api/v1/import?chunk=4&no_resume=1", ndjsonBody(8))
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("collision status = %d (body %s)", rec.Code, rec.Body)
+	}
+}
+
+// peakBody is a request body that, once drained, samples
+// runtime.NumGoroutine for a while before it reports io.EOF: by then
+// the importer's workers are all started and parked on the empty
+// pipeline.
+type peakBody struct {
+	r    io.Reader
+	peak int
+}
+
+func (b *peakBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err == io.EOF {
+		for end := time.Now().Add(50 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+			b.peak = max(b.peak, runtime.NumGoroutine())
+		}
+	}
+	return n, err
+}
+
+// TestImportEndpointKnobsBounded is TestImportKnobsBounded through the
+// endpoint: one request asking for 20 000 workers and 50 million scenes
+// per chunk imports its 3 scenes with at most GOMAXPROCS workers and
+// allocations sized by the stream.
+func TestImportEndpointKnobsBounded(t *testing.T) {
+	s, err := bestring.OpenStore(t.TempDir(), bestring.StoreOptions{Fsync: bestring.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := newMux(s)
+	body := &peakBody{r: strings.NewReader(ndjsonBody(3))}
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/import?parallelism=20000&chunk=50000000", body)
+	rec := httptest.NewRecorder()
+	baseline := runtime.NumGoroutine()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d (body %s)", rec.Code, rec.Body)
+	}
+	var out struct {
+		Import bestring.ImportStats `json:"import"`
+	}
+	decode(t, rec, &out)
+	if out.Import.Images != 3 || s.Len() != 3 {
+		t.Fatalf("response = %+v, store holds %d, want 3 images", out, s.Len())
+	}
+	if limit := baseline + runtime.GOMAXPROCS(0) + 8; body.peak > limit {
+		t.Fatalf("peak %d goroutines during the import, want <= %d (baseline %d + GOMAXPROCS %d + 8)",
+			body.peak, limit, baseline, runtime.GOMAXPROCS(0))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+		t.Fatalf("import of 3 scenes allocated %d MiB, want < 64", alloc>>20)
 	}
 }
 

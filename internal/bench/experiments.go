@@ -909,201 +909,3 @@ func mixedPoint(ctx context.Context, db *imagedb.DB, query, churn core.Image,
 	usPerQuery = float64(readers) * elapsed.Seconds() * 1e6 / float64(reads)
 	return readsPerSec, writesPerSec, usPerQuery, nil
 }
-
-// relabelDisjoint prefixes every object label, moving the scene into a
-// vocabulary disjoint from the generator's — the knob E13 uses to
-// control what fraction of the corpus shares icon labels with a query.
-func relabelDisjoint(img core.Image) core.Image {
-	objs := make([]core.Object, len(img.Objects))
-	for i, o := range img.Objects {
-		objs[i] = core.Object{Label: "zz-" + o.Label, Box: o.Box}
-	}
-	return core.NewImage(img.XMax, img.YMax, objs...)
-}
-
-// PruneEfficacy is experiment E13 (the filter-and-refine experiment,
-// not from the paper): ranked-query latency with the signature-bound
-// refine stage on versus off, over corpus size x label selectivity x K.
-// A selectivity of s% keeps s% of the corpus in the query's icon
-// vocabulary and relabels the rest into a disjoint one: disjoint images
-// get a near-zero upper bound and are rejected without the O(mn)
-// dynamic program, while shared-vocabulary images are pruned only once
-// the top-K floor rises above their bound. Both paths return
-// byte-identical rankings (pinned by TestPrunedRankingByteIdentical);
-// the table shows what the bound saves and how the saving moves with
-// each knob.
-func PruneEfficacy(sizes, selectivities, ks []int) (*Table, error) {
-	t := &Table{
-		ID: "E13",
-		Caption: "filter-and-refine ranking: signature-bound pruning on vs off " +
-			"(selectivity = corpus share in the query vocabulary)",
-		Header: []string{"images", "selectivity", "K", "pruned", "off us/op", "on us/op", "speedup"},
-	}
-	ctx := context.Background()
-	for _, sel := range selectivities {
-		if sel <= 0 || sel > 100 {
-			return nil, fmt.Errorf("E13: selectivity %d%% out of (0, 100]", sel)
-		}
-	}
-	for _, n := range sizes {
-		for _, sel := range selectivities {
-			gen := workload.NewGenerator(workload.Config{
-				Seed: DefaultSeed + 13, Vocabulary: 32, Objects: 8,
-			})
-			scenes := gen.Dataset(n)
-			items := make([]imagedb.BulkItem, n)
-			for i, s := range scenes {
-				if i%100 >= sel {
-					s = relabelDisjoint(s)
-				}
-				items[i] = imagedb.BulkItem{ID: fmt.Sprintf("img%06d", i), Image: s}
-			}
-			db := imagedb.New()
-			if err := db.BulkInsert(ctx, items, 0); err != nil {
-				return nil, fmt.Errorf("E13: %w", err)
-			}
-			// scenes[0] keeps its labels at every selectivity (0%100 < sel),
-			// so the query always ranks from inside the shared vocabulary.
-			query := imagedb.NewQuery(gen.SubsetQuery(scenes[0], 4))
-			for _, k := range ks {
-				var opErr error
-				offD := MeasureOp(defaultMeasure, func() {
-					page, err := db.Query(ctx, query, imagedb.WithK(k), imagedb.WithPruning(false))
-					if err != nil {
-						opErr = err
-						return
-					}
-					Sink += len(page.Hits)
-				})
-				prunedFrac := 0.0
-				onD := MeasureOp(defaultMeasure, func() {
-					page, err := db.Query(ctx, query, imagedb.WithK(k))
-					if err != nil {
-						opErr = err
-						return
-					}
-					if page.Stages != nil && page.Stages.Bounded > 0 {
-						prunedFrac = float64(page.Stages.Pruned) / float64(page.Stages.Bounded)
-					}
-					Sink += len(page.Hits)
-				})
-				if opErr != nil {
-					return nil, fmt.Errorf("E13: %w", opErr)
-				}
-				t.AddRow(FmtInt(n), fmt.Sprintf("%d%%", sel), FmtInt(k),
-					fmt.Sprintf("%.1f%%", 100*prunedFrac),
-					FmtDur(offD), FmtDur(onD),
-					fmt.Sprintf("%.2fx", float64(offD)/float64(max(int(onD), 1))))
-			}
-		}
-	}
-	return t, nil
-}
-
-// PlannerCache is experiment E16 (engine, not from the paper): what the
-// scorer cache buys, measured against the same queries with it turned
-// off — a refine-heavy unbounded ranked query re-run warm, and under
-// per-op write churn that invalidates one entry version per query.
-// Rankings are byte-identical base vs opt in every row (pinned by
-// TestScorerCacheRankingByteIdentical); the table shows only the cost
-// difference. The experiment used to carry three stage-order rows
-// (region-first, label-skip, filter-first); those plans are gone — a
-// region is a per-candidate test and narrowing is one merge expression —
-// and their last measurements are in EXPERIMENTS.md E23.
-func PlannerCache(sizes []int, k int) (*Table, error) {
-	t := &Table{
-		ID: "E16",
-		Caption: "scorer cache: memoisation wins " +
-			"(base = planner and cache off; opt = on; identical rankings)",
-		Header: []string{"scenario", "images", "plan", "base us/op", "opt us/op", "speedup", "hit rate"},
-	}
-	ctx := context.Background()
-	for _, n := range sizes {
-		gen := workload.NewGenerator(workload.Config{
-			Seed: DefaultSeed + 16, Vocabulary: 24, Objects: 8,
-		})
-		scenes := gen.Dataset(n)
-		items := make([]imagedb.BulkItem, n)
-		for i, s := range scenes {
-			items[i] = imagedb.BulkItem{ID: fmt.Sprintf("img%06d", i), Image: s}
-		}
-		db := imagedb.New()
-		if err := db.BulkInsert(ctx, items, 0); err != nil {
-			return nil, fmt.Errorf("E16: %w", err)
-		}
-		queryImg := gen.SubsetQuery(scenes[0], 4)
-
-		type scenario struct {
-			name   string
-			query  *imagedb.Query
-			opts   []imagedb.QueryOption
-			warmup int          // opt-side runs before measuring (cache admission and fill)
-			churn  func() error // executed inside every measured op, both sides
-		}
-		churnObj := core.Object{Label: "zz-churn", Box: core.NewRect(0, 0, 3, 3)}
-		scenarios := []scenario{
-			{
-				name:   "cache-warm",
-				query:  imagedb.NewQuery(queryImg),
-				opts:   nil, // unbounded: every survivor pays an exact evaluation
-				warmup: 2,   // first sighting bypasses the cache, the second fills it
-			},
-			{
-				name:   "cache-churn",
-				query:  imagedb.NewQuery(queryImg),
-				opts:   nil,
-				warmup: 1,
-				churn: func() error {
-					if err := db.InsertObject("img000001", churnObj); err != nil {
-						return err
-					}
-					return db.DeleteObject("img000001", churnObj.Label)
-				},
-			},
-		}
-
-		for _, sc := range scenarios {
-			base := append(append([]imagedb.QueryOption{}, sc.opts...),
-				imagedb.WithPlanner(false), imagedb.WithScorerCache(false))
-			opt := sc.opts
-			var opErr error
-			run := func(opts []imagedb.QueryOption) *imagedb.Page {
-				if sc.churn != nil {
-					if err := sc.churn(); err != nil {
-						opErr = err
-						return nil
-					}
-				}
-				page, err := db.Query(ctx, sc.query, opts...)
-				if err != nil {
-					opErr = err
-					return nil
-				}
-				Sink += len(page.Hits)
-				return page
-			}
-			for i := 0; i < sc.warmup; i++ {
-				run(opt)
-			}
-			baseD := MeasureOp(defaultMeasure, func() { run(base) })
-			optD := MeasureOp(defaultMeasure, func() { run(opt) })
-			// One instrumented opt run for the plan name and hit rate.
-			probe := run(opt)
-			if opErr != nil {
-				return nil, fmt.Errorf("E16 %s: %w", sc.name, opErr)
-			}
-			planName, hitRate := "-", "-"
-			if probe.Plan != nil {
-				planName = probe.Plan.Name
-				if lookups := probe.Plan.CacheHits + probe.Plan.CacheMisses; lookups > 0 {
-					hitRate = fmt.Sprintf("%.1f%%", 100*float64(probe.Plan.CacheHits)/float64(lookups))
-				}
-			}
-			t.AddRow(sc.name, FmtInt(n), planName,
-				FmtDur(baseD), FmtDur(optD),
-				fmt.Sprintf("%.2fx", float64(baseD)/float64(max(int(optD), 1))),
-				hitRate)
-		}
-	}
-	return t, nil
-}

@@ -18,7 +18,7 @@ import (
 // This file is experiment E17 (EXPERIMENTS.md): streaming-ingest scaling.
 // It compares the legacy load strategy — materialise a batch, loop
 // BulkInsert over fixed chunks — against the streaming importer across
-// source format, chunk size and the arena layout, reporting sustained
+// source format and chunk size, reporting sustained
 // rows/s and the peak heap each strategy held. The legacy loop pays one
 // full COW shard copy per small chunk, so its cost curve bends with
 // corpus size; the importer's byte-bounded chunks amortise commits and
@@ -69,7 +69,7 @@ func (h *heapSampler) Stop() float64 {
 
 // ingestStore opens a fresh throwaway store tuned for load measurement:
 // auto-checkpoint off so snapshot writes don't pollute the timings.
-func ingestStore(arena bool) (*imagedb.Store, string, error) {
+func ingestStore() (*imagedb.Store, string, error) {
 	dir, err := os.MkdirTemp("", "bestring-e17-*")
 	if err != nil {
 		return nil, "", err
@@ -82,7 +82,6 @@ func ingestStore(arena bool) (*imagedb.Store, string, error) {
 		os.RemoveAll(dir)
 		return nil, "", err
 	}
-	s.SetArenaLayout(arena)
 	return s, dir, nil
 }
 
@@ -151,36 +150,31 @@ func encodeStream(n int, format string) ingest.Reader {
 // IngestScaling runs experiment E17: sustained load rate and peak heap
 // for each loading strategy at each corpus size. chunks sweeps the
 // importer's scenes-per-chunk bound on the in-memory source (0 keeps the
-// default); the format and arena-off rows use the default chunking.
+// default); the format rows use the default chunking.
 func IngestScaling(sizes, chunks []int) (*Table, error) {
 	t := &Table{
 		ID: "E17",
 		Caption: "streaming ingest scaling: legacy chunk-looped BulkInsert vs the " +
-			"chunked importer across source format, chunk size and arena layout",
-		Header: []string{"images", "source", "chunk", "arena", "s", "rows/s", "peak MiB", "vs legacy"},
+			"chunked importer across source format and chunk size",
+		Header: []string{"images", "source", "chunk", "s", "rows/s", "peak MiB", "vs legacy"},
 	}
 	ctx := context.Background()
 
 	type point struct {
 		source string
 		chunk  int // importer scenes-per-chunk bound; 0 = default
-		arena  bool
 		legacy bool
 	}
 	for _, n := range sizes {
-		points := []point{{source: "legacy-bulk", chunk: legacyChunk, arena: true, legacy: true}}
+		points := []point{{source: "legacy-bulk", chunk: legacyChunk, legacy: true}}
 		for _, c := range chunks {
-			points = append(points, point{source: "stream", chunk: c, arena: true})
+			points = append(points, point{source: "stream", chunk: c})
 		}
-		points = append(points,
-			point{source: "stream", arena: false},
-			point{source: "ndjson", arena: true},
-			point{source: "csv", arena: true},
-		)
+		points = append(points, point{source: "ndjson"}, point{source: "csv"})
 
 		var legacyRate float64
 		for _, p := range points {
-			s, dir, err := ingestStore(p.arena)
+			s, dir, err := ingestStore()
 			if err != nil {
 				return nil, fmt.Errorf("E17: %w", err)
 			}
@@ -214,7 +208,7 @@ func IngestScaling(sizes, chunks []int) (*Table, error) {
 				chunkCell = fmt.Sprintf("%d", p.chunk)
 			}
 			t.AddRow(
-				fmt.Sprintf("%d", n), p.source, chunkCell, onOff(p.arena),
+				fmt.Sprintf("%d", n), p.source, chunkCell,
 				fmt.Sprintf("%.2f", elapsed.Seconds()),
 				fmt.Sprintf("%.0f", rate),
 				fmt.Sprintf("%.1f", peak),
@@ -257,11 +251,4 @@ func legacyBulkLoad(ctx context.Context, s *imagedb.Store, n int) error {
 			}
 		}
 	}
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
 }

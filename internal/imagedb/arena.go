@@ -32,7 +32,9 @@ import (
 //
 // Pointer identity is preserved: &arena.entries[i] is as stable as a
 // boxed allocation, so the scorer cache's (query, entry-pointer) version
-// key works identically arena on or off.
+// key works for arena entries as for boxed ones. Every bulk, import,
+// snapshot-load and replayed batch is packed this way; a single insert
+// stays boxed.
 
 // entryArena is one sealed columnar chunk of stored entries.
 type entryArena struct {
@@ -117,7 +119,7 @@ func (a *entryArena) claimTokens(axis core.Axis) core.Axis {
 }
 
 // pointers returns install-ready *stored pointers into the slab —
-// sequence numbers unassigned, exactly like prepareBulk's boxed output.
+// sequence numbers unassigned, as txn.apply expects them.
 func (a *entryArena) pointers() []*stored {
 	sts := make([]*stored, len(a.entries))
 	for i := range a.entries {
@@ -125,26 +127,3 @@ func (a *entryArena) pointers() []*stored {
 	}
 	return sts
 }
-
-// SetArenaLayout switches the columnar arena layout for bulk-loaded
-// segments on or off (on by default). Off means every bulk/import/load
-// entry is boxed individually, as before the arena existed. Rankings are
-// byte-identical either way (pinned by TestArenaRankingByteIdentical);
-// the switch exists for benchmarking and for falling back should a
-// workload prefer per-entry reclamation over slab locality. Takes effect
-// for subsequent bulk operations; already-installed segments keep their
-// layout.
-func (db *DB) SetArenaLayout(on bool) { db.arenaOff.Store(!on) }
-
-// ArenaLayout reports whether bulk-loaded segments use the columnar
-// arena layout.
-func (db *DB) ArenaLayout() bool { return !db.arenaOff.Load() }
-
-// SetArenaLayout forwards DB.SetArenaLayout to the store's database:
-// it governs how the store's bulk inserts, imports and snapshot loads
-// lay entries out.
-func (s *Store) SetArenaLayout(on bool) { s.db.SetArenaLayout(on) }
-
-// ArenaLayout reports whether the store's bulk loads use the columnar
-// arena layout.
-func (s *Store) ArenaLayout() bool { return s.db.ArenaLayout() }

@@ -11,10 +11,11 @@ import (
 	"bestring/internal/workload"
 )
 
-// seedArenaDB bulk-loads one corpus with the arena layout on or off,
-// then runs a few point mutations so the copy-out paths (replace,
-// delete, single insert on top of a sealed slab) are exercised too.
-func seedArenaDB(t *testing.T, arena bool, n int) *DB {
+// seedArenaDB loads one corpus in one bulk insert (arena-packed) or one
+// scene at a time (boxed), then runs a few point mutations so the
+// copy-out paths (replace, delete, single insert on top of a sealed
+// slab) are exercised too.
+func seedArenaDB(t *testing.T, bulk bool, n int) *DB {
 	t.Helper()
 	g := workload.NewGenerator(workload.Config{Seed: 4242, Vocabulary: 20, Objects: 7})
 	items := make([]BulkItem, n)
@@ -22,9 +23,16 @@ func seedArenaDB(t *testing.T, arena bool, n int) *DB {
 		items[i] = BulkItem{ID: fmt.Sprintf("img%05d", i), Name: fmt.Sprintf("s%d", i), Image: g.Scene()}
 	}
 	db := NewSharded(4)
-	db.SetArenaLayout(arena)
-	if err := db.BulkInsert(context.Background(), items, 2); err != nil {
-		t.Fatal(err)
+	if bulk {
+		if err := db.BulkInsert(context.Background(), items, 2); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		for _, it := range items {
+			if err := db.Insert(it.ID, it.Name, it.Image); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if err := db.Insert("late0", "", g.Scene()); err != nil {
 		t.Fatal(err)
@@ -39,57 +47,81 @@ func seedArenaDB(t *testing.T, arena bool, n int) *DB {
 }
 
 // TestArenaRankingByteIdentical pins the arena layout's contract: it is
-// a memory layout, never a semantics change. The same corpus loaded
-// arena on and arena off must produce byte-for-byte identical pages for
-// every query shape, including after post-seal mutations.
+// a memory layout, never a semantics change. The same corpus loaded in
+// bulk (arena-packed) and one scene at a time (boxed) must produce
+// byte-for-byte identical pages for every query shape, including after
+// post-seal mutations, and both must equal the full-sort reference.
 func TestArenaRankingByteIdentical(t *testing.T) {
 	ctx := context.Background()
-	on := seedArenaDB(t, true, 120)
-	off := seedArenaDB(t, false, 120)
-	if on.Len() != off.Len() {
-		t.Fatalf("Len: %d vs %d", on.Len(), off.Len())
+	arena := seedArenaDB(t, true, 120)
+	boxed := seedArenaDB(t, false, 120)
+	if arena.Len() != boxed.Len() {
+		t.Fatalf("Len: %d vs %d", arena.Len(), boxed.Len())
 	}
 	g := workload.NewGenerator(workload.Config{Seed: 4242, Vocabulary: 20, Objects: 7})
 	scene := g.Scene()
 	img := g.SubsetQuery(scene, 4)
-
-	type pageKey struct {
-		Hits   []Hit
-		Total  int
-		Cursor string
-	}
-	run := func(db *DB, q *Query, opts ...QueryOption) pageKey {
-		t.Helper()
-		page, err := db.Query(ctx, q, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pageKey{page.Hits, page.Total, page.NextCursor}
-	}
+	region := core.NewRect(0, 0, 40, 40)
 
 	cases := []struct {
 		q    func() *Query
 		opts []QueryOption
+		spec composedSpec
 	}{
-		{func() *Query { return NewQuery(img) }, []QueryOption{WithK(10)}},
-		{func() *Query { return NewQuery(img) }, nil}, // unbounded: every entry scored
-		{func() *Query { return NewQuery(img) }, []QueryOption{WithK(10), WithScorer("invariant")}},
-		{func() *Query { return NewQuery(img) }, []QueryOption{WithK(10), WithLabelPrefilter(true)}},
-		{func() *Query { return NewQuery(img) }, []QueryOption{WithK(10), WithMinScore(0.3)}},
-		{func() *Query { return NewQuery(scene) }, []QueryOption{WithK(5), WithOffset(3)}},
-		{NewMatchQuery, []QueryOption{WithK(20), InRegion(core.NewRect(0, 0, 40, 40))}},
+		{func() *Query { return NewQuery(img) }, []QueryOption{WithK(10)}, composedSpec{image: &img, whereMin: -1, k: 10}},
+		{func() *Query { return NewQuery(img) }, nil, composedSpec{image: &img, whereMin: -1}}, // unbounded: every entry scored
+		{func() *Query { return NewQuery(img) }, []QueryOption{WithK(10), WithScorer("invariant")},
+			composedSpec{image: &img, whereMin: -1, k: 10, scorer: InvariantScorer(nil)}},
+		{func() *Query { return NewQuery(img) }, []QueryOption{WithK(10), WithLabelPrefilter(true)},
+			composedSpec{image: &img, whereMin: -1, k: 10, labelPrefilter: true}},
+		{func() *Query { return NewQuery(img) }, []QueryOption{WithK(10), WithMinScore(0.3)},
+			composedSpec{image: &img, whereMin: -1, k: 10, minScore: 0.3}},
+		{func() *Query { return NewQuery(scene) }, []QueryOption{WithK(5), WithOffset(3)},
+			composedSpec{image: &scene, whereMin: -1, k: 5, offset: 3}},
+		{NewMatchQuery, []QueryOption{WithK(20), InRegion(region)}, composedSpec{whereMin: -1, k: 20, region: &region}},
 	}
 	for i, c := range cases {
 		for _, par := range []int{0, 1, 3} {
-			a := run(on, c.q(), append([]QueryOption{WithParallelism(par)}, c.opts...)...)
-			b := run(off, c.q(), append([]QueryOption{WithParallelism(par)}, c.opts...)...)
-			aj, _ := json.Marshal(a)
-			bj, _ := json.Marshal(b)
-			if !reflect.DeepEqual(a, b) || string(aj) != string(bj) {
-				t.Fatalf("case %d parallelism %d: arena ranking diverged\n  on: %s\n off: %s", i, par, aj, bj)
+			opts := append([]QueryOption{WithParallelism(par)}, c.opts...)
+			a, err := arena.Query(ctx, c.q(), opts...)
+			if err != nil {
+				t.Fatal(err)
 			}
+			b, err := boxed.Query(ctx, c.q(), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The twins reached the same state through different epochs,
+			// so their cursors agree on the position only.
+			if aj, bj := positionID(t, a), positionID(t, b); aj != bj {
+				t.Fatalf("case %d parallelism %d: arena ranking diverged from boxed\n arena: %s\n boxed: %s", i, par, aj, bj)
+			}
+			assertReference(t, fmt.Sprintf("case %d parallelism %d arena", i, par), arena, a, c.spec)
+			assertReference(t, fmt.Sprintf("case %d parallelism %d boxed", i, par), boxed, b, c.spec)
 		}
 	}
+}
+
+// positionID is pageID with the cursor's epoch dropped.
+func positionID(t *testing.T, p *Page) string {
+	t.Helper()
+	var pos cursorPos
+	if p.NextCursor != "" {
+		var err error
+		if pos, err = decodeCursor(p.NextCursor); err != nil {
+			t.Fatal(err)
+		}
+		pos.Epoch = 0
+	}
+	j, err := json.Marshal(struct {
+		Hits   []Hit
+		Total  int
+		Cursor cursorPos
+	}{p.Hits, p.Total, pos})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(j)
 }
 
 // TestArenaEntriesImmutable verifies the copy-out discipline: mutating

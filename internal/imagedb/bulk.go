@@ -34,9 +34,8 @@ func (db *DB) BulkInsert(ctx context.Context, items []BulkItem, parallelism int)
 // returns the stored entries ready to install (sequence numbers
 // unassigned, signatures and codes derived against the label
 // dictionary), so a batch is fully validated before its WAL record is
-// written — live, replayed or replicated alike. With the arena layout
-// on, the entries are packed into one columnar arena slab instead of
-// being boxed individually (arena.go).
+// written — live, replayed or replicated alike. The entries are packed
+// into one columnar arena slab rather than boxed individually (arena.go).
 func (db *DB) prepareBulk(ctx context.Context, items []BulkItem, parallelism int) ([]*stored, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
@@ -89,18 +88,9 @@ feed:
 	// Build the stored entries (including the image clones, their symbol
 	// signatures and coded axes) before any lock is taken; only map
 	// installs and index registration remain for the critical section.
-	dict := db.labelDict()
-	if db.ArenaLayout() {
-		packed := make([]arenaItem, len(items))
-		for i, it := range items {
-			packed[i] = arenaItem{id: it.ID, name: it.Name, img: it.Image, be: converted[i]}
-		}
-		return buildArena(packed, dict).pointers(), nil
-	}
-	sts := make([]*stored, len(items))
+	packed := make([]arenaItem, len(items))
 	for i, it := range items {
-		sts[i] = newStored(it.ID, it.Name, it.Image.Clone(), converted[i], 0)
-		sts[i].index(dict)
+		packed[i] = arenaItem{id: it.ID, name: it.Name, img: it.Image, be: converted[i]}
 	}
-	return sts, nil
+	return buildArena(packed, db.labelDict()).pointers(), nil
 }

@@ -79,19 +79,12 @@ type DB struct {
 	metrics atomic.Pointer[dbMetrics]
 
 	// cache memoises exact scores of BE-pure registry scorers across
-	// queries (nil: disabled); swapped whole by SetScorerCacheCapacity.
-	// See scorercache.go for the pointer-keyed exact invalidation.
-	cache atomic.Pointer[scorerCache]
-	// cacheEvictions counts LRU evictions across cache reconfigurations
-	// (the cache object holds a pointer to it).
-	cacheEvictions atomic.Uint64
+	// queries; built once by NewSharded. See scorercache.go for the
+	// pointer-keyed exact invalidation.
+	cache *scorerCache
 	// doorkeeper admits a query to the scorer cache from the second
 	// sighting of its key on (scorercache.go).
 	doorkeeper cacheDoorkeeper
-	// arenaOff disables the columnar arena layout for bulk-loaded
-	// segments (arena.go). Inverted so the zero value keeps the default:
-	// arena on.
-	arenaOff atomic.Bool
 }
 
 // New returns an empty database with the default shard count.
@@ -103,11 +96,10 @@ func NewSharded(n int) *DB {
 	if n <= 0 {
 		n = defaultShards()
 	}
-	db := &DB{retain: DefaultSnapshotRetention}
+	db := &DB{retain: DefaultSnapshotRetention, cache: newScorerCache(DefaultScorerCacheCapacity)}
 	first := emptySnapshot(n)
 	db.current.Store(first)
 	db.history.Store(&epochList{snaps: []*snapshot{first}})
-	db.cache.Store(newScorerCache(DefaultScorerCacheCapacity, &db.cacheEvictions))
 	return db
 }
 

@@ -54,7 +54,8 @@ type ImportOptions struct {
 	// DefaultImportChunkBytes). A chunk closes when either bound trips.
 	ChunkBytes int64
 	// Parallelism bounds the conversion workers and the chunk pipeline
-	// depth (0 means GOMAXPROCS).
+	// depth (0 means GOMAXPROCS). Conversion is CPU-bound, so a larger
+	// value is capped at GOMAXPROCS.
 	Parallelism int
 	// NoResume disables the durable-chunk skip: every chunk is imported
 	// unconditionally, and any id collision fails the import. Resume
@@ -107,8 +108,8 @@ func (s *Store) NewImporter(opts ImportOptions) *Importer {
 	if opts.ChunkBytes <= 0 {
 		opts.ChunkBytes = DefaultImportChunkBytes
 	}
-	if opts.Parallelism <= 0 {
-		opts.Parallelism = runtime.GOMAXPROCS(0)
+	if procs := runtime.GOMAXPROCS(0); opts.Parallelism <= 0 || opts.Parallelism > procs {
+		opts.Parallelism = procs
 	}
 	return &Importer{s: s, opts: opts}
 }
@@ -227,11 +228,14 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 
 	// Reader: cut the stream into chunks. Blocks on jobs when the
 	// pipeline is full — that is the backpressure bounding memory to
-	// O(parallelism * chunk size).
+	// O(parallelism * chunk size). A chunk buffer starts at no more than
+	// the default chunk and grows by append, so a huge ChunkScenes costs
+	// only what the stream actually delivers.
+	prealloc := min(imp.opts.ChunkScenes, DefaultImportChunkScenes)
 	go func() {
 		defer close(jobs)
 		idx := 0
-		items := make([]BulkItem, 0, imp.opts.ChunkScenes)
+		items := make([]BulkItem, 0, prealloc)
 		var bytes int64
 		flush := func() bool {
 			if len(items) == 0 {
@@ -239,7 +243,7 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 			}
 			rc := rawChunk{idx: idx, key: chunkKey(idx, items), items: items}
 			idx++
-			items = make([]BulkItem, 0, imp.opts.ChunkScenes)
+			items = make([]BulkItem, 0, prealloc)
 			bytes = 0
 			select {
 			case jobs <- rc:
@@ -268,9 +272,8 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 		}
 	}()
 
-	// Workers: convert, sign, encode and (with the arena layout) pack each
-	// chunk.
-	// A chunk whose key is already durable skips conversion entirely.
+	// Workers: convert, sign, encode and arena-pack each chunk. A chunk
+	// whose key is already durable skips conversion entirely.
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
 		wg.Add(1)

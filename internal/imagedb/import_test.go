@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"bestring/internal/ingest"
 	"bestring/internal/workload"
@@ -23,6 +26,57 @@ func importScenes(seed int64, n int) []ingest.Scene {
 		}
 	}
 	return scenes
+}
+
+// peakReader yields its scenes, then, before it reports the end of the
+// stream, samples runtime.NumGoroutine for a while: by then the
+// importer's workers are all started and parked on the empty pipeline.
+type peakReader struct {
+	scenes []ingest.Scene
+	peak   int
+}
+
+func (r *peakReader) Next() (ingest.Scene, error) {
+	if len(r.scenes) > 0 {
+		sc := r.scenes[0]
+		r.scenes = r.scenes[1:]
+		return sc, nil
+	}
+	for end := time.Now().Add(50 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		r.peak = max(r.peak, runtime.NumGoroutine())
+	}
+	return ingest.Scene{}, io.EOF
+}
+
+// TestImportKnobsBounded pins that the import knobs cannot exhaust the
+// process: a 3-scene import asking for 20 000 workers and 50 million
+// scenes per chunk runs at most GOMAXPROCS workers and allocates what
+// the stream delivers, not what the knobs promise.
+func TestImportKnobsBounded(t *testing.T) {
+	s, err := OpenStore(t.TempDir(), StoreOptions{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	src := &peakReader{scenes: importScenes(3, 3)}
+	baseline := runtime.NumGoroutine()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := s.Import(context.Background(), src, ImportOptions{Parallelism: 20000, ChunkScenes: 50_000_000})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Images != 3 || s.Len() != 3 {
+		t.Fatalf("imported %+v, store holds %d, want 3", st, s.Len())
+	}
+	if limit := baseline + runtime.GOMAXPROCS(0) + 8; src.peak > limit {
+		t.Fatalf("peak %d goroutines during the import, want <= %d (baseline %d + GOMAXPROCS %d + 8)",
+			src.peak, limit, baseline, runtime.GOMAXPROCS(0))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+		t.Fatalf("import of 3 scenes allocated %d MiB, want < 64", alloc>>20)
+	}
 }
 
 func TestImportBasic(t *testing.T) {

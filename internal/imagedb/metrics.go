@@ -78,15 +78,10 @@ func (db *DB) EnableMetrics(reg *obs.Registry) {
 	}
 	reg.CounterFunc("bestring_scorer_cache_evictions_total",
 		"Scorer-cache entries evicted by the per-shard LRU bound.",
-		func() float64 { return float64(db.cacheEvictions.Load()) })
+		func() float64 { return float64(db.cache.evictions.Load()) })
 	reg.GaugeFunc("bestring_scorer_cache_entries",
-		"Entries currently held by the scorer cache (0 when disabled).",
-		func() float64 {
-			if c := db.cache.Load(); c != nil {
-				return float64(c.Len())
-			}
-			return 0
-		})
+		"Entries currently held by the scorer cache.",
+		func() float64 { return float64(db.cache.Len()) })
 	reg.GaugeFunc("bestring_label_dict_labels",
 		"Distinct icon labels in the store's label dictionary (grows on writes only, never shrinks).",
 		func() float64 { return float64(db.labelDict().Len()) })

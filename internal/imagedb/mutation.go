@@ -30,7 +30,7 @@ type mutation struct {
 	// rec describes the mutation exactly as the WAL logs it (LSN unset).
 	rec wal.Record
 	// sts are the entries prepare built: one for an insert, one per item
-	// for a bulk/import batch (arena-packed or boxed), none for the ops
+	// for a bulk/import batch (arena-packed), none for the ops
 	// that can only be resolved against the state they apply to.
 	sts []*stored
 }

@@ -72,7 +72,8 @@ type StageCounts struct {
 	Narrowed int `json:"narrowed"`
 	// Bounded counts candidates whose signature upper bound was
 	// computed in the refine stage (zero when the scorer declares no
-	// bound, pruning is disabled, or the query has no ranked image).
+	// bound — the type-i baselines, WithScorerFunc — or the query has no
+	// ranked image).
 	Bounded int `json:"bounded"`
 	// Evaluated counts exact score determinations: scorer runs plus
 	// scorer-cache hits (a hit serves the identical exact score; the
@@ -190,10 +191,10 @@ func (db *DB) QueryIter(ctx context.Context, q *Query, opts ...QueryOption) iter
 
 // iterOn streams a query's results from one pinned version — the shared
 // engine behind DB.QueryIter and Snapshot.QueryIter. db supplies the
-// scorer cache (nil: unavailable); cur is the decoded resume position
-// of the spec's initial cursor, if any;
-// note (optional) receives each executed batch's page so a DB-backed
-// iteration feeds the cumulative search counters.
+// scorer cache; cur is the decoded resume position of the spec's
+// initial cursor, if any; note (optional) receives each executed
+// batch's page so a DB-backed iteration feeds the cumulative search
+// counters.
 func iterOn(ctx context.Context, db *DB, snap *snapshot, spec *Query, cur *cursorPos, note func(*Page)) iter.Seq2[Hit, error] {
 	return func(yield func(Hit, error) bool) {
 		s := spec.clone()
@@ -284,11 +285,12 @@ func (db *DB) noteSearch(page *Page) {
 }
 
 // executeOn runs the staged pipeline against one pinned, immutable
-// version; db supplies the scorer cache (nil: unavailable); cur is the
-// query's already-decoded cursor (nil when none). From here on the query acquires no locks: every stage —
-// label narrowing, region test, predicate evaluation, top-K scoring —
-// reads frozen maps, columns and runs, so the view is consistent by
-// construction and concurrent writers cost readers nothing.
+// version; db supplies the scorer cache and the metrics; cur is the
+// query's already-decoded cursor (nil when none). From here on the query
+// acquires no locks: every stage — label narrowing, region test,
+// predicate evaluation, top-K scoring — reads frozen maps, columns and
+// runs, so the view is consistent by construction and concurrent writers
+// cost readers nothing.
 func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *cursorPos) (*Page, error) {
 	if q.err != nil {
 		return nil, q.err
@@ -313,11 +315,7 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 			return nil, fmt.Errorf("unknown scorer %q (registered: %s)",
 				q.scorerName, strings.Join(ScorerNames(), ", "))
 		}
-		scorer = r.score
-		if !q.noPrune {
-			bound = r.bound
-		}
-		coded = r.coded
+		scorer, bound, coded = r.score, r.bound, r.coded
 	}
 
 	var img core.Image
@@ -441,25 +439,20 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 	var cache *scorerCache
 	var qkey string
 	var qhash uint64
-	if coded != nil && q.image != nil && !q.noCache && db != nil {
-		if c := db.cache.Load(); c != nil {
-			name := q.scorerName
-			if name == "" {
-				name = DefaultScorerName
-			}
-			qkey = cacheQueryKey(name, queryBE)
-			qhash = hashQueryKey(qkey)
-			if db.doorkeeper.sighted(qhash) {
-				cache = c
-			} else {
-				plan.CacheBypassed = true
-			}
+	if coded != nil && q.image != nil {
+		name := q.scorerName
+		if name == "" {
+			name = DefaultScorerName
+		}
+		qkey = cacheQueryKey(name, queryBE)
+		qhash = hashQueryKey(qkey)
+		if db.doorkeeper.sighted(qhash) {
+			cache = db.cache
+		} else {
+			plan.CacheBypassed = true
 		}
 	}
-	met := (*dbMetrics)(nil)
-	if db != nil {
-		met = db.metrics.Load()
-	}
+	met := db.metrics.Load()
 
 	// Heap capacity covers the page plus the offset it skips, clamped to
 	// the candidate count so a client cannot drive preallocation.
@@ -583,13 +576,13 @@ type ranker struct {
 	queryBE core.BEString
 	scorer  Scorer
 
-	// bound is nil when the scorer declares none, pruning is off or the
-	// query has no ranked image; qsig is the query's signature, interned
+	// bound is nil when the scorer declares none or the query has no
+	// ranked image; qsig is the query's signature, interned
 	// against the pinned version's dictionary, otherwise.
 	bound sigBound
 	qsig  *core.Signature
 
-	cache *scorerCache // nil: not cacheable, caching off, or bypassed
+	cache *scorerCache // nil: not cacheable, or bypassed on first sighting
 	qkey  string
 	qhash uint64
 	met   *dbMetrics

@@ -147,6 +147,49 @@ func referencePage(t *testing.T, db referenceSource, spec composedSpec) pageKey 
 	return page
 }
 
+// assertReference fails unless page equals referencePage's answer for
+// spec over src byte for byte: Hits (with Where/Full), Total and
+// NextCursor.
+func assertReference(t *testing.T, label string, src referenceSource, page *Page, spec composedSpec) {
+	t.Helper()
+	want := referencePage(t, src, spec)
+	if want.Hits == nil {
+		want.Hits = []Hit{} // an empty page is [] on the wire, not null
+	}
+	wj, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pageID(t, page); got != string(wj) {
+		t.Fatalf("%s: diverged from the full-sort reference\n got %s\nwant %s", label, got, wj)
+	}
+}
+
+// assertWalkMatchesReference walks a paginated query to its end — run
+// executes one page resuming after the given cursor ("" for the first)
+// — and checks every page against referencePage resumed at the same
+// position, so the whole cursor chain is pinned, not just its union.
+func assertWalkMatchesReference(t *testing.T, label string, src referenceSource, spec composedSpec, run func(cursor string) *Page) {
+	t.Helper()
+	cursor := ""
+	for n := 0; ; n++ {
+		page := run(cursor)
+		spec.cursor = nil
+		if cursor != "" {
+			c, err := decodeCursor(cursor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.cursor = &c
+		}
+		assertReference(t, fmt.Sprintf("%s page %d", label, n), src, page, spec)
+		if page.NextCursor == "" {
+			return
+		}
+		cursor = page.NextCursor
+	}
+}
+
 // mustOp parses a predicate name.
 func mustOp(t *testing.T, name string) query.Op {
 	t.Helper()
@@ -276,9 +319,10 @@ func TestQueryMatchesComposedReference(t *testing.T) {
 // (so constraints share labels and some can never hold), every Where
 // threshold, a region inside, straddling and containing the canvas with
 // and without a label, LabelPrefilter, with and without a query image —
-// each run with the planner on and off and compared, page for page
-// (Hits with Where/Full, Total, NextCursor), with referencePage's naive
-// pass over Get. It also checks the posting-run invariants.
+// each run twice (a ranked spec's first run bypasses the scorer cache,
+// its second fills it) and compared, page for page (Hits with
+// Where/Full, Total, NextCursor), with referencePage's naive pass over
+// Get. It also checks the posting-run invariants.
 func assertNarrowingMatchesReference(t *testing.T, door string, db *DB, seed int64) {
 	t.Helper()
 	assertPostings(t, db)
@@ -371,14 +415,14 @@ func assertNarrowingMatchesReference(t *testing.T, door string, db *DB, seed int
 			ref.Hits = []Hit{} // an empty page is [] on the wire, not null
 		}
 		want, _ := json.Marshal(ref)
-		for _, planner := range []bool{true, false} {
-			page, err := db.Query(context.Background(), q, append(opts, WithPlanner(planner))...)
+		for run := 1; run <= 2; run++ {
+			page, err := db.Query(context.Background(), q, opts...)
 			if err != nil {
 				t.Fatalf("%s spec %d %+v: %v", door, n, spec, err)
 			}
 			if got := pageID(t, page); got != string(want) {
-				t.Fatalf("%s spec %d (planner %v) dsl %q min %v region %v/%q prefilter %v image %v k %d:\n got %s\nwant %s",
-					door, n, planner, spec.dsl, spec.whereMin, spec.region, spec.regionLabel,
+				t.Fatalf("%s spec %d (run %d) dsl %q min %v region %v/%q prefilter %v image %v k %d:\n got %s\nwant %s",
+					door, n, run, spec.dsl, spec.whereMin, spec.region, spec.regionLabel,
 					spec.labelPrefilter, spec.image != nil, spec.k, got, want)
 			}
 			if page.Stages.Indexed < page.Stages.Region || page.Stages.Region < page.Stages.Narrowed {
@@ -809,17 +853,13 @@ func rankChunkedSweep(t *testing.T, db *DB, scenes []core.Image) {
 		{name: "cursor", opts: []QueryOption{WithK(5), WithCursor(first.Cursor)}, spec: composedSpec{k: 5, cursor: resume}},
 		{name: "where", opts: []QueryOption{WithK(10), Where(clause), WithWhereMin(0.5)}, spec: composedSpec{k: 10, dsl: clause, whereMin: 0.5}},
 		{name: "where-ranked", match: true, opts: []QueryOption{WithK(10), Where(clause)}, spec: composedSpec{k: 10, dsl: clause, whereMin: -1}},
-		{name: "no-pruning", opts: []QueryOption{WithK(10), WithPruning(false)}, spec: composedSpec{k: 10}},
-		{name: "no-cache", opts: []QueryOption{WithK(10), WithScorerCache(false)}, spec: composedSpec{k: 10}},
 		{name: "unknown-labels", img: &stranger, opts: []QueryOption{WithK(10)}, spec: composedSpec{k: 10}},
 		{name: "invariant", opts: []QueryOption{WithK(10), WithScorer("invariant")}, spec: composedSpec{k: 10, scorer: InvariantScorer(nil)}},
 		{name: "invariant-unknown-labels", img: &stranger, opts: []QueryOption{WithK(10), WithScorer("invariant")}, spec: composedSpec{k: 10, scorer: InvariantScorer(nil)}},
 		{name: "symbols", opts: []QueryOption{WithK(10), WithScorer("symbols")}, spec: composedSpec{k: 10, scorer: SymbolsOnlyScorer()}},
-		// The pure scan's twins: the label prefilter the planner turns
-		// into scan + membership check, and the postings union it runs
-		// with the planner off.
+		// The pure scan's twin: the label prefilter, answered by the
+		// union of the query labels' posting runs.
 		{name: "prefilter", opts: []QueryOption{WithK(10), WithLabelPrefilter(true)}, spec: composedSpec{k: 10, labelPrefilter: true}},
-		{name: "prefilter-postings", opts: []QueryOption{WithK(10), WithLabelPrefilter(true), WithPlanner(false)}, spec: composedSpec{k: 10, labelPrefilter: true}},
 	}
 	for _, v := range variants {
 		spec := v.spec
@@ -855,7 +895,7 @@ func rankChunkedSweep(t *testing.T, db *DB, scenes []core.Image) {
 			if sc.Narrowed != n {
 				t.Fatalf("%s: Narrowed = %d, want %d", label, sc.Narrowed, n)
 			}
-			if v.match || v.name == "no-pruning" {
+			if v.match {
 				if sc.Bounded != 0 || sc.Pruned != 0 || sc.Evaluated != n {
 					t.Fatalf("%s: stage counts %+v, want everything evaluated and nothing bounded", label, sc)
 				}

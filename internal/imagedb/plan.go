@@ -13,14 +13,15 @@ import "bestring/internal/core"
 // from run lengths — O(shards) per query label; the capacity of the
 // candidate slice, and the "estimated" beside Stages.Indexed's "actual"
 // — and names the steps, for explain output and the
-// bestring_query_plan_total series.
+// bestring_query_plan_total series. The name is a report, never a
+// switch: no query option selects a plan.
 
 // QueryPlan records how one query's candidate set was assembled, and the
 // query's scorer-cache outcomes.
 type QueryPlan struct {
-	// Name identifies how the candidate set was assembled; one of
-	// "fixed", "label-first", "scan" (bounded, so it is usable as a metric
-	// label).
+	// Name identifies how the candidate set was assembled: "label-first"
+	// when posting runs narrowed it, "scan" when every entry was a
+	// candidate (bounded, so it is usable as a metric label).
 	Name string `json:"name"`
 	// Order lists the executed pipeline steps in order, for -explain /
 	// debug output.
@@ -30,7 +31,7 @@ type QueryPlan struct {
 	// Stages.Indexed is the actual.
 	EstLabel int `json:"estLabel,omitempty"`
 	// CacheHits / CacheMisses count this query's scorer-cache outcomes
-	// (both zero when the query is not cacheable or the cache is off).
+	// (both zero when the query is not cacheable or bypassed the cache).
 	CacheHits   int `json:"cacheHits"`
 	CacheMisses int `json:"cacheMisses"`
 	// CacheBypassed reports that the query was cacheable but did not
@@ -42,9 +43,8 @@ type QueryPlan struct {
 
 // Plan names: planLabelFirst when posting runs narrow the query,
 // planScan when it has no label to narrow by (every entry is a
-// candidate), planFixed for either under WithPlanner(false).
+// candidate).
 const (
-	planFixed      = "fixed"
 	planLabelFirst = "label-first"
 	planScan       = "scan"
 )
@@ -53,7 +53,7 @@ const (
 // bestring_query_plan_total{plan=...} can be registered up front with
 // bounded cardinality.
 func planNames() []string {
-	return []string{planFixed, planLabelFirst, planScan}
+	return []string{planLabelFirst, planScan}
 }
 
 // regionMatches is the region filter: the image passes iff it holds an
@@ -77,9 +77,6 @@ func planQuery(snap *snapshot, q *Query, nar *narrowing) *QueryPlan {
 		plan.Order = append(plan.Order, "labels")
 	} else {
 		plan.Order = append(plan.Order, "scan")
-	}
-	if q.noPlan {
-		plan.Name = planFixed
 	}
 	if q.region != nil {
 		plan.Order = append(plan.Order, "region")

@@ -30,10 +30,10 @@ func pageID(t *testing.T, p *Page) string {
 }
 
 // TestPlannerRankingByteIdentical pins the planner's correctness
-// invariant: whatever plan the cost model picks, Hits, Total and
-// NextCursor are byte-identical to the fixed label→region→predicate
-// order, across query compositions that exercise every plan, at several
-// parallelism levels, including full cursor walks.
+// invariant: whatever plan a query is narrowed by, Hits, Total and
+// NextCursor are byte-identical to the naive full-sort reference, across
+// query compositions that exercise every plan, at several parallelism
+// levels, including a full cursor walk.
 func TestPlannerRankingByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	db, g := seedPruneDB(t, 424242, 80)
@@ -42,86 +42,88 @@ func TestPlannerRankingByteIdentical(t *testing.T) {
 	tiny := core.NewRect(0, 0, 6, 6)
 	broad := core.NewRect(0, 0, 100, 100) // contains every canvas
 	mid := core.NewRect(10, 10, 80, 80)
-	// Six-label clause: postings cover (well over) 80% of the corpus, so
-	// the planner goes for a scan.
+	// Six-label clause: its postings cover (well over) 80% of the corpus.
 	wide := "icon00 left-of icon01; icon02 left-of icon03; icon04 left-of icon05"
+	const pair = "icon01 left-of icon02"
+	// ranked and match complete a spec with its query image (or none) and
+	// the default Where threshold.
+	ranked := func(spec composedSpec) composedSpec {
+		spec.image = &img
+		if spec.whereMin == 0 {
+			spec.whereMin = -1
+		}
+		return spec
+	}
+	match := func(spec composedSpec) composedSpec {
+		spec.whereMin = -1
+		return spec
+	}
 
 	cases := []struct {
 		name string
 		q    *Query
 		opts []QueryOption
+		spec composedSpec
 	}{
-		{"image", NewQuery(img), []QueryOption{WithK(10)}},
-		{"image-prefilter", NewQuery(img), []QueryOption{WithK(10), WithLabelPrefilter(true)}},
-		{"image-prefilter-unbounded", NewQuery(img), []QueryOption{WithLabelPrefilter(true)}},
-		{"image-tiny-region", NewQuery(img), []QueryOption{WithK(10), InRegion(tiny)}},
-		{"image-tiny-region-prefilter", NewQuery(img), []QueryOption{WithK(10), InRegion(tiny), WithLabelPrefilter(true)}},
-		{"image-broad-region", NewQuery(img), []QueryOption{WithK(10), InRegion(broad)}},
-		{"image-broad-region-label", NewQuery(img), []QueryOption{WithK(10), InRegionLabel(broad, "icon03")}},
-		{"image-mid-region", NewQuery(img), []QueryOption{WithK(10), InRegion(mid)}},
-		{"dsl", NewMatchQuery(), []QueryOption{WithK(10), Where("icon01 left-of icon02")}},
-		{"dsl-wide", NewMatchQuery(), []QueryOption{WithK(10), Where(wide)}},
-		{"dsl-tiny-region", NewMatchQuery(), []QueryOption{WithK(10), Where("icon01 left-of icon02"), InRegion(tiny)}},
-		{"dsl-mid-region", NewMatchQuery(), []QueryOption{WithK(10), Where(wide), InRegion(mid)}},
-		{"image-dsl-region", NewQuery(img), []QueryOption{WithK(10), Where("icon01 left-of icon02"), WithWhereMin(0.5), InRegion(mid)}},
-		{"region-only", NewMatchQuery(), []QueryOption{WithK(10), InRegion(tiny)}},
-		{"min-score", NewQuery(img), []QueryOption{WithK(10), WithMinScore(0.4), InRegion(mid)}},
-		{"offset", NewQuery(img), []QueryOption{WithK(5), WithOffset(7), InRegion(mid)}},
-		{"scorer-invariant", NewQuery(img), []QueryOption{WithK(10), WithScorer("invariant"), InRegion(tiny)}},
+		{"image", NewQuery(img), []QueryOption{WithK(10)}, ranked(composedSpec{k: 10})},
+		{"image-prefilter", NewQuery(img), []QueryOption{WithK(10), WithLabelPrefilter(true)},
+			ranked(composedSpec{k: 10, labelPrefilter: true})},
+		{"image-prefilter-unbounded", NewQuery(img), []QueryOption{WithLabelPrefilter(true)},
+			ranked(composedSpec{labelPrefilter: true})},
+		{"image-tiny-region", NewQuery(img), []QueryOption{WithK(10), InRegion(tiny)},
+			ranked(composedSpec{k: 10, region: &tiny})},
+		{"image-tiny-region-prefilter", NewQuery(img), []QueryOption{WithK(10), InRegion(tiny), WithLabelPrefilter(true)},
+			ranked(composedSpec{k: 10, region: &tiny, labelPrefilter: true})},
+		{"image-broad-region", NewQuery(img), []QueryOption{WithK(10), InRegion(broad)},
+			ranked(composedSpec{k: 10, region: &broad})},
+		{"image-broad-region-label", NewQuery(img), []QueryOption{WithK(10), InRegionLabel(broad, "icon03")},
+			ranked(composedSpec{k: 10, region: &broad, regionLabel: "icon03"})},
+		{"image-mid-region", NewQuery(img), []QueryOption{WithK(10), InRegion(mid)},
+			ranked(composedSpec{k: 10, region: &mid})},
+		{"dsl", NewMatchQuery(), []QueryOption{WithK(10), Where(pair)},
+			match(composedSpec{k: 10, dsl: pair})},
+		{"dsl-wide", NewMatchQuery(), []QueryOption{WithK(10), Where(wide)},
+			match(composedSpec{k: 10, dsl: wide})},
+		{"dsl-tiny-region", NewMatchQuery(), []QueryOption{WithK(10), Where(pair), InRegion(tiny)},
+			match(composedSpec{k: 10, dsl: pair, region: &tiny})},
+		{"dsl-mid-region", NewMatchQuery(), []QueryOption{WithK(10), Where(wide), InRegion(mid)},
+			match(composedSpec{k: 10, dsl: wide, region: &mid})},
+		{"image-dsl-region", NewQuery(img), []QueryOption{WithK(10), Where(pair), WithWhereMin(0.5), InRegion(mid)},
+			ranked(composedSpec{k: 10, dsl: pair, whereMin: 0.5, region: &mid})},
+		{"region-only", NewMatchQuery(), []QueryOption{WithK(10), InRegion(tiny)},
+			match(composedSpec{k: 10, region: &tiny})},
+		{"min-score", NewQuery(img), []QueryOption{WithK(10), WithMinScore(0.4), InRegion(mid)},
+			ranked(composedSpec{k: 10, minScore: 0.4, region: &mid})},
+		{"offset", NewQuery(img), []QueryOption{WithK(5), WithOffset(7), InRegion(mid)},
+			ranked(composedSpec{k: 5, offset: 7, region: &mid})},
+		{"scorer-invariant", NewQuery(img), []QueryOption{WithK(10), WithScorer("invariant"), InRegion(tiny)},
+			ranked(composedSpec{k: 10, scorer: InvariantScorer(nil), region: &tiny})},
 	}
-	// Two passes so the second sees warmed shape statistics (plans may
-	// change between passes; results must not).
-	for pass := 0; pass < 2; pass++ {
-		for _, tc := range cases {
-			for _, par := range []int{0, 1, 3} {
-				base := append([]QueryOption{WithParallelism(par)}, tc.opts...)
-				on, err := db.Query(ctx, tc.q, append(base, WithPlanner(true))...)
-				if err != nil {
-					t.Fatalf("%s: %v", tc.name, err)
-				}
-				off, err := db.Query(ctx, tc.q, append(base, WithPlanner(false))...)
-				if err != nil {
-					t.Fatalf("%s: %v", tc.name, err)
-				}
-				if gj, wj := pageID(t, on), pageID(t, off); gj != wj {
-					t.Fatalf("pass %d case %s parallelism %d (plan %q): planner ranking diverged\n  on: %s\n off: %s",
-						pass, tc.name, par, on.Plan.Name, gj, wj)
-				}
-				if off.Plan == nil || off.Plan.Name != planFixed {
-					t.Fatalf("case %s: planner-off page reports plan %+v, want fixed", tc.name, off.Plan)
-				}
-				if on.Stages.Narrowed != off.Stages.Narrowed {
-					t.Fatalf("case %s: Narrowed is plan-variant: %d vs %d", tc.name, on.Stages.Narrowed, off.Stages.Narrowed)
-				}
+	for _, tc := range cases {
+		for _, par := range []int{0, 1, 3} {
+			page, err := db.Query(ctx, tc.q, append([]QueryOption{WithParallelism(par)}, tc.opts...)...)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			assertReference(t, fmt.Sprintf("case %s parallelism %d (plan %q)", tc.name, par, page.Plan.Name), db, page, tc.spec)
+			if name := page.Plan.Name; name != planLabelFirst && name != planScan {
+				t.Fatalf("case %s: plan %q is not one of %v", tc.name, name, planNames())
+			}
+			// With no score threshold every narrowed candidate is a result.
+			if tc.spec.minScore == 0 && page.Stages.Narrowed != page.Total {
+				t.Fatalf("case %s: Narrowed %d != Total %d", tc.name, page.Stages.Narrowed, page.Total)
 			}
 		}
 	}
 
-	// Full cursor walk under each planner setting, resuming pages across
-	// plan decisions.
-	walk := func(planner bool) string {
-		var all []Hit
-		cursor := ""
-		for {
-			opts := []QueryOption{WithK(7), WithPlanner(planner), InRegion(mid)}
-			if cursor != "" {
-				opts = append(opts, WithCursor(cursor))
-			}
-			page, err := db.Query(ctx, NewQuery(img), opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, page.Hits...)
-			if page.NextCursor == "" {
-				j, _ := json.Marshal(all)
-				return string(j)
-			}
-			cursor = page.NextCursor
+	// Full cursor walk through a region-filtered ranking.
+	assertWalkMatchesReference(t, "cursor walk", db, ranked(composedSpec{k: 7, region: &mid}), func(cursor string) *Page {
+		page, err := db.Query(ctx, NewQuery(img), WithK(7), InRegion(mid), WithCursor(cursor))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if on, off := walk(true), walk(false); on != off {
-		t.Fatalf("cursor walk diverged:\n  on: %s\n off: %s", on, off)
-	}
+		return page
+	})
 }
 
 // TestPlannerPlanChoices pins that the cost model actually picks the
@@ -164,8 +166,9 @@ func TestPlannerPlanChoices(t *testing.T) {
 	}
 	// A selective clause: the estimate reads the pair's shorter run.
 	p := plan(NewQuery(img), WithK(5), Where("icon00 contains icon01"))
-	if p.Name != planLabelFirst || p.EstLabel == 0 || p.EstLabel >= db.Len() {
-		t.Fatalf("selective clause chose %+v, want label-first with an estimate below the corpus", p)
+	if p.Name != planLabelFirst || p.EstLabel == 0 || p.EstLabel >= db.Len() ||
+		strings.Join(p.Order, " ") != "labels filter rank" {
+		t.Fatalf("selective clause chose %+v, want label-first (labels filter rank) with an estimate below the corpus", p)
 	}
 	// A clause whose labels blanket the corpus is still narrowed by its
 	// runs: skipping them for a scan measured 0.39–0.44x (EXPERIMENTS E23).
@@ -173,16 +176,11 @@ func TestPlannerPlanChoices(t *testing.T) {
 	if p := plan(NewMatchQuery(), WithK(5), Where(wide)); p.Name != planLabelFirst {
 		t.Fatalf("blanket-label clause chose %+v, want label-first", p)
 	}
-	// The planner off: the same steps under the name "fixed".
-	if p := plan(NewQuery(img), WithK(5), Where("icon00 contains icon01"), WithPlanner(false)); p.Name != planFixed ||
-		strings.Join(p.Order, " ") != "labels filter rank" {
-		t.Fatalf("planner-off query reports %+v, want fixed (labels filter rank)", p)
-	}
 }
 
-// TestPlannerAndCacheMetrics pins the new /metrics series: every plan
-// series is visible at registration time, the chosen plan is counted,
-// and the scorer-cache counters and gauges move.
+// TestPlannerAndCacheMetrics pins the /metrics series: exactly the two
+// plan series (label-first, scan) are visible at registration time, the
+// chosen plan is counted, and the scorer-cache counters and gauges move.
 func TestPlannerAndCacheMetrics(t *testing.T) {
 	ctx := context.Background()
 	db, g := seedPruneDB(t, 55, 40)
@@ -199,9 +197,12 @@ func TestPlannerAndCacheMetrics(t *testing.T) {
 		return b.String()
 	}
 
-	// All plan series visible before any traffic.
+	// Exactly the two plan series, visible before any traffic.
 	text := render()
-	for _, name := range planNames() {
+	if got := strings.Count(text, "\nbestring_query_plan_total{plan="); got != 2 {
+		t.Fatalf("%d plan series pre-registered, want 2 (label-first, scan):\n%s", got, text)
+	}
+	for _, name := range []string{"label-first", "scan"} {
 		if !strings.Contains(text, fmt.Sprintf(`bestring_query_plan_total{plan=%q} 0`, name)) {
 			t.Fatalf("plan series %q not pre-registered:\n%s", name, text)
 		}

@@ -3,13 +3,13 @@ package imagedb
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"slices"
 	"sort"
 	"testing"
 
+	"bestring/internal/baseline/typesim"
 	"bestring/internal/core"
 	"bestring/internal/ingest"
 	"bestring/internal/workload"
@@ -228,89 +228,61 @@ func TestBoundDominatesExactInEngine(t *testing.T) {
 	}
 }
 
-// TestPrunedRankingByteIdentical pins the acceptance criterion of the
-// refactor: with pruning enabled (the default) the ranking output —
-// hits, total and cursor — is byte-identical to the same query with
-// pruning disabled, across scorers, K, MinScore, offsets and full
-// cursor walks, at several parallelism levels.
+// TestPrunedRankingByteIdentical pins the refine stage's contract: the
+// pruned ranking — hits, total and cursor — is byte-identical to the
+// naive full-sort reference, which bounds nothing, across scorers
+// (bounded and not), K, MinScore, offsets and full cursor walks, at
+// several parallelism levels.
 func TestPrunedRankingByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	db, g := seedPruneDB(t, 12345, 80)
 	img := g.SubsetQuery(g.Scene(), 4)
-
-	type pageKey struct {
-		Hits   []Hit
-		Total  int
-		Cursor string
-	}
-	run := func(opts ...QueryOption) pageKey {
-		t.Helper()
-		page, err := db.Query(ctx, NewQuery(img), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pageKey{page.Hits, page.Total, page.NextCursor}
+	ref := func(spec composedSpec) composedSpec {
+		spec.image, spec.whereMin = &img, -1
+		return spec
 	}
 
-	cases := [][]QueryOption{
-		{WithK(10)},
-		{WithK(1)},
-		{WithK(200)}, // K beyond corpus: heap never fills, nothing heap-pruned
-		{},           // unbounded: only MinScore pruning could apply
-		{WithK(10), WithScorer("invariant")},
-		{WithK(10), WithScorer("symbols")},
-		{WithK(10), WithScorer("type1")}, // no bound: exact-only either way
-		{WithK(10), WithMinScore(0.4)},
-		{WithMinScore(0.55)},
-		{WithK(5), WithOffset(7)},
-		{WithK(10), WithLabelPrefilter(true)},
+	cases := []struct {
+		opts []QueryOption
+		spec composedSpec
+	}{
+		{[]QueryOption{WithK(10)}, ref(composedSpec{k: 10})},
+		{[]QueryOption{WithK(1)}, ref(composedSpec{k: 1})},
+		{[]QueryOption{WithK(200)}, ref(composedSpec{k: 200})}, // K beyond corpus: heap never fills, nothing heap-pruned
+		{nil, ref(composedSpec{})},                             // unbounded: only MinScore pruning could apply
+		{[]QueryOption{WithK(10), WithScorer("invariant")}, ref(composedSpec{k: 10, scorer: InvariantScorer(nil)})},
+		{[]QueryOption{WithK(10), WithScorer("symbols")}, ref(composedSpec{k: 10, scorer: SymbolsOnlyScorer()})},
+		{[]QueryOption{WithK(10), WithScorer("type1")}, ref(composedSpec{k: 10, scorer: TypeSimScorer(typesim.Type1)})}, // no bound: exact only
+		{[]QueryOption{WithK(10), WithMinScore(0.4)}, ref(composedSpec{k: 10, minScore: 0.4})},
+		{[]QueryOption{WithMinScore(0.55)}, ref(composedSpec{minScore: 0.55})},
+		{[]QueryOption{WithK(5), WithOffset(7)}, ref(composedSpec{k: 5, offset: 7})},
+		{[]QueryOption{WithK(10), WithLabelPrefilter(true)}, ref(composedSpec{k: 10, labelPrefilter: true})},
 	}
-	for i, opts := range cases {
+	for i, c := range cases {
 		for _, par := range []int{0, 1, 3} {
-			on := run(append([]QueryOption{WithParallelism(par), WithPruning(true)}, opts...)...)
-			off := run(append([]QueryOption{WithParallelism(par), WithPruning(false)}, opts...)...)
-			gj, _ := json.Marshal(on)
-			wj, _ := json.Marshal(off)
-			if !reflect.DeepEqual(on, off) || string(gj) != string(wj) {
-				t.Fatalf("case %d parallelism %d: pruned ranking diverged\n  on: %s\n off: %s", i, par, gj, wj)
-			}
-		}
-	}
-
-	// Full cursor walk: every page of the pruned walk must match the
-	// unpruned walk (the heap floor interacts with the cursor admission
-	// rule; this pins that the pruned path honours it identically).
-	walk := func(prune bool) []Hit {
-		var all []Hit
-		cursor := ""
-		for {
-			opts := []QueryOption{WithK(7), WithPruning(prune)}
-			if cursor != "" {
-				opts = append(opts, WithCursor(cursor))
-			}
-			page, err := db.Query(ctx, NewQuery(img), opts...)
+			page, err := db.Query(ctx, NewQuery(img), append([]QueryOption{WithParallelism(par)}, c.opts...)...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			all = append(all, page.Hits...)
-			if page.NextCursor == "" {
-				return all
-			}
-			cursor = page.NextCursor
+			assertReference(t, fmt.Sprintf("case %d parallelism %d", i, par), db, page, c.spec)
 		}
 	}
-	on, off := walk(true), walk(false)
-	gj, _ := json.Marshal(on)
-	wj, _ := json.Marshal(off)
-	if string(gj) != string(wj) {
-		t.Fatalf("cursor walk diverged:\n  on: %s\n off: %s", gj, wj)
-	}
+
+	// Full cursor walk: the heap floor interacts with the cursor admission
+	// rule; every page must be the reference's page at that position.
+	assertWalkMatchesReference(t, "cursor walk", db, ref(composedSpec{k: 7}), func(cursor string) *Page {
+		page, err := db.Query(ctx, NewQuery(img), WithK(7), WithCursor(cursor))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return page
+	})
 }
 
 // TestStageCountsAndStats pins the observability wiring: per-page stage
-// counts are coherent, pruning actually fires on a prunable workload,
-// WithPruning(false) reports zero bound work, and the DB's cumulative
-// SearchStats add up across queries.
+// counts are coherent, pruning actually fires on a prunable workload, a
+// scorer that declares no bound reports zero bound work, and the DB's
+// cumulative SearchStats add up across queries.
 func TestStageCountsAndStats(t *testing.T) {
 	ctx := context.Background()
 	db, g := seedPruneDB(t, 777, 60)
@@ -339,15 +311,17 @@ func TestStageCountsAndStats(t *testing.T) {
 		t.Fatalf("expected pruning on a K=5 query over %d scenes, got none (%+v)", db.Len(), sc)
 	}
 
-	off, err := db.Query(ctx, NewQuery(img), WithK(5), WithPruning(false))
+	// type1 reads raw coordinates and declares no bound: every candidate
+	// is evaluated exactly.
+	off, err := db.Query(ctx, NewQuery(img), WithK(5), WithScorer("type1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off.Stages.Bounded != 0 || off.Stages.Pruned != 0 {
-		t.Fatalf("pruning disabled but bound work reported: %+v", off.Stages)
+		t.Fatalf("unbounded scorer but bound work reported: %+v", off.Stages)
 	}
 	if off.Stages.Evaluated != off.Stages.Narrowed {
-		t.Fatalf("pruning disabled: evaluated %d != narrowed %d", off.Stages.Evaluated, off.Stages.Narrowed)
+		t.Fatalf("unbounded scorer: evaluated %d != narrowed %d", off.Stages.Evaluated, off.Stages.Narrowed)
 	}
 
 	// Custom scorer functions are opaque: no bound, everything exact.

@@ -39,9 +39,6 @@ type Query struct {
 	minScore       float64
 	parallelism    int
 	labelPrefilter bool
-	noPrune        bool
-	noPlan         bool
-	noCache        bool
 
 	err error // sticky builder error, surfaced by DB.Query
 }
@@ -227,35 +224,6 @@ func WithParallelism(n int) QueryOption {
 // trades exact tail ordering for throughput on large collections.
 func WithLabelPrefilter(on bool) QueryOption {
 	return func(q *Query) { q.labelPrefilter = on }
-}
-
-// WithPruning toggles the filter-and-refine refine stage (default on).
-// When on and the query ranks with a registry scorer that declares an
-// upper bound, candidates whose bound already loses to the running
-// top-K floor (or the MinScore threshold) skip the exact evaluation;
-// the ranking stays byte-identical either way, so turning pruning off
-// is only useful for measuring what it saves.
-func WithPruning(on bool) QueryOption {
-	return func(q *Query) { q.noPrune = !on }
-}
-
-// WithPlanner toggles the stage planner (default on). The pipeline has
-// one order — label → region → predicate — and the planner no longer has
-// a cheaper one to pick (plan.go says why), so turning it off changes
-// only the reported plan name, to "fixed"; Hits, Total and NextCursor are
-// byte-identical either way. Kept as the second side of the
-// byte-identity tests.
-func WithPlanner(on bool) QueryOption {
-	return func(q *Query) { q.noPlan = !on }
-}
-
-// WithScorerCache toggles this query's use of the DB's scorer cache
-// (default on; the DB-wide cache is configured with
-// SetScorerCacheCapacity). Only queries ranking with a BE-pure registry
-// scorer ever consult it, and a cached score is always the exact score —
-// rankings are byte-identical with the cache on or off.
-func WithScorerCache(on bool) QueryOption {
-	return func(q *Query) { q.noCache = !on }
 }
 
 // cursorPos is the decoded pagination cursor: the ranking position

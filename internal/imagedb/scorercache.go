@@ -28,7 +28,8 @@ import (
 // tracking falls out for free: versions of an entry across epochs are
 // distinct pointers, and entries in shards a mutation never touched keep
 // their pointers — so exactly the still-valid scores survive. Results
-// are byte-identical with the cache on or off (pinned by
+// are byte-identical to the naive full-sort reference whether a score
+// came from the cache or from the scorer (pinned by
 // TestScorerCacheRankingByteIdentical); the cache can only change how
 // fast they arrive.
 //
@@ -53,8 +54,8 @@ import (
 // capacity and is the usual cache trade — dead versions age out of the
 // LRU as live traffic replaces them.
 
-// DefaultScorerCacheCapacity is the default size bound (entries) of a
-// DB's scorer cache. Tune or disable with SetScorerCacheCapacity.
+// DefaultScorerCacheCapacity is the size bound (entries) of a DB's
+// scorer cache.
 const DefaultScorerCacheCapacity = 1 << 16
 
 // scorerCacheShards is the lock-striping factor; must be a power of two.
@@ -119,22 +120,19 @@ type cacheShard struct {
 // (capacity/scorerCacheShards each), so the bound is exact in total and
 // no global lock exists on the hot path.
 type scorerCache struct {
-	shards   [scorerCacheShards]cacheShard
-	perShard int
-	size     atomic.Int64
-	// evictions points at the owning DB's process-lifetime counter, so
-	// the total survives SetScorerCacheCapacity swapping the cache out.
-	evictions *atomic.Uint64
+	shards    [scorerCacheShards]cacheShard
+	perShard  int
+	size      atomic.Int64
+	evictions atomic.Uint64
 }
 
-// newScorerCache returns an LRU bounded to capacity entries; evict (may
-// be nil) receives one increment per evicted entry.
-func newScorerCache(capacity int, evict *atomic.Uint64) *scorerCache {
+// newScorerCache returns an LRU bounded to capacity entries.
+func newScorerCache(capacity int) *scorerCache {
 	per := capacity / scorerCacheShards
 	if per < 1 {
 		per = 1
 	}
-	c := &scorerCache{perShard: per, evictions: evict}
+	c := &scorerCache{perShard: per}
 	for i := range c.shards {
 		c.shards[i].m = make(map[cacheKey]*list.Element)
 		c.shards[i].lru = list.New()
@@ -188,9 +186,7 @@ func (c *scorerCache) put(qhash uint64, k cacheKey, score float64) {
 			s.lru.Remove(oldest)
 			delete(s.m, oldest.Value.(*cacheVal).key)
 			c.size.Add(-1)
-			if c.evictions != nil {
-				c.evictions.Add(1)
-			}
+			c.evictions.Add(1)
 		}
 	}
 	s.m[k] = s.lru.PushFront(&cacheVal{key: k, score: score})
@@ -230,43 +226,4 @@ func cacheQueryKey(scorer string, be core.BEString) string {
 	b = append(b, '|')
 	axis(be.Y)
 	return string(b)
-}
-
-// SetScorerCacheCapacity resizes the DB's scorer cache to the given
-// entry bound, dropping every memoised score; n <= 0 disables caching
-// entirely. The default is DefaultScorerCacheCapacity. Safe to call
-// while queries run: in-flight queries finish against the cache they
-// loaded, new queries see the new one. Rankings are unaffected either
-// way — the cache only memoises exact scores.
-func (db *DB) SetScorerCacheCapacity(n int) {
-	if n <= 0 {
-		db.cache.Store(nil)
-		return
-	}
-	db.cache.Store(newScorerCache(n, &db.cacheEvictions))
-}
-
-// ScorerCacheStats is a point-in-time view of the DB's scorer cache.
-type ScorerCacheStats struct {
-	// Enabled reports whether a cache is installed.
-	Enabled bool `json:"enabled"`
-	// Entries is the current occupancy.
-	Entries int `json:"entries"`
-	// Capacity is the configured size bound.
-	Capacity int `json:"capacity"`
-	// Evictions counts LRU evictions over the process lifetime (the
-	// counter survives SetScorerCacheCapacity).
-	Evictions uint64 `json:"evictions"`
-}
-
-// ScorerCacheStats reports the scorer cache's occupancy and lifetime
-// eviction count. Hit/miss totals live in Stats().Search.
-func (db *DB) ScorerCacheStats() ScorerCacheStats {
-	st := ScorerCacheStats{Evictions: db.cacheEvictions.Load()}
-	if c := db.cache.Load(); c != nil {
-		st.Enabled = true
-		st.Entries = c.Len()
-		st.Capacity = c.perShard * scorerCacheShards
-	}
-	return st
 }

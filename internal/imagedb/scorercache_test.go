@@ -3,53 +3,52 @@ package imagedb
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"bestring/internal/baseline/typesim"
 	"bestring/internal/core"
+	"bestring/internal/obs"
 )
 
 // TestScorerCacheRankingByteIdentical pins the cache's acceptance
-// criterion: with the cache warm or cold, Hits, Total and NextCursor
-// are byte-identical to the same query with the cache disabled, across
-// scorers, K, MinScore, parallelism and full cursor walks.
+// criterion: cold (first sighting, bypassed), filling and warm, Hits,
+// Total and NextCursor are byte-identical to the naive full-sort
+// reference, which caches nothing, across scorers, K, MinScore,
+// parallelism and full cursor walks.
 func TestScorerCacheRankingByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	db, g := seedPruneDB(t, 987, 80)
 	img := g.SubsetQuery(g.Scene(), 4)
+	ref := func(spec composedSpec) composedSpec {
+		spec.image, spec.whereMin = &img, -1
+		return spec
+	}
 
-	cases := [][]QueryOption{
-		{WithK(10)},
-		{}, // unbounded: every candidate evaluates, maximal cache traffic
-		{WithK(10), WithScorer("invariant")},
-		{WithK(10), WithScorer("symbols")},
-		{WithK(10), WithScorer("type1")}, // not BE-pure: never cached
-		{WithK(10), WithMinScore(0.4)},
-		{WithK(5), WithOffset(7)},
-		{WithK(10), WithLabelPrefilter(true)},
-		{WithK(10), WithPruning(false)},
+	cases := []struct {
+		opts []QueryOption
+		spec composedSpec
+	}{
+		{[]QueryOption{WithK(10)}, ref(composedSpec{k: 10})},
+		{nil, ref(composedSpec{})}, // unbounded: every candidate evaluates, maximal cache traffic
+		{[]QueryOption{WithK(10), WithScorer("invariant")}, ref(composedSpec{k: 10, scorer: InvariantScorer(nil)})},
+		{[]QueryOption{WithK(10), WithScorer("symbols")}, ref(composedSpec{k: 10, scorer: SymbolsOnlyScorer()})},
+		{[]QueryOption{WithK(10), WithScorer("type1")}, ref(composedSpec{k: 10, scorer: TypeSimScorer(typesim.Type1)})}, // not BE-pure: never cached
+		{[]QueryOption{WithK(10), WithMinScore(0.4)}, ref(composedSpec{k: 10, minScore: 0.4})},
+		{[]QueryOption{WithK(5), WithOffset(7)}, ref(composedSpec{k: 5, offset: 7})},
+		{[]QueryOption{WithK(10), WithLabelPrefilter(true)}, ref(composedSpec{k: 10, labelPrefilter: true})},
 	}
 	// Three passes: cold cache, warm cache, warm cache again — all must
-	// match the uncached run.
+	// match the reference.
 	for pass := 0; pass < 3; pass++ {
-		for i, opts := range cases {
+		for i, c := range cases {
 			for _, par := range []int{0, 1, 3} {
-				base := append([]QueryOption{WithParallelism(par)}, opts...)
-				on, err := db.Query(ctx, NewQuery(img), append(base, WithScorerCache(true))...)
+				page, err := db.Query(ctx, NewQuery(img), append([]QueryOption{WithParallelism(par)}, c.opts...)...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				off, err := db.Query(ctx, NewQuery(img), append(base, WithScorerCache(false))...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gj, wj := pageID(t, on), pageID(t, off); gj != wj {
-					t.Fatalf("pass %d case %d parallelism %d: cached ranking diverged\n  on: %s\n off: %s",
-						pass, i, par, gj, wj)
-				}
-				if off.Plan.CacheHits != 0 || off.Plan.CacheMisses != 0 {
-					t.Fatalf("cache disabled but outcomes reported: %+v", off.Plan)
-				}
+				assertReference(t, fmt.Sprintf("pass %d case %d parallelism %d", pass, i, par), db, page, c.spec)
 			}
 		}
 	}
@@ -76,33 +75,14 @@ func TestScorerCacheRankingByteIdentical(t *testing.T) {
 		t.Fatalf("type1 is not BE-pure but used the cache: %+v", typed.Plan)
 	}
 
-	// Cursor walk, warm cache vs cache off.
-	walk := func(cached bool) string {
-		var all []Hit
-		cursor := ""
-		for {
-			opts := []QueryOption{WithK(7), WithScorerCache(cached)}
-			if cursor != "" {
-				opts = append(opts, WithCursor(cursor))
-			}
-			page, err := db.Query(ctx, NewQuery(img), opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, page.Hits...)
-			if page.NextCursor == "" {
-				j := ""
-				for _, h := range all {
-					j += fmt.Sprintf("%s/%v;", h.ID, h.Score)
-				}
-				return j
-			}
-			cursor = page.NextCursor
+	// Cursor walk on the warm cache.
+	assertWalkMatchesReference(t, "cursor walk", db, ref(composedSpec{k: 7}), func(cursor string) *Page {
+		page, err := db.Query(ctx, NewQuery(img), WithK(7), WithCursor(cursor))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if on, off := walk(true), walk(false); on != off {
-		t.Fatalf("cursor walk diverged:\n  on: %s\n off: %s", on, off)
-	}
+		return page
+	})
 }
 
 // TestScorerCacheInvalidationExact pins the MVCC invalidation: after an
@@ -114,26 +94,28 @@ func TestScorerCacheInvalidationExact(t *testing.T) {
 	ctx := context.Background()
 	db, g := seedPruneDB(t, 654, 60)
 	img := g.SubsetQuery(g.Scene(), 4)
+	spec := composedSpec{image: &img, whereMin: -1}
 
-	verify := func(label string, run func(opts ...QueryOption) *Page) {
+	// verify runs the unbounded query (every candidate pays an exact
+	// evaluation) twice against src — the second run is past its key's
+	// first sighting, so it fills or hits — and checks both against the
+	// reference over the same version.
+	verify := func(label string, src referenceSource, run func() *Page) {
 		t.Helper()
-		on := run(WithScorerCache(true))
-		off := run(WithScorerCache(false))
-		if gj, wj := pageID(t, on), pageID(t, off); gj != wj {
-			t.Fatalf("%s: cached ranking diverged\n  on: %s\n off: %s", label, gj, wj)
+		for i := 1; i <= 2; i++ {
+			assertReference(t, fmt.Sprintf("%s run %d", label, i), src, run(), spec)
 		}
 	}
-	onDB := func(opts ...QueryOption) *Page {
-		page, err := db.Query(ctx, NewQuery(img), opts...)
+	onDB := func() *Page {
+		page, err := db.Query(ctx, NewQuery(img))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return page
 	}
 
-	// Warm the cache over the full corpus (K=0: every candidate pays an
-	// exact evaluation).
-	verify("cold", onDB)
+	// Warm the cache over the full corpus.
+	verify("cold", db, onDB)
 
 	// Pin the pre-mutation version, then mutate through every path that
 	// replaces an entry version.
@@ -158,15 +140,14 @@ func TestScorerCacheInvalidationExact(t *testing.T) {
 	}
 
 	// The warm cache must now serve the new versions' scores...
-	verify("after-mutation", onDB)
+	verify("after-mutation", db, onDB)
 	// ...including for queries that run hot against specific entries.
-	verify("after-mutation-warm", onDB)
+	verify("after-mutation-warm", db, onDB)
 
 	// ...while the pinned old snapshot still ranks its own versions
-	// exactly, cache on or off (its entry pointers still key their old
-	// scores).
-	verify("old-snapshot", func(opts ...QueryOption) *Page {
-		page, err := old.Query(ctx, NewQuery(img), opts...)
+	// exactly (its entry pointers still key their old scores).
+	verify("old-snapshot", old, func() *Page {
+		page, err := old.Query(ctx, NewQuery(img))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,9 +159,9 @@ func TestScorerCacheInvalidationExact(t *testing.T) {
 }
 
 // TestScorerCacheChurnByteIdentical hammers the cache under concurrent
-// writers: pinned-snapshot rankings must stay byte-identical cache-on
-// vs cache-off while entries churn underneath. Run with -race this also
-// exercises the cache's locking.
+// writers: pinned-snapshot rankings must stay byte-identical to the
+// reference over the same snapshot while entries churn underneath. Run
+// with -race this also exercises the cache's locking.
 func TestScorerCacheChurnByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	db, g := seedPruneDB(t, 321, 60)
@@ -207,77 +188,72 @@ func TestScorerCacheChurnByteIdentical(t *testing.T) {
 
 	for round := 0; round < 20; round++ {
 		snap := db.Snapshot()
-		on, err := snap.Query(ctx, NewQuery(img), WithK(15))
+		page, err := snap.Query(ctx, NewQuery(img), WithK(15))
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := snap.Query(ctx, NewQuery(img), WithK(15), WithScorerCache(false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gj, wj := pageID(t, on), pageID(t, off); gj != wj {
-			t.Fatalf("round %d: churned ranking diverged\n  on: %s\n off: %s", round, gj, wj)
-		}
+		assertReference(t, fmt.Sprintf("round %d", round), snap, page, composedSpec{image: &img, whereMin: -1, k: 15})
 	}
 	close(stop)
 	wg.Wait()
 }
 
-// TestScorerCacheEvictionAndStats pins the LRU bound, the lifetime
-// eviction counter and the enable/disable/resize surface.
+// TestScorerCacheEvictionAndStats pins the LRU bound, the eviction
+// counter and its metrics series, and the cumulative hit/miss counters.
 func TestScorerCacheEvictionAndStats(t *testing.T) {
 	ctx := context.Background()
 	db, g := seedPruneDB(t, 8, 60)
 	img := g.SubsetQuery(g.Scene(), 3)
+	reg := obs.NewRegistry()
+	db.EnableMetrics(reg)
+	series := func(name string) string {
+		t.Helper()
+		var b strings.Builder
+		if err := reg.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("series %s missing", name)
+		return ""
+	}
 
-	// Shrink to 16 entries (one per stripe). The query's first sighting
-	// bypasses the cache and so cannot evict; its second run fills, and
-	// an unbounded query over ~58 survivors must then evict.
-	db.SetScorerCacheCapacity(16)
+	// A 16-entry cache (one per stripe), installed before any query. The
+	// query's first sighting bypasses the cache and so cannot evict; its
+	// second run fills, and an unbounded query over ~58 survivors must
+	// then evict.
+	db.cache = newScorerCache(16)
 	page, err := db.Query(ctx, NewQuery(img))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := db.ScorerCacheStats(); !page.Plan.CacheBypassed || st.Entries != 0 || st.Evictions != 0 {
-		t.Fatalf("first sighting touched the cache: plan %+v, stats %+v", page.Plan, st)
+	if !page.Plan.CacheBypassed || db.cache.Len() != 0 || db.cache.evictions.Load() != 0 {
+		t.Fatalf("first sighting touched the cache: plan %+v, %d entries, %d evictions",
+			page.Plan, db.cache.Len(), db.cache.evictions.Load())
 	}
 	if _, err := db.Query(ctx, NewQuery(img)); err != nil {
 		t.Fatal(err)
 	}
-	st := db.ScorerCacheStats()
-	if !st.Enabled || st.Capacity != 16 {
-		t.Fatalf("stats %+v, want enabled with capacity 16", st)
+	if n, capacity := db.cache.Len(), db.cache.perShard*scorerCacheShards; n == 0 || n > capacity {
+		t.Fatalf("occupancy %d, want 1..%d", n, capacity)
 	}
-	if st.Entries > st.Capacity {
-		t.Fatalf("occupancy %d exceeds capacity %d", st.Entries, st.Capacity)
+	evictions := db.cache.evictions.Load()
+	if evictions == 0 {
+		t.Fatal("no evictions after overflowing a 16-entry cache")
 	}
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions after overflowing a 16-entry cache: %+v", st)
+	if got, want := series("bestring_scorer_cache_evictions_total"), fmt.Sprint(evictions); got != want {
+		t.Fatalf("evictions series %s, cache counted %s", got, want)
 	}
-
-	// Eviction total survives a resize (it is DB-lifetime, not cache-
-	// lifetime).
-	evBefore := st.Evictions
-	db.SetScorerCacheCapacity(DefaultScorerCacheCapacity)
-	if got := db.ScorerCacheStats().Evictions; got != evBefore {
-		t.Fatalf("eviction counter reset by resize: %d, want %d", got, evBefore)
+	if got, want := series("bestring_scorer_cache_entries"), fmt.Sprint(db.cache.Len()); got != want {
+		t.Fatalf("entries series %s, cache holds %s", got, want)
 	}
 
-	// Disabled: queries run, no outcomes, stats say so.
-	db.SetScorerCacheCapacity(0)
-	page, err = db.Query(ctx, NewQuery(img))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if page.Plan.CacheHits+page.Plan.CacheMisses != 0 {
-		t.Fatalf("disabled cache reported outcomes: %+v", page.Plan)
-	}
-	if st := db.ScorerCacheStats(); st.Enabled {
-		t.Fatalf("stats report enabled after disable: %+v", st)
-	}
-
-	// Cumulative DB counters pick up hits/misses.
-	db.SetScorerCacheCapacity(DefaultScorerCacheCapacity)
+	// Cumulative DB counters pick up hits/misses (on a cache big enough to
+	// hold the whole ranking).
+	db.cache = newScorerCache(DefaultScorerCacheCapacity)
 	before := db.Stats().Search
 	if _, err := db.Query(ctx, NewQuery(img)); err != nil {
 		t.Fatal(err)

@@ -716,11 +716,3 @@ func (s *Store) Snapshot() *Snapshot { return s.db.Snapshot() }
 
 // Epoch returns the epoch of the store's current version.
 func (s *Store) Epoch() uint64 { return s.db.Epoch() }
-
-// SetScorerCacheCapacity resizes (or, with n <= 0, disables) the scorer
-// cache of the store's engine (see DB.SetScorerCacheCapacity).
-func (s *Store) SetScorerCacheCapacity(n int) { s.db.SetScorerCacheCapacity(n) }
-
-// ScorerCacheStats reports the scorer cache's occupancy and lifetime
-// eviction count (see DB.ScorerCacheStats).
-func (s *Store) ScorerCacheStats() ScorerCacheStats { return s.db.ScorerCacheStats() }

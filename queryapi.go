@@ -44,8 +44,6 @@ type (
 	// assembled, the label-narrowing estimate and the query's
 	// scorer-cache hit/miss counts; reported on every QueryPage.
 	QueryPlan = imagedb.QueryPlan
-	// ScorerCacheStats is a point-in-time view of a DB's scorer cache.
-	ScorerCacheStats = imagedb.ScorerCacheStats
 )
 
 // DefaultScorerName is the registry name used when a query names no
@@ -110,21 +108,6 @@ func WithParallelism(n int) QueryOption { return imagedb.WithParallelism(n) }
 func WithLabelPrefilter(on bool) QueryOption {
 	return imagedb.WithLabelPrefilter(on)
 }
-
-// WithPruning toggles the filter-and-refine refine stage (default on).
-// Pruning never changes results; disabling it is only useful for
-// measuring what the signature upper bounds save.
-func WithPruning(on bool) QueryOption { return imagedb.WithPruning(on) }
-
-// WithPlanner toggles the stage planner (default on). The pipeline has
-// one stage order, so off only renames the reported plan to "fixed" —
-// rankings are byte-identical either way.
-func WithPlanner(on bool) QueryOption { return imagedb.WithPlanner(on) }
-
-// WithScorerCache toggles this query's use of the engine's scorer cache
-// (default on). A cached score is always the exact score, so rankings
-// are byte-identical with the cache on or off.
-func WithScorerCache(on bool) QueryOption { return imagedb.WithScorerCache(on) }
 
 // ScorerCacheable reports whether the named scorer's evaluations are
 // eligible for the scorer cache ("" resolves to the default).
