@@ -3,6 +3,7 @@ package bestring_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -200,5 +201,35 @@ func TestPublicTransformsConsistent(t *testing.T) {
 		if !viaString.Equal(viaImage) {
 			t.Errorf("transform %v: string and image paths disagree", tr)
 		}
+	}
+}
+
+// TestReplicationNeedsDurability pins that both replication roles ask
+// for a write-ahead log at run time: a volatile DB is refused with
+// ErrNotDurable, a durable one is accepted.
+func TestReplicationNeedsDurability(t *testing.T) {
+	volatile := bestring.NewDB()
+	if p, err := bestring.NewReplicationPrimary(volatile, 0); !errors.Is(err, bestring.ErrNotDurable) || p != nil {
+		t.Fatalf("NewReplicationPrimary(NewDB()) = %v, %v; want nil, ErrNotDurable", p, err)
+	}
+	if f, err := bestring.NewReplicationFollower(volatile, "http://127.0.0.1:1", 0); !errors.Is(err, bestring.ErrNotDurable) || f != nil {
+		t.Fatalf("NewReplicationFollower(NewDB()) = %v, %v; want nil, ErrNotDurable", f, err)
+	}
+
+	primary, err := bestring.OpenStore(t.TempDir(), bestring.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	if _, err := bestring.NewReplicationPrimary(primary, 0); err != nil {
+		t.Fatalf("NewReplicationPrimary(durable): %v", err)
+	}
+	replica, err := bestring.OpenStore(t.TempDir(), bestring.StoreOptions{Replica: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	if _, err := bestring.NewReplicationFollower(replica, "http://127.0.0.1:1", 0); err != nil {
+		t.Fatalf("NewReplicationFollower(durable replica): %v", err)
 	}
 }

@@ -39,7 +39,7 @@ func storeFlags(fs *flag.FlagSet) (dataDir *string, fsyncS *string, segBytes *in
 }
 
 // openStoreFlags validates the shared flags and opens the store.
-func openStoreFlags(dataDir, fsyncS string, segBytes int64) (*bestring.Store, error) {
+func openStoreFlags(dataDir, fsyncS string, segBytes int64) (*bestring.DB, error) {
 	if dataDir == "" {
 		return nil, fmt.Errorf("store: -data-dir is required")
 	}

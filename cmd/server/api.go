@@ -31,32 +31,17 @@ const maxBatchQueries = 64
 // store to publish that LSN before giving up with a 404.
 const minLSNWait = 2 * time.Second
 
-// engine is the database surface the REST API serves — satisfied by both
-// the in-memory *bestring.DB and the durable *bestring.Store, so the
-// same mux runs volatile or crash-safe depending only on the flags.
-type engine interface {
-	Insert(id, name string, img bestring.Image) error
-	Delete(id string) error
-	Get(id string) (bestring.Entry, bool)
-	IDs() []string
-	Len() int
-	Stats() bestring.DBStats
-	BulkInsert(ctx context.Context, items []bestring.BulkItem, parallelism int) error
-	Query(ctx context.Context, q *bestring.Query, opts ...bestring.QueryOption) (*bestring.QueryPage, error)
-	Snapshot() *bestring.Snapshot
-}
-
 // requestIDHeader propagates one request's identity across roles: a
 // client (or proxy) may set it, the server echoes it on the response,
 // and a follower's 307 write redirect carries it to the primary, so
 // one write's trace id appears in both servers' logs.
 const requestIDHeader = "X-Request-Id"
 
-// muxConfig bundles everything the server mux serves: the engine, its
-// replication role, and the observability surface (metrics registry
-// and slow-query log, both optional).
+// muxConfig bundles everything the server mux serves: the database
+// (volatile or durable), its replication role, and the observability
+// surface (metrics registry and slow-query log, both optional).
 type muxConfig struct {
-	engine      engine
+	db          *bestring.DB
 	parallelism int
 	primary     *bestring.ReplicationPrimary
 	follower    *bestring.ReplicationFollower
@@ -65,40 +50,20 @@ type muxConfig struct {
 	slowLog     *bestring.SlowQueryLog
 }
 
-// newMux wires the REST routes onto a database: the image resource, the
-// composable query endpoint POST /api/v1/search — the only read door
-// besides fetching an entry — and the streaming import, all under
-// /api/v1.
-func newMux(e engine) http.Handler { return newMuxWith(e, 0) }
-
-// newMuxWith additionally sets the server-wide default scoring
-// parallelism applied to search requests that set none (0 means
-// GOMAXPROCS, the engine default).
-func newMuxWith(e engine, defaultParallelism int) http.Handler {
-	return newServerMux(muxConfig{engine: e, parallelism: defaultParallelism})
-}
-
-// newMuxRepl wires the full server mux including its replication role:
-// a primary additionally serves the stream/ack endpoints, a follower
-// redirects writes to primaryURL and reports its sync loop on /healthz.
-func newMuxRepl(e engine, defaultParallelism int,
-	primary *bestring.ReplicationPrimary, follower *bestring.ReplicationFollower,
-	primaryURL string) http.Handler {
-	return newServerMux(muxConfig{engine: e, parallelism: defaultParallelism,
-		primary: primary, follower: follower, primaryURL: primaryURL})
-}
+// newMux wires the REST routes onto a database with no replication role
+// or observability surface: the image resource, the composable query
+// endpoint POST /api/v1/search — the only read door besides fetching an
+// entry — and the streaming import, all under /api/v1.
+func newMux(db *bestring.DB) http.Handler { return newServerMux(muxConfig{db: db}) }
 
 // newServerMux builds the complete handler: routes, the request-id /
 // trace middleware, per-route HTTP metrics and — when a registry is
 // configured — the GET /metrics exposition endpoint.
 func newServerMux(cfg muxConfig) http.Handler {
-	api := &api{db: cfg.engine, parallelism: cfg.parallelism,
+	api := &api{db: cfg.db, parallelism: cfg.parallelism,
 		primary: cfg.primary, follower: cfg.follower,
 		primaryURL: strings.TrimRight(cfg.primaryURL, "/"),
 		metrics:    cfg.metrics, slow: cfg.slowLog}
-	// A durable store additionally reports WAL/checkpoint state on
-	// /healthz, the signal an operator watches during recovery.
-	api.store, _ = cfg.engine.(*bestring.Store)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", api.health)
 	mux.HandleFunc("GET /api/v1/images", api.listImages)
@@ -117,8 +82,7 @@ func newServerMux(cfg muxConfig) http.Handler {
 }
 
 type api struct {
-	db    engine
-	store *bestring.Store // nil when serving an in-memory DB
+	db *bestring.DB
 	// parallelism is the default scoring-worker bound for requests that
 	// set none (0 means GOMAXPROCS).
 	parallelism int
@@ -331,8 +295,16 @@ func (a *api) health(w http.ResponseWriter, _ *http.Request) {
 		"search": stats.Search,
 	}
 	body["role"] = a.role()
-	if a.store != nil {
-		ss := a.store.StoreStats()
+	// Group-commit counters: mutations/groups is the mean coalescing
+	// factor — how many concurrent writers shared each fsync. The
+	// import tally: chunks/images/bytes committed, chunks an interrupted
+	// run's resume skipped, and imports running right now.
+	ss := a.db.StoreStats()
+	body["commit"] = ss.Commit
+	body["import"] = ss.Import
+	// A durable store additionally reports WAL/checkpoint state, the
+	// signal an operator watches during recovery.
+	if a.db.Durable() {
 		body["durable"] = true
 		body["wal"] = ss.WAL
 		body["checkpoint"] = map[string]any{
@@ -341,12 +313,6 @@ func (a *api) health(w http.ResponseWriter, _ *http.Request) {
 			"completed": ss.Checkpoints,
 			"lastError": ss.CheckpointErr,
 		}
-		// Group-commit counters: mutations/groups is the mean coalescing
-		// factor — how many concurrent writers shared each fsync.
-		body["commit"] = ss.Commit
-		// Streaming-import tally: chunks/images/bytes committed, chunks an
-		// interrupted run's resume skipped, and imports running right now.
-		body["import"] = ss.Import
 		// The replication ledger: what is durable (shippable), applied,
 		// visible to reads, and how far back the retained WAL reaches. On
 		// a follower appliedLSN is the catch-up position.
@@ -408,9 +374,9 @@ func (a *api) redirectedWrite(w http.ResponseWriter, r *http.Request, err error)
 // horizon — under -fsync always they match; under interval/never
 // durable may trail the write briefly.
 func (a *api) writeLSNs(body map[string]any) map[string]any {
-	if a.store != nil {
-		body["lsn"] = a.store.VisibleLSN()
-		body["durable"] = a.store.DurableLSN()
+	if a.db.Durable() {
+		body["lsn"] = a.db.VisibleLSN()
+		body["durable"] = a.db.DurableLSN()
 	}
 	return body
 }
@@ -593,7 +559,9 @@ type queryResponse struct {
 // returned) waits — bounded by minLSNWait — until this store has
 // published LSN N, and 404s if it cannot, so the client retries here or
 // falls back to the primary rather than silently reading stale state.
-// Reports whether the request may proceed.
+// An in-memory server logs nothing, so its visible LSN stays 0: min_lsn=0
+// proceeds and any higher LSN 404s at once. Reports whether the request
+// may proceed.
 func (a *api) waitMinLSN(w http.ResponseWriter, r *http.Request) bool {
 	s := r.URL.Query().Get("min_lsn")
 	if s == "" {
@@ -604,15 +572,11 @@ func (a *api) waitMinLSN(w http.ResponseWriter, r *http.Request) bool {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad min_lsn %q", s))
 		return false
 	}
-	if a.store == nil {
-		writeErr(w, http.StatusBadRequest, errors.New("min_lsn requires a durable store"))
-		return false
-	}
 	ctx, cancel := context.WithTimeout(r.Context(), minLSNWait)
 	defer cancel()
-	if err := a.store.WaitVisible(ctx, lsn); err != nil {
+	if err := a.db.WaitVisible(ctx, lsn); err != nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf(
-			"lsn %d not visible here (at %d)", lsn, a.store.VisibleLSN()))
+			"lsn %d not visible here (at %d)", lsn, a.db.VisibleLSN()))
 		return false
 	}
 	return true
@@ -740,16 +704,12 @@ func (a *api) searchV1(w http.ResponseWriter, r *http.Request) {
 // is a scene stream — NDJSON by default, the CSV dialect with
 // ?format=csv — consumed incrementally (no maxBodyBytes cap: chunking
 // bounds memory, not the request size), converted in a worker pool and
-// committed as chunked WAL records, so one request loads a corpus far
-// larger than memory. Query knobs: chunk (scenes per chunk),
-// chunk_bytes, parallelism, no_resume=1. Interrupted imports resume:
-// re-POST the same stream and already-durable chunks are skipped (see
-// DESIGN.md section 12).
+// committed in chunks (one WAL record each on a durable server), so one
+// request loads a corpus far larger than memory. Query knobs: chunk
+// (scenes per chunk), chunk_bytes, parallelism, no_resume=1. Interrupted
+// imports on a durable server resume: re-POST the same stream and
+// already-durable chunks are skipped (see DESIGN.md section 12).
 func (a *api) importScenes(w http.ResponseWriter, r *http.Request) {
-	if a.store == nil {
-		writeErr(w, http.StatusBadRequest, errors.New("import requires a durable store (run with -data-dir)"))
-		return
-	}
 	var opts bestring.ImportOptions
 	q := r.URL.Query()
 	intParam := func(name string) (int, error) {
@@ -790,7 +750,7 @@ func (a *api) importScenes(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	stats, err := a.store.Import(r.Context(), src, opts)
+	stats, err := a.db.Import(r.Context(), src, opts)
 	if err != nil {
 		if a.redirectedWrite(w, r, err) {
 			return

@@ -14,11 +14,21 @@ import (
 	"bestring"
 )
 
+// seeded is the in-memory database `server -count count -seed seed
+// -shards shards` serves.
+func seeded(count int, seed int64, shards int) (*bestring.DB, error) {
+	db, err := openDB("", shards)
+	if err != nil {
+		return nil, err
+	}
+	return db, seedSynthetic(db, count, seed)
+}
+
 func testMux(t *testing.T) http.Handler {
 	t.Helper()
-	db, err := openDB("", 10, 3, 0)
+	db, err := seeded(10, 3, 0)
 	if err != nil {
-		t.Fatalf("openDB: %v", err)
+		t.Fatalf("seeded: %v", err)
 	}
 	return newMux(db)
 }
@@ -149,7 +159,7 @@ func TestInsertErrors(t *testing.T) {
 }
 
 func TestSearchEndpoint(t *testing.T) {
-	db, err := openDB("", 15, 3, 0)
+	db, err := seeded(15, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +185,7 @@ func TestSearchEndpoint(t *testing.T) {
 }
 
 func TestSearchDSLEndpoint(t *testing.T) {
-	db, err := openDB("", 0, 0, 0)
+	db, err := seeded(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +213,7 @@ func TestSearchDSLEndpoint(t *testing.T) {
 // the icon boxes the retired GET /api/region listed: the query names the
 // images, GET /api/v1/images/{id} carries their boxes.
 func TestRegionEndpoint(t *testing.T) {
-	db, err := openDB("", 0, 0, 0)
+	db, err := seeded(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,9 +253,9 @@ func TestRegionEndpoint(t *testing.T) {
 }
 
 func TestOpenDBVariants(t *testing.T) {
-	db, err := openDB("", 0, 0, 0)
+	db, err := seeded(0, 0, 0)
 	if err != nil || db.Len() != 0 {
-		t.Errorf("empty openDB: %v, len %d", err, db.Len())
+		t.Errorf("empty seeded: %v, len %d", err, db.Len())
 	}
 	// dbfile round trip.
 	path := t.TempDir() + "/db.json"
@@ -259,17 +269,17 @@ func TestOpenDBVariants(t *testing.T) {
 	if err := src.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := openDB(path, 0, 0, 0)
+	loaded, err := openDB(path, 0)
 	if err != nil || loaded.Len() != 3 {
 		t.Errorf("openDB(dbfile): %v, len %d", err, loaded.Len())
 	}
-	if _, err := openDB(path+".missing", 0, 0, 0); err == nil {
+	if _, err := openDB(path+".missing", 0); err == nil {
 		t.Error("missing dbfile accepted")
 	}
 }
 
 func TestSearchEndpointEngineKnobs(t *testing.T) {
-	db, err := openDB("", 15, 3, 4)
+	db, err := seeded(15, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +306,7 @@ func TestSearchEndpointEngineKnobs(t *testing.T) {
 }
 
 func TestHealthReportsShards(t *testing.T) {
-	db, err := openDB("", 4, 1, 3)
+	db, err := seeded(4, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +349,7 @@ func spatialMux(t *testing.T, n int) (http.Handler, *bestring.DB) {
 // is a 400 on its own, and inside a batch a per-entry 400 that leaves
 // the sibling queries answered.
 func TestSearchNegativeK(t *testing.T) {
-	db, err := openDB("", 5, 3, 0)
+	db, err := seeded(5, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +591,7 @@ func TestRetiredRoutesGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := bestring.NewMetricsRegistry()
-	mux := newServerMux(muxConfig{engine: db, metrics: reg})
+	mux := newServerMux(muxConfig{db: db, metrics: reg})
 
 	retired := []struct{ method, path string }{
 		{http.MethodGet, "/api/images"},
@@ -789,7 +799,7 @@ func TestMutationStatusCodes(t *testing.T) {
 // (and to every sub-response of a batch), plain requests omit them, and
 // /healthz reports the cumulative filter-and-refine counters.
 func TestV1SearchDebugStages(t *testing.T) {
-	db, err := openDB("", 30, 4, 0)
+	db, err := seeded(30, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,9 +162,27 @@ func TestImportEndpointKnobsBounded(t *testing.T) {
 	}
 }
 
-func TestImportEndpointRequiresStore(t *testing.T) {
-	rec := postStream(t, testMux(t), "/api/v1/import", ndjsonBody(1))
-	if rec.Code != http.StatusBadRequest {
+// TestImportEndpointInMemory pins that an in-memory server imports like
+// a durable one: 200, the run's stats, and /healthz counts the scenes.
+func TestImportEndpointInMemory(t *testing.T) {
+	h := testMux(t)
+	var before, after struct {
+		Images int `json:"images"`
+	}
+	decode(t, do(t, h, http.MethodGet, "/healthz", nil), &before)
+	rec := postStream(t, h, "/api/v1/import?chunk=2", ndjsonBody(3))
+	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d (body %s)", rec.Code, rec.Body)
+	}
+	var out struct {
+		Import bestring.ImportStats `json:"import"`
+	}
+	decode(t, rec, &out)
+	if out.Import.Images != 3 || out.Import.Chunks != 2 {
+		t.Fatalf("response = %+v", out)
+	}
+	decode(t, do(t, h, http.MethodGet, "/healthz", nil), &after)
+	if after.Images != before.Images+3 {
+		t.Fatalf("healthz images %d -> %d, want +3", before.Images, after.Images)
 	}
 }

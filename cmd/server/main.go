@@ -5,8 +5,9 @@
 // Endpoints:
 //
 //	GET    /healthz                           liveness: snapshot epoch, entry and
-//	                                          goroutine counts (+ WAL/checkpoint
-//	                                          stats with -data-dir)
+//	                                          goroutine counts, commit and import
+//	                                          tallies (+ WAL/checkpoint stats
+//	                                          with -data-dir)
 //	GET    /metrics                           Prometheus text exposition: query
 //	                                          stage histograms, WAL/commit/
 //	                                          replication instruments, HTTP
@@ -22,7 +23,7 @@
 //	                                          or a concurrent batch {"queries":[...]};
 //	                                          "consistent":true pins the whole
 //	                                          request to one snapshot epoch
-//	POST   /api/v1/import?format=ndjson|csv   streaming bulk ingest (-data-dir only)
+//	POST   /api/v1/import?format=ndjson|csv   streaming bulk ingest
 //	GET    /repl/v1/stream?after=&follower=   primary: WAL replication stream
 //	POST   /repl/v1/ack?follower=&lsn=        primary: follower progress ack
 //
@@ -70,8 +71,8 @@
 // write responses return the "lsn" token to pass. With -dbfile the database is loaded from the file and saved back
 // atomically on shutdown; with -count a synthetic database is generated
 // (seeded into the store when one is configured and empty). -shards
-// partitions a synthetic or empty database (0 means GOMAXPROCS); a
-// database recovered from a snapshot keeps the default shard count.
+// partitions a synthetic or empty database (0 means max(GOMAXPROCS, 16));
+// a database recovered from a snapshot keeps the default shard count.
 //
 // SIGINT/SIGTERM triggers a graceful shutdown: in-flight requests drain,
 // the WAL is flushed (or the -dbfile snapshot rewritten) and the process
@@ -114,7 +115,7 @@ func run(args []string) error {
 		"max mutations coalesced into one WAL append with -data-dir (1 = one frame and one fsync per mutation)")
 	count := fs.Int("count", 0, "generate a synthetic database of this size when empty")
 	seed := fs.Int64("seed", 1, "generator seed for -count")
-	shards := fs.Int("shards", 0, "shard count for a synthetic or empty database (0 = GOMAXPROCS)")
+	shards := fs.Int("shards", 0, "shard count for a synthetic or empty database (0 = max(GOMAXPROCS, 16))")
 	parallelism := fs.Int("parallelism", 0, "default scoring workers for search requests that set none (0 = GOMAXPROCS)")
 	replicateFrom := fs.String("replicate-from", "",
 		"primary base URL to follow (e.g. http://127.0.0.1:8081); the store becomes a read-only replica (requires -data-dir)")
@@ -172,8 +173,6 @@ func run(args []string) error {
 	slowLog := bestring.NewSlowQueryLog(os.Stderr, *slowQuery)
 
 	var (
-		eng      engine
-		store    *bestring.Store
 		db       *bestring.DB
 		primary  *bestring.ReplicationPrimary
 		follower *bestring.ReplicationFollower
@@ -186,52 +185,45 @@ func run(args []string) error {
 			CommitBatch:  *commitBatch,
 			Replica:      *replicateFrom != "",
 		}
-		s, err := bestring.OpenStore(*dataDir, opts)
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		if *count > 0 && s.Len() == 0 {
-			if err := seedSynthetic(s, *count, *seed); err != nil {
-				return err
-			}
-		}
-		store, eng = s, s
-		s.EnableMetrics(reg)
-		if *replicateFrom != "" {
-			// Follower: replay the primary's WAL stream in the background;
-			// the read surface serves whatever has been applied so far. A
-			// permanent sync failure (divergence, pruned backlog) leaves the
-			// server up, read-only on its last applied state — /healthz
-			// reports the condition under "replication".
-			f, err := bestring.NewReplicationFollower(s, *replicateFrom, 0)
-			if err != nil {
-				return err
-			}
-			follower = f
-			f.EnableMetrics(reg)
-			go func() {
-				if err := f.Run(ctx); err != nil {
-					log.Printf("replication stopped permanently: %v", err)
-				}
-			}()
-			log.Printf("durable store %s: following %s from lsn %d, %d images",
-				*dataDir, *replicateFrom, s.AppliedLSN(), s.Len())
-		} else {
-			// Every durable server is a capable primary: the stream and ack
-			// endpoints cost nothing until a follower connects.
-			primary = bestring.NewReplicationPrimary(s, 0)
-			primary.EnableMetrics(reg)
-			log.Printf("durable store %s: %d images, fsync=%s, lsn=%d",
-				*dataDir, s.Len(), policy, s.StoreStats().LastLSN)
-		}
+		db, err = bestring.OpenStore(*dataDir, opts)
 	} else {
-		d, err := openDB(*dbfile, *count, *seed, *shards)
-		if err != nil {
+		db, err = openDB(*dbfile, *shards)
+	}
+	if err != nil {
+		return err
+	}
+	defer db.Close()
+	if err := seedSynthetic(db, *count, *seed); err != nil {
+		return err
+	}
+	db.EnableMetrics(reg)
+	switch {
+	case *replicateFrom != "":
+		// Follower: replay the primary's WAL stream in the background;
+		// the read surface serves whatever has been applied so far. A
+		// permanent sync failure (divergence, pruned backlog) leaves the
+		// server up, read-only on its last applied state — /healthz
+		// reports the condition under "replication".
+		if follower, err = bestring.NewReplicationFollower(db, *replicateFrom, 0); err != nil {
 			return err
 		}
-		db, eng = d, d
-		d.EnableMetrics(reg)
+		follower.EnableMetrics(reg)
+		go func() {
+			if err := follower.Run(ctx); err != nil {
+				log.Printf("replication stopped permanently: %v", err)
+			}
+		}()
+		log.Printf("durable store %s: following %s from lsn %d, %d images",
+			*dataDir, *replicateFrom, db.AppliedLSN(), db.Len())
+	case *dataDir != "":
+		// Every durable server is a capable primary: the stream and ack
+		// endpoints cost nothing until a follower connects.
+		if primary, err = bestring.NewReplicationPrimary(db, 0); err != nil {
+			return err
+		}
+		primary.EnableMetrics(reg)
+		log.Printf("durable store %s: %d images, fsync=%s, lsn=%d",
+			*dataDir, db.Len(), policy, db.StoreStats().LastLSN)
 	}
 
 	if *pprofAddr != "" {
@@ -253,7 +245,7 @@ func run(args []string) error {
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: newServerMux(muxConfig{
-		engine: eng, parallelism: *parallelism,
+		db: db, parallelism: *parallelism,
 		primary: primary, follower: follower, primaryURL: *replicateFrom,
 		metrics: reg, slowLog: slowLog,
 	})}
@@ -263,7 +255,7 @@ func run(args []string) error {
 			errCh <- err
 		}
 	}()
-	log.Printf("serving %d images on %s", eng.Len(), *addr)
+	log.Printf("serving %d images on %s", db.Len(), *addr)
 	select {
 	case err := <-errCh:
 		return err
@@ -275,14 +267,12 @@ func run(args []string) error {
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	if store != nil {
-		// The deferred Close also runs harmlessly; close now so a flush
-		// failure surfaces as a non-zero exit.
-		if err := store.Close(); err != nil {
-			return err
-		}
+	// The deferred Close also runs harmlessly; close now so a flush
+	// failure surfaces as a non-zero exit.
+	if err := db.Close(); err != nil {
+		return err
 	}
-	if db != nil && *dbfile != "" {
+	if *dbfile != "" {
 		if err := db.SaveFile(*dbfile); err != nil {
 			return err
 		}
@@ -291,23 +281,20 @@ func run(args []string) error {
 	return nil
 }
 
-// openDB loads or synthesises the in-memory database per the flags.
-func openDB(dbfile string, count int, seed int64, shards int) (*bestring.DB, error) {
+// openDB loads the in-memory database from dbfile, or makes an empty one.
+func openDB(dbfile string, shards int) (*bestring.DB, error) {
 	if dbfile != "" {
 		return bestring.LoadDBFile(dbfile)
 	}
-	db := bestring.NewDBSharded(shards)
-	if count <= 0 {
-		return db, nil
-	}
-	if err := seedSynthetic(db, count, seed); err != nil {
-		return nil, err
-	}
-	return db, nil
+	return bestring.NewDBSharded(shards), nil
 }
 
-// seedSynthetic fills an empty engine with generated scenes.
-func seedSynthetic(eng engine, count int, seed int64) error {
+// seedSynthetic fills an empty database with count generated scenes; a
+// database that already holds images is left as it is.
+func seedSynthetic(db *bestring.DB, count int, seed int64) error {
+	if count <= 0 || db.Len() > 0 {
+		return nil
+	}
 	cfg := bestring.SceneConfig{Seed: seed, Vocabulary: 24}
-	return bestring.SeedScenes(context.Background(), eng, cfg, count)
+	return bestring.SeedScenes(context.Background(), db, cfg, count)
 }

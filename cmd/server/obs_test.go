@@ -33,7 +33,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer s.Close()
 	reg := bestring.NewMetricsRegistry()
 	s.EnableMetrics(reg)
-	mux := newServerMux(muxConfig{engine: s, metrics: reg})
+	mux := newServerMux(muxConfig{db: s, metrics: reg})
 
 	rec := do(t, mux, http.MethodPost, "/api/v1/images", map[string]any{"id": "m1", "image": sceneBody})
 	if rec.Code != http.StatusCreated {
@@ -128,13 +128,13 @@ func TestRequestIDEcho(t *testing.T) {
 // The slow-query log must record searches at or above the threshold as
 // one JSON line each, carrying the trace id and the stage timings.
 func TestSlowQueryLog(t *testing.T) {
-	db, err := openDB("", 50, 3, 0)
+	db, err := seeded(50, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var logBuf bytes.Buffer
 	mux := newServerMux(muxConfig{
-		engine:  db,
+		db:      db,
 		slowLog: bestring.NewSlowQueryLog(&logBuf, time.Nanosecond), // everything is slow
 	})
 
@@ -206,7 +206,7 @@ func TestSlowQueryLog(t *testing.T) {
 
 	// A fast threshold server logs nothing.
 	logBuf.Reset()
-	quiet := newServerMux(muxConfig{engine: db,
+	quiet := newServerMux(muxConfig{db: db,
 		slowLog: bestring.NewSlowQueryLog(&logBuf, time.Hour)})
 	if rec := do(t, quiet, http.MethodPost, "/api/v1/search",
 		map[string]any{"image": sceneBody, "k": 3}); rec.Code != http.StatusOK {
@@ -235,12 +235,15 @@ func TestRequestIDPropagatesThroughRedirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	primary := bestring.NewReplicationPrimary(ps, 50*time.Millisecond)
+	primary, err := bestring.NewReplicationPrimary(ps, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	preg := bestring.NewMetricsRegistry()
 	ps.EnableMetrics(preg)
 	primary.EnableMetrics(preg)
 	primarySrv := httptest.NewServer(newServerMux(muxConfig{
-		engine: ps, primary: primary, metrics: preg}))
+		db: ps, primary: primary, metrics: preg}))
 	defer primarySrv.Close()
 
 	fstore, err := bestring.OpenStore(t.TempDir(), bestring.StoreOptions{
@@ -260,7 +263,7 @@ func TestRequestIDPropagatesThroughRedirect(t *testing.T) {
 	defer cancel()
 	go follower.Run(ctx)
 	followerSrv := httptest.NewServer(newServerMux(muxConfig{
-		engine: fstore, follower: follower, primaryURL: primarySrv.URL, metrics: freg}))
+		db: fstore, follower: follower, primaryURL: primarySrv.URL, metrics: freg}))
 	defer followerSrv.Close()
 
 	// POST the write to the FOLLOWER with an explicit request id. The

@@ -48,8 +48,11 @@ func TestReplicatedServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	primary := bestring.NewReplicationPrimary(ps, 50*time.Millisecond)
-	primarySrv := httptest.NewServer(newMuxRepl(ps, 0, primary, nil, ""))
+	primary, err := bestring.NewReplicationPrimary(ps, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primarySrv := httptest.NewServer(newServerMux(muxConfig{db: ps, primary: primary}))
 	defer primarySrv.Close()
 
 	img := map[string]any{
@@ -95,7 +98,7 @@ func TestReplicatedServers(t *testing.T) {
 	defer cancel()
 	runDone := make(chan error, 1)
 	go func() { runDone <- follower.Run(ctx) }()
-	followerMux := newMuxRepl(fs, 0, nil, follower, primarySrv.URL)
+	followerMux := newServerMux(muxConfig{db: fs, follower: follower, primaryURL: primarySrv.URL})
 
 	// min_lsn is the read-your-writes handshake: the follower serves the
 	// read once (and only once) it has published the write's LSN.
@@ -199,14 +202,23 @@ func TestReplicatedServers(t *testing.T) {
 }
 
 // TestMinLSNValidation pins the parameter contract: a malformed value
-// is a 400, and min_lsn on an in-memory database (no LSNs) is a 400.
+// is a 400, and an in-memory database (which publishes no LSNs) serves
+// min_lsn=0 and answers any higher LSN with an immediate 404.
 func TestMinLSNValidation(t *testing.T) {
 	mux := testMux(t)
 	body := map[string]any{"k": 1}
 	if rec := do(t, mux, http.MethodPost, "/api/v1/search?min_lsn=nope", body); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad min_lsn: status %d, want 400", rec.Code)
 	}
-	if rec := do(t, mux, http.MethodPost, "/api/v1/search?min_lsn=3", body); rec.Code != http.StatusBadRequest {
-		t.Fatalf("min_lsn on memory db: status %d, want 400", rec.Code)
+	query := map[string]any{"dsl": "icon03 left-of icon05", "k": 1}
+	if rec := do(t, mux, http.MethodPost, "/api/v1/search?min_lsn=0", query); rec.Code != http.StatusOK {
+		t.Fatalf("min_lsn=0 on memory db: status %d (%s), want 200", rec.Code, rec.Body)
+	}
+	start := time.Now()
+	if rec := do(t, mux, http.MethodPost, "/api/v1/search?min_lsn=3", query); rec.Code != http.StatusNotFound {
+		t.Fatalf("min_lsn=3 on memory db: status %d, want 404", rec.Code)
+	}
+	if waited := time.Since(start); waited >= minLSNWait {
+		t.Fatalf("min_lsn=3 on memory db waited %v for an LSN it can never publish", waited)
 	}
 }

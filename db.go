@@ -9,7 +9,9 @@ import (
 
 // Database types, re-exported.
 type (
-	// DB is a concurrency-safe symbolic-image database with ranked search.
+	// DB is the concurrency-safe symbolic-image database with ranked
+	// search: volatile from NewDB/LoadDB, durable (write-ahead log,
+	// checkpoints, recovery) from OpenStore, with one API either way.
 	DB = imagedb.DB
 	// Entry is one stored image with its BE-string index.
 	Entry = imagedb.Entry
@@ -17,11 +19,11 @@ type (
 	Scorer = imagedb.Scorer
 	// DBStats describes shard occupancy of a DB.
 	DBStats = imagedb.Stats
-	// Snapshot is a pinned, immutable view of a DB (or Store) at one
-	// epoch: every read on it — Get, Query, QueryIter, pagination — is
-	// lock-free and perfectly repeatable whatever concurrent writers do.
-	// Obtain one with DB.Snapshot or Store.Snapshot (one atomic load; the
-	// data is shared copy-on-write, not copied).
+	// Snapshot is a pinned, immutable view of a DB at one epoch: every
+	// read on it — Get, Query, QueryIter, pagination — is lock-free and
+	// perfectly repeatable whatever concurrent writers do. Obtain one
+	// with DB.Snapshot (one atomic load; the data is shared
+	// copy-on-write, not copied).
 	Snapshot = imagedb.Snapshot
 	// TypeLevel selects the strictness of the baseline type-i similarity.
 	TypeLevel = typesim.Level
@@ -40,12 +42,15 @@ var (
 	ErrDuplicate = imagedb.ErrDuplicate
 )
 
-// NewDB returns an empty image database with one shard per GOMAXPROCS.
+// NewDB returns an empty volatile image database with the default shard
+// count, max(GOMAXPROCS, 16).
 func NewDB() *DB { return imagedb.New() }
 
-// NewDBSharded returns an empty image database with an explicit shard
-// count (0 means GOMAXPROCS). More shards reduce write contention; shard
-// count does not affect search results.
+// NewDBSharded returns an empty volatile image database with an explicit
+// shard count (0 means max(GOMAXPROCS, 16)). Shards are the
+// copy-on-write unit of a commit and the fan-out of a scan; writes
+// serialise on one mutex whatever the count, and shard count does not
+// affect search results.
 func NewDBSharded(shards int) *DB { return imagedb.NewSharded(shards) }
 
 // LoadDB reads a database snapshot written by DB.Save.

@@ -24,21 +24,22 @@
 //	be, err := bestring.Convert(img)   // the 2D BE-string index
 //	score := bestring.Similarity(be, otherBE)
 //
-// For ranked retrieval over many images use DB — a sharded, concurrency-
-// safe store whose top-K query accumulates into per-worker bounded heaps
-// (see DESIGN.md section 4 for the engine architecture):
+// For ranked retrieval over many images use DB — the one engine type: a
+// sharded, concurrency-safe store whose top-K query accumulates into
+// per-worker bounded heaps (see DESIGN.md section 4 for the engine
+// architecture):
 //
 //	db := bestring.NewDB()
 //	_ = db.Insert("scene-1", "beach", img)
 //	page, err := db.Query(ctx, bestring.NewQuery(query), bestring.WithK(10))
 //
-// For a database that survives restarts and crashes, open a durable
-// Store instead: the same query surface over a write-ahead log with
+// For a database that survives restarts and crashes, open it with
+// OpenStore instead: the same DB, holding a write-ahead log with
 // checkpointed snapshots (see DESIGN.md section 5):
 //
-//	store, err := bestring.OpenStore("./data", bestring.StoreOptions{})
-//	defer store.Close()
-//	_ = store.Insert("scene-1", "beach", img) // logged+fsynced, then applied
+//	db, err := bestring.OpenStore("./data", bestring.StoreOptions{})
+//	defer db.Close()
+//	_ = db.Insert("scene-1", "beach", img) // logged+fsynced, then published
 //
 // The subpackages under internal/ additionally implement every comparator
 // of the paper (2-D string, 2D G-, C- and B-string with clique-based

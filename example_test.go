@@ -2,6 +2,7 @@ package bestring_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 
@@ -94,10 +95,11 @@ func ExampleDB_Query() {
 	// fig1-rot 0.667 full=true
 }
 
-// ExampleOpenStore round-trips a durable store: mutations are framed
-// into the write-ahead log before they are acknowledged, so reopening
-// the directory — after a clean close or a crash — recovers exactly the
-// acknowledged state. The full query surface of DB works on the store.
+// ExampleOpenStore round-trips a durable DB: OpenStore returns the same
+// DB type NewDB does, holding a write-ahead log, so mutations are framed
+// into the log before they are acknowledged and reopening the directory
+// — after a clean close or a crash — recovers exactly the acknowledged
+// state. A volatile DB has no log to checkpoint.
 func ExampleOpenStore() {
 	dir, err := os.MkdirTemp("", "bestring-store-*")
 	if err != nil {
@@ -105,16 +107,16 @@ func ExampleOpenStore() {
 	}
 	defer os.RemoveAll(dir)
 
-	store, err := bestring.OpenStore(dir, bestring.StoreOptions{
+	db, err := bestring.OpenStore(dir, bestring.StoreOptions{
 		Fsync: bestring.FsyncAlways, // one fsync per acknowledged write
 	})
 	if err != nil {
 		panic(err)
 	}
-	if err := store.Insert("fig1", "the worked example", bestring.Figure1Image()); err != nil {
+	if err := db.Insert("fig1", "the worked example", bestring.Figure1Image()); err != nil {
 		panic(err)
 	}
-	if err := store.Close(); err != nil {
+	if err := db.Close(); err != nil {
 		panic(err)
 	}
 
@@ -124,9 +126,11 @@ func ExampleOpenStore() {
 	}
 	defer reopened.Close()
 	entry, ok := reopened.Get("fig1")
-	fmt.Println(reopened.Len(), ok, entry.Name)
+	fmt.Println(reopened.Len(), ok, entry.Name, reopened.Durable())
+	fmt.Println(errors.Is(bestring.NewDB().Checkpoint(), bestring.ErrNotDurable))
 	// Output:
-	// 1 true the worked example
+	// 1 true the worked example true
+	// true
 }
 
 // ExampleDB_Snapshot pins an immutable version of the database: every

@@ -15,7 +15,7 @@ import (
 // far larger than memory import with backpressure, observable progress
 // and crash resume (already-durable chunks are skipped by content key).
 type (
-	// Importer streams scenes into a Store in chunked, resumable batches.
+	// Importer streams scenes into a DB in chunked, resumable batches.
 	Importer = imagedb.Importer
 	// ImportOptions tune chunk bounds, parallelism, resume and progress.
 	ImportOptions = imagedb.ImportOptions

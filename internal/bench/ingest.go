@@ -69,7 +69,7 @@ func (h *heapSampler) Stop() float64 {
 
 // ingestStore opens a fresh throwaway store tuned for load measurement:
 // auto-checkpoint off so snapshot writes don't pollute the timings.
-func ingestStore() (*imagedb.Store, string, error) {
+func ingestStore() (*imagedb.DB, string, error) {
 	dir, err := os.MkdirTemp("", "bestring-e17-*")
 	if err != nil {
 		return nil, "", err
@@ -223,7 +223,7 @@ func IngestScaling(sizes, chunks []int) (*Table, error) {
 // earlier tooling used — materialise fixed-size batches and BulkInsert
 // each, paying one WAL record, one fsync and one full COW publish per
 // small chunk.
-func legacyBulkLoad(ctx context.Context, s *imagedb.Store, n int) error {
+func legacyBulkLoad(ctx context.Context, s *imagedb.DB, n int) error {
 	src := sceneSeq(n)
 	items := make([]imagedb.BulkItem, 0, legacyChunk)
 	flush := func() error {

@@ -102,7 +102,10 @@ func replicationPoint(t *Table, n, paced int, pace time.Duration) error {
 	}
 
 	// Real follower over HTTP.
-	primary := repl.NewPrimary(ps, 50*time.Millisecond)
+	primary, err := repl.NewPrimary(ps, 50*time.Millisecond)
+	if err != nil {
+		return err
+	}
 	mux := http.NewServeMux()
 	primary.Register(mux)
 	srv := httptest.NewServer(mux)
@@ -218,7 +221,7 @@ func httpCatchup(ctx context.Context, primaryURL string, last uint64) (time.Dura
 // localReplay applies the primary's first `last` records into a fresh
 // replica store by tailing the log directly, batch size matching the
 // follower's default. Returns the elapsed wall time.
-func localReplay(ctx context.Context, ps *imagedb.Store, last uint64) (time.Duration, error) {
+func localReplay(ctx context.Context, ps *imagedb.DB, last uint64) (time.Duration, error) {
 	dir, err := os.MkdirTemp("", "bestring-e14-l-*")
 	if err != nil {
 		return 0, err
@@ -262,7 +265,7 @@ func localReplay(ctx context.Context, ps *imagedb.Store, last uint64) (time.Dura
 
 // waitApplied polls the follower store until it reaches lsn, failing
 // fast if the follower loop dies first.
-func waitApplied(fs *imagedb.Store, lsn uint64, runDone <-chan error) error {
+func waitApplied(fs *imagedb.DB, lsn uint64, runDone <-chan error) error {
 	deadline := time.Now().Add(60 * time.Second)
 	for fs.AppliedLSN() < lsn {
 		select {

@@ -14,21 +14,6 @@ import (
 // logs for it.
 type BulkItem = wal.BulkItem
 
-// BulkInsert converts many images in parallel (the conversions are
-// independent and CPU-bound, the expensive part of an insert) and then
-// installs them. It is all-or-nothing: if any item fails validation,
-// conversion or collides with an existing id, nothing is inserted. The
-// whole batch lands in one published version (a single epoch bump), so
-// a concurrent reader sees either none of it or all of it — conversion
-// and image cloning happen before the writer lock is taken.
-// parallelism <= 0 means GOMAXPROCS.
-func (db *DB) BulkInsert(ctx context.Context, items []BulkItem, parallelism int) error {
-	if len(items) == 0 {
-		return nil
-	}
-	return db.mutate(ctx, wal.Record{Op: wal.OpBulk, Items: items}, parallelism)
-}
-
 // prepareBulk is the batch arm of prepare: id validation (non-empty,
 // unique within the batch), parallel conversion, and image cloning. It
 // returns the stored entries ready to install (sequence numbers

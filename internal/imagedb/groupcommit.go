@@ -8,25 +8,27 @@ import (
 	"bestring/internal/wal"
 )
 
-// This file is the group-commit layer of the durable store — the only
-// way a local mutation reaches the log. If every mutation paid its own
-// WAL frame, fsync and MVCC publish, FsyncAlways throughput would be
-// capped at the disk's sync rate no matter how many writers run. Instead
-// concurrent callers enqueue *prepared* mutations (validation that needs
-// no database state, conversion and cloning all happen caller-side, in
-// parallel — DB.prepare) into a commit queue; a single committer
-// goroutine drains the queue and commits the whole batch as ONE WAL
-// frame, ONE fsync and ONE published version. Each caller blocks until
-// its group's fsync completes and observes its own result: a mutation
-// that fails validation against the batch's transaction state fails only
-// that caller, never the rest of the group. A solo writer is a group of
-// one, written as the plain record it always was.
+// This file is the group-commit layer — the only way a local mutation
+// reaches the log. (A volatile engine has no log and no batcher: each
+// write commits inline as a group of one through the same commitGroup.)
+// If every mutation paid its own WAL frame, fsync and MVCC publish,
+// FsyncAlways throughput would be capped at the disk's sync rate no
+// matter how many writers run. Instead concurrent callers enqueue
+// *prepared* mutations (validation that needs no database state,
+// conversion and cloning all happen caller-side, in parallel —
+// DB.prepare) into a commit queue; a single committer goroutine drains
+// the queue and commits the whole batch as ONE WAL frame, ONE fsync and
+// ONE published version. Each caller blocks until its group's fsync
+// completes and observes its own result: a mutation that fails
+// validation against the batch's transaction state fails only that
+// caller, never the rest of the group. A solo writer is a group of one,
+// written as the plain record it always was.
 //
 // Commit protocol, in order (the ordering is the durability story):
 //
 //  1. drain   — the committer takes every queued request (up to the size
 //               cap), lingering at most commitWindow for more.
-//  2. apply   — under the store and writer locks, each request validates
+//  2. apply   — under the writer lock, each request validates
 //               against and applies to one shared copy-on-write txn; a
 //               request that fails (duplicate id, missing id, conversion
 //               error) is excluded and its error recorded.
@@ -75,8 +77,8 @@ type commitReq struct {
 	*mutation
 	size int // conservative encoded-frame contribution, bytes (sizeHint)
 
-	// enqueuedAt is stamped by enqueue only while store metrics are
-	// enabled; it feeds the commit-queue-wait histogram. Zero otherwise.
+	// enqueuedAt is stamped by enqueue only while metrics are enabled;
+	// it feeds the commit-queue-wait histogram. Zero otherwise.
 	enqueuedAt time.Time
 
 	err  error
@@ -85,7 +87,7 @@ type commitReq struct {
 
 // batcher owns the commit queue and the committer goroutine.
 type batcher struct {
-	s   *Store
+	db  *DB
 	max int // size cap per commit group
 
 	mu     sync.Mutex
@@ -105,9 +107,9 @@ type batcher struct {
 	done chan struct{} // closed when the committer goroutine exits
 }
 
-func newBatcher(s *Store, max int) *batcher {
+func newBatcher(db *DB, max int) *batcher {
 	b := &batcher{
-		s:    s,
+		db:   db,
 		max:  max,
 		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
@@ -118,7 +120,7 @@ func newBatcher(s *Store, max int) *batcher {
 
 // enqueue queues a request for the next commit group.
 func (b *batcher) enqueue(req *commitReq) error {
-	if b.s.metrics.Load() != nil {
+	if b.db.metrics.Load() != nil {
 		req.enqueuedAt = time.Now()
 	}
 	b.mu.Lock()
@@ -192,7 +194,7 @@ func (b *batcher) run() {
 		if !closed {
 			batch = b.linger(batch)
 		}
-		b.s.commitBatch(batch)
+		b.db.commitBatch(batch)
 	}
 }
 
@@ -239,14 +241,14 @@ func (b *batcher) close() {
 
 // commitBatch commits a drained batch, splitting it into multiple groups
 // only if the conservative size estimate would overflow a WAL record.
-func (s *Store) commitBatch(reqs []*commitReq) {
+func (db *DB) commitBatch(reqs []*commitReq) {
 	for len(reqs) > 0 {
 		n, bytes := 1, reqs[0].size
 		for n < len(reqs) && bytes+reqs[n].size <= maxGroupBytes {
 			bytes += reqs[n].size
 			n++
 		}
-		s.commitGroup(reqs[:n])
+		db.commitGroup(reqs[:n])
 		reqs = reqs[n:]
 	}
 }
@@ -254,13 +256,13 @@ func (s *Store) commitBatch(reqs []*commitReq) {
 // commitGroup runs steps 2-6 of the commit protocol for one group: apply
 // all requests to one shared txn, append them as one WAL frame, publish
 // one new version, release every caller.
-func (s *Store) commitGroup(reqs []*commitReq) {
+func (db *DB) commitGroup(reqs []*commitReq) {
 	defer func() {
 		for _, r := range reqs {
 			close(r.done)
 		}
 	}()
-	met := s.metrics.Load()
+	met := db.metrics.Load()
 	var t0 time.Time
 	if met != nil {
 		t0 = time.Now()
@@ -271,11 +273,16 @@ func (s *Store) commitGroup(reqs []*commitReq) {
 			}
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	db := s.db
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	// A batcher drains what it accepted before Close; an inline commit
+	// has no queue to drain and is refused once the DB is closed.
+	if db.closed && db.batcher == nil {
+		for _, r := range reqs {
+			r.err = ErrStoreClosed
+		}
+		return
+	}
 
 	m := db.begin()
 	recs := make([]wal.Record, 0, len(reqs))
@@ -288,17 +295,17 @@ func (s *Store) commitGroup(reqs []*commitReq) {
 	}
 	rejected := len(reqs) - len(accepted)
 	if len(recs) == 0 {
-		s.noteCommit(0, rejected) // every request failed validation; nothing to log or publish
+		db.noteCommit(0, rejected) // every request failed validation; nothing to log or publish
 		return
 	}
-	if _, err := s.commitLocked(m, recs, nil); err != nil {
+	if _, err := db.commitLocked(m, recs, nil); err != nil {
 		for _, r := range accepted {
 			r.err = err
 		}
-		s.noteCommit(0, rejected)
+		db.noteCommit(0, rejected)
 		return
 	}
-	s.noteCommit(len(accepted), rejected)
+	db.noteCommit(len(accepted), rejected)
 	if met != nil {
 		met.groupSeconds.Observe(time.Since(t0).Seconds())
 	}
@@ -306,23 +313,30 @@ func (s *Store) commitGroup(reqs []*commitReq) {
 
 // noteCommit folds one commit group's outcome into the coherent tally
 // under commitMu; accepted == 0 means the group published nothing.
-func (s *Store) noteCommit(accepted, rejected int) {
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	s.commitTally.rejected += uint64(rejected)
+func (db *DB) noteCommit(accepted, rejected int) {
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	db.commitTally.Rejected += uint64(rejected)
 	if accepted == 0 {
 		return
 	}
-	s.commitTally.groups++
-	s.commitTally.mutations += uint64(accepted)
-	if uint64(accepted) > s.commitTally.largest {
-		s.commitTally.largest = uint64(accepted)
+	db.commitTally.Groups++
+	db.commitTally.Mutations += uint64(accepted)
+	if uint64(accepted) > db.commitTally.Largest {
+		db.commitTally.Largest = uint64(accepted)
 	}
+}
+
+// commitStats returns a coherent copy of the group-commit tally.
+func (db *DB) commitStats() CommitStats {
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	return db.commitTally
 }
 
 // CommitStats describes the group committer, for /healthz and tooling.
 type CommitStats struct {
-	// Enabled reports whether this store commits local mutations (false
+	// Enabled reports whether this engine commits local mutations (false
 	// only on a replica, whose state advances by replication alone).
 	Enabled bool `json:"enabled"`
 	// Window is the linger bound, e.g. "1ms".

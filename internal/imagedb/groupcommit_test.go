@@ -19,7 +19,7 @@ import (
 // and returns the release function, so a test can assemble a
 // deterministic commit group in the queue. Must be called before any
 // mutation is in flight.
-func holdCommitter(t *testing.T, s *Store) func() {
+func holdCommitter(t *testing.T, s *DB) func() {
 	t.Helper()
 	h := make(chan struct{})
 	s.batcher.mu.Lock()
@@ -34,7 +34,7 @@ func holdCommitter(t *testing.T, s *Store) func() {
 }
 
 // waitQueued blocks until the commit queue holds n requests.
-func waitQueued(t *testing.T, s *Store, n int) {
+func waitQueued(t *testing.T, s *DB, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for s.batcher.queued() < n {

@@ -20,8 +20,8 @@
 package imagedb
 
 import (
-	"context"
 	"errors"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,23 +48,32 @@ var (
 	ErrEmptyID   = errors.New("empty image id")
 )
 
-// DB is an in-memory symbolic-image database, partitioned into shards
-// and versioned MVCC-style: reads run lock-free against the atomically
-// published current snapshot, writes serialise on writeMu and publish
-// the next copy-on-write version. The zero value is not ready; use New
-// or NewSharded. All methods are safe for concurrent use.
+// DB is the symbolic-image database, partitioned into shards and
+// versioned MVCC-style: reads run lock-free against the atomically
+// published current snapshot, writes serialise on mu and publish the
+// next copy-on-write version. New, NewSharded, Load and LoadFile return a
+// volatile engine; OpenStore returns a durable one, whose every mutation
+// is framed into a segmented write-ahead log before it is published,
+// plus checkpointed snapshots so recovery replays a bounded tail.
+// Durability is exactly whether the engine holds a log: the read,
+// query and write surface is the same either way. The zero value is not
+// ready. All methods are safe for concurrent use.
 type DB struct {
-	// writeMu serialises mutations. Readers never take it (or any other
-	// lock): they load `current` once and traverse frozen data.
-	writeMu sync.Mutex
+	// mu serialises every write: apply order must equal WAL append
+	// order, and pre-log validation must see the state the record will
+	// apply to. Readers never take it (or any other lock): they load
+	// `current` once and traverse frozen data.
+	mu      sync.Mutex
 	current atomic.Pointer[snapshot]
 	// history retains recent versions so pagination cursors can re-pin
 	// the epoch their first page ran against; see epochList.
 	history atomic.Pointer[epochList]
-	retain  int // guarded by writeMu
+	retain  int // guarded by mu
 	// seq issues global insertion sequence numbers; entries order by seq
 	// to reconstruct insertion order across shards.
 	seq atomic.Uint64
+	// closed makes later mutations fail with ErrStoreClosed. Guarded by mu.
+	closed bool
 
 	// Cumulative filter-and-refine counters (see SearchStats), folded in
 	// once per executed query under one mutex — not per-field atomics —
@@ -85,18 +94,92 @@ type DB struct {
 	// doorkeeper admits a query to the scorer cache from the second
 	// sighting of its key on (scorercache.go).
 	doorkeeper cacheDoorkeeper
+
+	// Group-commit counters (CommitStats' Groups, Mutations, Rejected and
+	// Largest), folded in once per commit group under one mutex — not
+	// per-field atomics — so StoreStats (and a /metrics scrape through
+	// it) can never serve a torn combination like mutations < groups.
+	commitMu    sync.Mutex
+	commitTally CommitStats
+
+	// importKeys holds the content keys of every import chunk committed
+	// in this engine's history — populated from the WAL during recovery,
+	// extended by live imports and replicated chunk frames — and
+	// importTally the cumulative import counters served on /healthz and
+	// /metrics (import.go). Both guarded by importMu; activeImports
+	// counts Importer.Run calls in flight.
+	importMu      sync.Mutex
+	importKeys    map[string]bool
+	importTally   ImportStats
+	activeImports int
+
+	// visibleLSN is the highest LSN whose effects have been PUBLISHED as
+	// an MVCC version — it trails appliedLSN by the window between WAL
+	// append and publish. Read-your-writes routing (min_lsn) waits on
+	// this, not on durability: a record can be fsynced an instant before
+	// its version is observable. visibleCh is closed and replaced on each
+	// advance (and on Close), guarded by mu. A volatile engine logs
+	// nothing, so its visibleLSN stays 0.
+	visibleLSN atomic.Uint64
+	visibleCh  chan struct{}
+
+	// The durable half, set by OpenStore and zero on a volatile engine:
+	// log == nil is what "volatile" means (store.go).
+	dir  string
+	opts StoreOptions
+	log  *wal.Log
+	// lock is the flock-ed LOCK file excluding other writing processes
+	// (a second OpenStore on the directory fails fast instead of
+	// interleaving WAL appends); released by Close.
+	lock *os.File
+	// id is the store's durable random identity (the STOREID file),
+	// minted on first open. Replication uses it to detect divergence: a
+	// follower records which primary's history it embodies, and refuses
+	// to stream from any other (see internal/repl).
+	id string
+	// batcher coalesces concurrent mutations into commit groups sharing
+	// one WAL frame, one fsync and one published version (groupcommit.go);
+	// nil on a replica, which commits nothing of its own, and on a
+	// volatile engine, which commits each write inline.
+	batcher *batcher
+	// appliedLSN and bytesSince (WAL bytes since the last checkpoint
+	// capture) are guarded by mu.
+	appliedLSN uint64
+	bytesSince int64
+	// pruneFloor, when set, caps how far checkpoints may prune the WAL:
+	// segments holding records above the returned LSN are retained even
+	// if a snapshot covers them, so a connected replication follower can
+	// still stream its backlog. Guarded by mu.
+	pruneFloor func() uint64
+	// Torn-tail recovery outcome of this process's OpenStore, surfaced
+	// as bestring_wal_torn_tail_recoveries_total. Written once before
+	// the DB is shared, read-only afterwards.
+	recoveredTornTails int
+	recoveredTornBytes int64
+	// cpMu serialises checkpoints (manual and background) against each
+	// other; they hold mu only while capturing the entry list.
+	cpMu          sync.Mutex
+	checkpointLSN atomic.Uint64
+	checkpoints   atomic.Uint64
+	checkpointing atomic.Bool
+	cpErr         atomic.Value // last background checkpoint error string
+	wg            sync.WaitGroup
 }
 
-// New returns an empty database with the default shard count.
+// New returns an empty volatile database with the default shard count.
 func New() *DB { return NewSharded(0) }
 
-// NewSharded returns an empty database with an explicit shard count
-// (n <= 0 means the default: GOMAXPROCS, floored at 16).
+// NewSharded returns an empty volatile database with an explicit shard
+// count (n <= 0 means the default: GOMAXPROCS, floored at 16).
 func NewSharded(n int) *DB {
 	if n <= 0 {
 		n = defaultShards()
 	}
-	db := &DB{retain: DefaultSnapshotRetention, cache: newScorerCache(DefaultScorerCacheCapacity)}
+	db := &DB{
+		retain:    snapshotRetention,
+		cache:     newScorerCache(DefaultScorerCacheCapacity),
+		visibleCh: make(chan struct{}),
+	}
 	first := emptySnapshot(n)
 	db.current.Store(first)
 	db.history.Store(&epochList{snaps: []*snapshot{first}})
@@ -110,16 +193,6 @@ func (db *DB) labelDict() *core.LabelDict { return db.current.Load().dict }
 // Epoch returns the epoch of the current version — the value a query
 // issued now would pin. It increases by one per published mutation.
 func (db *DB) Epoch() uint64 { return db.current.Load().epoch }
-
-// Insert converts the image to its 2D BE-string and stores it under id.
-func (db *DB) Insert(id, name string, img core.Image) error {
-	return db.mutate(context.Background(), wal.Record{Op: wal.OpInsert, ID: id, Name: name, Image: &img}, 0)
-}
-
-// Delete removes the image with the given id.
-func (db *DB) Delete(id string) error {
-	return db.mutate(context.Background(), wal.Record{Op: wal.OpDelete, ID: id}, 0)
-}
 
 // Has reports whether an image with the given id is stored — existence
 // without Get's deep copy of the entry. Lock-free.
@@ -142,17 +215,6 @@ func (db *DB) Len() int { return db.current.Load().count }
 
 // IDs returns the stored ids in insertion order.
 func (db *DB) IDs() []string { return db.current.Load().orderedIDs() }
-
-// InsertObject adds an object to a stored image, reindexing it; the
-// update is rejected if the result no longer converts.
-func (db *DB) InsertObject(id string, o core.Object) error {
-	return db.mutate(context.Background(), wal.Record{Op: wal.OpInsertObject, ID: id, Object: &o}, 0)
-}
-
-// DeleteObject removes a labelled object from a stored image, reindexing.
-func (db *DB) DeleteObject(id, label string) error {
-	return db.mutate(context.Background(), wal.Record{Op: wal.OpDeleteObject, ID: id, Label: label}, 0)
-}
 
 func copyEntry(e *Entry) Entry {
 	return Entry{ID: e.ID, Name: e.Name, Image: e.Image.Clone(), BE: e.BE.Clone()}

@@ -69,14 +69,14 @@ type ImportOptions struct {
 }
 
 // ImportStats describes an import — either one run (returned by
-// Importer.Run) or the store's cumulative tally (Store.ImportStats,
+// Importer.Run) or the engine's cumulative tally (DB.ImportStats,
 // served on /healthz and /metrics).
 type ImportStats struct {
 	// Active is the number of imports currently running (always 0 in a
 	// single run's stats).
 	Active int `json:"active"`
 	// Chunks and Images count committed work; Bytes the WAL bytes those
-	// commits appended.
+	// commits appended (0 on a volatile engine).
 	Chunks uint64 `json:"chunks"`
 	Images uint64 `json:"images"`
 	Bytes  uint64 `json:"bytes"`
@@ -84,16 +84,18 @@ type ImportStats struct {
 	// already durable from an interrupted earlier run.
 	ResumedChunks uint64 `json:"resumedChunks"`
 	ResumedImages uint64 `json:"resumedImages"`
-	// LSN is the last import chunk's log sequence number.
+	// LSN is the last import chunk's log sequence number (0 on a
+	// volatile engine).
 	LSN uint64 `json:"lsn"`
 }
 
-// Importer streams scenes into a Store in chunked, resumable, durable
-// batches. Create with Store.NewImporter; one Importer runs one import
-// at a time (concurrent Run calls on separate Importers are safe but
-// serialise per chunk on the store's writer lock like any mutations).
+// Importer streams scenes into a DB in chunked, resumable batches —
+// durable ones on a durable engine. Create with DB.NewImporter; one
+// Importer runs one import at a time (concurrent Run calls on separate
+// Importers are safe but serialise per chunk on the writer lock like
+// any mutations).
 type Importer struct {
-	s    *Store
+	db   *DB
 	opts ImportOptions
 
 	// Run-local stats, owned by the committing goroutine.
@@ -101,7 +103,7 @@ type Importer struct {
 }
 
 // NewImporter returns an importer with the given options.
-func (s *Store) NewImporter(opts ImportOptions) *Importer {
+func (db *DB) NewImporter(opts ImportOptions) *Importer {
 	if opts.ChunkScenes <= 0 {
 		opts.ChunkScenes = DefaultImportChunkScenes
 	}
@@ -111,42 +113,42 @@ func (s *Store) NewImporter(opts ImportOptions) *Importer {
 	if procs := runtime.GOMAXPROCS(0); opts.Parallelism <= 0 || opts.Parallelism > procs {
 		opts.Parallelism = procs
 	}
-	return &Importer{s: s, opts: opts}
+	return &Importer{db: db, opts: opts}
 }
 
-// Import streams scenes from src into the store with the given options —
+// Import streams scenes from src into the DB with the given options —
 // shorthand for NewImporter(opts).Run(ctx, src).
-func (s *Store) Import(ctx context.Context, src ingest.Reader, opts ImportOptions) (ImportStats, error) {
-	return s.NewImporter(opts).Run(ctx, src)
+func (db *DB) Import(ctx context.Context, src ingest.Reader, opts ImportOptions) (ImportStats, error) {
+	return db.NewImporter(opts).Run(ctx, src)
 }
 
-// ImportStats returns the store's cumulative import tally for this
+// ImportStats returns the engine's cumulative import tally for this
 // process: chunks/images/bytes committed, chunks skipped by resume, the
 // last import LSN, and how many imports are running right now.
-func (s *Store) ImportStats() ImportStats {
-	s.importMu.Lock()
-	defer s.importMu.Unlock()
-	t := s.importTally
-	t.Active = s.activeImports
+func (db *DB) ImportStats() ImportStats {
+	db.importMu.Lock()
+	defer db.importMu.Unlock()
+	t := db.importTally
+	t.Active = db.activeImports
 	return t
 }
 
 // hasImportKey reports whether an import chunk with this content key is
-// already durable in this store's history.
-func (s *Store) hasImportKey(key string) bool {
-	s.importMu.Lock()
-	defer s.importMu.Unlock()
-	return s.importKeys[key]
+// already committed in this engine's history.
+func (db *DB) hasImportKey(key string) bool {
+	db.importMu.Lock()
+	defer db.importMu.Unlock()
+	return db.importKeys[key]
 }
 
-// noteImportKey records a durable import chunk key.
-func (s *Store) noteImportKey(key string) {
-	s.importMu.Lock()
-	defer s.importMu.Unlock()
-	if s.importKeys == nil {
-		s.importKeys = make(map[string]bool)
+// noteImportKey records a committed import chunk key.
+func (db *DB) noteImportKey(key string) {
+	db.importMu.Lock()
+	defer db.importMu.Unlock()
+	if db.importKeys == nil {
+		db.importKeys = make(map[string]bool)
 	}
-	s.importKeys[key] = true
+	db.importKeys[key] = true
 }
 
 // rawChunk is a chunk as cut by the reader; convChunk the same chunk
@@ -203,18 +205,18 @@ func chunkKey(idx int, items []BulkItem) string {
 // On error or cancellation, chunks committed so far stay applied and
 // durable; re-running the same import resumes after them.
 func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, error) {
-	s := imp.s
-	if s.opts.Replica {
+	db := imp.db
+	if db.opts.Replica {
 		return ImportStats{}, ErrReadOnlyReplica
 	}
 	imp.stats = ImportStats{}
-	s.importMu.Lock()
-	s.activeImports++
-	s.importMu.Unlock()
+	db.importMu.Lock()
+	db.activeImports++
+	db.importMu.Unlock()
 	defer func() {
-		s.importMu.Lock()
-		s.activeImports--
-		s.importMu.Unlock()
+		db.importMu.Lock()
+		db.activeImports--
+		db.importMu.Unlock()
 	}()
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -281,10 +283,10 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 			defer wg.Done()
 			for rc := range jobs {
 				cc := convChunk{rawChunk: rc}
-				if resume && s.hasImportKey(rc.key) {
+				if resume && db.hasImportKey(rc.key) {
 					cc.skip = true
 				} else {
-					cc.mu, cc.err = s.db.prepare(ctx, wal.Record{Op: wal.OpImport, Key: rc.key, Items: rc.items}, 1)
+					cc.mu, cc.err = db.prepare(ctx, wal.Record{Op: wal.OpImport, Key: rc.key, Items: rc.items}, 1)
 				}
 				select {
 				case done <- cc:
@@ -350,26 +352,26 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 	return imp.stats, firstErr
 }
 
-// commitChunk is the per-chunk critical section: under the store's
-// writer lock it settles resume, then runs the chunk's prepared OpImport
-// mutation through apply (which validates id uniqueness against the live
-// state) and the commit tail — one record (fsynced per policy), one MVCC
+// commitChunk is the per-chunk critical section: under the writer lock
+// it settles resume, then runs the chunk's prepared OpImport mutation
+// through apply (which validates id uniqueness against the live state)
+// and the commit tail — one record (fsynced per policy), one MVCC
 // version. The batcher is bypassed — the stream is already batched.
 func (imp *Importer) commitChunk(cc *convChunk) error {
-	s := imp.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	db := imp.db
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
 		return ErrStoreClosed
 	}
 	if !imp.opts.NoResume {
-		if cc.skip || s.hasImportKey(cc.key) {
+		if cc.skip || db.hasImportKey(cc.key) {
 			imp.noteResumed(cc)
 			return nil
 		}
 		present := 0
 		for i := range cc.items {
-			if s.db.Has(cc.items[i].ID) {
+			if db.Has(cc.items[i].ID) {
 				present++
 			}
 		}
@@ -377,7 +379,7 @@ func (imp *Importer) commitChunk(cc *convChunk) error {
 			// Durable via a chunk whose WAL record a checkpoint pruned:
 			// chunks apply atomically, so all-ids-present means this exact
 			// chunk committed. Re-learn its key.
-			s.noteImportKey(cc.key)
+			db.noteImportKey(cc.key)
 			imp.noteResumed(cc)
 			return nil
 		}
@@ -386,46 +388,44 @@ func (imp *Importer) commitChunk(cc *convChunk) error {
 				"options changed since the interrupted run? (%w)", present, len(cc.items), ErrDuplicate)
 		}
 	}
-	s.db.writeMu.Lock()
-	defer s.db.writeMu.Unlock()
-	m := s.db.begin()
+	m := db.begin()
 	if err := m.apply(cc.mu); err != nil {
 		return err // an id collision, which only NoResume lets get this far
 	}
-	n, err := s.commitLocked(m, []wal.Record{cc.mu.rec}, nil)
+	n, err := db.commitLocked(m, []wal.Record{cc.mu.rec}, nil)
 	if err != nil {
 		return err
 	}
-	s.noteImportKey(cc.key)
-	imp.noteCommitted(cc, n, s.appliedLSN)
+	db.noteImportKey(cc.key)
+	imp.noteCommitted(cc, n, db.appliedLSN)
 	return nil
 }
 
 // noteCommitted folds one committed chunk into the run's stats and the
-// store's cumulative tally (and metrics, via the tally).
+// engine's cumulative tally (and metrics, via the tally).
 func (imp *Importer) noteCommitted(cc *convChunk, walBytes int, lsn uint64) {
 	imp.stats.Chunks++
 	imp.stats.Images += uint64(len(cc.items))
 	imp.stats.Bytes += uint64(walBytes)
 	imp.stats.LSN = lsn
-	s := imp.s
-	s.importMu.Lock()
-	s.importTally.Chunks++
-	s.importTally.Images += uint64(len(cc.items))
-	s.importTally.Bytes += uint64(walBytes)
-	s.importTally.LSN = lsn
-	s.importMu.Unlock()
+	db := imp.db
+	db.importMu.Lock()
+	db.importTally.Chunks++
+	db.importTally.Images += uint64(len(cc.items))
+	db.importTally.Bytes += uint64(walBytes)
+	db.importTally.LSN = lsn
+	db.importMu.Unlock()
 }
 
 // noteResumed folds one skipped (already durable) chunk into the stats.
 func (imp *Importer) noteResumed(cc *convChunk) {
 	imp.stats.ResumedChunks++
 	imp.stats.ResumedImages += uint64(len(cc.items))
-	s := imp.s
-	s.importMu.Lock()
-	s.importTally.ResumedChunks++
-	s.importTally.ResumedImages += uint64(len(cc.items))
-	s.importMu.Unlock()
+	db := imp.db
+	db.importMu.Lock()
+	db.importTally.ResumedChunks++
+	db.importTally.ResumedImages += uint64(len(cc.items))
+	db.importMu.Unlock()
 }
 
 // importOversizedBulk reroutes a BulkInsert whose estimated record size
@@ -433,7 +433,7 @@ func (imp *Importer) noteResumed(cc *convChunk) {
 // batch becomes a short in-memory stream and lands as several atomic
 // chunk records instead of one oversized frame (see BulkInsert's doc for
 // the semantics trade).
-func (s *Store) importOversizedBulk(ctx context.Context, items []BulkItem, parallelism int) error {
+func (db *DB) importOversizedBulk(ctx context.Context, items []BulkItem, parallelism int) error {
 	scenes := make([]ingest.Scene, len(items))
 	for i, it := range items {
 		scenes[i] = ingest.Scene{ID: it.ID, Name: it.Name, Image: it.Image}
@@ -441,7 +441,7 @@ func (s *Store) importOversizedBulk(ctx context.Context, items []BulkItem, paral
 	// Chunk at a quarter of the rerouting threshold (the default budget,
 	// when the threshold holds its production value), so the rerouted
 	// batch always lands as several comfortably-sized records.
-	_, err := s.Import(ctx, ingest.FromItems(scenes), ImportOptions{
+	_, err := db.Import(ctx, ingest.FromItems(scenes), ImportOptions{
 		ChunkBytes: bulkChunkThreshold / 4, Parallelism: parallelism,
 	})
 	if err != nil {

@@ -128,7 +128,7 @@ func TestImportBasic(t *testing.T) {
 
 // searchJSON renders one canonical ranked search over the whole store —
 // the byte-identity yardstick the resume test compares.
-func searchJSON(t *testing.T, s *Store, seed int64) string {
+func searchJSON(t *testing.T, s *DB, seed int64) string {
 	t.Helper()
 	gen := workload.NewGenerator(workload.Config{Seed: seed, Vocabulary: 16, Objects: 6})
 	img := gen.SubsetQuery(gen.Scene(), 4)

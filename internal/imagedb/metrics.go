@@ -6,9 +6,10 @@ import (
 	"bestring/internal/obs"
 )
 
-// dbMetrics holds the query-pipeline instruments. One struct behind an
-// atomic pointer on DB: nil means disabled, and the only per-query
-// cost when disabled is that pointer load in noteSearch.
+// dbMetrics holds the query-pipeline and group-commit instruments. One
+// struct behind an atomic pointer on DB: nil means disabled, and the
+// only cost when disabled is that pointer load, once per query in
+// noteSearch and once per commit group.
 type dbMetrics struct {
 	queries      *obs.Counter
 	querySeconds *obs.Histogram
@@ -34,11 +35,17 @@ type dbMetrics struct {
 	cacheMisses        *obs.Counter
 	cacheBypassed      *obs.Counter
 	cacheLookupSeconds *obs.Histogram
+
+	queueWaitSeconds *obs.Histogram
+	groupSeconds     *obs.Histogram
+	batchSize        *obs.Histogram
 }
 
-// EnableMetrics registers the DB's query instruments and occupancy
-// gauges on reg. Call once per registry, any time; a nil registry is a
-// no-op. Store.EnableMetrics calls this for a durable engine.
+// EnableMetrics registers the whole engine on reg: the query pipeline,
+// occupancy gauges, the group committer and the import tally and, on a
+// durable engine, the WAL's append/fsync/rotation timings, checkpoint
+// and LSN-horizon gauges and the torn-tail recovery count. Call once
+// per registry, any time; a nil registry is a no-op.
 func (db *DB) EnableMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -71,6 +78,15 @@ func (db *DB) EnableMetrics(reg *obs.Registry) {
 		cacheLookupSeconds: reg.Histogram("bestring_scorer_cache_lookup_seconds",
 			"Scorer-cache lookup latency (hits and misses alike).",
 			obs.DurationBuckets()),
+		queueWaitSeconds: reg.Histogram("bestring_commit_queue_wait_seconds",
+			"Time one mutation waited in the commit queue before its group drained.",
+			obs.DurationBuckets()),
+		groupSeconds: reg.Histogram("bestring_commit_group_seconds",
+			"Wall time of one commit group: apply, one WAL frame, one fsync, one publish.",
+			obs.DurationBuckets()),
+		batchSize: reg.Histogram("bestring_commit_batch_size",
+			"Mutations per drained commit group (the realised coalescing factor).",
+			obs.SizeBuckets()),
 	}
 	for _, name := range planNames() {
 		m.planTotal[name] = reg.Counter("bestring_query_plan_total",
@@ -91,6 +107,57 @@ func (db *DB) EnableMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("bestring_store_epoch",
 		"Epoch of the current published version (one per mutation).",
 		func() float64 { return float64(db.Epoch()) })
+	// The commit totals come from the same mutex-guarded tally that
+	// serves StoreStats, so a scrape is always coherent: mutations can
+	// never read behind groups.
+	reg.CounterFunc("bestring_commit_groups_total",
+		"Published commit groups (one WAL frame, one fsync, one version each).",
+		func() float64 { return float64(db.commitStats().Groups) })
+	reg.CounterFunc("bestring_commit_mutations_total",
+		"Mutations committed through groups.",
+		func() float64 { return float64(db.commitStats().Mutations) })
+	reg.CounterFunc("bestring_commit_rejected_total",
+		"Per-caller validation failures inside commit groups.",
+		func() float64 { return float64(db.commitStats().Rejected) })
+	// Streaming-import tally (import.go): counters for committed and
+	// resumed work plus a live-imports gauge, all from the importMu-guarded
+	// tally so a scrape never tears chunks against images.
+	reg.CounterFunc("bestring_import_chunks_total",
+		"Import chunks committed (one WAL record, one fsync, one version each).",
+		func() float64 { return float64(db.ImportStats().Chunks) })
+	reg.CounterFunc("bestring_import_images_total",
+		"Scenes committed through streaming imports.",
+		func() float64 { return float64(db.ImportStats().Images) })
+	reg.CounterFunc("bestring_import_bytes_total",
+		"WAL bytes appended by import chunk records.",
+		func() float64 { return float64(db.ImportStats().Bytes) })
+	reg.CounterFunc("bestring_import_resumed_chunks_total",
+		"Import chunks skipped because an interrupted earlier run already made them durable.",
+		func() float64 { return float64(db.ImportStats().ResumedChunks) })
+	reg.GaugeFunc("bestring_import_active",
+		"Streaming imports running right now.",
+		func() float64 { return float64(db.ImportStats().Active) })
+	if db.log != nil {
+		db.log.EnableMetrics(reg)
+		reg.CounterFunc("bestring_checkpoints_total",
+			"Checkpoints completed this session.",
+			func() float64 { return float64(db.checkpoints.Load()) })
+		reg.CounterFunc("bestring_wal_torn_tail_recoveries_total",
+			"Torn WAL tails truncated by this process's recovery (crash artefacts healed by design).",
+			func() float64 { return float64(db.recoveredTornTails) })
+		reg.GaugeVec("bestring_store_lsn",
+			"Store LSN horizons by kind: durable (fsynced), applied (in memory), visible (published), checkpoint (snapshotted), oldest (stream resume floor).",
+			"kind", func() []obs.Sample {
+				st := db.StoreStats()
+				return []obs.Sample{
+					{Label: "durable", Value: float64(st.WAL.DurableLSN)},
+					{Label: "applied", Value: float64(st.AppliedLSN)},
+					{Label: "visible", Value: float64(st.VisibleLSN)},
+					{Label: "checkpoint", Value: float64(st.CheckpointLSN)},
+					{Label: "oldest", Value: float64(st.WAL.OldestLSN)},
+				}
+			})
+	}
 	db.metrics.Store(m)
 }
 

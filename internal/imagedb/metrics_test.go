@@ -198,7 +198,7 @@ func TestStatsCoherentUnderConcurrentCommits(t *testing.T) {
 	}
 }
 
-// Store.EnableMetrics must wire the whole engine: WAL, commit
+// EnableMetrics on a durable DB must wire the whole engine: WAL, commit
 // histograms, LSN gauge vec, torn-tail counter.
 func TestStoreMetricsExposition(t *testing.T) {
 	dir := t.TempDir()

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the write path. Every mutation — whichever door it came
-// through: a DB mutator, a durable Store mutator, a snapshot load, an
+// through: a DB mutator (volatile or durable), a snapshot load, an
 // import chunk, recovery replay or a replicated record on a follower —
 // is one value, the WAL record that describes it plus what was derived
 // from it ahead of the writer lock, and passes through the same steps:
@@ -21,9 +21,9 @@ import (
 //	apply   — under the writer lock: validate completely against the
 //	          txn's working state, then install. The only caller of
 //	          txn.add/remove/replace.
-//	commit  — DB.publish for the in-memory database; for the durable
-//	          store the commit tail Store.commitLocked (WAL append,
-//	          LSN accounting, publish, visibility, checkpoint trigger).
+//	commit  — the commit tail DB.commitLocked: on a durable engine WAL
+//	          append, LSN accounting, publish, visibility and checkpoint
+//	          trigger; on a volatile one, publish alone.
 
 // mutation is one write in flight.
 type mutation struct {
@@ -184,29 +184,6 @@ func (m *txn) replay(rec *wal.Record) error {
 			return fmt.Errorf("group sub-record %d (%s %q): %w", i, sub.Op, sub.ID, err)
 		}
 	}
-	return nil
-}
-
-// mutate is the in-memory door: prepare, then apply and publish as one
-// version under the writer lock.
-func (db *DB) mutate(ctx context.Context, rec wal.Record, parallelism int) error {
-	mu, err := db.prepare(ctx, rec, parallelism)
-	if err != nil {
-		return err
-	}
-	return db.install(mu)
-}
-
-// install applies a prepared mutation and publishes it as one version —
-// or, if validation against the current version fails, publishes nothing.
-func (db *DB) install(mu *mutation) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	m := db.begin()
-	if err := m.apply(mu); err != nil {
-		return err
-	}
-	db.publish(m)
 	return nil
 }
 

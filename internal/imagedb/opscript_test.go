@@ -15,11 +15,11 @@ import (
 
 // TestOpScriptEveryDoor runs one seeded script — valid mutations of every
 // kind mixed with steps that must be rejected — through every door onto
-// the write path and demands they agree: (a) the in-memory DB, step by
-// step; (b) a live Store, k concurrent writers at a time held into one
-// commit group in script order; (c) that store reopened, from the WAL
-// alone and from a mid-script checkpoint plus the tail; (d) a follower
-// fed the primary's frames. Each step fails with the same errors.Is class
+// the write path and demands they agree: (a) a volatile DB, step by
+// step, each write committed inline; (b) a durable DB, k concurrent
+// writers at a time held into one commit group in script order; (c)
+// that store reopened, from the WAL alone and from a mid-script
+// checkpoint plus the tail; (d) a follower fed the primary's frames. Each step fails with the same errors.Is class
 // on (a) and (b), and all four end on identical Save bytes, IDs() order,
 // fully indexed entries, sound posting runs and the reference's answer to
 // the same random queries. The log's structure is checked through
@@ -40,11 +40,11 @@ func TestOpScriptEveryDoor(t *testing.T) {
 					}
 				}
 
-				// (a) the in-memory DB, sequentially.
+				// (a) the volatile DB, sequentially.
 				db := New()
 				rejected := 0
 				for i, op := range script {
-					err := op.db(db)
+					err := op.run(db)
 					check("db", i, err)
 					if err != nil {
 						rejected++
@@ -58,7 +58,7 @@ func TestOpScriptEveryDoor(t *testing.T) {
 				same := func(door string, got *DB) {
 					t.Helper()
 					if !bytes.Equal(saveBytes(t, got.Save), want) {
-						t.Fatalf("%s: Save bytes differ from the in-memory DB's", door)
+						t.Fatalf("%s: Save bytes differ from the volatile DB's", door)
 					}
 					if !reflect.DeepEqual(got.IDs(), wantIDs) {
 						t.Fatalf("%s: IDs() = %v, want %v", door, got.IDs(), wantIDs)
@@ -68,7 +68,7 @@ func TestOpScriptEveryDoor(t *testing.T) {
 				}
 				same("db", db)
 
-				// (b) the live store: each run of k steps is queued in script
+				// (b) the durable DB: each run of k steps is queued in script
 				// order behind a parked committer and commits as one group.
 				dir := t.TempDir()
 				s, err := OpenStore(dir, StoreOptions{
@@ -97,7 +97,7 @@ func TestOpScriptEveryDoor(t *testing.T) {
 						queued := s.batcher.queued()
 						go func(i int, op scriptOp) {
 							defer close(done[i])
-							errs[i] = op.store(s)
+							errs[i] = op.run(s)
 						}(i, op)
 						// Wait until the step is queued — or has already failed on
 						// the lock-free checks and never will be.
@@ -137,7 +137,7 @@ func TestOpScriptEveryDoor(t *testing.T) {
 						}
 					}
 				}
-				same("store", s.db)
+				same("store", s)
 				if got := s.StoreStats().Commit; got.Rejected == 0 || got.Rejected > uint64(rejected) {
 					// Some rejections must have happened at commit time, inside
 					// a group — not all on the fast-fail path.
@@ -173,7 +173,7 @@ func TestOpScriptEveryDoor(t *testing.T) {
 							recs, frames = nil, nil
 						}
 					}
-					same("follower", follower.db)
+					same("follower", follower)
 				}
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
@@ -200,7 +200,7 @@ func TestOpScriptEveryDoor(t *testing.T) {
 				}
 
 				// (c) the store reopened: WAL only, or checkpoint + tail.
-				same("reopened store", mustOpen(t, dir).db)
+				same("reopened store", mustOpen(t, dir))
 			})
 		}
 	}

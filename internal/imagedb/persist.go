@@ -86,7 +86,7 @@ func (db *DB) loadEntries(entries []Entry, wrap string) error {
 			return fmt.Errorf("%s: entry %q: stored BE-string does not match its image", wrap, e.ID)
 		}
 	}
-	if err := db.install(mu); err != nil {
+	if err := db.submit(mu, 0); err != nil {
 		return fmt.Errorf("%s: %w", wrap, err)
 	}
 	return nil

@@ -310,7 +310,7 @@ func TestQueryMatchesComposedReference(t *testing.T) {
 	if _, err := imported.Import(context.Background(), ingest.FromItems(importScenes(9, 90)), ImportOptions{ChunkScenes: 32}); err != nil {
 		t.Fatal(err)
 	}
-	assertNarrowingMatchesReference(t, "imported", imported.db, 2)
+	assertNarrowingMatchesReference(t, "imported", imported, 2)
 }
 
 // assertNarrowingMatchesReference is the one reference test of the
@@ -705,7 +705,7 @@ func loadRankDB(t *testing.T, scenes []core.Image) (*DB, []core.Image) {
 // every entry — and the label dictionary under the entries' codes — was
 // rebuilt by replay; neither ever saw the dictionary of the process that
 // took the writes.
-func replayedRankStores(t *testing.T, scenes []core.Image) (reopened, follower *Store) {
+func replayedRankStores(t *testing.T, scenes []core.Image) (reopened, follower *DB) {
 	t.Helper()
 	ctx := context.Background()
 	n := len(scenes)
@@ -721,7 +721,7 @@ func replayedRankStores(t *testing.T, scenes []core.Image) (reopened, follower *
 	t.Cleanup(func() { follower.Close() })
 	catchUp := func() {
 		t.Helper()
-		if err := follower.ApplyReplicatedBatch(collectDurableAfter(t, s, follower.AppliedLSN())); err != nil {
+		if err := applyFramed(t, follower, collectDurableAfter(t, s, follower.AppliedLSN())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -799,13 +799,13 @@ func TestRankChunkedByteIdentical(t *testing.T) {
 	// and on a follower after catch-up.
 	reopened, follower := replayedRankStores(t, wideScenes)
 	corpora = append(corpora,
-		corpus{fmt.Sprintf("n=%d reopened store", big), reopened.db, wideScenes},
-		corpus{fmt.Sprintf("n=%d follower", big), follower.db, wideScenes})
+		corpus{fmt.Sprintf("n=%d reopened store", big), reopened, wideScenes},
+		corpus{fmt.Sprintf("n=%d follower", big), follower, wideScenes})
 	for _, c := range corpora {
 		t.Run(c.name, func(t *testing.T) { rankChunkedSweep(t, c.db, c.scenes) })
 	}
-	assertSignaturesInstalled(t, reopened.db)
-	assertSignaturesInstalled(t, follower.db)
+	assertSignaturesInstalled(t, reopened)
+	assertSignaturesInstalled(t, follower)
 }
 
 // rankChunkedSweep is the body of TestRankChunkedByteIdentical for one

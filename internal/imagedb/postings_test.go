@@ -204,11 +204,11 @@ func TestRegionFindsIDWithNUL(t *testing.T) {
 		}
 		assertPostings(t, db)
 	}
-	check("live", s.db)
+	check("live", s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	check("reopened", mustOpen(t, dir).db)
+	check("reopened", mustOpen(t, dir))
 }
 
 // TestNarrowingUnderWriters runs narrowed queries on pinned versions

@@ -146,7 +146,7 @@ func TestSignatureColumnMatchesEntries(t *testing.T) {
 	if err := s.Delete("img00004"); err != nil {
 		t.Fatal(err)
 	}
-	assertSignaturesInstalled(t, s.db)
+	assertSignaturesInstalled(t, s)
 
 	// Replica apply: a follower rebuilds every entry — and its own label
 	// dictionary — from the shipped records alone.
@@ -155,13 +155,13 @@ func TestSignatureColumnMatchesEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	if err := follower.ApplyReplicatedBatch(collectDurable(t, s)); err != nil {
+	if err := applyFramed(t, follower, collectDurable(t, s)); err != nil {
 		t.Fatal(err)
 	}
 	if follower.Len() != s.Len() {
 		t.Fatalf("follower holds %d entries, primary %d", follower.Len(), s.Len())
 	}
-	assertSignaturesInstalled(t, follower.db)
+	assertSignaturesInstalled(t, follower)
 
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestSignatureColumnMatchesEntries(t *testing.T) {
 	if s.Len() != 70 {
 		t.Fatalf("recovered %d entries, want 70", s.Len())
 	}
-	assertSignaturesInstalled(t, s.db)
+	assertSignaturesInstalled(t, s)
 }
 
 // TestBoundDominatesExactInEngine is the engine-level half of the

@@ -229,7 +229,7 @@ func WithLabelPrefilter(on bool) QueryOption {
 // cursorPos is the decoded pagination cursor: the ranking position
 // (score, id) of the last delivered result, plus the epoch of the
 // version the page was computed from. Resuming re-pins that version
-// while it stays retained (see SetSnapshotRetention), making page sets
+// while it stays retained (see snapshotRetention), making page sets
 // exact — no skips, no duplicates — under concurrent writers. The
 // admission rule (only results strictly worse in the canonical order)
 // additionally holds on whatever version serves the next page, so even

@@ -13,26 +13,17 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"bestring/internal/core"
 	"bestring/internal/wal"
 )
 
-// mutator is the mutation surface DB and Store share.
-type mutator interface {
-	Insert(id, name string, img core.Image) error
-	Delete(id string) error
-	InsertObject(id string, o core.Object) error
-	DeleteObject(id, label string) error
-	BulkInsert(ctx context.Context, items []BulkItem, parallelism int) error
-}
-
 // scriptOp is one step of a randomized script, applied identically to the
-// durable store under test and to a plain in-memory mirror.
+// durable store under test and to a volatile in-memory mirror.
 type scriptOp struct {
-	desc  string
-	store func(s *Store) error
-	db    func(db *DB) error
+	desc string
+	run  func(db *DB) error
 	// want is the errors.Is class the step must fail with through every
 	// door; nil means it must succeed.
 	want error
@@ -62,9 +53,8 @@ func genScript(rng *rand.Rand, steps int) []scriptOp { return genOpScript(rng, s
 // commit group, replayed and replicated.
 func genOpScript(rng *rand.Rand, steps int, failing bool) []scriptOp {
 	var script []scriptOp
-	emit := func(op scriptOp, run func(m mutator) error) {
-		op.store = func(s *Store) error { return run(s) }
-		op.db = func(db *DB) error { return run(db) }
+	emit := func(op scriptOp, run func(db *DB) error) {
+		op.run = run
 		script = append(script, op)
 	}
 	live := []string{}              // ids present, insertion order
@@ -98,29 +88,29 @@ func genOpScript(rng *rand.Rand, steps int, failing bool) []scriptOp {
 			switch rng.Intn(9) {
 			case 0:
 				im := img()
-				emit(scriptOp{desc: "dup insert " + id, op: wal.OpInsert, want: ErrDuplicate}, func(m mutator) error { return m.Insert(id, "dup", im) })
+				emit(scriptOp{desc: "dup insert " + id, op: wal.OpInsert, want: ErrDuplicate}, func(db *DB) error { return db.Insert(id, "dup", im) })
 			case 1:
-				emit(scriptOp{desc: "delete missing " + ghost, op: wal.OpDelete, want: ErrNotFound}, func(m mutator) error { return m.Delete(ghost) })
+				emit(scriptOp{desc: "delete missing " + ghost, op: wal.OpDelete, want: ErrNotFound}, func(db *DB) error { return db.Delete(ghost) })
 			case 2:
 				im := img()
-				emit(scriptOp{desc: "insert empty id", op: wal.OpInsert, want: ErrEmptyID}, func(m mutator) error { return m.Insert("", "", im) })
+				emit(scriptOp{desc: "insert empty id", op: wal.OpInsert, want: ErrEmptyID}, func(db *DB) error { return db.Insert("", "", im) })
 			case 3: // in-batch duplicate: the fresh id is not consumed — nothing of the batch may land
 				items := []BulkItem{{ID: fmt.Sprintf("img%03d", next), Image: img()}, {ID: fmt.Sprintf("img%03d", next), Image: img()}}
-				emit(scriptOp{desc: "bulk in-batch dup", op: wal.OpBulk, want: ErrDuplicate}, func(m mutator) error { return m.BulkInsert(ctx, items, 0) })
+				emit(scriptOp{desc: "bulk in-batch dup", op: wal.OpBulk, want: ErrDuplicate}, func(db *DB) error { return db.BulkInsert(ctx, items, 0) })
 			case 4: // batch colliding with a live id, behind a fresh one that must not land either
 				items := []BulkItem{{ID: fmt.Sprintf("img%03d", next), Image: img()}, {ID: id, Image: img()}}
-				emit(scriptOp{desc: "bulk dup " + id, op: wal.OpBulk, want: ErrDuplicate}, func(m mutator) error { return m.BulkInsert(ctx, items, 0) })
+				emit(scriptOp{desc: "bulk dup " + id, op: wal.OpBulk, want: ErrDuplicate}, func(db *DB) error { return db.BulkInsert(ctx, items, 0) })
 			case 5:
 				items := []BulkItem{{ID: fmt.Sprintf("img%03d", next), Image: img()}, {ID: "", Image: img()}}
-				emit(scriptOp{desc: "bulk empty id", op: wal.OpBulk, want: ErrEmptyID}, func(m mutator) error { return m.BulkInsert(ctx, items, 0) })
+				emit(scriptOp{desc: "bulk empty id", op: wal.OpBulk, want: ErrEmptyID}, func(db *DB) error { return db.BulkInsert(ctx, items, 0) })
 			case 6: // an object that no longer converts: its label is already on the image
 				o := core.Object{Label: labels[id][0], Box: box}
-				emit(scriptOp{desc: "insert-object dup label " + id, op: wal.OpInsertObject, want: core.ErrDuplicateLabel, uses: id}, func(m mutator) error { return m.InsertObject(id, o) })
+				emit(scriptOp{desc: "insert-object dup label " + id, op: wal.OpInsertObject, want: core.ErrDuplicateLabel, uses: id}, func(db *DB) error { return db.InsertObject(id, o) })
 			case 7:
-				emit(scriptOp{desc: "delete-object absent label " + id, op: wal.OpDeleteObject, want: ErrNotFound}, func(m mutator) error { return m.DeleteObject(id, "absent") })
+				emit(scriptOp{desc: "delete-object absent label " + id, op: wal.OpDeleteObject, want: ErrNotFound}, func(db *DB) error { return db.DeleteObject(id, "absent") })
 			default:
 				o := core.Object{Label: "Z", Box: box}
-				emit(scriptOp{desc: "insert-object missing " + ghost, op: wal.OpInsertObject, want: ErrNotFound}, func(m mutator) error { return m.InsertObject(ghost, o) })
+				emit(scriptOp{desc: "insert-object missing " + ghost, op: wal.OpInsertObject, want: ErrNotFound}, func(db *DB) error { return db.InsertObject(ghost, o) })
 			}
 			continue
 		}
@@ -128,13 +118,13 @@ func genOpScript(rng *rand.Rand, steps int, failing bool) []scriptOp {
 		case op < 5 || len(live) == 0: // insert
 			id, im := newID(), img()
 			track(id, im)
-			emit(scriptOp{desc: "insert " + id, op: wal.OpInsert, muts: 1, adds: []string{id}}, func(m mutator) error { return m.Insert(id, "scripted", im) })
+			emit(scriptOp{desc: "insert " + id, op: wal.OpInsert, muts: 1, adds: []string{id}}, func(db *DB) error { return db.Insert(id, "scripted", im) })
 		case op < 6: // delete a random live id
 			i := rng.Intn(len(live))
 			id := live[i]
 			live = append(live[:i], live[i+1:]...)
 			delete(labels, id)
-			emit(scriptOp{desc: "delete " + id, op: wal.OpDelete, muts: 1, uses: id}, func(m mutator) error { return m.Delete(id) })
+			emit(scriptOp{desc: "delete " + id, op: wal.OpDelete, muts: 1, uses: id}, func(db *DB) error { return db.Delete(id) })
 		case op < 7: // add an object with a fresh label
 			id := pick()
 			o := core.Object{
@@ -143,7 +133,7 @@ func genOpScript(rng *rand.Rand, steps int, failing bool) []scriptOp {
 			}
 			fresh++
 			labels[id] = append(labels[id], o.Label)
-			emit(scriptOp{desc: "insert-object " + id + "/" + o.Label, op: wal.OpInsertObject, muts: 1, uses: id}, func(m mutator) error { return m.InsertObject(id, o) })
+			emit(scriptOp{desc: "insert-object " + id + "/" + o.Label, op: wal.OpInsertObject, muts: 1, uses: id}, func(db *DB) error { return db.InsertObject(id, o) })
 		case op < 8: // bulk batch of 2-4 fresh images
 			items := make([]BulkItem, 2+rng.Intn(3))
 			ids := make([]string, len(items))
@@ -152,7 +142,7 @@ func genOpScript(rng *rand.Rand, steps int, failing bool) []scriptOp {
 				track(items[i].ID, items[i].Image)
 				ids[i] = items[i].ID
 			}
-			emit(scriptOp{desc: fmt.Sprintf("bulk x%d", len(items)), op: wal.OpBulk, muts: len(items), adds: ids}, func(m mutator) error { return m.BulkInsert(ctx, items, 0) })
+			emit(scriptOp{desc: fmt.Sprintf("bulk x%d", len(items)), op: wal.OpBulk, muts: len(items), adds: ids}, func(db *DB) error { return db.BulkInsert(ctx, items, 0) })
 		default: // drop the first object of an image, or — when it is the last — fail to
 			id := pick()
 			label, want := labels[id][0], error(nil)
@@ -161,13 +151,13 @@ func genOpScript(rng *rand.Rand, steps int, failing bool) []scriptOp {
 			} else if want = core.ErrEmptyImage; !failing {
 				continue
 			}
-			emit(scriptOp{desc: "delete-object " + id + "/" + label, op: wal.OpDeleteObject, muts: 1, want: want, uses: id}, func(m mutator) error { return m.DeleteObject(id, label) })
+			emit(scriptOp{desc: "delete-object " + id + "/" + label, op: wal.OpDeleteObject, muts: 1, want: want, uses: id}, func(db *DB) error { return db.DeleteObject(id, label) })
 		}
 	}
 	return script
 }
 
-// copyDir clones a store directory for one crash simulation.
+// copyDir clones a store directory for crash simulations.
 func copyDir(t *testing.T, src, dst string) {
 	t.Helper()
 	entries, err := os.ReadDir(src)
@@ -185,6 +175,78 @@ func copyDir(t *testing.T, src, dst string) {
 		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// sweepCuts simulates a crash at every byte cut of seg's final frame —
+// data[:cut] for cut in [start, len(data)] — reopening the store once
+// per cut and handing the recovered state's Save bytes to check. All
+// cuts share one copy of dir: a reopen changes only the swept segment
+// (recovery truncates its torn tail) and may create files (a fresh
+// active segment), so before each cut the segment is rewritten and any
+// file absent from the copy is deleted. Every other file must come
+// through a reopen untouched, which the sweep verifies rather than
+// assumes.
+func sweepCuts(t *testing.T, dir, seg string, data []byte, start int, check func(cut int, got []byte)) {
+	t.Helper()
+	crash := t.TempDir()
+	copyDir(t, dir, crash)
+	type stamp struct {
+		size int64
+		mod  time.Time
+	}
+	base := map[string]stamp{}
+	entries, err := os.ReadDir(crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		base[e.Name()] = stamp{fi.Size(), fi.ModTime()}
+	}
+	for cut := start; cut <= len(data); cut++ {
+		entries, err := os.ReadDir(crash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			was, kept := base[e.Name()]
+			switch {
+			case !kept:
+				if err := os.Remove(filepath.Join(crash, e.Name())); err != nil {
+					t.Fatal(err)
+				}
+			case e.Name() != seg:
+				fi, err := e.Info()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (stamp{fi.Size(), fi.ModTime()}) != was {
+					t.Fatalf("cut=%d: a reopen modified %s", cut, e.Name())
+				}
+			}
+		}
+		// A fresh file, not a rewrite in place: ext4 flushes a file's dirty
+		// pages when recovery later truncates it to zero, at tens of
+		// milliseconds per cut.
+		if err := os.Remove(filepath.Join(crash, seg)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crash, seg), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := OpenStore(crash, StoreOptions{})
+		if err != nil {
+			t.Fatalf("cut=%d: reopen: %v", cut, err)
+		}
+		got := saveBytes(t, rs.Save)
+		if err := rs.Close(); err != nil {
+			t.Fatalf("cut=%d: close: %v", cut, err)
+		}
+		check(cut, got)
 	}
 }
 
@@ -254,10 +316,10 @@ func TestRecoveryTruncationSweep(t *testing.T) {
 			wants := make([][]byte, steps+1)
 			wants[0] = saveBytes(t, mirror.Save)
 			for i, m := range script {
-				if err := m.store(s); err != nil {
+				if err := m.run(s); err != nil {
 					t.Fatalf("step %d (%s): %v", i, m.desc, err)
 				}
-				if err := m.db(mirror); err != nil {
+				if err := m.run(mirror); err != nil {
 					t.Fatalf("mirror step %d (%s): %v", i, m.desc, err)
 				}
 				wants[i+1] = saveBytes(t, mirror.Save)
@@ -280,33 +342,20 @@ func TestRecoveryTruncationSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			start := lastFrameStart(t, data)
-			for cut := start; cut <= len(data); cut++ {
-				crash := filepath.Join(t.TempDir(), fmt.Sprintf("cut%04d", cut))
-				copyDir(t, dir, crash)
-				if err := os.Truncate(filepath.Join(crash, seg), int64(cut)); err != nil {
-					t.Fatal(err)
-				}
-				rs, err := OpenStore(crash, StoreOptions{})
-				if err != nil {
-					t.Fatalf("cut=%d: reopen: %v", cut, err)
-				}
+			sweepCuts(t, dir, seg, data, start, func(cut int, got []byte) {
 				want := wants[steps-1]
 				if cut == len(data) {
 					want = wants[steps] // complete record: nothing was lost
 				}
-				got := saveBytes(t, rs.Save)
-				if err := rs.Close(); err != nil {
-					t.Fatalf("cut=%d: close: %v", cut, err)
-				}
 				if !bytes.Equal(got, want) {
 					t.Fatalf("cut=%d: recovered state is not the acknowledged prefix", cut)
 				}
-			}
+			})
 		})
 	}
 }
 
-func mustOpen(t *testing.T, dir string) *Store {
+func mustOpen(t *testing.T, dir string) *DB {
 	t.Helper()
 	s, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
@@ -414,28 +463,15 @@ func TestRecoveryTruncationSweepBatched(t *testing.T) {
 		t.Fatalf("final frame is %q with %d subs, want a group of %d", last.Op, len(last.Subs), k)
 	}
 
-	for cut := start; cut <= len(data); cut++ {
-		crash := filepath.Join(t.TempDir(), fmt.Sprintf("cut%04d", cut))
-		copyDir(t, dir, crash)
-		if err := os.Truncate(filepath.Join(crash, seg), int64(cut)); err != nil {
-			t.Fatal(err)
-		}
-		rs, err := OpenStore(crash, StoreOptions{})
-		if err != nil {
-			t.Fatalf("cut=%d: reopen: %v", cut, err)
-		}
+	sweepCuts(t, dir, seg, data, start, func(cut int, got []byte) {
 		want := wants[phases-1]
 		if cut == len(data) {
 			want = wants[phases] // complete group: nothing was lost
 		}
-		got := saveBytes(t, rs.Save)
-		if err := rs.Close(); err != nil {
-			t.Fatalf("cut=%d: close: %v", cut, err)
-		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("cut=%d: recovered state is not a phase boundary — a commit group was half-applied or over-truncated", cut)
 		}
-	}
+	})
 }
 
 // TestRecoveryRejectsInteriorCorruption pins the other half of the

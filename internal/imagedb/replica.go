@@ -17,11 +17,11 @@ import (
 
 // This file is the store's replication surface (DESIGN.md section 9).
 // A follower store (StoreOptions.Replica) never originates mutations:
-// its state advances only through ApplyReplicatedBatch, which replays
+// its state advances only through ApplyReplicatedFrames, which replays
 // WAL records shipped from a primary through the same prepare → apply →
 // commit-tail path local mutations use — one transaction, one append to
-// the follower's OWN log (a byte-for-byte re-framing of the primary's
-// records, preserving LSNs), one fsync, one published MVCC version.
+// the follower's OWN log (the primary's frames verbatim, preserving
+// LSNs), one fsync, one published MVCC version.
 // The primary side exposes the durable horizon (DurableLSN, WaitDurable,
 // TailWAL) the internal/repl server streams from, and the prune floor
 // that keeps segments a connected follower still needs.
@@ -62,53 +62,71 @@ func loadOrCreateStoreID(dir string) (string, error) {
 	return id, nil
 }
 
-// StoreID returns the store's durable random identity.
-func (s *Store) StoreID() string { return s.id }
+// StoreID returns the store's durable random identity ("" on a volatile
+// engine).
+func (db *DB) StoreID() string { return db.id }
 
-// Dir returns the store's data directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Replica reports whether the store is a read-only replication follower.
-func (s *Store) Replica() bool { return s.opts.Replica }
+// Replica reports whether the store is a read-only replication follower
+// (always false on a volatile engine).
+func (db *DB) Replica() bool { return db.opts.Replica }
 
 // DurableLSN returns the highest LSN on stable storage — the horizon the
-// replication stream ships to followers.
-func (s *Store) DurableLSN() uint64 { return s.log.DurableLSN() }
+// replication stream ships to followers. A volatile engine logs nothing
+// and returns 0.
+func (db *DB) DurableLSN() uint64 {
+	if db.log == nil {
+		return 0
+	}
+	return db.log.DurableLSN()
+}
 
 // OldestLSN returns the first LSN still retained in the WAL: a follower
-// behind it cannot catch up from this store and must be re-seeded.
-func (s *Store) OldestLSN() uint64 { return s.log.OldestLSN() }
+// behind it cannot catch up from this store and must be re-seeded. A
+// volatile engine returns 0.
+func (db *DB) OldestLSN() uint64 {
+	if db.log == nil {
+		return 0
+	}
+	return db.log.OldestLSN()
+}
 
 // AppliedLSN returns the LSN of the last record applied to this store —
-// on a follower, how far it has replayed the primary's history.
-func (s *Store) AppliedLSN() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appliedLSN
+// on a follower, how far it has replayed the primary's history. A
+// volatile engine returns 0.
+func (db *DB) AppliedLSN() uint64 {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.appliedLSN
 }
 
 // VisibleLSN returns the highest LSN whose effects are observable in a
-// published MVCC version: the read-your-writes horizon.
-func (s *Store) VisibleLSN() uint64 { return s.visibleLSN.Load() }
+// published MVCC version: the read-your-writes horizon. A volatile
+// engine returns 0.
+func (db *DB) VisibleLSN() uint64 { return db.visibleLSN.Load() }
 
 // WaitVisible blocks until VisibleLSN() >= lsn, the context is done, or
-// the store closes. It is the wait half of min_lsn read routing.
-func (s *Store) WaitVisible(ctx context.Context, lsn uint64) error {
+// the DB closes. It is the wait half of min_lsn read routing. A volatile
+// engine's VisibleLSN stays 0, so there it returns nil for lsn 0 and
+// ErrNotDurable at once for any other lsn.
+func (db *DB) WaitVisible(ctx context.Context, lsn uint64) error {
 	for {
-		if s.visibleLSN.Load() >= lsn {
+		if db.visibleLSN.Load() >= lsn {
 			return nil
 		}
-		s.mu.Lock()
-		if s.visibleLSN.Load() >= lsn {
-			s.mu.Unlock()
+		if db.log == nil {
+			return ErrNotDurable
+		}
+		db.mu.Lock()
+		if db.visibleLSN.Load() >= lsn {
+			db.mu.Unlock()
 			return nil
 		}
-		if s.closed {
-			s.mu.Unlock()
+		if db.closed {
+			db.mu.Unlock()
 			return ErrStoreClosed
 		}
-		ch := s.visibleCh
-		s.mu.Unlock()
+		ch := db.visibleCh
+		db.mu.Unlock()
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -118,8 +136,14 @@ func (s *Store) WaitVisible(ctx context.Context, lsn uint64) error {
 }
 
 // TailWAL streams this store's WAL records after the given LSN (see
-// wal.Tailer) — the primary side of a replication feed.
-func (s *Store) TailWAL(afterLSN uint64) *wal.Tailer { return s.log.Tail(afterLSN) }
+// wal.Tailer) — the primary side of a replication feed. A volatile
+// engine has no log to tail and returns nil.
+func (db *DB) TailWAL(afterLSN uint64) *wal.Tailer {
+	if db.log == nil {
+		return nil
+	}
+	return db.log.Tail(afterLSN)
+}
 
 // SetPruneFloor installs fn as the checkpoint prune cap: WAL segments
 // holding records with LSN > fn() survive checkpoints so connected
@@ -127,25 +151,28 @@ func (s *Store) TailWAL(afterLSN uint64) *wal.Tailer { return s.log.Tail(afterLS
 // and should return the minimum acked LSN across followers (or a value
 // >= the last LSN when nothing constrains pruning). Pass nil to remove
 // the floor.
-func (s *Store) SetPruneFloor(fn func() uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pruneFloor = fn
+func (db *DB) SetPruneFloor(fn func() uint64) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.pruneFloor = fn
 }
 
-// ApplyReplicatedBatch applies a run of consecutive primary WAL records
-// to a follower store. The records must continue this store's LSN
-// sequence exactly (the primary streams them in order; wal.AppendBatch
-// re-verifies). The batch is all-or-nothing and follows the same
-// durability-before-visibility order as a local commit group:
+// ApplyReplicatedFrames applies a run of consecutive primary WAL
+// records to a follower store. frames[i] must be the verified wire frame
+// of recs[i] (wal.ReadFrameRaw returns both); the records must continue
+// this store's LSN sequence exactly (the primary streams them in order;
+// wal.AppendBatchFrames re-verifies). The batch is all-or-nothing and
+// follows the same durability-before-visibility order as a local
+// commit group:
 //
 //  1. prepare + apply every record to ONE copy-on-write transaction
 //     (txn.replay, the door recovery uses too; batches convert in
 //     parallel) — a record that fails leaves the store untouched and
 //     poisons the stream (the follower disconnects rather than diverge);
-//  2. append all records to the follower's own WAL as one batch with
-//     one fsync, preserving the primary's LSNs byte-for-byte, so a
-//     follower crash recovers locally and resumes from its own log;
+//  2. append the frames verbatim to the follower's own WAL as one batch
+//     with one fsync — "the follower's log holds the primary's bytes" is
+//     literal — so a follower crash recovers locally and resumes from
+//     its own log;
 //  3. publish the transaction as one MVCC version and mark it visible.
 //
 // Steps 2 and 3 are the store's one commit tail (commitLocked). The
@@ -153,38 +180,21 @@ func (s *Store) SetPruneFloor(fn func() uint64) {
 // writers to coalesce — the stream is already serialised); reads on a
 // follower see exactly the states the primary published,
 // batch-granular.
-func (s *Store) ApplyReplicatedBatch(recs []wal.Record) error {
-	return s.applyReplicated(recs, nil)
-}
-
-// ApplyReplicatedFrames is ApplyReplicatedBatch for records that
-// arrived with their wire frames: frames[i] must be the verified frame
-// of recs[i] (wal.ReadFrameRaw returns both), and is appended to the
-// follower's log verbatim — making "the follower's log holds the
-// primary's bytes" literal, and skipping the per-record re-encode.
-func (s *Store) ApplyReplicatedFrames(recs []wal.Record, frames [][]byte) error {
+func (db *DB) ApplyReplicatedFrames(recs []wal.Record, frames [][]byte) error {
+	if !db.opts.Replica {
+		return errors.New("ApplyReplicatedFrames on a non-replica store")
+	}
 	if len(frames) != len(recs) {
 		return fmt.Errorf("%d frames for %d records", len(frames), len(recs))
-	}
-	return s.applyReplicated(recs, frames)
-}
-
-func (s *Store) applyReplicated(recs []wal.Record, frames [][]byte) error {
-	if !s.opts.Replica {
-		return errors.New("ApplyReplicatedBatch on a non-replica store")
 	}
 	if len(recs) == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
 		return ErrStoreClosed
 	}
-	db := s.db
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-
 	m := db.begin()
 	for i := range recs {
 		if err := m.replay(&recs[i]); err != nil {
@@ -192,7 +202,7 @@ func (s *Store) applyReplicated(recs []wal.Record, frames [][]byte) error {
 				recs[i].LSN, recs[i].Op, recs[i].ID, err)
 		}
 	}
-	if _, err := s.commitLocked(m, recs, frames); err != nil {
+	if _, err := db.commitLocked(m, recs, frames); err != nil {
 		return err
 	}
 	// Remember replicated import chunk keys: should this follower be
@@ -200,7 +210,7 @@ func (s *Store) applyReplicated(recs []wal.Record, frames [][]byte) error {
 	// replayed.
 	for i := range recs {
 		if recs[i].Op == wal.OpImport && recs[i].Key != "" {
-			s.noteImportKey(recs[i].Key)
+			db.noteImportKey(recs[i].Key)
 		}
 	}
 	return nil

@@ -12,14 +12,14 @@ import (
 )
 
 // collectDurable drains a primary's WAL through its durable horizon.
-func collectDurable(t *testing.T, s *Store) []wal.Record {
+func collectDurable(t *testing.T, s *DB) []wal.Record {
 	t.Helper()
 	return collectDurableAfter(t, s, 0)
 }
 
 // collectDurableAfter drains the records after afterLSN — what a
 // follower that has applied afterLSN still needs.
-func collectDurableAfter(t *testing.T, s *Store, afterLSN uint64) []wal.Record {
+func collectDurableAfter(t *testing.T, s *DB, afterLSN uint64) []wal.Record {
 	t.Helper()
 	tl := s.TailWAL(afterLSN)
 	defer tl.Close()
@@ -35,6 +35,21 @@ func collectDurableAfter(t *testing.T, s *Store, afterLSN uint64) []wal.Record {
 		recs = append(recs, rec)
 	}
 	return recs
+}
+
+// applyFramed hands recs to a follower the way the replication stream
+// does: each record in its wire frame.
+func applyFramed(t *testing.T, follower *DB, recs []wal.Record) error {
+	t.Helper()
+	frames := make([][]byte, len(recs))
+	for i := range recs {
+		frame, err := wal.EncodeFrame(nil, &recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = frame
+	}
+	return follower.ApplyReplicatedFrames(recs, frames)
 }
 
 func TestReplicaRejectsLocalMutations(t *testing.T) {
@@ -63,7 +78,7 @@ func TestReplicaRejectsLocalMutations(t *testing.T) {
 	}
 }
 
-func TestApplyReplicatedBatchMirrorsPrimary(t *testing.T) {
+func TestApplyReplicatedFramesMirrorsPrimary(t *testing.T) {
 	primary, err := OpenStore(t.TempDir(), StoreOptions{Fsync: FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -96,10 +111,10 @@ func TestApplyReplicatedBatchMirrorsPrimary(t *testing.T) {
 	defer follower.Close()
 	// Apply in two batches, as a streaming follower would.
 	half := len(recs) / 2
-	if err := follower.ApplyReplicatedBatch(recs[:half]); err != nil {
+	if err := applyFramed(t, follower, recs[:half]); err != nil {
 		t.Fatal(err)
 	}
-	if err := follower.ApplyReplicatedBatch(recs[half:]); err != nil {
+	if err := applyFramed(t, follower, recs[half:]); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := follower.AppliedLSN(), primary.AppliedLSN(); got != want {
@@ -115,17 +130,17 @@ func TestApplyReplicatedBatchMirrorsPrimary(t *testing.T) {
 		t.Fatalf("follower state diverged from primary:\n got %d bytes\nwant %d bytes", len(got), len(want))
 	}
 	// A replayed LSN is rejected (no duplicates)...
-	if err := follower.ApplyReplicatedBatch(recs[half:]); err == nil {
+	if err := applyFramed(t, follower, recs[half:]); err == nil {
 		t.Fatal("re-applied batch accepted")
 	}
 	// ...and a gap is rejected too: continuity is enforced at the WAL.
 	gap := []wal.Record{{LSN: follower.AppliedLSN() + 2, Op: wal.OpDelete, ID: "img0"}}
-	if err := follower.ApplyReplicatedBatch(gap); err == nil {
+	if err := applyFramed(t, follower, gap); err == nil {
 		t.Fatal("gapped batch accepted")
 	}
 }
 
-func TestApplyReplicatedBatchAllOrNothing(t *testing.T) {
+func TestApplyReplicatedFramesAllOrNothing(t *testing.T) {
 	follower, err := OpenStore(t.TempDir(), StoreOptions{Replica: true})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +149,7 @@ func TestApplyReplicatedBatchAllOrNothing(t *testing.T) {
 	img := storeImage(1)
 	good := wal.Record{LSN: 1, Op: wal.OpInsert, ID: "a", Image: &img}
 	bad := wal.Record{LSN: 2, Op: wal.OpDelete, ID: "missing"}
-	if err := follower.ApplyReplicatedBatch([]wal.Record{good, bad}); err == nil {
+	if err := applyFramed(t, follower, []wal.Record{good, bad}); err == nil {
 		t.Fatal("batch with invalid record accepted")
 	}
 	// Nothing applied, nothing logged: the store is untouched.
@@ -143,7 +158,7 @@ func TestApplyReplicatedBatchAllOrNothing(t *testing.T) {
 			follower.Len(), follower.AppliedLSN(), follower.DurableLSN())
 	}
 	// The same first record still applies cleanly afterwards.
-	if err := follower.ApplyReplicatedBatch([]wal.Record{good}); err != nil {
+	if err := applyFramed(t, follower, []wal.Record{good}); err != nil {
 		t.Fatal(err)
 	}
 	if follower.Len() != 1 || follower.AppliedLSN() != 1 {
@@ -169,7 +184,7 @@ func TestReplicaCrashRestartResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := follower.ApplyReplicatedBatch(recs[:4]); err != nil {
+	if err := applyFramed(t, follower, recs[:4]); err != nil {
 		t.Fatal(err)
 	}
 	if err := follower.Close(); err != nil { // "crash" after a clean batch
@@ -184,7 +199,7 @@ func TestReplicaCrashRestartResumes(t *testing.T) {
 		t.Fatalf("resumed applied=%d, want %d", got, recs[3].LSN)
 	}
 	// Resume exactly where the local log ends: no gaps, no duplicates.
-	if err := follower.ApplyReplicatedBatch(recs[4:]); err != nil {
+	if err := applyFramed(t, follower, recs[4:]); err != nil {
 		t.Fatal(err)
 	}
 	if saveA, saveB := saveBytes(t, primary.Save), saveBytes(t, follower.Save); string(saveA) != string(saveB) {

@@ -14,7 +14,7 @@ import (
 // whole staged query pipeline — executes against a snapshot: one
 // immutable version of the entire database (all shard maps, scan columns
 // and posting runs) published atomically with a monotonically increasing
-// epoch. Writers serialise on DB.writeMu, build the next version
+// epoch. Writers serialise on DB.mu, build the next version
 // copy-on-write (only the touched shards are copied; everything else is
 // shared by pointer) and publish it with a single atomic store. Readers
 // therefore acquire no locks at all: they pin an epoch once (one atomic
@@ -183,7 +183,7 @@ func (s *snapshot) stats() Stats {
 }
 
 // txn builds the next version of the database copy-on-write. Callers
-// hold DB.writeMu; nothing here is safe concurrently. Only the shards
+// hold DB.mu; nothing here is safe concurrently. Only the shards
 // actually touched are copied (entries map, scan column and the outer
 // posting slice; a posting run is copied only by a change that is not an
 // append) — untouched structure is shared with the base version and
@@ -314,14 +314,17 @@ type epochList struct {
 	snaps []*snapshot
 }
 
-// DefaultSnapshotRetention is how many recent versions a DB keeps
-// resolvable for cursor re-pinning. Retained versions share almost all
-// structure (copy-on-write), so the cost is the per-mutation deltas, not
-// full copies. Tune with SetSnapshotRetention.
-const DefaultSnapshotRetention = 32
+// snapshotRetention is how many recent versions a DB keeps resolvable
+// for cursor re-pinning. Retained versions share almost all structure
+// (copy-on-write), so the cost is the per-mutation deltas, not full
+// copies. A paginated query whose cursor epoch has aged out falls back
+// to the current version: the cursor's admission rule still guarantees
+// no result is delivered twice, but entries written since the first
+// page may shift what the remaining pages hold.
+const snapshotRetention = 32
 
 // publish installs the mutation's version as current and retains it in
-// the epoch ring. Callers hold db.writeMu. The ring is stored before the
+// the epoch ring. Callers hold db.mu. The ring is stored before the
 // current pointer, so any epoch observable via current is resolvable.
 func (db *DB) publish(m *txn) {
 	next := m.build()
@@ -359,26 +362,6 @@ func (db *DB) findEpoch(e uint64) *snapshot {
 		}
 	}
 	return nil
-}
-
-// SetSnapshotRetention sets how many recent versions stay resolvable for
-// cursor re-pinning (minimum 1 — the current version; the default is
-// DefaultSnapshotRetention). A paginated query whose cursor epoch has
-// aged out falls back to the current version: the cursor's admission
-// rule still guarantees no result is delivered twice, but entries
-// written since the first page may shift what the remaining pages hold.
-func (db *DB) SetSnapshotRetention(n int) {
-	if n < 1 {
-		n = 1
-	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	db.retain = n
-	if h := db.history.Load(); h != nil && len(h.snaps) > n {
-		db.history.Store(&epochList{
-			snaps: append([]*snapshot(nil), h.snaps[len(h.snaps)-n:]...),
-		})
-	}
 }
 
 // Snapshot is a pinned, immutable view of the database at one epoch.

@@ -127,8 +127,8 @@ func TestEpochMonotonic(t *testing.T) {
 // held, which was impossible under the old per-shard RWMutex design.
 func TestQueryProceedsWhileWriterLockHeld(t *testing.T) {
 	db, scenes := seedSnapshotDB(t, 4, 30)
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 
 	done := make(chan error, 1)
 	go func() {
@@ -159,7 +159,7 @@ func TestQueryProceedsWhileWriterLockHeld(t *testing.T) {
 func TestCursorPinsEpochUnderChurn(t *testing.T) {
 	ctx := context.Background()
 	db, scenes := seedSnapshotDB(t, 8, 120)
-	db.SetSnapshotRetention(4096) // churn must not evict the pinned epoch
+	setRetention(db, 4096) // churn must not evict the pinned epoch
 	query := scenes[11]
 
 	// The reference: the full ranking of the pinned version.
@@ -255,7 +255,7 @@ func TestCursorPinsEpochUnderChurn(t *testing.T) {
 func TestCursorFallbackAfterEviction(t *testing.T) {
 	ctx := context.Background()
 	db, scenes := seedSnapshotDB(t, 4, 30)
-	db.SetSnapshotRetention(1)
+	setRetention(db, 1)
 	query := scenes[4]
 
 	page1, err := db.Query(ctx, NewQuery(query), WithK(10))
@@ -365,12 +365,20 @@ func TestSnapshotQueryIterConsistent(t *testing.T) {
 	hitsEqual(t, "snapshot iterator vs one-shot", streamed, full.Hits)
 }
 
+// setRetention sets how many versions db keeps resolvable for cursor
+// re-pinning; the ring trims to it on the next publish.
+func setRetention(db *DB, n int) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.retain = n
+}
+
 // TestSnapshotRetentionBounds pins the ring arithmetic: the ring never
 // holds more than the configured number of versions and shrinking it
-// takes effect immediately.
+// takes effect at the next publish.
 func TestSnapshotRetentionBounds(t *testing.T) {
 	db := New()
-	db.SetSnapshotRetention(3)
+	setRetention(db, 3)
 	g := workload.NewGenerator(workload.Config{Seed: 8, Vocabulary: 8, Objects: 4})
 	for i := 0; i < 10; i++ {
 		if err := db.Insert(fmt.Sprintf("r%d", i), "", g.Scene()); err != nil {
@@ -391,7 +399,10 @@ func TestSnapshotRetentionBounds(t *testing.T) {
 	if db.findEpoch(cur-5) != nil {
 		t.Fatal("epoch beyond retention still resolvable")
 	}
-	db.SetSnapshotRetention(1)
+	setRetention(db, 1)
+	if err := db.Insert("shrink", "", g.Scene()); err != nil {
+		t.Fatal(err)
+	}
 	if h := db.history.Load(); len(h.snaps) > 1 {
 		t.Fatalf("shrink did not trim the ring: %d versions", len(h.snaps))
 	}

@@ -5,14 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"iter"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bestring/internal/core"
@@ -34,8 +31,14 @@ const (
 // "never") as accepted by the CLI and server flags.
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return wal.ParsePolicy(s) }
 
-// ErrStoreClosed is returned by mutations on a closed Store.
+// ErrStoreClosed is returned by mutations on a closed DB.
 var ErrStoreClosed = errors.New("store is closed")
+
+// ErrNotDurable is returned where durability is required of a volatile
+// engine — one made by New, NewSharded, Load or LoadFile rather than
+// OpenStore: it has no write-ahead log to checkpoint, sync, stream or
+// replicate.
+var ErrNotDurable = errors.New("engine is not durable (no write-ahead log)")
 
 // Default store tuning.
 const (
@@ -52,10 +55,9 @@ const (
 
 // StoreOptions tune OpenStore.
 type StoreOptions struct {
-	// Shards partitions the in-memory database when the store starts
-	// empty (0 means GOMAXPROCS floored at 16); a store recovered from a
-	// snapshot keeps the default shard count. Shard count never affects
-	// results.
+	// Shards partitions the database when the store starts empty (0
+	// means max(GOMAXPROCS, 16)); a store recovered from a snapshot keeps
+	// the default shard count. Shard count never affects results.
 	Shards int
 	// SegmentBytes rotates the WAL at this size (0 means 4 MiB).
 	SegmentBytes int64
@@ -74,100 +76,10 @@ type StoreOptions struct {
 	CommitBatch int
 	// Replica opens the store as a read-only replication follower: local
 	// mutations return ErrReadOnlyReplica and state advances only through
-	// ApplyReplicatedBatch, which replays the primary's WAL records into
-	// this store's own log and MVCC versions (replica.go). The full read
-	// surface works unchanged.
+	// ApplyReplicatedFrames, which appends the primary's WAL frames to
+	// this store's own log and replays them into its MVCC versions
+	// (replica.go). The full read surface works unchanged.
 	Replica bool
-}
-
-// Store is the durable image database: a DB whose every mutation is
-// framed into a segmented write-ahead log before it is applied, plus
-// checkpointed snapshots so recovery replays a bounded tail. OpenStore
-// recovers the state a crash left behind; Close flushes cleanly. The full
-// query/search surface of DB is exposed unchanged — reads never touch the
-// log — while mutations must go through the Store so no acknowledged
-// write can be lost (per the fsync policy). All methods are safe for
-// concurrent use.
-type Store struct {
-	dir  string
-	opts StoreOptions
-	db   *DB
-	log  *wal.Log
-	// lock is the flock-ed LOCK file excluding other writing processes
-	// (a second OpenStore on the directory fails fast instead of
-	// interleaving WAL appends); released by Close.
-	lock *os.File
-
-	// batcher coalesces concurrent mutations into commit groups sharing
-	// one WAL frame, one fsync and one published version (groupcommit.go);
-	// nil on a replica, which commits nothing of its own.
-	batcher *batcher
-
-	// mu serialises mutations: WAL append order must equal apply order,
-	// and pre-log validation must see the state the record will apply to.
-	mu         sync.Mutex
-	appliedLSN uint64
-	bytesSince int64 // WAL bytes since the last checkpoint capture
-	closed     bool
-
-	// id is the store's durable random identity (the STOREID file),
-	// minted on first open. Replication uses it to detect divergence: a
-	// follower records which primary's history it embodies, and refuses
-	// to stream from any other (see internal/repl).
-	id string
-
-	// visibleLSN is the highest LSN whose effects have been PUBLISHED as
-	// an MVCC version — it trails appliedLSN by the window between WAL
-	// append and publish. Read-your-writes routing (min_lsn) waits on
-	// this, not on durability: a record can be fsynced an instant before
-	// its version is observable. visibleCh is closed and replaced on each
-	// advance, guarded by mu.
-	visibleLSN atomic.Uint64
-	visibleCh  chan struct{}
-
-	// pruneFloor, when set, caps how far checkpoints may prune the WAL:
-	// segments holding records above the returned LSN are retained even
-	// if a snapshot covers them, so a connected replication follower can
-	// still stream its backlog. Guarded by mu.
-	pruneFloor func() uint64
-
-	// Group-commit counters (see CommitStats), folded in once per commit
-	// group under one mutex — not per-field atomics — so StoreStats (and
-	// a /metrics scrape through it) can never serve a torn combination
-	// like mutations < groups.
-	commitMu    sync.Mutex
-	commitTally struct {
-		groups, mutations, rejected, largest uint64
-	}
-
-	// importKeys holds the content keys of every durable import chunk —
-	// populated from the WAL during recovery, extended by live imports and
-	// replicated chunk frames — and importTally the cumulative import
-	// counters served on /healthz and /metrics (import.go). Both guarded
-	// by importMu; activeImports counts Importer.Run calls in flight.
-	importMu      sync.Mutex
-	importKeys    map[string]bool
-	importTally   ImportStats
-	activeImports int
-
-	// metrics is nil until EnableMetrics; an atomic pointer so metrics
-	// can be enabled while the store is already committing.
-	metrics atomic.Pointer[storeMetrics]
-
-	// Torn-tail recovery outcome of this process's OpenStore, surfaced
-	// as bestring_wal_torn_tail_recoveries_total. Written once before
-	// the Store is shared, read-only afterwards.
-	recoveredTornTails int
-	recoveredTornBytes int64
-
-	// cpMu serialises checkpoints (manual and background) against each
-	// other; they hold mu only while capturing the entry list.
-	cpMu          sync.Mutex
-	checkpointLSN atomic.Uint64
-	checkpoints   atomic.Uint64
-	checkpointing atomic.Bool
-	cpErr         atomic.Value // last background checkpoint error string
-	wg            sync.WaitGroup
 }
 
 // snapshotName formats the snapshot file covering records through lsn.
@@ -206,12 +118,14 @@ func listSnapshots(dir string) ([]string, error) {
 }
 
 // OpenStore opens (creating if necessary) the durable store in dataDir
-// and recovers its state: the newest snapshot that loads cleanly, plus a
-// replay of every WAL record with a newer LSN. A torn final record — a
-// crash mid-append — is truncated and tolerated; interior log corruption
-// or a snapshot/WAL gap aborts with a descriptive error rather than
-// serving a state the database never passed through.
-func OpenStore(dataDir string, opts StoreOptions) (*Store, error) {
+// and recovers its state: the newest snapshot that loads cleanly (through
+// LoadFile), plus a replay of every WAL record with a newer LSN. A torn
+// final record — a crash mid-append — is truncated and tolerated;
+// interior log corruption or a snapshot/WAL gap aborts with a
+// descriptive error rather than serving a state the database never
+// passed through. The recovered DB then gets the log, the directory
+// lock, the store id and (unless a replica) the commit batcher.
+func OpenStore(dataDir string, opts StoreOptions) (*DB, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = wal.DefaultSegmentBytes
 	}
@@ -259,6 +173,9 @@ func OpenStore(dataDir string, opts StoreOptions) (*Store, error) {
 			continue
 		}
 		db = d
+		// Loading the snapshot committed one bulk group on the volatile
+		// DB; the store's counters describe its own commits.
+		db.commitTally = CommitStats{}
 		snapLSN, _ = parseSnapshotName(name)
 		break
 	}
@@ -313,165 +230,182 @@ func OpenStore(dataDir string, opts StoreOptions) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("open store: %w", err)
 	}
-	s := &Store{
-		dir: dataDir, opts: opts, db: db, log: log, lock: lock, appliedLSN: lastLSN,
-		recoveredTornTails: rinfo.TornTails, recoveredTornBytes: rinfo.TornBytes,
-		importKeys: importKeys,
-	}
-	s.checkpointLSN.Store(snapLSN)
-	s.visibleLSN.Store(lastLSN) // the recovered state is fully published
-	s.visibleCh = make(chan struct{})
-	if s.id, err = loadOrCreateStoreID(dataDir); err != nil {
+	db.dir, db.opts, db.log, db.lock, db.appliedLSN = dataDir, opts, log, lock, lastLSN
+	db.recoveredTornTails, db.recoveredTornBytes = rinfo.TornTails, rinfo.TornBytes
+	db.importKeys = importKeys
+	db.checkpointLSN.Store(snapLSN)
+	db.visibleLSN.Store(lastLSN) // the recovered state is fully published
+	if db.id, err = loadOrCreateStoreID(dataDir); err != nil {
 		log.Close()
 		return nil, fmt.Errorf("open store: %w", err)
 	}
 	if !opts.Replica {
-		s.batcher = newBatcher(s, opts.CommitBatch)
+		db.batcher = newBatcher(db, opts.CommitBatch)
 	}
 	ok = true
-	return s, nil
+	return db, nil
 }
 
-// commitLocked is the one commit tail of the durable store: it makes the
-// mutations applied to m durable and only then visible. recs are the
-// records describing them, in apply order. A primary's commit is one
-// frame — a plain record when it holds one mutation (so a sequential
-// writer's log is one record per mutation), an OpGroup envelope
-// otherwise — assigned the next LSN; a replica re-frames (or, given the
-// wire frames, copies verbatim) the primary's pre-numbered records as one
-// batch. Either way: one fsync per policy, one published version. On an
-// append error nothing is durable, so nothing publishes (groupcommit.go
-// has the full argument). Callers hold s.mu and db.writeMu and have
-// applied every record to m, so the log can only ever hold records that
-// apply to the state its prefix produces. Returns the framed bytes
-// appended.
-func (s *Store) commitLocked(m *txn, recs []wal.Record, frames [][]byte) (int, error) {
+// commitLocked is the one commit tail: it makes the mutations applied to
+// m durable and only then visible. recs are the records describing
+// them, in apply order. On a volatile engine it only publishes. A
+// primary's commit is one frame — a plain record when it holds one
+// mutation (so a sequential writer's log is one record per mutation), an
+// OpGroup envelope otherwise — assigned the next LSN; a replica copies
+// the primary's pre-numbered wire frames verbatim as one batch. Either
+// way: one fsync per policy, one published version. On an append error
+// nothing is durable, so nothing publishes (groupcommit.go has the full
+// argument). Callers hold db.mu and have applied every record to m, so
+// the log can only ever hold records that apply to the state its prefix
+// produces. Returns the framed bytes appended.
+func (db *DB) commitLocked(m *txn, recs []wal.Record, frames [][]byte) (int, error) {
+	if db.log == nil {
+		db.publish(m)
+		return 0, nil
+	}
 	var lsn uint64
 	var n int
 	var err error
-	switch {
-	case !s.opts.Replica:
+	if db.opts.Replica {
+		lsn = recs[len(recs)-1].LSN
+		n, err = db.log.AppendBatchFrames(recs, frames)
+	} else {
 		rec := recs[0]
 		if len(recs) > 1 {
 			rec = wal.Record{Op: wal.OpGroup, Subs: recs}
 		}
-		lsn, n, err = s.log.Append(rec)
-	case frames != nil:
-		lsn = recs[len(recs)-1].LSN
-		n, err = s.log.AppendBatchFrames(recs, frames)
-	default:
-		lsn = recs[len(recs)-1].LSN
-		n, err = s.log.AppendBatch(recs)
+		lsn, n, err = db.log.Append(rec)
 	}
 	if err != nil {
 		return 0, err
 	}
-	s.appliedLSN = lsn
-	s.bytesSince += int64(n)
-	s.db.publish(m)
-	s.markVisibleLocked(lsn)
-	s.maybeCheckpointLocked()
+	db.appliedLSN = lsn
+	db.bytesSince += int64(n)
+	db.publish(m)
+	db.markVisibleLocked(lsn)
+	db.maybeCheckpointLocked()
 	return n, nil
 }
 
 // maybeCheckpointLocked kicks off a background checkpoint when enough WAL
-// bytes have accumulated. Callers hold s.mu.
-func (s *Store) maybeCheckpointLocked() {
-	if s.opts.CheckpointBytes > 0 && s.bytesSince >= s.opts.CheckpointBytes &&
-		s.checkpointing.CompareAndSwap(false, true) {
-		s.wg.Add(1)
+// bytes have accumulated. Callers hold db.mu.
+func (db *DB) maybeCheckpointLocked() {
+	if db.opts.CheckpointBytes > 0 && db.bytesSince >= db.opts.CheckpointBytes &&
+		db.checkpointing.CompareAndSwap(false, true) {
+		db.wg.Add(1)
 		go func() {
-			defer s.wg.Done()
-			defer s.checkpointing.Store(false)
-			if err := s.checkpoint(); err != nil && !errors.Is(err, ErrStoreClosed) {
-				s.cpErr.Store(err.Error())
+			defer db.wg.Done()
+			defer db.checkpointing.Store(false)
+			if err := db.Checkpoint(); err != nil && !errors.Is(err, ErrStoreClosed) {
+				db.cpErr.Store(err.Error())
 			}
 		}()
 	}
 }
 
 // markVisibleLocked records that every LSN through lsn is observable in a
-// published MVCC version and wakes WaitVisible callers. Callers hold s.mu
-// and have just published the version applying lsn.
-func (s *Store) markVisibleLocked(lsn uint64) {
-	if lsn <= s.visibleLSN.Load() {
+// published MVCC version and wakes WaitVisible callers. Callers hold
+// db.mu and have just published the version applying lsn.
+func (db *DB) markVisibleLocked(lsn uint64) {
+	if lsn <= db.visibleLSN.Load() {
 		return
 	}
-	s.visibleLSN.Store(lsn)
-	close(s.visibleCh)
-	s.visibleCh = make(chan struct{})
+	db.visibleLSN.Store(lsn)
+	close(db.visibleCh)
+	db.visibleCh = make(chan struct{})
 }
 
 // commit is the door every single-record local mutation takes: replica
 // check, a cheap presence fast-fail, prepare outside every lock, then
-// the commit queue — the caller blocks until its group's fsync.
-func (s *Store) commit(rec wal.Record) error {
-	if s.opts.Replica {
+// the commit.
+func (db *DB) commit(rec wal.Record) error {
+	if db.opts.Replica {
 		return ErrReadOnlyReplica
 	}
 	// Fast-fail without paying conversion or a trip through the queue.
 	// Racy only in the benign direction: the commit-time check in
 	// txn.apply is authoritative.
-	if err := presenceErr(&rec, s.db.Has(rec.ID)); err != nil {
+	if err := presenceErr(&rec, db.Has(rec.ID)); err != nil {
 		return err
 	}
-	mu, err := s.db.prepare(context.Background(), rec, 0)
+	mu, err := db.prepare(context.Background(), rec, 0)
 	if err != nil {
 		return err
 	}
-	return s.batcher.submit(mu, sizeHint(&mu.rec))
+	return db.submit(mu, sizeHint(&mu.rec))
 }
 
-// Insert durably stores the image under id: the mutation is validated,
-// framed into the WAL (fsynced per policy) and only then applied.
-// Conversion and cloning happen before the mutation enters the commit
-// queue, so concurrent writers pay the CPU-bound half of an insert in
-// parallel and share one fsync (see groupcommit.go).
-func (s *Store) Insert(id, name string, img core.Image) error {
-	return s.commit(wal.Record{Op: wal.OpInsert, ID: id, Name: name, Image: &img})
+// submit commits a prepared mutation and returns its own result. A
+// durable primary queues it for the batcher and blocks until its
+// group's fsync; a volatile engine has nothing to coalesce and commits
+// it inline as a group of one.
+func (db *DB) submit(mu *mutation, size int) error {
+	if db.batcher != nil {
+		return db.batcher.submit(mu, size)
+	}
+	req := &commitReq{mutation: mu, size: size, done: make(chan struct{})}
+	db.commitGroup([]*commitReq{req})
+	return req.err
 }
 
-// Delete durably removes the image with the given id.
-func (s *Store) Delete(id string) error {
-	return s.commit(wal.Record{Op: wal.OpDelete, ID: id})
+// Insert converts the image to its 2D BE-string and stores it under id.
+// On a durable engine the mutation is validated, framed into the WAL
+// (fsynced per policy) and only then published. Conversion and cloning
+// happen before the mutation enters the commit queue, so concurrent
+// writers pay the CPU-bound half of an insert in parallel and share one
+// fsync (see groupcommit.go).
+func (db *DB) Insert(id, name string, img core.Image) error {
+	return db.commit(wal.Record{Op: wal.OpInsert, ID: id, Name: name, Image: &img})
 }
 
-// InsertObject durably adds an object to a stored image. The new image
-// is validated against the commit group's transaction state (which may
+// Delete removes the image with the given id.
+func (db *DB) Delete(id string) error {
+	return db.commit(wal.Record{Op: wal.OpDelete, ID: id})
+}
+
+// InsertObject adds an object to a stored image, reindexing it; the
+// update is rejected if the result no longer converts. The new image is
+// validated against the commit group's transaction state (which may
 // include earlier mutations of the same group), so the conversion runs
 // in the committer.
-func (s *Store) InsertObject(id string, o core.Object) error {
-	return s.commit(wal.Record{Op: wal.OpInsertObject, ID: id, Object: &o})
+func (db *DB) InsertObject(id string, o core.Object) error {
+	return db.commit(wal.Record{Op: wal.OpInsertObject, ID: id, Object: &o})
 }
 
-// DeleteObject durably removes a labelled object from a stored image.
-func (s *Store) DeleteObject(id, label string) error {
-	return s.commit(wal.Record{Op: wal.OpDeleteObject, ID: id, Label: label})
+// DeleteObject removes a labelled object from a stored image, reindexing.
+func (db *DB) DeleteObject(id, label string) error {
+	return db.commit(wal.Record{Op: wal.OpDeleteObject, ID: id, Label: label})
 }
 
 // bulkChunkThreshold is the conservative size estimate above which a
-// bulk batch is routed through the chunked import path instead of one
-// WAL record: well under the wal.MaxRecordBytes frame bound, with room
-// for the estimate being an estimate. A package var so tests can lower
-// it without building multi-megabyte batches.
+// durable bulk batch is routed through the chunked import path instead
+// of one WAL record: well under the wal.MaxRecordBytes frame bound, with
+// room for the estimate being an estimate. A package var so tests can
+// lower it without building multi-megabyte batches.
 var bulkChunkThreshold = int64(maxGroupBytes)
 
-// BulkInsert durably inserts a batch with the same all-or-nothing
-// contract as DB.BulkInsert: the whole batch is validated and converted
-// (in parallel, outside the writer lock) before a single WAL record is
-// written for it, so the log can never hold half a batch. The one-record
-// encoding bounds a batch to wal.MaxRecordBytes (64 MiB) of encoded
-// payload; a batch estimated anywhere near that is routed through the
-// streaming importer automatically, which splits it into chunk records —
-// each chunk stays atomic and duplicate ids still fail the whole call,
-// but chunks already committed when a later chunk fails remain applied
-// (the trade documented in DESIGN.md section 12). Callers needing strict
-// all-or-nothing semantics at that scale should import explicitly. A
-// normal-sized bulk batch travels through the commit queue as one unit:
-// it may share a commit group (and its fsync) with other mutations, but
-// is still applied and logged all-or-nothing.
-func (s *Store) BulkInsert(ctx context.Context, items []BulkItem, parallelism int) error {
-	if s.opts.Replica {
+// BulkInsert converts many images in parallel (the conversions are
+// independent and CPU-bound, the expensive part of an insert) and then
+// installs them as ONE record: the whole batch is validated and
+// converted outside the writer lock, and is all-or-nothing — if any item
+// fails validation, conversion or collides with an existing id, nothing
+// is inserted, and the batch lands in one published version (a single
+// epoch bump), so a concurrent reader sees none of it or all of it. On a
+// durable engine that one record is one WAL record, so the log can never
+// hold half a batch; it may share a commit group (and its fsync) with
+// other mutations. parallelism <= 0 means GOMAXPROCS.
+//
+// The one-record encoding bounds a durable batch to wal.MaxRecordBytes
+// (64 MiB) of encoded payload, so a durable batch estimated anywhere
+// near that is routed through the streaming importer instead, which
+// splits it into chunk records: each chunk stays atomic and duplicate
+// ids still fail the whole call, but chunks already committed when a
+// later chunk fails remain applied (the trade documented in DESIGN.md
+// section 12). Callers needing strict all-or-nothing semantics at that
+// scale should import explicitly. A volatile engine has no record bound
+// and keeps the one-record contract at any size.
+func (db *DB) BulkInsert(ctx context.Context, items []BulkItem, parallelism int) error {
+	if db.opts.Replica {
 		return ErrReadOnlyReplica
 	}
 	if len(items) == 0 {
@@ -479,14 +413,14 @@ func (s *Store) BulkInsert(ctx context.Context, items []BulkItem, parallelism in
 	}
 	rec := wal.Record{Op: wal.OpBulk, Items: items}
 	size := sizeHint(&rec)
-	if int64(size) > bulkChunkThreshold {
-		return s.importOversizedBulk(ctx, items, parallelism)
+	if db.log != nil && int64(size) > bulkChunkThreshold {
+		return db.importOversizedBulk(ctx, items, parallelism)
 	}
-	mu, err := s.db.prepare(ctx, rec, parallelism)
+	mu, err := db.prepare(ctx, rec, parallelism)
 	if err != nil {
 		return err
 	}
-	err = s.batcher.submit(mu, size)
+	err = db.submit(mu, size)
 	if err != nil && !errors.Is(err, ErrDuplicate) && !errors.Is(err, ErrStoreClosed) {
 		return fmt.Errorf("bulk insert (%d items): %w", len(items), err)
 	}
@@ -499,57 +433,59 @@ func (s *Store) BulkInsert(ctx context.Context, items []BulkItem, parallelism in
 // only while an MVCC snapshot is pinned (one atomic load) and the log
 // rotated; entry-list extraction, encoding and the file writes all
 // happen outside the writer lock against the pinned immutable version —
-// a checkpoint of a huge store no longer stalls mutations (or any
-// reader) while it serialises.
-func (s *Store) Checkpoint() error { return s.checkpoint() }
+// a checkpoint of a huge store does not stall mutations (or any
+// reader) while it serialises. On a volatile engine it returns
+// ErrNotDurable.
+func (db *DB) Checkpoint() (err error) {
+	if db.log == nil {
+		return ErrNotDurable
+	}
+	db.cpMu.Lock()
+	defer db.cpMu.Unlock()
 
-func (s *Store) checkpoint() (err error) {
-	s.cpMu.Lock()
-	defer s.cpMu.Unlock()
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	db.mu.Lock()
+	if db.closed {
+		db.mu.Unlock()
 		return ErrStoreClosed
 	}
-	lsn := s.appliedLSN
-	if lsn == s.checkpointLSN.Load() {
-		s.mu.Unlock()
+	lsn := db.appliedLSN
+	if lsn == db.checkpointLSN.Load() {
+		db.mu.Unlock()
 		return nil
 	}
 	// Pin the version corresponding to appliedLSN. Mutations serialise
-	// on s.mu, so the current MVCC snapshot here is exactly the state
+	// on db.mu, so the current MVCC snapshot here is exactly the state
 	// the log reaches at lsn; being immutable, it can be read after the
 	// lock is released.
-	pinned := s.db.current.Load()
+	pinned := db.current.Load()
 	// Rotate so every record the snapshot covers sits in a sealed
 	// segment; sealed segments behind the snapshot become prunable.
-	rotErr := s.log.Rotate()
-	captured := s.bytesSince
-	s.bytesSince = 0
-	s.mu.Unlock()
+	rotErr := db.log.Rotate()
+	captured := db.bytesSince
+	db.bytesSince = 0
+	db.mu.Unlock()
 	// On failure put the accounted bytes back, so the automatic trigger
 	// retries on the next append instead of waiting for another full
 	// CheckpointBytes of traffic to accumulate behind a transient error.
 	defer func() {
 		if err != nil {
-			s.mu.Lock()
-			s.bytesSince += captured
-			s.mu.Unlock()
+			db.mu.Lock()
+			db.bytesSince += captured
+			db.mu.Unlock()
 		}
 	}()
 	if rotErr != nil {
 		return fmt.Errorf("checkpoint: %w", rotErr)
 	}
 
-	path := filepath.Join(s.dir, snapshotName(lsn))
+	path := filepath.Join(db.dir, snapshotName(lsn))
 	if err := fsutil.AtomicWriteFile(path, func(w io.Writer) error {
 		return saveEntries(w, pinned.orderedEntries())
 	}); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	s.checkpointLSN.Store(lsn)
-	s.checkpoints.Add(1)
+	db.checkpointLSN.Store(lsn)
+	db.checkpoints.Add(1)
 
 	// The snapshot makes segments through lsn redundant for RECOVERY, but
 	// a connected replication follower may still need them: the prune
@@ -557,72 +493,86 @@ func (s *Store) checkpoint() (err error) {
 	// pruning goes. Retained segments are reclaimed by a later checkpoint
 	// once every follower has acked past them.
 	prune := lsn
-	s.mu.Lock()
-	floor := s.pruneFloor
-	s.mu.Unlock()
+	db.mu.Lock()
+	floor := db.pruneFloor
+	db.mu.Unlock()
 	if floor != nil {
 		if f := floor(); f < prune {
 			prune = f
 		}
 	}
-	if err := s.log.RemoveObsolete(prune); err != nil {
+	if err := db.log.RemoveObsolete(prune); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	// Older snapshots are now strictly redundant: the new one is complete
 	// (atomic rename) and the WAL behind it is gone.
-	snaps, err := listSnapshots(s.dir)
+	snaps, err := listSnapshots(db.dir)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	for _, name := range snaps {
 		if l, _ := parseSnapshotName(name); l < lsn {
-			if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
+			if err := os.Remove(filepath.Join(db.dir, name)); err != nil {
 				return fmt.Errorf("checkpoint: %w", err)
 			}
 		}
 	}
-	if err := fsutil.SyncDir(s.dir); err != nil {
+	if err := fsutil.SyncDir(db.dir); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	s.cpErr.Store("")
+	db.cpErr.Store("")
 	return nil
 }
 
 // Sync forces buffered WAL appends to stable storage, whatever the
 // fsync policy. Under FsyncAlways it is a no-op beyond an fsync of an
-// already-clean file.
-func (s *Store) Sync() error { return s.log.Sync() }
+// already-clean file. On a volatile engine it returns ErrNotDurable.
+func (db *DB) Sync() error {
+	if db.log == nil {
+		return ErrNotDurable
+	}
+	return db.log.Sync()
+}
 
-// Close flushes the WAL and closes the store. Every acknowledged
-// mutation is durable after a clean Close under any fsync policy.
-// Further mutations return ErrStoreClosed; reads keep working against
-// the in-memory state.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+// Close stops the DB accepting mutations: later ones return
+// ErrStoreClosed, while reads keep working against the in-memory state.
+// On a durable engine it also drains the commit queue, waits out a
+// background checkpoint and flushes and closes the WAL — every
+// acknowledged mutation is durable after a clean Close under any fsync
+// policy — and releases the directory lock. Closing twice is a no-op.
+func (db *DB) Close() error {
+	db.mu.Lock()
+	if db.closed {
+		db.mu.Unlock()
 		return nil
 	}
-	s.closed = true
+	db.closed = true
 	// Wake WaitVisible callers so min_lsn reads fail fast on shutdown.
-	close(s.visibleCh)
-	s.visibleCh = make(chan struct{})
-	s.mu.Unlock()
-	if s.batcher != nil {
+	close(db.visibleCh)
+	db.visibleCh = make(chan struct{})
+	db.mu.Unlock()
+	if db.log == nil {
+		return nil
+	}
+	if db.batcher != nil {
 		// Drain: requests already accepted into the commit queue are
 		// committed (and their callers released) before the committer
 		// exits; new submissions get ErrStoreClosed.
-		s.batcher.close()
+		db.batcher.close()
 	}
-	s.wg.Wait() // let an in-flight background checkpoint finish or bail
-	err := s.log.Close()
-	if cerr := s.lock.Close(); cerr != nil && err == nil { // releases the flock
+	db.wg.Wait() // let an in-flight background checkpoint finish or bail
+	err := db.log.Close()
+	if cerr := db.lock.Close(); cerr != nil && err == nil { // releases the flock
 		err = cerr
 	}
 	return err
 }
 
-// StoreStats describes the durable layer, for /healthz and tooling.
+// Durable reports whether the DB holds a write-ahead log, i.e. whether
+// it was made by OpenStore.
+func (db *DB) Durable() bool { return db.log != nil }
+
+// StoreStats describes the write side, for /healthz and tooling.
 type StoreStats struct {
 	Dir           string      `json:"dir"`
 	StoreID       string      `json:"storeId"`
@@ -638,81 +588,30 @@ type StoreStats struct {
 	CheckpointErr string      `json:"checkpointErr,omitempty"`
 }
 
-// StoreStats reports the state of the WAL, checkpointer and group
-// committer. (DB-level occupancy is served by Stats, unchanged.)
-func (s *Store) StoreStats() StoreStats {
-	s.commitMu.Lock()
-	commit := CommitStats{
-		Enabled:   s.batcher != nil,
-		Groups:    s.commitTally.groups,
-		Mutations: s.commitTally.mutations,
-		Rejected:  s.commitTally.rejected,
-		Largest:   s.commitTally.largest,
+// StoreStats reports the state of the group committer and the import
+// tally and, on a durable engine, of the WAL and checkpointer. On a
+// volatile engine only Commit and Import are set. (Occupancy is served
+// by Stats.)
+func (db *DB) StoreStats() StoreStats {
+	commit := db.commitStats()
+	commit.Enabled = !db.opts.Replica
+	st := StoreStats{Commit: commit, Import: db.ImportStats()}
+	if db.log == nil {
+		return st
 	}
-	s.commitMu.Unlock()
-	st := StoreStats{
-		Dir:           s.dir,
-		StoreID:       s.id,
-		Replica:       s.opts.Replica,
-		AppliedLSN:    s.AppliedLSN(),
-		VisibleLSN:    s.visibleLSN.Load(),
-		CheckpointLSN: s.checkpointLSN.Load(),
-		Checkpoints:   s.checkpoints.Load(),
-		WAL:           s.log.Stats(),
-		Commit:        commit,
-		Import:        s.ImportStats(),
-	}
-	if s.batcher != nil {
-		st.Commit.Window = commitWindow.String()
-		st.Commit.MaxBatch = s.opts.CommitBatch
-	}
+	st.Dir, st.StoreID, st.Replica = db.dir, db.id, db.opts.Replica
+	st.AppliedLSN = db.AppliedLSN()
+	st.VisibleLSN = db.visibleLSN.Load()
+	st.CheckpointLSN = db.checkpointLSN.Load()
+	st.Checkpoints = db.checkpoints.Load()
+	st.WAL = db.log.Stats()
 	st.LastLSN = st.WAL.LastLSN
-	if v, ok := s.cpErr.Load().(string); ok {
+	if db.batcher != nil {
+		st.Commit.Window = commitWindow.String()
+		st.Commit.MaxBatch = db.opts.CommitBatch
+	}
+	if v, ok := db.cpErr.Load().(string); ok {
 		st.CheckpointErr = v
 	}
 	return st
 }
-
-// The read/query surface of DB, delegated unchanged: reads never touch
-// the WAL, so the staged pipeline, scorer registry and pagination all
-// work identically on a Store.
-
-// Get returns a copy of the entry with the given id.
-func (s *Store) Get(id string) (Entry, bool) { return s.db.Get(id) }
-
-// Has reports whether an image with the given id is stored.
-func (s *Store) Has(id string) bool { return s.db.Has(id) }
-
-// Len returns the number of stored images.
-func (s *Store) Len() int { return s.db.Len() }
-
-// IDs returns the stored ids in insertion order.
-func (s *Store) IDs() []string { return s.db.IDs() }
-
-// Stats reports shard occupancy of the underlying database.
-func (s *Store) Stats() Stats { return s.db.Stats() }
-
-// ShardCount returns the number of partitions of the underlying database.
-func (s *Store) ShardCount() int { return s.db.ShardCount() }
-
-// Save writes a snapshot of the current state (see DB.Save).
-func (s *Store) Save(w io.Writer) error { return s.db.Save(w) }
-
-// Query executes a composable query (see DB.Query).
-func (s *Store) Query(ctx context.Context, q *Query, opts ...QueryOption) (*Page, error) {
-	return s.db.Query(ctx, q, opts...)
-}
-
-// QueryIter streams a composable query's results (see DB.QueryIter).
-func (s *Store) QueryIter(ctx context.Context, q *Query, opts ...QueryOption) iter.Seq2[Hit, error] {
-	return s.db.QueryIter(ctx, q, opts...)
-}
-
-// Snapshot pins the current version of the store for lock-free,
-// perfectly repeatable reads (see DB.Snapshot). The pinned view is
-// in-memory only; durability of the mutations it shows is governed by
-// the fsync policy as usual.
-func (s *Store) Snapshot() *Snapshot { return s.db.Snapshot() }
-
-// Epoch returns the epoch of the store's current version.
-func (s *Store) Epoch() uint64 { return s.db.Epoch() }

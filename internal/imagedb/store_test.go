@@ -183,6 +183,10 @@ func TestStoreCheckpointPrunesLogAndSnapshots(t *testing.T) {
 	if got := saveBytes(t, s2.Save); !bytes.Equal(got, want) {
 		t.Fatal("state after checkpointed recovery differs")
 	}
+	// Loading the snapshot is recovery, not a commit of the reopened store.
+	if c := s2.StoreStats().Commit; c.Groups != 0 || c.Mutations != 0 || c.Largest != 0 {
+		t.Fatalf("reopened store's commit stats = %+v, want zero", c)
+	}
 }
 
 func TestStoreAutoCheckpoint(t *testing.T) {
@@ -299,6 +303,54 @@ func TestStoreFallsBackToOlderValidSnapshot(t *testing.T) {
 	defer s2.Close()
 	if got := saveBytes(t, s2.Save); !bytes.Equal(got, want) {
 		t.Fatal("fallback recovery differs from pre-crash state")
+	}
+}
+
+// TestVolatileEngineSurface pins what the log-dependent methods return
+// on a DB with no write-ahead log, and that a volatile DB commits through
+// the same commit groups and closes like a durable one.
+func TestVolatileEngineSurface(t *testing.T) {
+	db := New()
+	if err := db.Insert("a", "", storeImage(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BulkInsert(context.Background(), []BulkItem{{ID: "b", Image: storeImage(1)}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if db.Durable() || db.Replica() || db.StoreID() != "" {
+		t.Fatalf("durable=%v replica=%v id=%q", db.Durable(), db.Replica(), db.StoreID())
+	}
+	if err := db.Checkpoint(); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("Checkpoint = %v, want ErrNotDurable", err)
+	}
+	if err := db.Sync(); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("Sync = %v, want ErrNotDurable", err)
+	}
+	if tl := db.TailWAL(0); tl != nil {
+		t.Fatal("TailWAL returned a tailer without a log")
+	}
+	if db.DurableLSN() != 0 || db.OldestLSN() != 0 || db.AppliedLSN() != 0 || db.VisibleLSN() != 0 {
+		t.Fatalf("LSNs = %d/%d/%d/%d, want all 0", db.DurableLSN(), db.OldestLSN(), db.AppliedLSN(), db.VisibleLSN())
+	}
+	if err := db.WaitVisible(context.Background(), 0); err != nil {
+		t.Fatalf("WaitVisible(0) = %v", err)
+	}
+	if err := db.WaitVisible(context.Background(), 1); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("WaitVisible(1) = %v, want ErrNotDurable", err)
+	}
+	st := db.StoreStats()
+	if !st.Commit.Enabled || st.Commit.Groups != 2 || st.Commit.Mutations != 2 || st.Commit.Largest != 1 ||
+		st.LastLSN != 0 || st.WAL.Segments != 0 || st.Dir != "" {
+		t.Fatalf("StoreStats = %+v", st)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("c", "", storeImage(2)); !errors.Is(err, ErrStoreClosed) {
+		t.Fatalf("Insert after Close = %v, want ErrStoreClosed", err)
+	}
+	if db.Len() != 2 {
+		t.Fatalf("Len = %d after Close", db.Len())
 	}
 }
 

@@ -74,7 +74,7 @@ func seedSharded(t *testing.T, shards, n int) (*DB, []core.Image) {
 
 // search runs a ranked query for img through the one read door and
 // reduces the page to the (id, name, score) triples the full-sort
-// reference produces. db is a *DB, *Store or *Snapshot.
+// reference produces. db is a *DB or a *Snapshot.
 func search(ctx context.Context, db interface {
 	Query(context.Context, *Query, ...QueryOption) (*Page, error)
 }, img core.Image, opts ...QueryOption) ([]Result, error) {

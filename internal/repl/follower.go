@@ -24,7 +24,7 @@ import (
 // Follower tuning defaults.
 const (
 	// DefaultBatchMax caps the records coalesced into one
-	// ApplyReplicatedBatch (one follower fsync, one published version).
+	// ApplyReplicatedFrames (one follower fsync, one published version).
 	DefaultBatchMax = 256
 	// ackInterval throttles ack POSTs: at most one per interval per
 	// steady state, plus one whenever a heartbeat shows the follower
@@ -68,7 +68,8 @@ func writePrimaryMarker(dir, id string) error {
 // permanently (divergence, pruned backlog, or a record that refuses to
 // apply).
 type Follower struct {
-	store      *imagedb.Store
+	store      *imagedb.DB
+	dir        string // the store's data directory, home of the primary marker
 	primaryURL string // e.g. "http://127.0.0.1:8081"
 	client     *http.Client
 	batchMax   int
@@ -102,8 +103,12 @@ type FollowerStatus struct {
 
 // NewFollower builds the sync loop for store (which must be open with
 // StoreOptions.Replica) against the primary at primaryURL. batchMax <= 0
-// uses DefaultBatchMax.
-func NewFollower(store *imagedb.Store, primaryURL string, batchMax int) (*Follower, error) {
+// uses DefaultBatchMax. A volatile engine has no log to replay into and
+// yields ErrNotDurable.
+func NewFollower(store *imagedb.DB, primaryURL string, batchMax int) (*Follower, error) {
+	if !store.Durable() {
+		return nil, ErrNotDurable
+	}
 	if !store.Replica() {
 		return nil, errors.New("repl: follower store must be opened with Replica: true")
 	}
@@ -115,6 +120,7 @@ func NewFollower(store *imagedb.Store, primaryURL string, batchMax int) (*Follow
 	}
 	f := &Follower{
 		store:      store,
+		dir:        store.StoreStats().Dir,
 		primaryURL: strings.TrimRight(primaryURL, "/"),
 		client:     &http.Client{}, // no overall timeout: the stream is unbounded
 		batchMax:   batchMax,
@@ -152,13 +158,13 @@ func (f *Follower) setState(connected bool, err error) {
 // error: ErrDiverged, ErrSnapshotNeeded, or an apply failure. Transient
 // failures — refused connections, dropped streams — reconnect with
 // exponential backoff, resuming from the store's own applied LSN, which
-// is exactly what survives a follower crash (ApplyReplicatedBatch wrote
+// is exactly what survives a follower crash (ApplyReplicatedFrames wrote
 // every applied record to the local log before publishing it).
 func (f *Follower) Run(ctx context.Context) error {
 	// Divergence check that needs no connection: a non-empty store with
 	// no primary marker was written by something other than a follower
 	// loop, so its history is not resumable against any primary.
-	if _, ok := loadPrimaryMarker(f.store.Dir()); !ok && f.store.AppliedLSN() > 0 {
+	if _, ok := loadPrimaryMarker(f.dir); !ok && f.store.AppliedLSN() > 0 {
 		err := fmt.Errorf("%w: store has %d records but no recorded primary", ErrDiverged, f.store.AppliedLSN())
 		f.setState(false, err)
 		return err
@@ -239,7 +245,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 	}
 	// Identity check before a single record applies: the recorded
 	// primary must be THIS primary.
-	if recorded, ok := loadPrimaryMarker(f.store.Dir()); ok {
+	if recorded, ok := loadPrimaryMarker(f.dir); ok {
 		if recorded != primaryID {
 			return fmt.Errorf("%w: store follows primary %s, connected to %s", ErrDiverged, recorded, primaryID)
 		}
@@ -247,7 +253,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 		if f.store.AppliedLSN() > 0 {
 			return fmt.Errorf("%w: store has records but no recorded primary", ErrDiverged)
 		}
-		if err := writePrimaryMarker(f.store.Dir(), primaryID); err != nil {
+		if err := writePrimaryMarker(f.dir, primaryID); err != nil {
 			return err
 		}
 	}

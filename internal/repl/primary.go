@@ -28,7 +28,7 @@ const followerTTL = 15 * time.Minute
 // and ack endpoints, tracks connected followers, and pins the store's
 // WAL retention to the slowest follower's acknowledged position.
 type Primary struct {
-	store     *imagedb.Store
+	store     *imagedb.DB
 	heartbeat time.Duration
 
 	// metrics is nil until EnableMetrics; published atomically so it
@@ -56,10 +56,15 @@ type FollowerInfo struct {
 	LastSeenAgo string `json:"lastSeenAgo"`
 }
 
-// NewPrimary wraps store as a replication primary and installs the
-// retention floor: checkpoints stop pruning WAL segments a registered
-// follower has not acknowledged. heartbeat <= 0 uses DefaultHeartbeat.
-func NewPrimary(store *imagedb.Store, heartbeat time.Duration) *Primary {
+// NewPrimary wraps a durable store as a replication primary and installs
+// the retention floor: checkpoints stop pruning WAL segments a
+// registered follower has not acknowledged. heartbeat <= 0 uses
+// DefaultHeartbeat. A volatile engine has no log to stream and yields
+// ErrNotDurable.
+func NewPrimary(store *imagedb.DB, heartbeat time.Duration) (*Primary, error) {
+	if !store.Durable() {
+		return nil, ErrNotDurable
+	}
 	if heartbeat <= 0 {
 		heartbeat = DefaultHeartbeat
 	}
@@ -69,7 +74,7 @@ func NewPrimary(store *imagedb.Store, heartbeat time.Duration) *Primary {
 		followers: make(map[string]*followerState),
 	}
 	store.SetPruneFloor(p.minAckedLSN)
-	return p
+	return p, nil
 }
 
 // Register installs the replication endpoints on mux.

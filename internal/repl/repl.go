@@ -41,7 +41,11 @@
 // request.
 package repl
 
-import "errors"
+import (
+	"errors"
+
+	"bestring/internal/imagedb"
+)
 
 // Protocol constants shared by the primary and follower sides.
 const (
@@ -75,3 +79,8 @@ var ErrDiverged = errors.New("repl: follower history diverged from primary")
 // the primary's oldest retained WAL segment: the log can no longer
 // replay it forward and the follower must be re-seeded from a snapshot.
 var ErrSnapshotNeeded = errors.New("repl: follower too far behind, re-seed from snapshot")
+
+// ErrNotDurable reports an engine without a write-ahead log handed to
+// NewPrimary or NewFollower: replication streams and replays the log,
+// so both roles need an engine opened with imagedb.OpenStore.
+var ErrNotDurable = imagedb.ErrNotDurable

@@ -25,14 +25,17 @@ func testImage(n int) core.Image {
 }
 
 // newPrimary opens a primary store and serves its replication feed.
-func newPrimary(t *testing.T, opts imagedb.StoreOptions) (*imagedb.Store, *Primary, *httptest.Server) {
+func newPrimary(t *testing.T, opts imagedb.StoreOptions) (*imagedb.DB, *Primary, *httptest.Server) {
 	t.Helper()
 	store, err := imagedb.OpenStore(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	p := NewPrimary(store, 50*time.Millisecond) // fast heartbeats for tests
+	p, err := NewPrimary(store, 50*time.Millisecond) // fast heartbeats for tests
+	if err != nil {
+		t.Fatal(err)
+	}
 	mux := http.NewServeMux()
 	p.Register(mux)
 	srv := httptest.NewServer(mux)
@@ -40,7 +43,7 @@ func newPrimary(t *testing.T, opts imagedb.StoreOptions) (*imagedb.Store, *Prima
 	return store, p, srv
 }
 
-func newFollowerStore(t *testing.T, dir string) *imagedb.Store {
+func newFollowerStore(t *testing.T, dir string) *imagedb.DB {
 	t.Helper()
 	store, err := imagedb.OpenStore(dir, imagedb.StoreOptions{Replica: true})
 	if err != nil {
@@ -50,7 +53,7 @@ func newFollowerStore(t *testing.T, dir string) *imagedb.Store {
 }
 
 // waitLSN polls until the store's applied LSN reaches want.
-func waitLSN(t *testing.T, store *imagedb.Store, want uint64) {
+func waitLSN(t *testing.T, store *imagedb.DB, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for store.AppliedLSN() < want {
@@ -61,7 +64,7 @@ func waitLSN(t *testing.T, store *imagedb.Store, want uint64) {
 	}
 }
 
-func stateBytes(t *testing.T, store *imagedb.Store) []byte {
+func stateBytes(t *testing.T, store *imagedb.DB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := store.Save(&buf); err != nil {

@@ -125,8 +125,9 @@ type Log struct {
 // reopening process happens to be configured with: an always-written
 // tail with mid-file damage is real corruption (every acked frame was
 // fsynced in order), while the same bytes in a never-written tail are a
-// plausible crash artefact. Open rewrites the marker, so it always
-// describes the appends that come after the last recovery.
+// plausible crash artefact. Open rewrites the marker whenever it is
+// absent, unparsable or names another policy, so it always describes
+// the appends that come after the last recovery.
 const policyMarker = "FSYNC"
 
 // WrittenPolicy reports the fsync policy that produced the log in dir,
@@ -246,9 +247,13 @@ func Open(dir string, nextLSN uint64, opts Options) (*Log, error) {
 			return nil, err
 		}
 	}
-	if err := writePolicyMarker(dir, opts.Policy); err != nil {
-		l.f.Close()
-		return nil, err
+	// The marker only changes when the policy does: rewriting an equal
+	// one would cost a temp write, two fsyncs and a rename per reopen.
+	if p, ok := WrittenPolicy(dir); !ok || p != opts.Policy {
+		if err := writePolicyMarker(dir, opts.Policy); err != nil {
+			l.f.Close()
+			return nil, err
+		}
 	}
 	if opts.Policy == SyncInterval {
 		l.stop = make(chan struct{})
@@ -405,31 +410,20 @@ func (l *Log) Append(rec Record) (lsn uint64, n int, err error) {
 	return rec.LSN, len(frame), nil
 }
 
-// AppendBatch appends pre-numbered records — each framed individually,
-// rotating as usual — sharing ONE fsync under SyncAlways. It is the
-// replication follower's ingestion path: the records arrive from the
-// primary already carrying LSNs, so unlike Append the batch must continue
-// this log's sequence exactly (recs[i].LSN == nextLSN+i) and the whole
-// batch is rejected up front if it does not. All frames are encoded
-// before the first byte reaches the file, so an encode failure writes
-// nothing and is not fatal; a write or sync failure poisons the log
-// exactly as in Append. Returns the total framed bytes.
-func (l *Log) AppendBatch(recs []Record) (int, error) {
-	return l.appendBatch(recs, nil)
-}
-
-// AppendBatchFrames is AppendBatch for records that arrived already
-// framed — a replication stream: frames[i] must be the verified wire
-// frame of recs[i], and is written verbatim, so the follower's log
-// holds the primary's bytes rather than a re-encoding.
+// AppendBatchFrames appends pre-numbered records that arrived already
+// framed — the replication follower's ingestion path. frames[i] must be
+// the verified wire frame of recs[i] (ReadFrameRaw returns both) and is
+// written verbatim, so the follower's log holds the primary's bytes
+// rather than a re-encoding. The records carry the primary's LSNs, so
+// unlike Append the batch must continue this log's sequence exactly
+// (recs[i].LSN == nextLSN+i) and is rejected whole, before the first
+// byte reaches the file, if it does not. Frames rotate as usual and
+// share ONE fsync under SyncAlways; a write or sync failure poisons the
+// log exactly as in Append. Returns the total framed bytes.
 func (l *Log) AppendBatchFrames(recs []Record, frames [][]byte) (int, error) {
 	if len(frames) != len(recs) {
 		return 0, fmt.Errorf("wal: %d frames for %d records", len(frames), len(recs))
 	}
-	return l.appendBatch(recs, frames)
-}
-
-func (l *Log) appendBatch(recs []Record, frames [][]byte) (int, error) {
 	if len(recs) == 0 {
 		return 0, nil
 	}
@@ -450,16 +444,6 @@ func (l *Log) appendBatch(recs []Record, frames [][]byte) (int, error) {
 		if recs[i].LSN != l.nextLSN+uint64(i) {
 			return 0, fmt.Errorf("wal: batch record %d has lsn %d, want %d (batch must continue the sequence)",
 				i, recs[i].LSN, l.nextLSN+uint64(i))
-		}
-	}
-	if frames == nil {
-		frames = make([][]byte, len(recs))
-		for i := range recs {
-			frame, err := encodeFrame(nil, &recs[i])
-			if err != nil {
-				return 0, err // nothing reached the file
-			}
-			frames[i] = frame
 		}
 	}
 	total := 0

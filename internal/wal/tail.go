@@ -239,7 +239,7 @@ func (t *Tailer) Close() { t.closeFile() }
 
 // EncodeFrame appends rec to buf in the log's frame layout (length,
 // CRC32C, JSON payload) and returns the extended slice. The replication
-// stream reuses this framing on the wire, so a follower's AppendBatch
+// stream reuses this framing on the wire, so a follower's AppendBatchFrames
 // writes byte-compatible frames into its own log.
 func EncodeFrame(buf []byte, rec *Record) ([]byte, error) {
 	return encodeFrame(buf, rec)

@@ -23,18 +23,18 @@ func TestAppendBatchContinuesSequence(t *testing.T) {
 		{LSN: 5, Op: OpInsert, ID: "b2", Image: &img},
 		{LSN: 6, Op: OpDelete, ID: "b1"},
 	}
-	n, err := l.AppendBatch(batch)
+	n, err := l.AppendBatchFrames(batch, framesOf(t, batch))
 	if err != nil || n <= 3*frameHeaderLen {
-		t.Fatalf("AppendBatch: n=%d err=%v", n, err)
+		t.Fatalf("AppendBatchFrames: n=%d err=%v", n, err)
 	}
 	if got := l.DurableLSN(); got != 6 {
 		t.Fatalf("durable after batch = %d, want 6", got)
 	}
 	// A batch that does not continue the sequence is rejected whole.
-	if _, err := l.AppendBatch([]Record{{LSN: 9, Op: OpDelete, ID: "x"}}); err == nil {
+	if gap := []Record{{LSN: 9, Op: OpDelete, ID: "x"}}; appendBatch(t, l, gap) == nil {
 		t.Fatal("out-of-sequence batch accepted")
 	}
-	if _, err := l.AppendBatch([]Record{{LSN: 7, Op: OpDelete, ID: "x"}, {LSN: 9, Op: OpDelete, ID: "y"}}); err == nil {
+	if gap := []Record{{LSN: 7, Op: OpDelete, ID: "x"}, {LSN: 9, Op: OpDelete, ID: "y"}}; appendBatch(t, l, gap) == nil {
 		t.Fatal("gapped batch accepted")
 	}
 	// The rejections wrote nothing: the sequence still continues at 7.
@@ -53,6 +53,29 @@ func TestAppendBatchContinuesSequence(t *testing.T) {
 	}
 }
 
+// framesOf encodes each record as the wire frame a replication stream
+// would carry for it.
+func framesOf(t *testing.T, recs []Record) [][]byte {
+	t.Helper()
+	frames := make([][]byte, len(recs))
+	for i := range recs {
+		frame, err := EncodeFrame(nil, &recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = frame
+	}
+	return frames
+}
+
+// appendBatch appends recs through AppendBatchFrames, framed as a
+// replication stream frames them.
+func appendBatch(t *testing.T, l *Log, recs []Record) error {
+	t.Helper()
+	_, err := l.AppendBatchFrames(recs, framesOf(t, recs))
+	return err
+}
+
 func TestAppendBatchRotates(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, 1, Options{Policy: SyncAlways, SegmentBytes: 256})
@@ -64,7 +87,7 @@ func TestAppendBatchRotates(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		batch = append(batch, Record{LSN: uint64(i + 1), Op: OpInsert, ID: fmt.Sprintf("r%02d", i), Image: &img})
 	}
-	if _, err := l.AppendBatch(batch); err != nil {
+	if err := appendBatch(t, l, batch); err != nil {
 		t.Fatal(err)
 	}
 	if st := l.Stats(); st.Segments < 2 {

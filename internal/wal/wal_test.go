@@ -425,6 +425,63 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
+// TestPolicyMarkerRewrittenOnlyOnChange pins that a reopen under the
+// policy the marker already names leaves the marker file alone (no temp
+// write, fsyncs and rename per open), while a different policy, a
+// deleted marker or a garbled one each get a fresh marker that
+// WrittenPolicy reads back.
+func TestPolicyMarkerRewrittenOnlyOnChange(t *testing.T) {
+	dir := t.TempDir()
+	marker := filepath.Join(dir, policyMarker)
+	reopen := func(p Policy) {
+		t.Helper()
+		l, err := Open(dir, 1, Options{Policy: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := WrittenPolicy(dir); !ok || got != p {
+			t.Fatalf("WrittenPolicy = %v, %v; want %v", got, ok, p)
+		}
+	}
+	stat := func() os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(marker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+
+	reopen(SyncAlways)
+	before := stat()
+	reopen(SyncAlways)
+	if !os.SameFile(before, stat()) {
+		t.Fatal("reopen under an unchanged policy rewrote the marker")
+	}
+
+	reopen(SyncNever)
+	if os.SameFile(before, stat()) {
+		t.Fatal("a different policy left the old marker in place")
+	}
+
+	if err := os.Remove(marker); err != nil {
+		t.Fatal(err)
+	}
+	reopen(SyncNever)
+
+	if err := os.WriteFile(marker, []byte("sometimes\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	garbled := stat()
+	reopen(SyncNever)
+	if os.SameFile(garbled, stat()) {
+		t.Fatal("a garbled marker was kept")
+	}
+}
+
 // TestTolerantTailTruncatesMidFileDamage pins the relaxed-policy rule:
 // a log written without per-record fsync can, after a crash, hold a bad
 // frame with valid-looking bytes after it in the final segment (page

@@ -10,9 +10,10 @@ import (
 
 // Observability types, re-exported. A MetricsRegistry collects the
 // engine's counters, gauges and histograms and renders them in the
-// Prometheus text exposition format; enable it on a Store or DB with
-// EnableMetrics (both accept the registry directly — Store wires the
-// WAL, group committer and query pipeline in one call). Traces ride a
+// Prometheus text exposition format; enable it on a DB with
+// EnableMetrics, which wires the query pipeline, the group committer
+// and the import tally — and, on a durable DB, the WAL, checkpointer
+// and LSN horizons — in one call. Traces ride a
 // context.Context through the query pipeline and collect per-stage
 // spans. See DESIGN.md section 10.
 type (

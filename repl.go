@@ -42,17 +42,18 @@ var (
 	ErrReplSnapshotNeeded = repl.ErrSnapshotNeeded
 )
 
-// NewReplicationPrimary wraps an open store as a replication primary.
-// Checkpoints on the store stop pruning WAL segments a registered
-// follower has not acknowledged. heartbeat <= 0 uses the default
-// (1 second).
-func NewReplicationPrimary(store *Store, heartbeat time.Duration) *ReplicationPrimary {
+// NewReplicationPrimary wraps a durable DB (from OpenStore) as a
+// replication primary. Checkpoints on the store stop pruning WAL
+// segments a registered follower has not acknowledged. heartbeat <= 0
+// uses the default (1 second). A volatile DB yields ErrNotDurable.
+func NewReplicationPrimary(store *DB, heartbeat time.Duration) (*ReplicationPrimary, error) {
 	return repl.NewPrimary(store, heartbeat)
 }
 
 // NewReplicationFollower builds the sync loop for a replica store
 // (opened with StoreOptions.Replica) against the primary at primaryURL.
-// batchMax <= 0 uses the default (256 records per applied batch).
-func NewReplicationFollower(store *Store, primaryURL string, batchMax int) (*ReplicationFollower, error) {
+// batchMax <= 0 uses the default (256 records per applied batch). A
+// volatile DB yields ErrNotDurable.
+func NewReplicationFollower(store *DB, primaryURL string, batchMax int) (*ReplicationFollower, error) {
 	return repl.NewFollower(store, primaryURL, batchMax)
 }

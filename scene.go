@@ -30,17 +30,12 @@ func NewSceneGenerator(cfg SceneConfig) *SceneGenerator {
 // ClassLabel names icon class i ("icon03").
 func ClassLabel(i int) string { return workload.ClassLabel(i) }
 
-// BulkInserter is the batch-write surface shared by DB and Store.
-type BulkInserter interface {
-	BulkInsert(ctx context.Context, items []BulkItem, parallelism int) error
-}
-
-// SeedScenes fills target with count generated scenes (ids scene0000,
+// SeedScenes fills db with count generated scenes (ids scene0000,
 // scene0001, … and name "synthetic") — the seeding path shared by
 // `server -count` and `bestring store init`. Batches are chunked so a
-// durable store, whose bulk batch becomes one bounded WAL record, can
+// durable DB, whose bulk batch becomes one bounded WAL record, can
 // absorb arbitrarily large seeds; each chunk installs all-or-nothing.
-func SeedScenes(ctx context.Context, target BulkInserter, cfg SceneConfig, count int) error {
+func SeedScenes(ctx context.Context, db *DB, cfg SceneConfig, count int) error {
 	const chunk = 2048
 	gen := NewSceneGenerator(cfg)
 	for base := 0; base < count; base += chunk {
@@ -50,7 +45,7 @@ func SeedScenes(ctx context.Context, target BulkInserter, cfg SceneConfig, count
 				ID: fmt.Sprintf("scene%04d", base+i), Name: "synthetic", Image: gen.Scene(),
 			}
 		}
-		if err := target.BulkInsert(ctx, items, 0); err != nil {
+		if err := db.BulkInsert(ctx, items, 0); err != nil {
 			return err
 		}
 	}

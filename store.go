@@ -5,15 +5,13 @@ import (
 	"bestring/internal/wal"
 )
 
-// Durable-store types, re-exported. A Store wraps a DB with a segmented
-// write-ahead log and checkpointed snapshots: every mutation is framed
-// and fsynced (per policy) before it is applied, and OpenStore recovers
-// the state a crash left behind — the latest valid snapshot plus a replay
-// of the newer log tail. The full query/search API of DB is available on
-// a Store unchanged; see DESIGN.md section 5.
+// Durable-store types, re-exported. OpenStore returns a durable DB: one
+// holding a segmented write-ahead log and checkpointed snapshots, so
+// every mutation is framed and fsynced (per policy) before it is
+// published, and a reopen recovers the state a crash left behind — the
+// latest valid snapshot plus a replay of the newer log tail. The query,
+// search and write API is the DB's, unchanged; see DESIGN.md section 5.
 type (
-	// Store is the durable image database (WAL + snapshots + recovery).
-	Store = imagedb.Store
 	// StoreOptions tune OpenStore (fsync policy, segment size, shard
 	// count, checkpoint threshold).
 	StoreOptions = imagedb.StoreOptions
@@ -44,8 +42,13 @@ const (
 	FsyncNever    = imagedb.FsyncNever
 )
 
-// ErrStoreClosed is returned by mutations on a closed Store.
+// ErrStoreClosed is returned by mutations on a closed DB.
 var ErrStoreClosed = imagedb.ErrStoreClosed
+
+// ErrNotDurable is returned where durability is required of a volatile
+// DB (one made by NewDB, LoadDB or LoadDBFile rather than OpenStore):
+// Checkpoint, Sync and the replication constructors.
+var ErrNotDurable = imagedb.ErrNotDurable
 
 // ErrRecordTooLarge matches (errors.Is) a mutation whose encoded WAL
 // record would exceed the log's payload bound.
@@ -56,10 +59,10 @@ var ErrRecordTooLarge = wal.ErrRecordTooLarge
 var ErrReadOnlyReplica = imagedb.ErrReadOnlyReplica
 
 // OpenStore opens (creating if necessary) the durable store in dataDir
-// and recovers its state. A torn final WAL record — a crash mid-append —
-// is truncated and tolerated; interior corruption aborts with a
-// descriptive error. Close the store to flush cleanly.
-func OpenStore(dataDir string, opts StoreOptions) (*Store, error) {
+// and recovers its state into a durable DB. A torn final WAL record — a
+// crash mid-append — is truncated and tolerated; interior corruption
+// aborts with a descriptive error. Close the DB to flush cleanly.
+func OpenStore(dataDir string, opts StoreOptions) (*DB, error) {
 	return imagedb.OpenStore(dataDir, opts)
 }
 
