@@ -6,17 +6,16 @@
 // throughput across fsync policy x batch size), E12 (snapshot-reader
 // throughput under 0/1/4 concurrent writers), E14 (replication:
 // follower catch-up throughput vs local replay, plus steady-state lag
-// under paced writes), E15 (observability overhead: search/write paths
-// with the metrics registry off vs on) and E17 (streaming-ingest
-// scaling: the chunked importer vs legacy chunk-looped BulkInsert across
-// source format and chunk size). E13 (pruning on vs off) and E16
+// under paced writes) and E17 (streaming-ingest scaling: the chunked
+// importer vs legacy chunk-looped BulkInsert across source format and
+// chunk size). E13 (pruning on vs off), E15 (metrics off vs on) and E16
 // (scorer cache on vs off) are retired with the switches they timed;
 // their last tables are in EXPERIMENTS.md.
 // Run with -exp all (default) or a single experiment id.
 //
 // Usage:
 //
-//	benchtab [-exp e1|e2|...|e11b|e12|e14|e15|e17|all] [-quick] [-csv]
+//	benchtab [-exp e1|e2|...|e11b|e12|e14|e17|all] [-quick] [-csv]
 package main
 
 import (
@@ -39,7 +38,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment to run: e1..e12, e11b, e14, e15, e17 or all")
+	exp := fs.String("exp", "all", "experiment to run: e1..e12, e11b, e14, e17 or all")
 	quick := fs.Bool("quick", false, "smaller sweeps (for smoke tests)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	if err := fs.Parse(args); err != nil {
@@ -59,7 +58,6 @@ func run(args []string) error {
 	mixedWriters := []int{0, 1, 4}
 	ingestSizes, ingestChunks := []int{100000, 1000000}, []int{8192, 32768}
 	replSizes, replPaced, replPace := []int{2000, 8000}, 300, 2*time.Millisecond
-	obsSizes, obsQueries, obsWrites := []int{1000, 10000}, 200, 4000
 	qualityCfgs := bench.QualityConfigs(bench.DefaultSeed)
 	if *quick {
 		sweep = []int{4, 8}
@@ -73,7 +71,6 @@ func run(args []string) error {
 		mixedCorpus, mixedReaders, mixedWindow = 800, 2, 150*time.Millisecond
 		ingestSizes, ingestChunks = []int{5000}, []int{1024}
 		replSizes, replPaced, replPace = []int{1000}, 80, time.Millisecond
-		obsSizes, obsQueries, obsWrites = []int{500}, 40, 800
 		qualityCfgs = qualityCfgs[:1]
 		qualityCfgs[0].Cfg = retrieval.WorkloadConfig{
 			Seed: bench.DefaultSeed, Distractors: 10, Relevant: 2, Queries: 2, Jitter: 2,
@@ -103,9 +100,6 @@ func run(args []string) error {
 		}},
 		{"e14", func() (*bench.Table, error) {
 			return bench.ReplicationCatchup(replSizes, replPaced, replPace)
-		}},
-		{"e15", func() (*bench.Table, error) {
-			return bench.ObservabilityOverhead(obsSizes, obsQueries, obsWrites)
 		}},
 		{"e17", func() (*bench.Table, error) {
 			return bench.IngestScaling(ingestSizes, ingestChunks)
@@ -153,7 +147,7 @@ func run(args []string) error {
 		}
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q (want e1..e12, e11b, e14, e15, e17, or all)", *exp)
+		return fmt.Errorf("unknown experiment %q (want e1..e12, e11b, e14, e17, or all)", *exp)
 	}
 	return nil
 }

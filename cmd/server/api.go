@@ -39,7 +39,7 @@ const requestIDHeader = "X-Request-Id"
 
 // muxConfig bundles everything the server mux serves: the database
 // (volatile or durable), its replication role, and the observability
-// surface (metrics registry and slow-query log, both optional).
+// surface (metrics registry, required, and slow-query log, optional).
 type muxConfig struct {
 	db          *bestring.DB
 	parallelism int
@@ -51,14 +51,16 @@ type muxConfig struct {
 }
 
 // newMux wires the REST routes onto a database with no replication role
-// or observability surface: the image resource, the composable query
+// and a fresh registry: the image resource, the composable query
 // endpoint POST /api/v1/search — the only read door besides fetching an
 // entry — and the streaming import, all under /api/v1.
-func newMux(db *bestring.DB) http.Handler { return newServerMux(muxConfig{db: db}) }
+func newMux(db *bestring.DB) http.Handler {
+	return newServerMux(muxConfig{db: db, metrics: bestring.NewMetricsRegistry()})
+}
 
 // newServerMux builds the complete handler: routes, the request-id /
-// trace middleware, per-route HTTP metrics and — when a registry is
-// configured — the GET /metrics exposition endpoint.
+// trace middleware, per-route HTTP metrics and the GET /metrics
+// exposition endpoint.
 func newServerMux(cfg muxConfig) http.Handler {
 	api := &api{db: cfg.db, parallelism: cfg.parallelism,
 		primary: cfg.primary, follower: cfg.follower,
@@ -72,9 +74,7 @@ func newServerMux(cfg muxConfig) http.Handler {
 	mux.HandleFunc("DELETE /api/v1/images/{id}", api.deleteImage)
 	mux.HandleFunc("POST /api/v1/search", api.searchV1)
 	mux.HandleFunc("POST /api/v1/import", api.importScenes)
-	if cfg.metrics != nil {
-		mux.Handle("GET /metrics", cfg.metrics.Handler())
-	}
+	mux.Handle("GET /metrics", cfg.metrics.Handler())
 	if cfg.primary != nil {
 		cfg.primary.Register(mux)
 	}
@@ -94,8 +94,7 @@ type api struct {
 	follower   *bestring.ReplicationFollower
 	primaryURL string
 
-	// Observability surface; both nil-safe (nil registry drops the HTTP
-	// metrics, nil slow log never records).
+	// Observability surface. A nil slow log never records.
 	metrics *bestring.MetricsRegistry
 	slow    *bestring.SlowQueryLog
 }
@@ -157,7 +156,7 @@ func routeLabel(path string) string {
 // instrument is the outermost middleware: it assigns (or validates and
 // propagates) the request id, attaches a trace to the context so the
 // query pipeline records stage spans, echoes the id on the response,
-// and — with a registry — counts and times the request per route.
+// and counts and times the request per route.
 func (a *api) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rid := r.Header.Get(requestIDHeader)
@@ -169,20 +168,18 @@ func (a *api) instrument(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(sw, r)
-		if a.metrics != nil {
-			route := routeLabel(r.URL.Path)
-			code := sw.code
-			if code == 0 {
-				code = http.StatusOK
-			}
-			a.metrics.Counter("bestring_http_requests_total",
-				"HTTP requests by route pattern and status code.",
-				"route", route, "code", strconv.Itoa(code)).Inc()
-			a.metrics.Histogram("bestring_http_request_seconds",
-				"HTTP request wall time by route pattern.",
-				bestring.MetricsDurationBuckets(), "route", route).
-				Observe(time.Since(start).Seconds())
+		route := routeLabel(r.URL.Path)
+		code := sw.code
+		if code == 0 {
+			code = http.StatusOK
 		}
+		a.metrics.Counter("bestring_http_requests_total",
+			"HTTP requests by route pattern and status code.",
+			"route", route, "code", strconv.Itoa(code)).Inc()
+		a.metrics.Histogram("bestring_http_request_seconds",
+			"HTTP request wall time by route pattern.",
+			bestring.MetricsDurationBuckets(), "route", route).
+			Observe(time.Since(start).Seconds())
 	})
 }
 

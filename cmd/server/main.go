@@ -165,10 +165,10 @@ func run(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Metrics are always on: the instruments are lock-striped atomics
-	// whose cost is negligible against a search or an fsync (E15 pins
-	// the overhead under 2%), and a scrape endpoint nobody polls costs
-	// nothing.
+	// The engine's instruments count from the moment each component is
+	// built — the seed and the -dbfile load below included — and
+	// /healthz reads the same counters; EnableMetrics only puts them on
+	// the served registry. A scrape endpoint nobody polls costs nothing.
 	reg := bestring.NewMetricsRegistry()
 	slowLog := bestring.NewSlowQueryLog(os.Stderr, *slowQuery)
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -91,10 +92,55 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// Without a registry the mux must not serve /metrics.
-func TestMetricsAbsentWithoutRegistry(t *testing.T) {
-	if rec := do(t, testMux(t), http.MethodGet, "/metrics", nil); rec.Code != http.StatusNotFound {
-		t.Fatalf("/metrics without registry: %d, want 404", rec.Code)
+// An in-memory server wired as run wires it — seed first, then
+// EnableMetrics — serves one set of counters: /healthz's commit and
+// search figures equal the /metrics series that count the same events,
+// the seed's commit groups included.
+func TestHealthzAgreesWithMetrics(t *testing.T) {
+	db, err := seeded(50, 7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := bestring.NewMetricsRegistry()
+	db.EnableMetrics(reg)
+	mux := newServerMux(muxConfig{db: db, metrics: reg})
+	const searches = 5
+	for i := 0; i < searches; i++ {
+		if rec := do(t, mux, http.MethodPost, "/api/v1/search",
+			map[string]any{"image": sceneBody, "k": 3}); rec.Code != http.StatusOK {
+			t.Fatalf("search: %d (%s)", rec.Code, rec.Body.String())
+		}
+	}
+
+	var health struct {
+		Commit struct {
+			Groups    uint64 `json:"groups"`
+			Mutations uint64 `json:"mutations"`
+		} `json:"commit"`
+		Search struct {
+			Queries uint64 `json:"queries"`
+		} `json:"search"`
+	}
+	decode(t, do(t, mux, http.MethodGet, "/healthz", nil), &health)
+	if health.Commit.Groups == 0 || health.Search.Queries != searches {
+		t.Fatalf("healthz = %+v, want seed groups and %d queries", health, searches)
+	}
+	samples := map[string]string{}
+	for _, line := range strings.Split(do(t, mux, http.MethodGet, "/metrics", nil).Body.String(), "\n") {
+		if key, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			samples[key] = val
+		}
+	}
+	groups := strconv.FormatUint(health.Commit.Groups, 10)
+	for key, want := range map[string]string{
+		"bestring_commit_groups_total":     groups,
+		"bestring_commit_batch_size_count": groups,
+		"bestring_commit_mutations_total":  strconv.FormatUint(health.Commit.Mutations, 10),
+		"bestring_query_total":             strconv.FormatUint(health.Search.Queries, 10),
+	} {
+		if samples[key] != want {
+			t.Errorf("%s = %q, /healthz says %s", key, samples[key], want)
+		}
 	}
 }
 
@@ -135,6 +181,7 @@ func TestSlowQueryLog(t *testing.T) {
 	var logBuf bytes.Buffer
 	mux := newServerMux(muxConfig{
 		db:      db,
+		metrics: bestring.NewMetricsRegistry(),
 		slowLog: bestring.NewSlowQueryLog(&logBuf, time.Nanosecond), // everything is slow
 	})
 
@@ -206,7 +253,7 @@ func TestSlowQueryLog(t *testing.T) {
 
 	// A fast threshold server logs nothing.
 	logBuf.Reset()
-	quiet := newServerMux(muxConfig{db: db,
+	quiet := newServerMux(muxConfig{db: db, metrics: bestring.NewMetricsRegistry(),
 		slowLog: bestring.NewSlowQueryLog(&logBuf, time.Hour)})
 	if rec := do(t, quiet, http.MethodPost, "/api/v1/search",
 		map[string]any{"image": sceneBody, "k": 3}); rec.Code != http.StatusOK {

@@ -52,7 +52,8 @@ func TestReplicatedServers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	primarySrv := httptest.NewServer(newServerMux(muxConfig{db: ps, primary: primary}))
+	primarySrv := httptest.NewServer(newServerMux(muxConfig{db: ps, primary: primary,
+		metrics: bestring.NewMetricsRegistry()}))
 	defer primarySrv.Close()
 
 	img := map[string]any{
@@ -98,7 +99,8 @@ func TestReplicatedServers(t *testing.T) {
 	defer cancel()
 	runDone := make(chan error, 1)
 	go func() { runDone <- follower.Run(ctx) }()
-	followerMux := newServerMux(muxConfig{db: fs, follower: follower, primaryURL: primarySrv.URL})
+	followerMux := newServerMux(muxConfig{db: fs, follower: follower, primaryURL: primarySrv.URL,
+		metrics: bestring.NewMetricsRegistry()})
 
 	// min_lsn is the read-your-writes handshake: the follower serves the
 	// read once (and only once) it has published the write's LSN.

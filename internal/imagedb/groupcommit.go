@@ -77,8 +77,8 @@ type commitReq struct {
 	*mutation
 	size int // conservative encoded-frame contribution, bytes (sizeHint)
 
-	// enqueuedAt is stamped by enqueue only while metrics are enabled;
-	// it feeds the commit-queue-wait histogram. Zero otherwise.
+	// enqueuedAt is stamped by enqueue and feeds the commit-queue-wait
+	// histogram; zero on an inline commit, which never queues.
 	enqueuedAt time.Time
 
 	err  error
@@ -120,9 +120,7 @@ func newBatcher(db *DB, max int) *batcher {
 
 // enqueue queues a request for the next commit group.
 func (b *batcher) enqueue(req *commitReq) error {
-	if b.db.metrics.Load() != nil {
-		req.enqueuedAt = time.Now()
-	}
+	req.enqueuedAt = time.Now()
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -262,15 +260,11 @@ func (db *DB) commitGroup(reqs []*commitReq) {
 			close(r.done)
 		}
 	}()
-	met := db.metrics.Load()
-	var t0 time.Time
-	if met != nil {
-		t0 = time.Now()
-		met.batchSize.Observe(float64(len(reqs)))
-		for _, r := range reqs {
-			if !r.enqueuedAt.IsZero() {
-				met.queueWaitSeconds.Observe(t0.Sub(r.enqueuedAt).Seconds())
-			}
+	met := db.metrics
+	t0 := time.Now()
+	for _, r := range reqs {
+		if !r.enqueuedAt.IsZero() {
+			met.queueWaitSeconds.Observe(t0.Sub(r.enqueuedAt).Seconds())
 		}
 	}
 	db.mu.Lock()
@@ -295,43 +289,18 @@ func (db *DB) commitGroup(reqs []*commitReq) {
 	}
 	rejected := len(reqs) - len(accepted)
 	if len(recs) == 0 {
-		db.noteCommit(0, rejected) // every request failed validation; nothing to log or publish
+		met.observeCommit(0, rejected) // every request failed validation; nothing to log or publish
 		return
 	}
 	if _, err := db.commitLocked(m, recs, nil); err != nil {
 		for _, r := range accepted {
 			r.err = err
 		}
-		db.noteCommit(0, rejected)
+		met.observeCommit(0, rejected)
 		return
 	}
-	db.noteCommit(len(accepted), rejected)
-	if met != nil {
-		met.groupSeconds.Observe(time.Since(t0).Seconds())
-	}
-}
-
-// noteCommit folds one commit group's outcome into the coherent tally
-// under commitMu; accepted == 0 means the group published nothing.
-func (db *DB) noteCommit(accepted, rejected int) {
-	db.commitMu.Lock()
-	defer db.commitMu.Unlock()
-	db.commitTally.Rejected += uint64(rejected)
-	if accepted == 0 {
-		return
-	}
-	db.commitTally.Groups++
-	db.commitTally.Mutations += uint64(accepted)
-	if uint64(accepted) > db.commitTally.Largest {
-		db.commitTally.Largest = uint64(accepted)
-	}
-}
-
-// commitStats returns a coherent copy of the group-commit tally.
-func (db *DB) commitStats() CommitStats {
-	db.commitMu.Lock()
-	defer db.commitMu.Unlock()
-	return db.commitTally
+	met.observeCommit(len(accepted), rejected)
+	met.groupSeconds.Observe(time.Since(t0).Seconds())
 }
 
 // CommitStats describes the group committer, for /healthz and tooling.

@@ -75,17 +75,9 @@ type DB struct {
 	// closed makes later mutations fail with ErrStoreClosed. Guarded by mu.
 	closed bool
 
-	// Cumulative filter-and-refine counters (see SearchStats), folded in
-	// once per executed query under one mutex — not per-field atomics —
-	// so Stats() always reads a coherent combination: a scrape can never
-	// observe the narrowed total of query N+1 next to the query count of
-	// N. The lock is taken once per query, not per candidate.
-	searchMu sync.Mutex
-	search   SearchStats
-
-	// metrics is nil until EnableMetrics; an atomic pointer so metrics
-	// can be enabled while the DB is already serving.
-	metrics atomic.Pointer[dbMetrics]
+	// metrics holds the query-pipeline and group-commit instruments
+	// (metrics.go) that Stats().Search and StoreStats().Commit read.
+	metrics *dbMetrics
 
 	// cache memoises exact scores of BE-pure registry scorers across
 	// queries; built once by NewSharded. See scorercache.go for the
@@ -94,13 +86,6 @@ type DB struct {
 	// doorkeeper admits a query to the scorer cache from the second
 	// sighting of its key on (scorercache.go).
 	doorkeeper cacheDoorkeeper
-
-	// Group-commit counters (CommitStats' Groups, Mutations, Rejected and
-	// Largest), folded in once per commit group under one mutex — not
-	// per-field atomics — so StoreStats (and a /metrics scrape through
-	// it) can never serve a torn combination like mutations < groups.
-	commitMu    sync.Mutex
-	commitTally CommitStats
 
 	// importKeys holds the content keys of every import chunk committed
 	// in this engine's history — populated from the WAL during recovery,
@@ -180,6 +165,7 @@ func NewSharded(n int) *DB {
 		cache:     newScorerCache(DefaultScorerCacheCapacity),
 		visibleCh: make(chan struct{}),
 	}
+	db.metrics = newDBMetrics(db)
 	first := emptySnapshot(n)
 	db.current.Store(first)
 	db.history.Store(&epochList{snaps: []*snapshot{first}})

@@ -1,23 +1,23 @@
 package imagedb
 
 import (
-	"time"
+	"sync/atomic"
 
 	"bestring/internal/obs"
 )
 
-// dbMetrics holds the query-pipeline and group-commit instruments. One
-// struct behind an atomic pointer on DB: nil means disabled, and the
-// only cost when disabled is that pointer load, once per query in
-// noteSearch and once per commit group.
+// dbMetrics holds the query-pipeline and group-commit instruments.
+// NewSharded builds them on a registry of the DB's own, so they count
+// from the DB's first write and query whether or not any registry
+// serves them; Stats().Search and StoreStats().Commit read them, so an
+// event is counted once. EnableMetrics only exposes them.
 type dbMetrics struct {
+	reg *obs.Registry
+
 	queries      *obs.Counter
 	querySeconds *obs.Histogram
-
-	indexSeconds  *obs.Histogram
-	regionSeconds *obs.Histogram
-	filterSeconds *obs.Histogram
-	rankSeconds   *obs.Histogram
+	// stageSeconds times the index, region, filter and rank stages.
+	stageSeconds [4]*obs.Histogram
 
 	candIndexed   *obs.Counter
 	candRegion    *obs.Counter
@@ -38,30 +38,27 @@ type dbMetrics struct {
 
 	queueWaitSeconds *obs.Histogram
 	groupSeconds     *obs.Histogram
-	batchSize        *obs.Histogram
+	// batchSize observes the accepted mutations of each published
+	// commit group: its count is CommitStats.Groups, its sum
+	// CommitStats.Mutations.
+	batchSize *obs.Histogram
+	rejected  *obs.Counter
+	largest   atomic.Uint64 // CommitStats.Largest: written under db.mu, read lock-free
 }
 
-// EnableMetrics registers the whole engine on reg: the query pipeline,
-// occupancy gauges, the group committer and the import tally and, on a
-// durable engine, the WAL's append/fsync/rotation timings, checkpoint
-// and LSN-horizon gauges and the torn-tail recovery count. Call once
-// per registry, any time; a nil registry is a no-op.
-func (db *DB) EnableMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
+// newDBMetrics declares the engine's instruments and the scrape-time
+// views of its occupancy, commit and import tallies.
+func newDBMetrics(db *DB) *dbMetrics {
+	reg := obs.NewRegistry()
 	const stageHelp = "Wall time of one staged-pipeline stage per executed query."
-	const candHelp = "Cumulative candidates seen per pipeline stage (selectivity feed for the planner)."
+	const candHelp = "Cumulative candidates seen per pipeline stage (the narrowing funnel; Stats().Search reads the same counters)."
 	m := &dbMetrics{
+		reg: reg,
 		queries: reg.Counter("bestring_query_total",
 			"Executed queries (each QueryIter batch counts once)."),
 		querySeconds: reg.Histogram("bestring_query_seconds",
 			"End-to-end staged-pipeline latency per executed query.",
 			obs.DurationBuckets()),
-		indexSeconds:  reg.Histogram("bestring_query_stage_seconds", stageHelp, obs.DurationBuckets(), "stage", "index"),
-		regionSeconds: reg.Histogram("bestring_query_stage_seconds", stageHelp, obs.DurationBuckets(), "stage", "region"),
-		filterSeconds: reg.Histogram("bestring_query_stage_seconds", stageHelp, obs.DurationBuckets(), "stage", "filter"),
-		rankSeconds:   reg.Histogram("bestring_query_stage_seconds", stageHelp, obs.DurationBuckets(), "stage", "rank"),
 		candIndexed:   reg.Counter("bestring_query_candidates_total", candHelp, "stage", "indexed"),
 		candRegion:    reg.Counter("bestring_query_candidates_total", candHelp, "stage", "region"),
 		candNarrowed:  reg.Counter("bestring_query_candidates_total", candHelp, "stage", "narrowed"),
@@ -85,8 +82,13 @@ func (db *DB) EnableMetrics(reg *obs.Registry) {
 			"Wall time of one commit group: apply, one WAL frame, one fsync, one publish.",
 			obs.DurationBuckets()),
 		batchSize: reg.Histogram("bestring_commit_batch_size",
-			"Mutations per drained commit group (the realised coalescing factor).",
+			"Mutations per published commit group (the realised coalescing factor).",
 			obs.SizeBuckets()),
+		rejected: reg.Counter("bestring_commit_rejected_total",
+			"Per-caller validation failures inside commit groups."),
+	}
+	for i, stage := range []string{"index", "region", "filter", "rank"} {
+		m.stageSeconds[i] = reg.Histogram("bestring_query_stage_seconds", stageHelp, obs.DurationBuckets(), "stage", stage)
 	}
 	for _, name := range planNames() {
 		m.planTotal[name] = reg.Counter("bestring_query_plan_total",
@@ -105,20 +107,14 @@ func (db *DB) EnableMetrics(reg *obs.Registry) {
 		"Images in the current published version.",
 		func() float64 { return float64(db.Len()) })
 	reg.GaugeFunc("bestring_store_epoch",
-		"Epoch of the current published version (one per mutation).",
+		"Epoch of the current published version (one per published version: a commit group, an import chunk or a replicated batch).",
 		func() float64 { return float64(db.Epoch()) })
-	// The commit totals come from the same mutex-guarded tally that
-	// serves StoreStats, so a scrape is always coherent: mutations can
-	// never read behind groups.
 	reg.CounterFunc("bestring_commit_groups_total",
 		"Published commit groups (one WAL frame, one fsync, one version each).",
-		func() float64 { return float64(db.commitStats().Groups) })
+		func() float64 { return float64(m.batchSize.Count()) })
 	reg.CounterFunc("bestring_commit_mutations_total",
 		"Mutations committed through groups.",
-		func() float64 { return float64(db.commitStats().Mutations) })
-	reg.CounterFunc("bestring_commit_rejected_total",
-		"Per-caller validation failures inside commit groups.",
-		func() float64 { return float64(db.commitStats().Rejected) })
+		func() float64 { return m.batchSize.Sum() })
 	// Streaming-import tally (import.go): counters for committed and
 	// resumed work plus a live-imports gauge, all from the importMu-guarded
 	// tally so a scrape never tears chunks against images.
@@ -137,35 +133,49 @@ func (db *DB) EnableMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("bestring_import_active",
 		"Streaming imports running right now.",
 		func() float64 { return float64(db.ImportStats().Active) })
-	if db.log != nil {
-		db.log.EnableMetrics(reg)
-		reg.CounterFunc("bestring_checkpoints_total",
-			"Checkpoints completed this session.",
-			func() float64 { return float64(db.checkpoints.Load()) })
-		reg.CounterFunc("bestring_wal_torn_tail_recoveries_total",
-			"Torn WAL tails truncated by this process's recovery (crash artefacts healed by design).",
-			func() float64 { return float64(db.recoveredTornTails) })
-		reg.GaugeVec("bestring_store_lsn",
-			"Store LSN horizons by kind: durable (fsynced), applied (in memory), visible (published), checkpoint (snapshotted), oldest (stream resume floor).",
-			"kind", func() []obs.Sample {
-				st := db.StoreStats()
-				return []obs.Sample{
-					{Label: "durable", Value: float64(st.WAL.DurableLSN)},
-					{Label: "applied", Value: float64(st.AppliedLSN)},
-					{Label: "visible", Value: float64(st.VisibleLSN)},
-					{Label: "checkpoint", Value: float64(st.CheckpointLSN)},
-					{Label: "oldest", Value: float64(st.WAL.OldestLSN)},
-				}
-			})
-	}
-	db.metrics.Store(m)
+	return m
 }
 
-// observeQuery feeds one executed query's stage counts, timings, plan
-// choice and cache outcomes into the registry. Called from noteSearch,
-// outside searchMu.
+// EnableMetrics exposes the whole engine on reg: the query pipeline,
+// occupancy gauges, the group committer and the import tally and, on a
+// durable engine, the WAL's append/fsync/rotation timings, checkpoint
+// and LSN-horizon gauges and the torn-tail recovery count. The
+// instruments have counted since the DB was made; EnableMetrics only
+// makes them visible (the durable-only families are scrape-time views
+// of state the store keeps anyway). Call once per registry, any time.
+func (db *DB) EnableMetrics(reg *obs.Registry) {
+	reg.Include(db.metrics.reg)
+	if db.log == nil {
+		return
+	}
+	db.log.EnableMetrics(reg)
+	reg.CounterFunc("bestring_checkpoints_total",
+		"Checkpoints completed this session.",
+		func() float64 { return float64(db.checkpoints.Load()) })
+	reg.CounterFunc("bestring_wal_torn_tail_recoveries_total",
+		"Torn WAL tails truncated by this process's recovery (crash artefacts healed by design).",
+		func() float64 { return float64(db.recoveredTornTails) })
+	reg.GaugeVec("bestring_store_lsn",
+		"Store LSN horizons by kind: durable (fsynced), applied (in memory), visible (published), checkpoint (snapshotted), oldest (stream resume floor).",
+		"kind", func() []obs.Sample {
+			st := db.StoreStats()
+			return []obs.Sample{
+				{Label: "durable", Value: float64(st.WAL.DurableLSN)},
+				{Label: "applied", Value: float64(st.AppliedLSN)},
+				{Label: "visible", Value: float64(st.VisibleLSN)},
+				{Label: "checkpoint", Value: float64(st.CheckpointLSN)},
+				{Label: "oldest", Value: float64(st.WAL.OldestLSN)},
+			}
+		})
+}
+
+// observeQuery counts one executed query's stage counts, timings, plan
+// choice and cache outcomes. The query count goes first: a reader that
+// loads the work counters before it (searchStats) can never see work
+// without a query.
 func (m *dbMetrics) observeQuery(page *Page) {
 	sc := page.Stages
+	m.queries.Inc()
 	if p := page.Plan; p != nil {
 		if c, ok := m.planTotal[p.Name]; ok {
 			c.Inc()
@@ -176,12 +186,10 @@ func (m *dbMetrics) observeQuery(page *Page) {
 			m.cacheBypassed.Inc()
 		}
 	}
-	m.queries.Inc()
 	m.querySeconds.Observe(float64(sc.TotalNanos) / 1e9)
-	m.indexSeconds.Observe(float64(sc.IndexNanos) / 1e9)
-	m.regionSeconds.Observe(float64(sc.RegionNanos) / 1e9)
-	m.filterSeconds.Observe(float64(sc.FilterNanos) / 1e9)
-	m.rankSeconds.Observe(float64(sc.RankNanos) / 1e9)
+	for i, ns := range [...]int64{sc.IndexNanos, sc.RegionNanos, sc.FilterNanos, sc.RankNanos} {
+		m.stageSeconds[i].Observe(float64(ns) / 1e9)
+	}
 	m.candIndexed.Add(uint64(sc.Indexed))
 	m.candRegion.Add(uint64(sc.Region))
 	m.candNarrowed.Add(uint64(sc.Narrowed))
@@ -190,8 +198,36 @@ func (m *dbMetrics) observeQuery(page *Page) {
 	m.candPruned.Add(uint64(sc.Pruned))
 }
 
-// observeCacheLookup records one scorer-cache lookup's latency. Called
-// from the scoring workers, only when metrics are enabled.
-func (m *dbMetrics) observeCacheLookup(d time.Duration) {
-	m.cacheLookupSeconds.Observe(d.Seconds())
+// observeCommit counts one commit group's outcome; accepted == 0 means
+// the group published nothing. Mutations (the histogram's sum, added
+// before its count) go in before Largest, so a reader loading Largest,
+// then Groups, then Mutations (commitStats) sees largest <= mutations
+// and groups <= mutations. Callers hold db.mu, so Largest has one
+// writer at a time and needs no compare-and-swap.
+func (m *dbMetrics) observeCommit(accepted, rejected int) {
+	m.rejected.Add(uint64(rejected))
+	if accepted == 0 {
+		return
+	}
+	m.batchSize.Observe(float64(accepted))
+	if n := uint64(accepted); n > m.largest.Load() {
+		m.largest.Store(n)
+	}
+}
+
+// commitStats reads the group-commit counters in the order
+// observeCommit's comment requires (a composite literal's calls run in
+// lexical order).
+func (m *dbMetrics) commitStats() CommitStats {
+	return CommitStats{Largest: m.largest.Load(), Rejected: m.rejected.Value(),
+		Groups: m.batchSize.Count(), Mutations: uint64(m.batchSize.Sum())}
+}
+
+// searchStats reads the filter-and-refine counters, the query count
+// last (see observeQuery).
+func (m *dbMetrics) searchStats() SearchStats {
+	return SearchStats{Narrowed: m.candNarrowed.Value(), Bounded: m.candBounded.Value(),
+		Evaluated: m.candEvaluated.Value(), Pruned: m.candPruned.Value(),
+		CacheHits: m.cacheHits.Value(), CacheMisses: m.cacheMisses.Value(),
+		Queries: m.queries.Value()}
 }

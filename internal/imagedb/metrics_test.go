@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -119,6 +120,92 @@ func TestDBMetricsFeed(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// scrapeValues renders reg and maps each sample's series key (name plus
+// rendered labels) to its value.
+func scrapeValues(t *testing.T, reg *obs.Registry) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		key, val, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("bad sample line %q", line)
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("bad sample line %q: %v", line, err)
+		}
+		out[key] = v
+	}
+	return out
+}
+
+// Stats().Search, StoreStats().Commit and /metrics read one set of
+// counters, so they agree even when the registry is attached after the
+// first writes and queries — the order cmd/server uses (seed, then
+// EnableMetrics). Each value is also pinned, so a source that counts
+// nothing cannot agree vacuously.
+func TestStatsAgreeWithRegistry(t *testing.T) {
+	db := New()
+	ctx := context.Background()
+	if err := db.BulkInsert(ctx, []BulkItem{
+		{ID: "b0", Image: storeImage(0)}, {ID: "b1", Image: storeImage(1)},
+	}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := search(ctx, db, storeImage(0), WithK(3)); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	db.EnableMetrics(reg)
+	if err := db.Insert("i0", "", storeImage(2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := search(ctx, db, storeImage(2), WithK(3)); err != nil {
+		t.Fatal(err)
+	}
+
+	got := scrapeValues(t, reg)
+	commit := db.StoreStats().Commit
+	if commit.Groups != 2 || commit.Mutations != 2 || commit.Largest != 1 {
+		t.Fatalf("commit stats = %+v, want groups 2, mutations 2, largest 1", commit)
+	}
+	for key, want := range map[string]uint64{
+		"bestring_commit_groups_total":     commit.Groups,
+		"bestring_commit_batch_size_count": commit.Groups,
+		"bestring_commit_mutations_total":  commit.Mutations,
+		"bestring_commit_batch_size_sum":   commit.Mutations,
+		"bestring_commit_rejected_total":   commit.Rejected,
+	} {
+		if got[key] != float64(want) {
+			t.Errorf("%s = %v, StoreStats says %d", key, got[key], want)
+		}
+	}
+	search := db.Stats().Search
+	if search.Queries != 2 || search.Narrowed == 0 || search.Evaluated == 0 {
+		t.Fatalf("search stats = %+v, want 2 queries with work", search)
+	}
+	for key, want := range map[string]uint64{
+		"bestring_query_total":                               search.Queries,
+		`bestring_query_candidates_total{stage="narrowed"}`:  search.Narrowed,
+		`bestring_query_candidates_total{stage="bounded"}`:   search.Bounded,
+		`bestring_query_candidates_total{stage="evaluated"}`: search.Evaluated,
+		`bestring_query_candidates_total{stage="pruned"}`:    search.Pruned,
+		"bestring_scorer_cache_hits_total":                   search.CacheHits,
+		"bestring_scorer_cache_misses_total":                 search.CacheMisses,
+	} {
+		if got[key] != float64(want) {
+			t.Errorf("%s = %v, Stats says %d", key, got[key], want)
 		}
 	}
 }
@@ -244,7 +331,7 @@ func TestStoreMetricsExposition(t *testing.T) {
 		}
 	}
 	// Queue waits were observed for the grouped inserts.
-	if s.metrics.Load().batchSize.Count() == 0 {
+	if s.metrics.batchSize.Count() == 0 {
 		t.Fatal("no commit groups observed")
 	}
 }
@@ -286,8 +373,8 @@ func TestTornTailRecoveryCounted(t *testing.T) {
 	}
 }
 
-// Metrics can be enabled while traffic is in flight (atomic pointer
-// publication); run under -race.
+// Metrics can be exposed while traffic is in flight (the instruments
+// already count; EnableMetrics only includes them); run under -race.
 func TestEnableMetricsMidTraffic(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir, StoreOptions{Fsync: FsyncNever, CheckpointBytes: -1})

@@ -66,12 +66,13 @@ func saveEntries(w io.Writer, entries []Entry) error {
 }
 
 // loadEntries validates and installs a decoded snapshot as one published
-// version — a bulk batch through the one write path — with one check of
-// its own: every entry's BE-string is re-derived from its image and
-// cross-checked against the stored one, so a corrupted or hand-edited
+// version — a bulk batch through prepare, apply and publish — with one
+// check of its own: every entry's BE-string is re-derived from its image
+// and cross-checked against the stored one, so a corrupted or hand-edited
 // snapshot cannot desynchronise index and data. One version for the
 // whole load keeps recovery linear — per-entry Insert would copy the
-// target shard once per entry.
+// target shard once per entry. Loading restores state; it is not a
+// commit, so it skips the commit group and its counters.
 func (db *DB) loadEntries(entries []Entry, wrap string) error {
 	items := make([]BulkItem, len(entries))
 	for i, e := range entries {
@@ -86,9 +87,13 @@ func (db *DB) loadEntries(entries []Entry, wrap string) error {
 			return fmt.Errorf("%s: entry %q: stored BE-string does not match its image", wrap, e.ID)
 		}
 	}
-	if err := db.submit(mu, 0); err != nil {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	m := db.begin()
+	if err := m.apply(mu); err != nil {
 		return fmt.Errorf("%s: %w", wrap, err)
 	}
+	db.publish(m) // the whole commit tail of a volatile engine
 	return nil
 }
 

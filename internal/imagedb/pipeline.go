@@ -162,7 +162,7 @@ func (db *DB) Query(ctx context.Context, q *Query, opts ...QueryOption) (*Page, 
 	if err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}
-	db.noteSearch(page)
+	db.metrics.observeQuery(page)
 	return page, nil
 }
 
@@ -185,7 +185,7 @@ func (db *DB) QueryIter(ctx context.Context, q *Query, opts ...QueryOption) iter
 			yield(Hit{}, fmt.Errorf("query: %w", err))
 			return
 		}
-		iterOn(ctx, db, snap, spec, cur, db.noteSearch)(yield)
+		iterOn(ctx, db, snap, spec, cur, db.metrics.observeQuery)(yield)
 	}
 }
 
@@ -257,31 +257,6 @@ func (db *DB) resolve(q *Query) (*snapshot, *cursorPos, error) {
 		}
 	}
 	return db.current.Load(), cur, nil
-}
-
-// noteSearch folds one executed page's stage counts and cache outcomes
-// into the DB's cumulative filter-and-refine counters (one mutex, so
-// readers get a coherent snapshot) and into the registry when metrics
-// are enabled.
-func (db *DB) noteSearch(page *Page) {
-	if page == nil || page.Stages == nil {
-		return
-	}
-	sc := page.Stages
-	db.searchMu.Lock()
-	db.search.Queries++
-	db.search.Narrowed += uint64(sc.Narrowed)
-	db.search.Bounded += uint64(sc.Bounded)
-	db.search.Evaluated += uint64(sc.Evaluated)
-	db.search.Pruned += uint64(sc.Pruned)
-	if p := page.Plan; p != nil {
-		db.search.CacheHits += uint64(p.CacheHits)
-		db.search.CacheMisses += uint64(p.CacheMisses)
-	}
-	db.searchMu.Unlock()
-	if m := db.metrics.Load(); m != nil {
-		m.observeQuery(page)
-	}
 }
 
 // executeOn runs the staged pipeline against one pinned, immutable
@@ -452,7 +427,6 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 			plan.CacheBypassed = true
 		}
 	}
-	met := db.metrics.Load()
 
 	// Heap capacity covers the page plus the offset it skips, clamped to
 	// the candidate count so a client cannot drive preallocation.
@@ -476,7 +450,7 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 	// that matches nothing, which is exactly what it is.
 	rk := &ranker{
 		q: q, cur: cur, img: img, queryBE: queryBE, scorer: scorer,
-		cache: cache, qkey: qkey, qhash: qhash, met: met, cols: cols, filtered: cands,
+		cache: cache, qkey: qkey, qhash: qhash, met: db.metrics, cols: cols, filtered: cands,
 	}
 	if q.image != nil && (bound != nil || coded != nil) {
 		qsig, ids := core.SignatureOf(queryBE).Lookup(snap.dict)
@@ -709,14 +683,9 @@ func (r *ranker) chunk(lo, hi int, h *topK, t *rankTally) {
 			// The bound check above already ran, so a hit skips the whole
 			// dynamic program, not just part of it.
 			k := cacheKey{query: r.qkey, entry: st}
-			var t0 time.Time
-			if r.met != nil {
-				t0 = time.Now()
-			}
+			t0 := time.Now()
 			s, ok := r.cache.get(r.qhash, k)
-			if r.met != nil {
-				r.met.observeCacheLookup(time.Since(t0))
-			}
+			r.met.cacheLookupSeconds.Observe(time.Since(t0).Seconds())
 			if ok {
 				t.cacheHits++
 				score = s

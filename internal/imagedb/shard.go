@@ -74,7 +74,7 @@ type SearchStats struct {
 	// (label index, region probe, predicate filter) and entered ranking.
 	Narrowed uint64 `json:"narrowed"`
 	// Bounded counts candidates whose signature upper bound was computed
-	// (zero when a query's scorer declares no bound or pruning is off).
+	// (zero when a query's scorer declares no bound or it ranks no image).
 	Bounded uint64 `json:"bounded"`
 	// Evaluated counts exact score determinations — scorer runs plus
 	// scorer-cache hits (the cache serves the identical exact score, so
@@ -115,8 +115,6 @@ type Stats struct {
 // BulkInsert is visible either entirely or not at all.
 func (db *DB) Stats() Stats {
 	st := db.current.Load().stats()
-	db.searchMu.Lock()
-	st.Search = db.search
-	db.searchMu.Unlock()
+	st.Search = db.metrics.searchStats()
 	return st
 }

@@ -173,9 +173,6 @@ func OpenStore(dataDir string, opts StoreOptions) (*DB, error) {
 			continue
 		}
 		db = d
-		// Loading the snapshot committed one bulk group on the volatile
-		// DB; the store's counters describe its own commits.
-		db.commitTally = CommitStats{}
 		snapLSN, _ = parseSnapshotName(name)
 		break
 	}
@@ -593,7 +590,7 @@ type StoreStats struct {
 // volatile engine only Commit and Import are set. (Occupancy is served
 // by Stats.)
 func (db *DB) StoreStats() StoreStats {
-	commit := db.commitStats()
+	commit := db.metrics.commitStats()
 	commit.Enabled = !db.opts.Replica
 	st := StoreStats{Commit: commit, Import: db.ImportStats()}
 	if db.log == nil {

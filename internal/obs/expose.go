@@ -13,11 +13,7 @@ import (
 // WriteText renders every registered family in Prometheus text
 // exposition format (version 0.0.4): families sorted by name, exactly
 // one `# HELP`/`# TYPE` pair per family, series sorted by label set.
-// Nil-safe: a nil registry writes nothing.
 func (r *Registry) WriteText(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
 	bw := bufio.NewWriter(w)
 
 	r.mu.Lock()
@@ -36,8 +32,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Handler returns an http.Handler serving the exposition. Nil-safe: a
-// nil registry serves an empty (still valid) exposition.
+// Handler returns an http.Handler serving the exposition.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

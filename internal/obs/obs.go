@@ -5,11 +5,17 @@
 //
 // Design rules (see DESIGN.md §10):
 //
-//   - Every instrument is safe for concurrent use and safe as a nil
-//     receiver. A nil *Registry hands out nil instruments whose
-//     methods are no-ops, so instrumented code never branches on
-//     "metrics enabled?" — the disabled path is a nil check inlined at
-//     the call site. Bench E15 measures exactly this on/off delta.
+//   - Instruments are always on. Each engine component builds its
+//     instruments on a registry of its own when it is constructed and
+//     counts from then on; exposing them is a separate step that
+//     Includes that registry's families in a served one. So there is
+//     no "metrics enabled?" branch anywhere, and a component's own
+//     stats (DB.Stats, StoreStats) read the very counters /metrics
+//     renders: every event is counted once.
+//   - Every instrument is safe for concurrent use. Readers that need
+//     two counters to agree (mutations >= groups) rely on ordering,
+//     not a lock: the writer bumps the larger side first and the
+//     reader loads the smaller side first.
 //   - Counters and gauges are single atomics. Histograms are
 //     lock-striped: each stripe owns an independent set of atomic
 //     bucket counters plus a CAS-updated float sum, and a scrape sums
@@ -34,8 +40,7 @@ import (
 
 // A Registry holds named metric families and renders them in
 // Prometheus text exposition format. The zero value is not usable;
-// call NewRegistry. A nil *Registry is valid everywhere and turns the
-// whole API into no-ops.
+// call NewRegistry.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -120,11 +125,8 @@ func (r *Registry) getFamily(name, help string, kind metricKind) *family {
 
 // Counter returns the counter for name and the given label pairs,
 // registering it on first use. Labels are "key, value" pairs; the same
-// name+labels always returns the same instrument. Nil-safe.
+// name+labels always returns the same instrument.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	if r == nil {
-		return nil
-	}
 	f := r.getFamily(name, help, kindCounter)
 	ls := renderLabels(labels)
 	f.mu.Lock()
@@ -139,11 +141,8 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 
 // CounterFunc registers a counter whose value is produced by fn at
 // scrape time. Use it to expose an existing cumulative count without
-// double accounting. Nil-safe.
+// double accounting.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
-	if r == nil {
-		return
-	}
 	f := r.getFamily(name, help, kindCounter)
 	ls := renderLabels(labels)
 	f.mu.Lock()
@@ -154,11 +153,8 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...s
 	f.series[ls] = &seriesEntry{labels: ls, cfn: fn}
 }
 
-// Gauge returns a settable gauge. Nil-safe.
+// Gauge returns a settable gauge.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
 	f := r.getFamily(name, help, kindGauge)
 	ls := renderLabels(labels)
 	f.mu.Lock()
@@ -172,11 +168,8 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 }
 
 // GaugeFunc registers a gauge whose value is produced by fn at scrape
-// time. fn must be safe to call concurrently. Nil-safe.
+// time. fn must be safe to call concurrently.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	if r == nil {
-		return
-	}
 	f := r.getFamily(name, help, kindGauge)
 	ls := renderLabels(labels)
 	f.mu.Lock()
@@ -192,11 +185,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 // one callback, one coherent snapshot (e.g. per-follower lag). The
 // family is emitted even when fn returns no samples, so dashboards and
 // smoke tests can assert its presence before any child exists.
-// Nil-safe.
 func (r *Registry) GaugeVec(name, help, labelKey string, fn func() []Sample) {
-	if r == nil {
-		return
-	}
 	if err := checkLabelName(labelKey); err != nil {
 		panic("obs: " + err.Error())
 	}
@@ -212,11 +201,8 @@ func (r *Registry) GaugeVec(name, help, labelKey string, fn func() []Sample) {
 
 // Histogram returns the histogram for name+labels, registering it on
 // first use with the given upper bucket bounds (ascending; +Inf is
-// implicit). Re-registering with different bounds panics. Nil-safe.
+// implicit). Re-registering with different bounds panics.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
-	if r == nil {
-		return nil
-	}
 	f := r.getFamily(name, help, kindHistogram)
 	ls := renderLabels(labels)
 	f.mu.Lock()
@@ -232,58 +218,67 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	return h
 }
 
+// Include makes every family registered on src so far visible on r:
+// a scrape of r renders them as they stand, so instruments src owns
+// count whether or not any registry includes them. A family name r
+// already holds panics, as registering it twice would; nothing is
+// included then.
+func (r *Registry) Include(src *Registry) {
+	src.mu.Lock()
+	fams := make([]*family, 0, len(src.names))
+	for _, n := range src.names {
+		fams = append(fams, src.families[n])
+	}
+	src.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, f := range fams {
+		if _, ok := r.families[f.name]; ok {
+			panic(fmt.Sprintf("obs: metric %q included twice", f.name))
+		}
+	}
+	for _, f := range fams {
+		r.families[f.name] = f
+		r.names = append(r.names, f.name)
+	}
+}
+
 // --- Counter ---
 
-// Counter is a monotonically increasing uint64. All methods are
-// nil-safe no-ops on a nil receiver.
+// Counter is a monotonically increasing uint64.
 type Counter struct {
 	v atomic.Uint64
 }
 
 // Inc adds 1.
 func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
 	c.v.Add(1)
 }
 
 // Add adds n (n must be non-negative; negative deltas are ignored).
 func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
 	c.v.Add(n)
 }
 
-// Value returns the current count (0 on nil).
+// Value returns the current count.
 func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
 	return c.v.Load()
 }
 
 // --- Gauge ---
 
-// Gauge is a settable float64. All methods are nil-safe no-ops.
+// Gauge is a settable float64.
 type Gauge struct {
 	bits atomic.Uint64
 }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
 	g.bits.Store(math.Float64bits(v))
 }
 
 // Add adds delta (CAS loop).
 func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
 	for {
 		old := g.bits.Load()
 		nv := math.Float64bits(math.Float64frombits(old) + delta)
@@ -293,11 +288,8 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
-// Value returns the current value (0 on nil).
+// Value returns the current value.
 func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
 	return math.Float64frombits(g.bits.Load())
 }
 
@@ -318,7 +310,6 @@ type histStripe struct {
 // random stripe (math/rand/v2 is cheap and per-P), bumps one atomic
 // bucket counter, and CAS-adds the float sum; a scrape sums across
 // stripes, so cumulative bucket counts are monotone by construction.
-// All methods are nil-safe no-ops.
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds, +Inf implicit
 	stripes [histStripes]histStripe
@@ -339,16 +330,15 @@ func newHistogram(buckets []float64) *Histogram {
 	return h
 }
 
-// Observe records one value.
+// Observe records one value. The sum is added before the count, so a
+// reader that loads Count and then Sum never sees an observation in
+// the count whose value is missing from the sum: for non-negative
+// values Sum >= the sum of the first Count observations.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
 	s := &h.stripes[rand.Uint32()&(histStripes-1)]
 	if i := sort.SearchFloat64s(h.bounds, v); i < len(h.bounds) {
 		s.counts[i].Add(1)
 	}
-	s.total.Add(1)
 	for {
 		old := s.sumBits.Load()
 		nb := math.Float64bits(math.Float64frombits(old) + v)
@@ -356,6 +346,7 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
+	s.total.Add(1)
 }
 
 // snapshot returns cumulative per-bound counts (excluding +Inf), the
@@ -376,11 +367,8 @@ func (h *Histogram) snapshot() (cum []uint64, count uint64, sum float64) {
 	return cum, count, sum
 }
 
-// Count returns the number of observations so far (0 on nil).
+// Count returns the number of observations so far.
 func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
 	var n uint64
 	for i := range h.stripes {
 		n += h.stripes[i].total.Load()
@@ -388,11 +376,8 @@ func (h *Histogram) Count() uint64 {
 	return n
 }
 
-// Sum returns the sum of observed values (0 on nil).
+// Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
 	var sum float64
 	for i := range h.stripes {
 		sum += math.Float64frombits(h.stripes[i].sumBits.Load())

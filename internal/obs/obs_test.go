@@ -88,28 +88,9 @@ func TestGaugeSetAdd(t *testing.T) {
 	}
 }
 
-// Nil registry and nil instruments must be safe everywhere — this is
-// the "metrics off" mode E15 measures.
+// A nil trace and a nil slow log are real states (a library query
+// without a trace, a server run with -slow-query 0) and must be inert.
 func TestNilSafety(t *testing.T) {
-	var r *Registry
-	c := r.Counter("x", "x")
-	g := r.Gauge("x", "x")
-	h := r.Histogram("x", "x", SizeBuckets())
-	r.GaugeFunc("x", "x", func() float64 { return 0 })
-	r.CounterFunc("x", "x", func() float64 { return 0 })
-	r.GaugeVec("x", "x", "k", func() []Sample { return nil })
-	c.Inc()
-	c.Add(3)
-	g.Set(1)
-	g.Add(1)
-	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Fatal("nil instruments must read zero")
-	}
-	if err := r.WriteText(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
-
 	var tr *Trace
 	tr.StartSpan("a").End()
 	tr.AddSpan("b", time.Now(), time.Second)
@@ -124,6 +105,49 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil slowlog never slow")
 	}
 	sl.Record(SlowQuery{})
+}
+
+// Include exposes another registry's families live — counts made
+// before and after the include both show — and refuses a family name
+// the target already holds, leaving the target unchanged.
+func TestInclude(t *testing.T) {
+	own := NewRegistry()
+	c := own.Counter("bestring_x_total", "x")
+	h := own.Histogram("bestring_y", "y", SizeBuckets())
+	c.Inc()
+	served := NewRegistry()
+	served.Counter("bestring_http_total", "http").Inc()
+	served.Include(own)
+	c.Inc()
+	h.Observe(3)
+	var buf bytes.Buffer
+	if err := served.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"bestring_x_total 2", "bestring_y_count 1", "bestring_y_sum 3", "bestring_http_total 1"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, buf.String())
+		}
+	}
+
+	clash := NewRegistry()
+	clash.Counter("bestring_z_total", "z")
+	clash.Counter("bestring_x_total", "x")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("including a family twice must panic")
+			}
+		}()
+		served.Include(clash)
+	}()
+	buf.Reset()
+	if err := served.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "bestring_z_total") {
+		t.Fatal("a refused include must leave the target unchanged")
+	}
 }
 
 func TestSameSeriesSameInstrument(t *testing.T) {

@@ -77,9 +77,7 @@ type Follower struct {
 	reconnects atomic.Uint64
 	remoteLSN  atomic.Uint64 // primary durable LSN last observed (headers/heartbeats)
 
-	// metrics is nil until EnableMetrics; published atomically so it
-	// can be enabled while the sync loop is running.
-	metrics      atomic.Pointer[followerMetrics]
+	metrics      *followerMetrics
 	lastBeat     atomic.Int64 // unixnano of the last frame off the stream
 	lastCaughtUp atomic.Int64 // unixnano of the last applied >= remote observation
 
@@ -125,6 +123,7 @@ func NewFollower(store *imagedb.DB, primaryURL string, batchMax int) (*Follower,
 		client:     &http.Client{}, // no overall timeout: the stream is unbounded
 		batchMax:   batchMax,
 	}
+	f.metrics = newFollowerMetrics(f)
 	f.lastCaughtUp.Store(time.Now().UnixNano())
 	return f, nil
 }
@@ -300,19 +299,13 @@ func (f *Follower) consume(ctx context.Context, body io.Reader) error {
 		if len(batch) == 0 {
 			return nil
 		}
-		m := f.metrics.Load()
-		var t0 time.Time
-		if m != nil {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		if err := f.store.ApplyReplicatedFrames(batch, frames); err != nil {
 			return &applyError{err: err}
 		}
-		if m != nil {
-			m.applySeconds.Observe(time.Since(t0).Seconds())
-			m.appliedBatches.Inc()
-			m.appliedRecords.Add(uint64(len(batch)))
-		}
+		f.metrics.applySeconds.Observe(time.Since(t0).Seconds())
+		f.metrics.appliedBatches.Inc()
+		f.metrics.appliedRecords.Add(uint64(len(batch)))
 		if f.store.AppliedLSN() >= f.remoteLSN.Load() {
 			f.lastCaughtUp.Store(time.Now().UnixNano())
 		}

@@ -6,24 +6,23 @@ import (
 	"bestring/internal/obs"
 )
 
-// primaryMetrics holds the primary-side stream counters; nil until
-// Primary.EnableMetrics. Handlers load the pointer once per event, so
-// the disabled path costs one atomic load.
+// primaryMetrics holds the primary-side stream instruments, built by
+// NewPrimary on a registry of the primary's own.
 type primaryMetrics struct {
+	reg        *obs.Registry
 	streams    *obs.Counter
 	acks       *obs.Counter
 	heartbeats *obs.Counter
 }
 
-// EnableMetrics registers the primary's replication instruments on
-// reg. The follower lag vec is computed at scrape time from the same
+// newPrimaryMetrics declares the primary's replication instruments.
+// The follower lag vec is computed at scrape time from the same
 // registry that drives WAL retention, so /metrics and the prune floor
-// can never disagree. A nil registry is a no-op.
-func (p *Primary) EnableMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
+// can never disagree.
+func newPrimaryMetrics(p *Primary) *primaryMetrics {
+	reg := obs.NewRegistry()
 	m := &primaryMetrics{
+		reg: reg,
 		streams: reg.Counter("bestring_repl_streams_total",
 			"Follower stream connections accepted."),
 		acks: reg.Counter("bestring_repl_acks_total",
@@ -60,27 +59,31 @@ func (p *Primary) EnableMetrics(reg *obs.Registry) {
 			}
 			return out
 		})
-	p.metrics.Store(m)
+	return m
 }
 
-// followerMetrics holds the apply-loop instruments; nil until
-// Follower.EnableMetrics.
+// EnableMetrics exposes the primary's replication instruments on reg.
+func (p *Primary) EnableMetrics(reg *obs.Registry) {
+	reg.Include(p.metrics.reg)
+}
+
+// followerMetrics holds the apply-loop instruments, built by
+// NewFollower on a registry of the follower's own.
 type followerMetrics struct {
+	reg            *obs.Registry
 	appliedBatches *obs.Counter
 	appliedRecords *obs.Counter
 	applySeconds   *obs.Histogram
 }
 
-// EnableMetrics registers the follower's replication instruments on
-// reg. bestring_repl_follower_lag_lsn is deliberately the same family
-// name the primary exports (there as a per-follower vec): both roles
-// answer "how far behind is replication" under one series name. A nil
-// registry is a no-op.
-func (f *Follower) EnableMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
+// newFollowerMetrics declares the follower's replication instruments.
+// bestring_repl_follower_lag_lsn is deliberately the same family name
+// the primary exports (there as a per-follower vec): both roles answer
+// "how far behind is replication" under one series name.
+func newFollowerMetrics(f *Follower) *followerMetrics {
+	reg := obs.NewRegistry()
 	m := &followerMetrics{
+		reg: reg,
 		appliedBatches: reg.Counter("bestring_repl_applied_batches_total",
 			"Replicated batches applied (one follower fsync and one published version each)."),
 		appliedRecords: reg.Counter("bestring_repl_applied_records_total",
@@ -133,5 +136,10 @@ func (f *Follower) EnableMetrics(reg *obs.Registry) {
 	reg.CounterFunc("bestring_repl_reconnects_total",
 		"Stream reconnect attempts after a transient failure.",
 		func() float64 { return float64(f.reconnects.Load()) })
-	f.metrics.Store(m)
+	return m
+}
+
+// EnableMetrics exposes the follower's replication instruments on reg.
+func (f *Follower) EnableMetrics(reg *obs.Registry) {
+	reg.Include(f.metrics.reg)
 }

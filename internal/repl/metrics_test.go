@@ -90,7 +90,7 @@ func TestReplicationMetricsBothRoles(t *testing.T) {
 			t.Fatalf("follower exposition missing %q:\n%s", want, ftext)
 		}
 	}
-	if fl.metrics.Load().appliedBatches.Value() == 0 {
+	if fl.metrics.appliedBatches.Value() == 0 {
 		t.Fatal("no applied batches observed")
 	}
 	if fl.lastBeat.Load() == 0 {

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bestring/internal/imagedb"
@@ -31,9 +30,7 @@ type Primary struct {
 	store     *imagedb.DB
 	heartbeat time.Duration
 
-	// metrics is nil until EnableMetrics; published atomically so it
-	// can be enabled while streams are live.
-	metrics atomic.Pointer[primaryMetrics]
+	metrics *primaryMetrics
 
 	mu        sync.Mutex
 	followers map[string]*followerState
@@ -73,6 +70,7 @@ func NewPrimary(store *imagedb.DB, heartbeat time.Duration) (*Primary, error) {
 		heartbeat: heartbeat,
 		followers: make(map[string]*followerState),
 	}
+	p.metrics = newPrimaryMetrics(p)
 	store.SetPruneFloor(p.minAckedLSN)
 	return p, nil
 }
@@ -151,9 +149,7 @@ func (p *Primary) handleAck(w http.ResponseWriter, r *http.Request) {
 		f.ackedLSN = lsn
 	}
 	p.mu.Unlock()
-	if m := p.metrics.Load(); m != nil {
-		m.acks.Inc()
-	}
+	p.metrics.acks.Inc()
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -203,10 +199,7 @@ func (p *Primary) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	met := p.metrics.Load()
-	if met != nil {
-		met.streams.Inc()
-	}
+	p.metrics.streams.Inc()
 	p.mu.Lock()
 	f := p.touchLocked(id)
 	f.connections++
@@ -229,9 +222,7 @@ func (p *Primary) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		heartbeat := frame == nil
 		if heartbeat {
-			if met != nil {
-				met.heartbeats.Inc()
-			}
+			p.metrics.heartbeats.Inc()
 			// Heartbeats are synthesised, so they are the only records that
 			// pay an encode; real records forward the stored bytes verbatim.
 			rec := wal.Record{Op: OpHeartbeat, LSN: lsn}

@@ -112,8 +112,7 @@ type Log struct {
 	fatalErr error
 	closed   bool
 
-	// metrics is nil until EnableMetrics; read under mu on every append
-	// path, so the disabled cost is one nil check.
+	// metrics is built by Open and used under mu on every append path.
 	metrics *logMetrics
 
 	stop chan struct{} // closes the SyncInterval flusher
@@ -212,6 +211,7 @@ func Open(dir string, nextLSN uint64, opts Options) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{dir: dir, opts: opts, nextLSN: nextLSN, durableCh: make(chan struct{})}
+	l.metrics = newLogMetrics(l)
 	// Everything already replayed is the recovered truth: durable through
 	// the last existing record.
 	l.durable.Store(nextLSN - 1)
@@ -369,11 +369,7 @@ func (l *Log) Append(rec Record) (lsn uint64, n int, err error) {
 	if l.fatalErr != nil {
 		return 0, 0, l.fatalErr
 	}
-	m := l.metrics
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	rec.LSN = l.nextLSN
 	frame, err := encodeFrame(nil, &rec)
 	if err != nil {
@@ -402,11 +398,9 @@ func (l *Log) Append(rec Record) (lsn uint64, n int, err error) {
 	} else {
 		l.dirty = true
 	}
-	if m != nil {
-		m.appendSeconds.Observe(time.Since(t0).Seconds())
-		m.appends.Inc()
-		m.appendBytes.Add(uint64(len(frame)))
-	}
+	l.metrics.appendSeconds.Observe(time.Since(t0).Seconds())
+	l.metrics.appends.Inc()
+	l.metrics.appendBytes.Add(uint64(len(frame)))
 	return rec.LSN, len(frame), nil
 }
 
@@ -435,11 +429,7 @@ func (l *Log) AppendBatchFrames(recs []Record, frames [][]byte) (int, error) {
 	if l.fatalErr != nil {
 		return 0, l.fatalErr
 	}
-	m := l.metrics
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	for i := range recs {
 		if recs[i].LSN != l.nextLSN+uint64(i) {
 			return 0, fmt.Errorf("wal: batch record %d has lsn %d, want %d (batch must continue the sequence)",
@@ -468,32 +458,24 @@ func (l *Log) AppendBatchFrames(recs []Record, frames [][]byte) (int, error) {
 	} else {
 		l.dirty = true
 	}
-	if m != nil {
-		m.appendSeconds.Observe(time.Since(t0).Seconds())
-		m.appends.Add(uint64(len(recs)))
-		m.appendBytes.Add(uint64(total))
-	}
+	l.metrics.appendSeconds.Observe(time.Since(t0).Seconds())
+	l.metrics.appends.Add(uint64(len(recs)))
+	l.metrics.appendBytes.Add(uint64(total))
 	return total, nil
 }
 
 // rotateLocked seals the active segment and starts a new one. Callers
 // hold l.mu.
 func (l *Log) rotateLocked() error {
-	m := l.metrics
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	if err := l.sealLocked(); err != nil {
 		return err
 	}
 	if err := l.createSegmentLocked(); err != nil {
 		return err
 	}
-	if m != nil {
-		m.rotateSeconds.Observe(time.Since(t0).Seconds())
-		m.rotations.Inc()
-	}
+	l.metrics.rotateSeconds.Observe(time.Since(t0).Seconds())
+	l.metrics.rotations.Inc()
 	return nil
 }
 

@@ -6,11 +6,11 @@ import (
 	"bestring/internal/obs"
 )
 
-// logMetrics holds the log's hot-path instruments. The field on Log is
-// nil until EnableMetrics; append paths read it under l.mu, so there
-// is no separate synchronisation and the disabled path costs one nil
-// check (no time.Now()).
+// logMetrics holds the log's instruments, built by Open on a registry
+// of the log's own and counted from the first append; EnableMetrics
+// only exposes them. Append paths use them under l.mu.
 type logMetrics struct {
+	reg           *obs.Registry
 	appendSeconds *obs.Histogram
 	fsyncSeconds  *obs.Histogram
 	rotateSeconds *obs.Histogram
@@ -20,14 +20,12 @@ type logMetrics struct {
 	rotations     *obs.Counter
 }
 
-// EnableMetrics registers the log's counters, latency histograms and
-// shape gauges on reg. Call once per registry, any time after Open;
-// a nil registry is a no-op.
-func (l *Log) EnableMetrics(reg *obs.Registry) {
-	if l == nil || reg == nil {
-		return
-	}
+// newLogMetrics declares the log's counters, latency histograms and
+// shape gauges.
+func newLogMetrics(l *Log) *logMetrics {
+	reg := obs.NewRegistry()
 	m := &logMetrics{
+		reg: reg,
 		appendSeconds: reg.Histogram("bestring_wal_append_seconds",
 			"Wall time of one WAL append (framing, write, and fsync when the policy demands one).",
 			obs.DurationBuckets()),
@@ -55,23 +53,23 @@ func (l *Log) EnableMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("bestring_wal_bytes",
 		"Total WAL bytes on disk across segments.",
 		func() float64 { return float64(l.Stats().Bytes) })
-	l.mu.Lock()
-	l.metrics = m
-	l.mu.Unlock()
+	return m
 }
 
-// syncActiveLocked fsyncs the active segment, timing the call when
-// metrics are enabled. Callers hold l.mu.
+// EnableMetrics exposes the log's instruments on reg. Call once per
+// registry, any time after Open.
+func (l *Log) EnableMetrics(reg *obs.Registry) {
+	reg.Include(l.metrics.reg)
+}
+
+// syncActiveLocked fsyncs the active segment and times the call.
+// Callers hold l.mu.
 func (l *Log) syncActiveLocked() error {
-	m := l.metrics
-	if m == nil {
-		return l.f.Sync()
-	}
 	t0 := time.Now()
 	err := l.f.Sync()
 	if err == nil {
-		m.fsyncSeconds.Observe(time.Since(t0).Seconds())
-		m.fsyncs.Inc()
+		l.metrics.fsyncSeconds.Observe(time.Since(t0).Seconds())
+		l.metrics.fsyncs.Inc()
 	}
 	return err
 }

@@ -8,14 +8,15 @@ import (
 	"bestring/internal/obs"
 )
 
-// Observability types, re-exported. A MetricsRegistry collects the
-// engine's counters, gauges and histograms and renders them in the
-// Prometheus text exposition format; enable it on a DB with
-// EnableMetrics, which wires the query pipeline, the group committer
-// and the import tally — and, on a durable DB, the WAL, checkpointer
-// and LSN horizons — in one call. Traces ride a
-// context.Context through the query pipeline and collect per-stage
-// spans. See DESIGN.md section 10.
+// Observability types, re-exported. A MetricsRegistry renders
+// counters, gauges and histograms in the Prometheus text exposition
+// format. A DB's instruments always count, from the moment it is
+// made, and DB.Stats/StoreStats read them; EnableMetrics exposes them
+// on a registry — the query pipeline, the group committer and the
+// import tally and, on a durable DB, the WAL, checkpointer and LSN
+// horizons — in one call. Traces ride a context.Context through the
+// query pipeline and collect per-stage spans. See DESIGN.md section
+// 10.
 type (
 	// MetricsRegistry is a zero-dependency metrics registry with
 	// Prometheus text exposition (Handler serves GET /metrics).
