@@ -8,9 +8,11 @@ import (
 	"log"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bestring"
@@ -65,7 +67,7 @@ func newServerMux(cfg muxConfig) http.Handler {
 	api := &api{db: cfg.db, parallelism: cfg.parallelism,
 		primary: cfg.primary, follower: cfg.follower,
 		primaryURL: strings.TrimRight(cfg.primaryURL, "/"),
-		metrics:    cfg.metrics, slow: cfg.slowLog}
+		metrics:    cfg.metrics, http: &httpInstruments{reg: cfg.metrics}, slow: cfg.slowLog}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", api.health)
 	mux.HandleFunc("GET /api/v1/images", api.listImages)
@@ -96,6 +98,7 @@ type api struct {
 
 	// Observability surface. A nil slow log never records.
 	metrics *bestring.MetricsRegistry
+	http    *httpInstruments
 	slow    *bestring.SlowQueryLog
 }
 
@@ -153,6 +156,64 @@ func routeLabel(path string) string {
 	return "other"
 }
 
+// httpRoutes is every value routeLabel returns.
+var httpRoutes = [...]string{
+	"/healthz", "/metrics", bestring.ReplStreamPath, bestring.ReplAckPath,
+	"/api/images", "/api/images/{id}", "/api/search", "/api/import", "other",
+}
+
+// httpCodes are the status codes the server answers with: its handlers'
+// and the mux's 405. A response with any other code is counted through
+// a registry lookup instead of a held instrument.
+var httpCodes = [...]int{200, 201, 307, 400, 403, 404, 405, 409, 413, statusClientClosedRequest, 500, 503, 504}
+
+// httpInstruments holds the HTTP request counter of every route × code
+// pair and the latency histogram of every route. Each is resolved
+// through the registry on its first request and held from then on, so
+// a request costs two atomic loads instead of two registry lookups
+// (which take two mutexes, render labels and allocate). Resolving on
+// first use rather than up front keeps /metrics showing only the pairs
+// that occurred. Two requests racing to fill a slot store the same
+// instrument: the registry returns one per name and label set.
+type httpInstruments struct {
+	reg      *bestring.MetricsRegistry
+	requests [len(httpRoutes)][len(httpCodes)]atomic.Pointer[bestring.MetricsCounter]
+	seconds  [len(httpRoutes)]atomic.Pointer[bestring.MetricsHistogram]
+}
+
+// observe counts one request to path answered with code after d.
+func (m *httpInstruments) observe(path string, code int, d time.Duration) {
+	route := slices.Index(httpRoutes[:], routeLabel(path))
+	m.counter(route, code).Inc()
+	h := m.seconds[route].Load()
+	if h == nil {
+		h = m.reg.Histogram("bestring_http_request_seconds",
+			"HTTP request wall time by route pattern.",
+			bestring.MetricsDurationBuckets(), "route", httpRoutes[route])
+		m.seconds[route].Store(h)
+	}
+	h.Observe(d.Seconds())
+}
+
+// counter returns the request counter of one route and code.
+func (m *httpInstruments) counter(route, code int) *bestring.MetricsCounter {
+	lookup := func() *bestring.MetricsCounter {
+		return m.reg.Counter("bestring_http_requests_total",
+			"HTTP requests by route pattern and status code.",
+			"route", httpRoutes[route], "code", strconv.Itoa(code))
+	}
+	i := slices.Index(httpCodes[:], code)
+	if i < 0 {
+		return lookup()
+	}
+	c := m.requests[route][i].Load()
+	if c == nil {
+		c = lookup()
+		m.requests[route][i].Store(c)
+	}
+	return c
+}
+
 // instrument is the outermost middleware: it assigns (or validates and
 // propagates) the request id, attaches a trace to the context so the
 // query pipeline records stage spans, echoes the id on the response,
@@ -168,18 +229,11 @@ func (a *api) instrument(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(sw, r)
-		route := routeLabel(r.URL.Path)
 		code := sw.code
 		if code == 0 {
 			code = http.StatusOK
 		}
-		a.metrics.Counter("bestring_http_requests_total",
-			"HTTP requests by route pattern and status code.",
-			"route", route, "code", strconv.Itoa(code)).Inc()
-		a.metrics.Histogram("bestring_http_request_seconds",
-			"HTTP request wall time by route pattern.",
-			bestring.MetricsDurationBuckets(), "route", route).
-			Observe(time.Since(start).Seconds())
+		a.http.observe(r.URL.Path, code, time.Since(start))
 	})
 }
 

@@ -362,3 +362,35 @@ func TestRequestIDPropagatesThroughRedirect(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPInstrumentsHeld pins the middleware's metrics step: once a
+// route × code pair has been seen, counting another request for it
+// allocates nothing, and the counts still reach the exposition — an
+// unexpected status code included, through a registry lookup.
+func TestHTTPInstrumentsHeld(t *testing.T) {
+	reg := bestring.NewMetricsRegistry()
+	m := &httpInstruments{reg: reg}
+	allocs := testing.AllocsPerRun(100, func() {
+		m.observe("/api/v1/search", http.StatusOK, time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Errorf("a request to a known route and code allocates %.1f times, want 0", allocs)
+	}
+	m.observe("/api/v1/search", http.StatusTeapot, time.Millisecond)
+	m.observe("/no/such/route", http.StatusNotFound, time.Millisecond)
+	rec := httptest.NewRecorder()
+	reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	text := rec.Body.String()
+	for _, want := range []string{
+		// AllocsPerRun runs the function once more than asked, to warm up.
+		`bestring_http_requests_total{code="200",route="/api/search"} 101`,
+		`bestring_http_requests_total{code="418",route="/api/search"} 1`,
+		`bestring_http_requests_total{code="404",route="other"} 1`,
+		`bestring_http_request_seconds_count{route="/api/search"} 102`,
+		`bestring_http_request_seconds_count{route="other"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q:\n%s", want, text)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package imagedb
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"bestring/internal/obs"
@@ -25,6 +26,7 @@ type dbMetrics struct {
 	candBounded   *obs.Counter
 	candEvaluated *obs.Counter
 	candPruned    *obs.Counter
+	candHalf      *obs.Counter
 
 	// planTotal counts executed queries per chosen plan. Every plan name
 	// is registered up front (bounded set, see planNames) so the series
@@ -65,6 +67,7 @@ func newDBMetrics(db *DB) *dbMetrics {
 		candBounded:   reg.Counter("bestring_query_candidates_total", candHelp, "stage", "bounded"),
 		candEvaluated: reg.Counter("bestring_query_candidates_total", candHelp, "stage", "evaluated"),
 		candPruned:    reg.Counter("bestring_query_candidates_total", candHelp, "stage", "pruned"),
+		candHalf:      reg.Counter("bestring_query_candidates_total", candHelp, "stage", "half_refined"),
 		planTotal:     make(map[string]*obs.Counter, len(planNames())),
 		cacheHits: reg.Counter("bestring_scorer_cache_hits_total",
 			"Exact scorer evaluations served from the scorer cache."),
@@ -73,7 +76,7 @@ func newDBMetrics(db *DB) *dbMetrics {
 		cacheBypassed: reg.Counter("bestring_scorer_cache_bypassed_total",
 			"Cacheable queries that did not consult the scorer cache (first sighting of their key)."),
 		cacheLookupSeconds: reg.Histogram("bestring_scorer_cache_lookup_seconds",
-			"Scorer-cache lookup latency (hits and misses alike).",
+			fmt.Sprintf("Scorer-cache lookup latency (hits and misses alike), sampled: each rank worker times its first lookup and every %dth after it.", cacheLookupSample),
 			obs.DurationBuckets()),
 		queueWaitSeconds: reg.Histogram("bestring_commit_queue_wait_seconds",
 			"Time one mutation waited in the commit queue before its group drained.",
@@ -196,6 +199,7 @@ func (m *dbMetrics) observeQuery(page *Page) {
 	m.candBounded.Add(uint64(sc.Bounded))
 	m.candEvaluated.Add(uint64(sc.Evaluated))
 	m.candPruned.Add(uint64(sc.Pruned))
+	m.candHalf.Add(uint64(sc.HalfRefined))
 }
 
 // observeCommit counts one commit group's outcome; accepted == 0 means

@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bestring/internal/core"
@@ -79,12 +76,18 @@ type StageCounts struct {
 	// scorer-cache hits (a hit serves the identical exact score; the
 	// split is Page.Plan.CacheHits/CacheMisses).
 	Evaluated int `json:"evaluated"`
-	// Pruned counts candidates rejected on the bound alone: Bounded =
-	// Evaluated' + Pruned where Evaluated' is the bounded candidates
-	// that went on to exact evaluation. Under parallelism the split
-	// between Evaluated and Pruned can vary run to run (it depends on
-	// how fast each worker's top-K floor rises); the ranking cannot.
+	// Pruned counts candidates rejected on the bound alone, including
+	// those the rank stage never visited because it stopped in bound
+	// order: Bounded = Evaluated' + Pruned where Evaluated' is the
+	// bounded candidates that went on to exact evaluation. Under
+	// parallelism the split between Evaluated and Pruned can vary run to
+	// run (it depends on how fast each worker's top-K floor rises); the
+	// ranking cannot.
 	Pruned int `json:"pruned"`
+	// HalfRefined counts the Evaluated candidates whose evaluation
+	// stopped after its first stage — the BE scorer's X-axis LCS — because
+	// the exact X length plus the Y axis's bound already lost.
+	HalfRefined int `json:"halfRefined"`
 
 	// Per-stage wall-clock time in nanoseconds, chained so the four
 	// stage timers cover the pipeline body with no gaps; TotalNanos
@@ -282,15 +285,14 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 	// entry codes and which makes its scores cacheable; an explicit
 	// WithScorerFunc scorer is opaque and always evaluates exactly.
 	scorer := q.scorer
-	var bound sigBound
-	var coded codedScorer
+	var reg registeredScorer
 	if scorer == nil && (q.image != nil || q.scorerName != "") {
-		r, ok := lookupRegistered(q.scorerName)
-		if !ok {
+		var ok bool
+		if reg, ok = lookupRegistered(q.scorerName); !ok {
 			return nil, fmt.Errorf("unknown scorer %q (registered: %s)",
 				q.scorerName, strings.Join(ScorerNames(), ", "))
 		}
-		scorer, bound, coded = r.score, r.bound, r.coded
+		scorer = reg.score
 	}
 
 	var img core.Image
@@ -414,7 +416,7 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 	var cache *scorerCache
 	var qkey string
 	var qhash uint64
-	if coded != nil && q.image != nil {
+	if reg.coded != nil && q.image != nil {
 		name := q.scorerName
 		if name == "" {
 			name = DefaultScorerName
@@ -435,13 +437,14 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 		heapK = min(q.k+q.offset, narrowed)
 	}
 
-	// Stage 4a — the refine stage's filter half. With a bound-declaring
-	// scorer and a ranked image, each candidate's signature upper bound
-	// is computed first (O(|labels|), no dynamic program); the exact
-	// scorer runs only when the bound could still place the candidate.
-	// Pruning never alters results — see the admission notes in
-	// ranker.chunk; each skip is taken only when the evaluated path would
-	// provably have made the same decision.
+	// The rank stage's filter half. With a bound-declaring scorer and a
+	// ranked image, every candidate's signature upper bound is computed
+	// first (O(|labels|), no dynamic program) and the candidates are
+	// refined in descending bound order; the exact scorer runs only while
+	// the bound could still place the candidate. Pruning never alters
+	// results — see the admission notes in ranker.refine; each skip is
+	// taken only when the evaluated path would provably have made the
+	// same decision.
 	//
 	// The query side of both halves is integer work prepared once, here,
 	// after the version was pinned: the query's signature and codes are
@@ -452,13 +455,14 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 		q: q, cur: cur, img: img, queryBE: queryBE, scorer: scorer,
 		cache: cache, qkey: qkey, qhash: qhash, met: db.metrics, cols: cols, filtered: cands,
 	}
-	if q.image != nil && (bound != nil || coded != nil) {
+	if q.image != nil && (reg.lengths != nil || reg.bound != nil || reg.coded != nil) {
 		qsig, ids := core.SignatureOf(queryBE).Lookup(snap.dict)
-		if bound != nil {
-			rk.bound, rk.qsig = bound, &qsig
+		rk.qsig, rk.lengths, rk.bound = &qsig, reg.lengths, reg.bound
+		if reg.lengths != nil {
+			rk.qlen = reg.lengths.norm(&qsig)
 		}
-		if coded != nil {
-			rk.coded = coded(queryBE, func(be core.BEString) core.CodedBE {
+		if reg.coded != nil {
+			rk.coded = reg.coded(queryBE, &qsig, func(be core.BEString) core.CodedBE {
 				return core.EncodeBE(make([]uint32, len(be.X)+len(be.Y)), be, qsig.Labels, ids)
 			})
 		}
@@ -468,8 +472,11 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 		return nil, err
 	}
 	total := tally.admitted
-	stages.Bounded = tally.bounded
+	if rk.lengths != nil || rk.bound != nil {
+		stages.Bounded = narrowed
+	}
 	stages.Evaluated = tally.evaluated
+	stages.HalfRefined = tally.halfRefined
 	stages.Pruned = tally.pruned
 	plan.CacheHits = tally.cacheHits
 	plan.CacheMisses = tally.cacheMisses
@@ -503,212 +510,4 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 	stages.TotalNanos = int64(time.Since(start))
 	recordSpans(ctx, start, stages)
 	return page, nil
-}
-
-// rankChunk is how many consecutive candidates a rank worker claims per
-// atomic add. Small enough that a few hundred candidates still split
-// evenly over the workers and that a cancelled query stops within a
-// fraction of a millisecond; large enough that the claim and the context
-// check vanish beside the chunk's bound and scorer work.
-const rankChunk = 128
-
-// rankTally is one worker's share of the rank stage's counters.
-type rankTally struct {
-	admitted    int // results counted in Page.Total
-	bounded     int
-	evaluated   int
-	pruned      int
-	cacheHits   int
-	cacheMisses int
-}
-
-func (t *rankTally) add(o rankTally) {
-	t.admitted += o.admitted
-	t.bounded += o.bounded
-	t.evaluated += o.evaluated
-	t.pruned += o.pruned
-	t.cacheHits += o.cacheHits
-	t.cacheMisses += o.cacheMisses
-}
-
-// ranker is stage 4 of the pipeline: bound, then exact score, then top-K
-// admission over every narrowed candidate. The candidates are the
-// narrowed columns themselves (cols: the version's scan columns for an
-// un-narrowed query, one owned slice otherwise) or, when the query has a
-// Where clause and so an evaluation attached to each survivor, the
-// candidate wrappers (filtered); q.dsl says which, the other is not read.
-type ranker struct {
-	q   *Query
-	cur *cursorPos
-
-	// coded is the scorer's integer kernel over entry codes, prepared
-	// for this query; nil for scorers that declare none (WithScorerFunc,
-	// the type-i baselines, externally registered scorers), which are
-	// called as scorer(img, queryBE, entry) instead.
-	coded   codedKernel
-	img     core.Image
-	queryBE core.BEString
-	scorer  Scorer
-
-	// bound is nil when the scorer declares none or the query has no
-	// ranked image; qsig is the query's signature, interned
-	// against the pinned version's dictionary, otherwise.
-	bound sigBound
-	qsig  *core.Signature
-
-	cache *scorerCache // nil: not cacheable, or bypassed on first sighting
-	qkey  string
-	qhash uint64
-	met   *dbMetrics
-
-	cols     [][]*stored
-	filtered []candidate
-}
-
-// run ranks candidates [0, n) into per-worker top-K heaps. Workers claim
-// contiguous rankChunk-sized runs of the candidate slice with one atomic
-// add each and check the context once per claim, so there is no feeder,
-// no hand-off per candidate, and a cancelled query does at most one more
-// chunk per worker. Which worker scores which chunk varies run to run;
-// the merged ranking cannot (see chunk). A query that fits one worker
-// runs on the calling goroutine.
-func (r *ranker) run(ctx context.Context, n, heapK int) ([]*topK, rankTally, error) {
-	chunks := (n + rankChunk - 1) / rankChunk
-	workers := r.q.parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, chunks)
-
-	var next atomic.Int64
-	work := func(h *topK) rankTally {
-		var t rankTally
-		for {
-			lo := int(next.Add(rankChunk)) - rankChunk
-			if lo >= n || ctx.Err() != nil {
-				return t
-			}
-			r.chunk(lo, min(lo+rankChunk, n), h, &t)
-		}
-	}
-
-	heaps := make([]*topK, workers)
-	for w := range heaps {
-		heaps[w] = newTopK(heapK)
-	}
-	var tally rankTally
-	if workers == 1 {
-		tally = work(heaps[0])
-	} else {
-		tallies := make([]rankTally, workers)
-		var wg sync.WaitGroup
-		for w := range heaps {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				tallies[w] = work(heaps[w])
-			}()
-		}
-		wg.Wait()
-		for _, t := range tallies {
-			tally.add(t)
-		}
-	}
-	// A worker that saw the cancellation left candidates unscored, and
-	// cancellation is sticky, so this one check covers every worker.
-	if err := ctx.Err(); err != nil {
-		return nil, rankTally{}, err
-	}
-	return heaps, tally, nil
-}
-
-// chunk scores candidates [lo, hi) into h, one worker's heap. Every
-// pruning shortcut compares against h alone: a candidate is skipped only
-// when offering its exact result to this same heap would provably have
-// been rejected, so each heap ends up holding exactly the top K of the
-// candidates its worker saw, and the union of the heaps holds the global
-// top K however the chunks were dealt out.
-func (r *ranker) chunk(lo, hi int, h *topK, t *rankTally) {
-	q := r.q
-	// Position (col, off) of candidate lo in the columns.
-	col, off := 0, lo
-	if q.dsl == nil {
-		for off >= len(r.cols[col]) {
-			off -= len(r.cols[col])
-			col++
-		}
-	}
-	for i := lo; i < hi; i++ {
-		var st *stored
-		var where float64
-		if q.dsl != nil {
-			st, where = r.filtered[i].st, r.filtered[i].where
-		} else {
-			for off == len(r.cols[col]) {
-				col, off = col+1, 0
-			}
-			st = r.cols[col][off]
-			off++
-		}
-		if r.bound != nil {
-			t.bounded++
-			ub := r.bound(r.qsig, st.sig)
-			if ub < q.minScore {
-				// exact <= ub < MinScore: evaluating would have dropped
-				// the candidate before it was counted.
-				t.pruned++
-				continue
-			}
-			if q.minScore <= 0 && h.full() && worse(Result{ID: st.ID, Score: ub}, h.min()) {
-				// The bound already loses to this worker's top-K floor,
-				// so the exact result (<= ub) would be rejected by h.add
-				// on the same comparison. It would still have been
-				// counted in Total: its score is >= 0 >= MinScore, and it
-				// is strictly worse than the cursor position because the
-				// floor — admitted past the cursor check — is. (With
-				// MinScore > 0 the exact score could fall below the
-				// threshold and alter Total, so this shortcut is taken
-				// only when the threshold cannot filter; the MinScore
-				// bound above still prunes.)
-				t.admitted++
-				t.pruned++
-				continue
-			}
-		}
-		t.evaluated++
-		var score float64
-		switch {
-		case r.cache != nil:
-			// A cache is only ever attached to a coded (BE-pure) scorer.
-			// The bound check above already ran, so a hit skips the whole
-			// dynamic program, not just part of it.
-			k := cacheKey{query: r.qkey, entry: st}
-			t0 := time.Now()
-			s, ok := r.cache.get(r.qhash, k)
-			r.met.cacheLookupSeconds.Observe(time.Since(t0).Seconds())
-			if ok {
-				t.cacheHits++
-				score = s
-			} else {
-				t.cacheMisses++
-				score = r.coded(st.codes)
-				r.cache.put(r.qhash, k, score)
-			}
-		case r.coded != nil:
-			score = r.coded(st.codes)
-		case q.image != nil:
-			score = r.scorer(r.img, r.queryBE, st.Entry)
-		case q.dsl != nil:
-			score = where
-		}
-		res := Result{ID: st.ID, Name: st.Name, Score: score}
-		if res.Score < q.minScore {
-			continue
-		}
-		if r.cur != nil && !worse(res, Result{ID: r.cur.ID, Score: r.cur.Score}) {
-			continue
-		}
-		t.admitted++
-		h.add(res)
-	}
 }

@@ -39,7 +39,10 @@ func harnessCorpus(b *testing.B, n int) (*DB, *workload.Generator, []core.Image)
 // recorded runs use, so — as on the harness — every query is the first
 // sighting of its key and bypasses the scorer cache (before the
 // doorkeeper: long enough that a query's scores were evicted before it
-// came round again). EXPERIMENTS.md E19 and E20 record parent vs change.
+// came round again). Beside ns/op and allocs/op it reports the exact
+// evaluations per query that ran both LCS axes (full/query) and those
+// that stopped after the X axis (half/query). EXPERIMENTS.md E19 and E20
+// record parent vs change.
 func BenchmarkRankedScan20k(b *testing.B) {
 	const scenes, queries, callers = 20000, 1024, 2
 	db, gen, corpus := harnessCorpus(b, scenes)
@@ -50,7 +53,7 @@ func BenchmarkRankedScan20k(b *testing.B) {
 
 	b.ReportAllocs()
 	b.ResetTimer()
-	var next atomic.Int64
+	var next, full, half atomic.Int64
 	var wg sync.WaitGroup
 	for c := 0; c < callers; c++ {
 		wg.Add(1)
@@ -66,10 +69,14 @@ func BenchmarkRankedScan20k(b *testing.B) {
 					b.Errorf("query %d: %d hits, err %v", i, len(page.Hits), err)
 					return
 				}
+				full.Add(int64(page.Stages.Evaluated - page.Stages.HalfRefined))
+				half.Add(int64(page.Stages.HalfRefined))
 			}
 		}()
 	}
 	wg.Wait()
+	b.ReportMetric(float64(full.Load())/float64(b.N), "full/query")
+	b.ReportMetric(float64(half.Load())/float64(b.N), "half/query")
 }
 
 // BenchmarkFilteredMix20k is the in-process twin of the harness's

@@ -32,33 +32,55 @@ const DefaultScorerName = "be"
 // candidate.
 type Bound func(query, entry core.Signature) float64
 
-// sigBound is the shape the rank kernel calls a bound in: the two
-// signatures by pointer (they are ~100 bytes each, and the call goes
-// through a function value once per candidate). The query signature is
-// interned against the pinned version's label dictionary, like every
-// installed entry's, so the label intersection inside the built-in
-// bounds is integer work. An externally registered Bound is wrapped
-// into this shape once, at registration.
+// sigBound is the shape the rank kernel calls an externally registered
+// Bound in: the two signatures by pointer (they are ~100 bytes each, and
+// the call goes through a function value once per candidate). A Bound is
+// wrapped into this shape once, at registration.
 type sigBound func(query, entry *core.Signature) float64
 
+// lengthBound is a built-in scorer's bound in integer form: lengths
+// returns the bound's matched length m and the entry's normaliser, norm
+// the query's, and the bound is similarity.Harmonic(m, norm(query),
+// dlen). The score depends on nothing else, so the rank stage keys every
+// candidate by (m, dlen), computes each distinct bound once per query
+// and visits the candidates in descending bound order without sorting
+// them (see ranker). The query signature is interned against the pinned
+// version's label dictionary, like every installed entry's, so the label
+// intersection inside is integer work.
+type lengthBound struct {
+	lengths func(query, entry *core.Signature) (m, dlen int)
+	norm    func(query *core.Signature) int
+}
+
+// float is the bound as a Bound computes it.
+func (b *lengthBound) float(query, entry *core.Signature) float64 {
+	m, dlen := b.lengths(query, entry)
+	return similarity.Harmonic(m, b.norm(query), dlen)
+}
+
 // codedScorer is the integer form of a BE-pure scorer. It is called
-// once per query with the query BE-string and an encoder that rewrites
-// the query (or any reordering of its symbols — a transform, a
-// dummy-stripped copy) as codes of the pinned version's label
-// dictionary, and returns the per-entry kernel: entry codes in, exactly
-// the score Scorer would return out.
-type codedScorer func(queryBE core.BEString, encode beEncoder) codedKernel
+// once per query with the query BE-string, its signature (interned like
+// the entries') and an encoder that rewrites the query (or any
+// reordering of its symbols — a transform, a dummy-stripped copy) as
+// codes of the pinned version's label dictionary, and returns the
+// per-entry kernel.
+type codedScorer func(queryBE core.BEString, qsig *core.Signature, encode beEncoder) codedKernel
 
 type (
 	// beEncoder rewrites a BE-string over the query's labels as codes.
 	beEncoder func(core.BEString) core.CodedBE
-	// codedKernel scores one entry, given as its codes.
-	codedKernel func(entry core.CodedBE) float64
+	// codedKernel scores one entry from its codes: exactly the score
+	// Scorer would return, and complete = true. A kernel that computes
+	// its score in stages may stop after one, once an upper bound of
+	// the score is what c rejects; it then returns complete = false and
+	// no score. A kernel handed noCut always completes.
+	codedKernel func(entry *stored, c cut) (score float64, complete bool)
 )
 
-// registeredScorer pairs a scorer with its (optional) bound and its
-// (optional) coded kernel. Declaring a coded kernel is what marks a
-// scorer BE-pure: its exact score is a function of the two BE-strings
+// registeredScorer pairs a scorer with its (optional) bound — in integer
+// form for the built-ins, a float Bound for a scorer registered with
+// one — and its (optional) coded kernel. Declaring a coded kernel is
+// what marks a scorer BE-pure: its exact score is a function of the two BE-strings
 // alone — no image coordinates, no hidden state. That lets the rank
 // stage score entry codes instead of calling score, and lets the scorer
 // cache key an evaluation by (query BE, entry version, name) and serve
@@ -67,9 +89,10 @@ type (
 // wrong claim would silently corrupt rankings, so only the audited
 // built-ins opt in.
 type registeredScorer struct {
-	score Scorer
-	bound sigBound
-	coded codedScorer
+	score   Scorer
+	lengths *lengthBound
+	bound   sigBound
+	coded   codedScorer
 }
 
 // scorerRegistry maps scorer names to implementations, so every surface
@@ -145,10 +168,15 @@ func LookupScorer(name string) (Scorer, bool) {
 // scorer is unknown or registered without a bound (exact-only).
 func LookupBound(name string) (Bound, bool) {
 	r, ok := lookupRegistered(name)
-	if !ok || r.bound == nil {
+	switch {
+	case !ok:
 		return nil, false
+	case r.lengths != nil:
+		return func(query, entry core.Signature) float64 { return r.lengths.float(&query, &entry) }, true
+	case r.bound != nil:
+		return func(query, entry core.Signature) float64 { return r.bound(&query, &entry) }, true
 	}
-	return func(query, entry core.Signature) float64 { return r.bound(&query, &entry) }, true
+	return nil, false
 }
 
 // ScorerNames lists the registered scorer names, sorted.
@@ -166,7 +194,8 @@ func ScorerNames() []string {
 // builtinScorers is the registry's initial content.
 func builtinScorers() map[string]registeredScorer {
 	// The LCS-family scorers declare the signature bounds proven in
-	// internal/similarity (UB >= exact is pinned by property test) and,
+	// internal/similarity, in integer form (UB >= exact is pinned by
+	// property test, the arithmetic by TestHarmonicArithmetic) and,
 	// being BE-pure (their score reads only the two BE-strings), the
 	// coded kernels that compute the identical score over dictionary
 	// codes; the clique-based type-i baselines read raw image
@@ -175,15 +204,25 @@ func builtinScorers() map[string]registeredScorer {
 	// any custom WithScorerFunc scorer.
 	return map[string]registeredScorer{
 		"be": {
-			score: BEScorer(), bound: similarity.Bound,
-			coded: func(q core.BEString, encode beEncoder) codedKernel {
+			score:   BEScorer(),
+			lengths: &lengthBound{similarity.BoundLengths, (*core.Signature).Len},
+			coded: func(q core.BEString, qsig *core.Signature, encode beEncoder) codedKernel {
 				cq := encode(q)
-				return func(e core.CodedBE) float64 { return similarity.EvaluateCoded(cq, e).Key() }
+				// Staged: the X axis first, and the Y axis only while the
+				// exact X length plus the Y axis's bound can still pass.
+				return func(e *stored, c cut) (float64, bool) {
+					lx := similarity.LengthX(cq, e.codes)
+					if c.rejects(similarity.StagedBound(lx, qsig, e.sig)) {
+						return 0, false
+					}
+					return similarity.EvaluateCodedFromX(lx, cq, e.codes).Key(), true
+				}
 			},
 		},
 		"invariant": {
-			score: InvariantScorer(nil), bound: similarity.BoundInvariant,
-			coded: func(q core.BEString, encode beEncoder) codedKernel {
+			score:   InvariantScorer(nil),
+			lengths: &lengthBound{similarity.BoundInvariantLengths, (*core.Signature).Len},
+			coded: func(q core.BEString, _ *core.Signature, encode beEncoder) codedKernel {
 				// Transform as tokens, then encode: a reversed axis is
 				// re-canonicalised by label string, an order codes do not
 				// carry. Eight small encodings per query, none per entry.
@@ -191,14 +230,19 @@ func builtinScorers() map[string]registeredScorer {
 				for i, tr := range core.AllTransforms {
 					cqs[i] = encode(q.Apply(tr))
 				}
-				return func(e core.CodedBE) float64 { return similarity.EvaluateInvariantCoded(cqs, e).Key() }
+				return func(e *stored, _ cut) (float64, bool) {
+					return similarity.EvaluateInvariantCoded(cqs, e.codes).Key(), true
+				}
 			},
 		},
 		"symbols": {
-			score: SymbolsOnlyScorer(), bound: similarity.BoundSymbolsOnly,
-			coded: func(q core.BEString, encode beEncoder) codedKernel {
+			score:   SymbolsOnlyScorer(),
+			lengths: &lengthBound{similarity.BoundSymbolsOnlyLengths, (*core.Signature).SymbolLen},
+			coded: func(q core.BEString, _ *core.Signature, encode beEncoder) codedKernel {
 				cq := encode(core.BEString{X: lcs.StripDummies(q.X), Y: lcs.StripDummies(q.Y)})
-				return func(e core.CodedBE) float64 { return similarity.EvaluateSymbolsOnlyCoded(cq, e).Key() }
+				return func(e *stored, _ cut) (float64, bool) {
+					return similarity.EvaluateSymbolsOnlyCoded(cq, e.codes).Key(), true
+				}
 			},
 		},
 		"type0": {score: TypeSimScorer(typesim.Type0)},

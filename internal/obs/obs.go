@@ -313,6 +313,11 @@ type histStripe struct {
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds, +Inf implicit
 	stripes [histStripes]histStripe
+
+	// observeHook, when set, runs inside Observe between the sum add and
+	// the total add, so a test can stop a writer in the window a reader
+	// must tolerate. Set only by tests, before the histogram is shared.
+	observeHook func()
 }
 
 func newHistogram(buckets []float64) *Histogram {
@@ -330,15 +335,14 @@ func newHistogram(buckets []float64) *Histogram {
 	return h
 }
 
-// Observe records one value. The sum is added before the count, so a
-// reader that loads Count and then Sum never sees an observation in
-// the count whose value is missing from the sum: for non-negative
-// values Sum >= the sum of the first Count observations.
+// Observe records one value: the sum first, then the total, then the
+// bucket. Readers load in the opposite order (snapshot: buckets, total,
+// sum), so a reader never sees an observation in the count whose value
+// is missing from the sum — for non-negative values Sum >= the sum of
+// the first Count observations — nor one in a bucket that the count
+// (the +Inf bucket) lacks.
 func (h *Histogram) Observe(v float64) {
 	s := &h.stripes[rand.Uint32()&(histStripes-1)]
-	if i := sort.SearchFloat64s(h.bounds, v); i < len(h.bounds) {
-		s.counts[i].Add(1)
-	}
 	for {
 		old := s.sumBits.Load()
 		nb := math.Float64bits(math.Float64frombits(old) + v)
@@ -346,11 +350,18 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
+	if h.observeHook != nil {
+		h.observeHook()
+	}
 	s.total.Add(1)
+	if i := sort.SearchFloat64s(h.bounds, v); i < len(h.bounds) {
+		s.counts[i].Add(1)
+	}
 }
 
 // snapshot returns cumulative per-bound counts (excluding +Inf), the
-// total observation count, and the sum.
+// total observation count, and the sum, loading each stripe's buckets,
+// then its total, then its sum (see Observe).
 func (h *Histogram) snapshot() (cum []uint64, count uint64, sum float64) {
 	cum = make([]uint64, len(h.bounds))
 	for si := range h.stripes {

@@ -393,3 +393,39 @@ func TestExpBuckets(t *testing.T) {
 		t.Fatalf("duration buckets: first %v, len %d", db[0], len(db))
 	}
 }
+
+// TestHistogramObserveWindow stops a writer inside Observe — its sum
+// added, its total and bucket not yet — and asserts what a reader sees
+// there: no observation counted whose value the sum lacks, and no
+// bucket ahead of the count (the +Inf bucket). Adding the total before
+// the sum, or the bucket before the total, fails it.
+func TestHistogramObserveWindow(t *testing.T) {
+	h := newHistogram(DurationBuckets())
+	h.Observe(0.25)
+	inside, release := make(chan struct{}), make(chan struct{})
+	h.observeHook = func() {
+		close(inside)
+		<-release
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.Observe(0.5)
+	}()
+	<-inside
+	cum, count, sum := h.snapshot()
+	if count != 1 || sum != 0.75 {
+		t.Errorf("reader inside Observe: count %d, sum %v; want the finished observation counted and both values summed (1, 0.75)", count, sum)
+	}
+	if top := cum[len(cum)-1]; top > count {
+		t.Errorf("reader inside Observe: finite buckets hold %d observations, the count %d", top, count)
+	}
+	if c, s := h.Count(), h.Sum(); c != 1 || s != 0.75 {
+		t.Errorf("Count, Sum inside Observe = %d, %v; want 1, 0.75", c, s)
+	}
+	close(release)
+	<-done
+	if cum, count, sum := h.snapshot(); count != 2 || sum != 0.75 || cum[len(cum)-1] != 2 {
+		t.Fatalf("after Observe: buckets %v, count %d, sum %v; want 2 observations summing to 0.75", cum, count, sum)
+	}
+}

@@ -29,22 +29,25 @@ func axisUpperBound(qLen, qDum, dLen, dDum, shared int) int {
 	return ub
 }
 
-// boundScore turns per-axis LCS bounds into a bound on the harmonic
-// score F. With m = LX+LY, q = qLen, d = dLen, the score reduces to
+// Harmonic is the score F of m matched tokens between a query of q
+// tokens and an entry of d: newScore(lx, ly, q, d).F for any split
+// lx + ly = m. With those lengths the score reduces to
 //
 //	F = 2*(m/q)*(m/d) / (m/q + m/d) = 2m / (q + d),
 //
-// which is monotone increasing in m — so substituting the per-axis upper
-// bounds for the true LCS lengths bounds F from above. Crucially the
-// bound is computed through the same newScore arithmetic as the exact
-// score, not the simplified closed form: when the bound equals the true
-// LCS length the two floats are bit-identical (an algebraically equal
-// but differently-associated formula can land one ulp below, which
-// would let pruning drop a true top-K result), and when the bound is
-// larger the score gap of a whole LCS unit, at least 2/(q+d), dwarfs
-// any rounding difference.
-func boundScore(ubx, uby, qLen, dLen int) float64 {
-	return newScore(ubx, uby, qLen, dLen).F
+// which is monotone increasing in m — so substituting per-axis upper
+// bounds for the true LCS lengths bounds F from above. Crucially every
+// bound here is computed through the same newScore arithmetic as the
+// exact score, not the simplified closed form: when the bound equals
+// the true LCS length the two floats are bit-identical (the closed form
+// differs from the float path in both directions, which would let
+// pruning drop a true top-K result). TestHarmonicArithmetic pins the
+// three facts the engine relies on over every (m, q, d) with q, d <=
+// 512: F depends on m alone, rises strictly with m and never rises with
+// d. Beyond 512 tokens the gap of a whole LCS unit, at least 2/(q+d),
+// still dwarfs any rounding difference.
+func Harmonic(m, q, d int) float64 {
+	return newScore(m, 0, q, d).F
 }
 
 // UpperBound bounds Evaluate(q, d).Key() from the two signatures:
@@ -60,11 +63,31 @@ func UpperBound(q, d core.Signature) float64 { return Bound(&q, &d) }
 // intersection inside is integer work (core.Signature.SharedLabels);
 // the bound's value is the same either way.
 func Bound(q, d *core.Signature) float64 {
+	m, dlen := BoundLengths(q, d)
+	return Harmonic(m, q.Len(), dlen)
+}
+
+// BoundLengths is Bound in integer form: the bound's matched length m
+// (the two per-axis LCS bounds summed) and the entry's length, so that
+// Bound(q, d) == Harmonic(m, q.Len(), dlen). A ranker that needs the
+// bound of many entries can key them by (m, dlen) and compute each
+// distinct score once.
+func BoundLengths(q, d *core.Signature) (m, dlen int) {
 	shared := q.SharedLabels(d)
-	return boundScore(
-		axisUpperBound(q.LenX, q.DummiesX, d.LenX, d.DummiesX, shared),
-		axisUpperBound(q.LenY, q.DummiesY, d.LenY, d.DummiesY, shared),
-		q.Len(), d.Len())
+	return axisUpperBound(q.LenX, q.DummiesX, d.LenX, d.DummiesX, shared) +
+		axisUpperBound(q.LenY, q.DummiesY, d.LenY, d.DummiesY, shared), d.Len()
+}
+
+// StagedBound bounds EvaluateCoded(query, db).Key() once its X-axis
+// length lx = LengthX(query, db) is known: the exact lx plus the Y-axis
+// bound, through Harmonic. It is never above Bound(q, d) (lx is at most
+// its axis bound) and never below the exact score (the Y-axis bound is
+// at least the Y-axis length), so a ranker can skip the Y-axis dynamic
+// program of a candidate whose staged bound already loses. q and d are
+// the signatures of query and db.
+func StagedBound(lx int, q, d *core.Signature) float64 {
+	uby := axisUpperBound(q.LenY, q.DummiesY, d.LenY, d.DummiesY, q.SharedLabels(d))
+	return Harmonic(lx+uby, q.Len(), d.Len())
 }
 
 // UpperBoundInvariant bounds EvaluateInvariant(q, d, nil).Key() — the
@@ -79,8 +102,21 @@ func UpperBoundInvariant(q, d core.Signature) float64 { return BoundInvariant(&q
 
 // BoundInvariant is the pointer form of UpperBoundInvariant (see Bound).
 func BoundInvariant(q, d *core.Signature) float64 {
-	swapped := q.SwapAxes()
-	return max(Bound(q, d), Bound(&swapped, d))
+	m, dlen := BoundInvariantLengths(q, d)
+	return Harmonic(m, q.Len(), dlen)
+}
+
+// BoundInvariantLengths is BoundInvariant in integer form (see
+// BoundLengths): the larger matched-length bound of the query and its
+// axis-swapped twin, which share the query's length and labels. Harmonic
+// rises strictly with m, so the larger m gives the larger bound.
+func BoundInvariantLengths(q, d *core.Signature) (m, dlen int) {
+	shared := q.SharedLabels(d)
+	plain := axisUpperBound(q.LenX, q.DummiesX, d.LenX, d.DummiesX, shared) +
+		axisUpperBound(q.LenY, q.DummiesY, d.LenY, d.DummiesY, shared)
+	swapped := axisUpperBound(q.LenY, q.DummiesY, d.LenX, d.DummiesX, shared) +
+		axisUpperBound(q.LenX, q.DummiesX, d.LenY, d.DummiesY, shared)
+	return max(plain, swapped), d.Len()
 }
 
 // UpperBoundSymbolsOnly bounds EvaluateSymbolsOnly(q, d).Key(): dummies
@@ -91,9 +127,15 @@ func UpperBoundSymbolsOnly(q, d core.Signature) float64 { return BoundSymbolsOnl
 // BoundSymbolsOnly is the pointer form of UpperBoundSymbolsOnly (see
 // Bound).
 func BoundSymbolsOnly(q, d *core.Signature) float64 {
+	m, dlen := BoundSymbolsOnlyLengths(q, d)
+	return Harmonic(m, q.SymbolLen(), dlen)
+}
+
+// BoundSymbolsOnlyLengths is BoundSymbolsOnly in integer form (see
+// BoundLengths); its normalisers are the symbol counts, so
+// BoundSymbolsOnly(q, d) == Harmonic(m, q.SymbolLen(), dlen).
+func BoundSymbolsOnlyLengths(q, d *core.Signature) (m, dlen int) {
 	shared := q.SharedLabels(d)
-	return boundScore(
-		min(2*shared, q.LenX-q.DummiesX, d.LenX-d.DummiesX),
-		min(2*shared, q.LenY-q.DummiesY, d.LenY-d.DummiesY),
-		q.SymbolLen(), d.SymbolLen())
+	return min(2*shared, q.LenX-q.DummiesX, d.LenX-d.DummiesX) +
+		min(2*shared, q.LenY-q.DummiesY, d.LenY-d.DummiesY), d.SymbolLen()
 }

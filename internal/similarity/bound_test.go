@@ -155,3 +155,74 @@ func TestUpperBoundDisjointLabels(t *testing.T) {
 		t.Fatalf("disjoint bound %v < exact %v", ub, exact)
 	}
 }
+
+// TestHarmonicArithmetic is the soundness gate of every bound the
+// engine's ranker derives from lengths — the per-query table of (m, d)
+// bucket scores and the staged bound of a half-refined candidate. Over
+// every (m, q, d) with q, d <= 512 and m <= min(q, d) — images of up to
+// 64 objects at 4n-8n tokens each — it asserts the three facts those
+// bounds rest on, bit for bit in float arithmetic:
+//
+//   - newScore(lx, ly, q, d).F depends on m = lx + ly alone, and
+//     Harmonic(m, q, d) is that value (so a table filled through
+//     Harmonic serves the exact score, and a bound one ulp low fails);
+//   - it rises strictly with m (a larger bound length is a larger
+//     bound, so the max of two lengths bounds the max of two scores);
+//   - it never rises with d.
+//
+// The closed form 2m/(q+d) differs from this float path in both
+// directions, which is why no bound may use it.
+func TestHarmonicArithmetic(t *testing.T) {
+	const maxLen = 512
+	var prevRow [maxLen + 1]float64 // Harmonic(m, q, d-1) by m
+	for q := 0; q <= maxLen; q++ {
+		for d := 0; d <= maxLen; d++ {
+			prev := -1.0
+			for m := 0; m <= min(q, d); m++ {
+				f := Harmonic(m, q, d)
+				for _, lx := range [...]int{0, m / 2, m} {
+					if s := newScore(lx, m-lx, q, d).F; s != f {
+						t.Fatalf("newScore(%d, %d, %d, %d).F = %v, Harmonic(%d) = %v: the score depends on the split",
+							lx, m-lx, q, d, s, m, f)
+					}
+				}
+				if f <= prev {
+					t.Fatalf("Harmonic(%d, %d, %d) = %v <= Harmonic(%d) = %v: not strictly increasing in m", m, q, d, f, m-1, prev)
+				}
+				if d > 0 && m <= d-1 && f > prevRow[m] {
+					t.Fatalf("Harmonic(%d, %d, %d) = %v > %v at d-1: increasing in d", m, q, d, f, prevRow[m])
+				}
+				prev, prevRow[m] = f, f
+			}
+		}
+	}
+}
+
+// TestStagedBoundDominatesExact pins the staged refine: once the X axis
+// ran, StagedBound lies between the exact score and the full signature
+// bound, and EvaluateCodedFromX completes the exact score bit for bit.
+// It also pins the integer invariant bound against its float definition.
+func TestStagedBoundDominatesExact(t *testing.T) {
+	for _, seed := range []int64{7, 8881, 20010407} {
+		for _, p := range workloadPairs(seed) {
+			c := codePair(p)
+			cq := c.encode(p.q)
+			exact := EvaluateCoded(cq, c.cd)
+			lx := LengthX(cq, c.cd)
+			if got := EvaluateCodedFromX(lx, cq, c.cd); got != exact {
+				t.Fatalf("seed %d %s: EvaluateCodedFromX = %+v, EvaluateCoded = %+v", seed, p.name, got, exact)
+			}
+			staged := StagedBound(lx, &c.sq, &c.sd)
+			if staged < exact.Key() || staged > Bound(&c.sq, &c.sd) {
+				t.Fatalf("seed %d %s: staged bound %v outside [exact %v, bound %v]",
+					seed, p.name, staged, exact.Key(), Bound(&c.sq, &c.sd))
+			}
+			// The integer invariant bound takes the larger length; by strict
+			// monotonicity that is the larger of the two float bounds.
+			swapped := c.sq.SwapAxes()
+			if inv, want := BoundInvariant(&c.sq, &c.sd), max(Bound(&c.sq, &c.sd), Bound(&swapped, &c.sd)); inv != want {
+				t.Fatalf("seed %d %s: BoundInvariant = %v, max over the swapped twin = %v", seed, p.name, inv, want)
+			}
+		}
+	}
+}

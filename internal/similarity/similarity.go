@@ -140,8 +140,22 @@ func Identical(a, b core.BEString) bool {
 // same Score to the last bit. It is what the engine's ranked scan calls;
 // Evaluate remains the reference it is tested against.
 func EvaluateCoded(query, db core.CodedBE) Score {
+	return EvaluateCodedFromX(LengthX(query, db), query, db)
+}
+
+// LengthX is the first stage of EvaluateCoded: the X-axis modified-LCS
+// length alone. EvaluateCodedFromX completes the score from it, and
+// StagedBound bounds that score before the Y axis runs.
+func LengthX(query, db core.CodedBE) int {
+	return lcs.LengthCodes(query.X, db.X)
+}
+
+// EvaluateCodedFromX is EvaluateCoded given the X-axis length lx =
+// LengthX(query, db): it runs the Y axis only, through the same newScore
+// arithmetic, so the Score is EvaluateCoded's to the last bit.
+func EvaluateCodedFromX(lx int, query, db core.CodedBE) Score {
 	return newScore(
-		lcs.LengthCodes(query.X, db.X),
+		lx,
 		lcs.LengthCodes(query.Y, db.Y),
 		len(query.X)+len(query.Y),
 		len(db.X)+len(db.Y),

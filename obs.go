@@ -21,6 +21,11 @@ type (
 	// MetricsRegistry is a zero-dependency metrics registry with
 	// Prometheus text exposition (Handler serves GET /metrics).
 	MetricsRegistry = obs.Registry
+	// MetricsCounter and MetricsHistogram are the instruments a
+	// MetricsRegistry's Counter and Histogram return, for callers that
+	// hold them instead of looking them up per event.
+	MetricsCounter   = obs.Counter
+	MetricsHistogram = obs.Histogram
 	// MetricsSample is one labelled value of a gauge-vec callback.
 	MetricsSample = obs.Sample
 	// Trace collects the spans of one request; attach it with WithTrace
