@@ -177,21 +177,18 @@ func BenchmarkE5Retrieval(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	methods := []struct {
-		name   string
-		scorer imagedb.Scorer
-	}{
-		{"be-lcs", imagedb.BEScorer()},
-		{"be-lcs-invariant", imagedb.InvariantScorer(nil)},
-		{"type-0", imagedb.TypeSimScorer(typesim.Type0)},
-		{"type-2", imagedb.TypeSimScorer(typesim.Type2)},
+	methods := []struct{ name, scorer string }{
+		{"be-lcs", "be"},
+		{"be-lcs-invariant", "invariant"},
+		{"type-0", "type0"},
+		{"type-2", "type2"},
 	}
 	for _, m := range methods {
 		b.Run("method="+m.name, func(b *testing.B) {
 			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
 				round := w.Rounds[i%len(w.Rounds)]
-				page, err := w.DB.Query(ctx, imagedb.NewQuery(round.Query), imagedb.WithScorerFunc(m.scorer))
+				page, err := w.DB.Query(ctx, imagedb.NewQuery(round.Query), imagedb.WithScorer(m.scorer))
 				if err != nil {
 					b.Fatal(err)
 				}

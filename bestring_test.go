@@ -78,7 +78,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// Baseline scorer through the facade.
 	results = hits(t, db, bestring.NewQuery(scenes[4]),
-		bestring.WithK(1), bestring.WithScorerFunc(bestring.TypeSimScorer(bestring.Type2)))
+		bestring.WithK(1), bestring.WithScorer("type2"))
 	if results[0].ID != bestring.ClassLabel(4) {
 		t.Errorf("baseline top result = %+v", results[0])
 	}

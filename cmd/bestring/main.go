@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -157,16 +158,15 @@ func cmdScore(args []string) error {
 	return nil
 }
 
-// scorerByName resolves -method values through the shared scorer
-// registry, so the CLI accepts exactly the names the library and the
-// REST server accept (including custom registrations).
-func scorerByName(name string) (bestring.Scorer, error) {
-	s, ok := bestring.LookupScorer(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown method %q (want %s)",
+// checkMethod checks a -method value against the engine's scorer
+// names ("" is the default), so the CLI accepts exactly the names the
+// library and the REST server accept.
+func checkMethod(name string) error {
+	if name != "" && !slices.Contains(bestring.ScorerNames(), name) {
+		return fmt.Errorf("unknown method %q (want %s)",
 			name, strings.Join(bestring.ScorerNames(), ", "))
 	}
-	return s, nil
+	return nil
 }
 
 // parseRegionFlag reads a -region "x0,y0,x1,y1" value.
@@ -192,7 +192,7 @@ func cmdSearch(args []string) error {
 	qPath := fs.String("query", "", "query image JSON file (optional with -dsl or -region)")
 	k := fs.Int("k", 10, "number of results")
 	offset := fs.Int("offset", 0, "skip the first N results")
-	method := fs.String("method", "be", "scoring method (a registered scorer name)")
+	method := fs.String("method", "be", "scoring method: "+strings.Join(bestring.ScorerNames(), ", "))
 	dsl := fs.String("dsl", "", `spatial-predicate filter, e.g. "A left-of B; B above C"`)
 	region := fs.String("region", "", `region filter "x0,y0,x1,y1" (icons intersecting it)`)
 	regionLabel := fs.String("region-label", "", "restrict -region to icons with this label")
@@ -231,9 +231,8 @@ func cmdSearch(args []string) error {
 	} else {
 		q = bestring.NewMatchQuery()
 	}
-	// Validate the method eagerly for a friendly error, then select it by
-	// name so the engine resolves its declared bound and can prune.
-	if _, err := scorerByName(*method); err != nil {
+	// Validate the method eagerly for a friendly error.
+	if err := checkMethod(*method); err != nil {
 		return err
 	}
 	opts := []bestring.QueryOption{

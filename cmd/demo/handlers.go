@@ -130,7 +130,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			k = v
 		}
 	}
-	// Resolve through the shared scorer registry; a transformed query is
+	// Rank by scorer name; a transformed query is
 	// the showcase for string-level invariance.
 	scorerName := bestring.DefaultScorerName
 	if trName != "" {

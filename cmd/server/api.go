@@ -488,7 +488,7 @@ type queryRequest struct {
 	DSL         string          `json:"dsl,omitempty"`
 	Region      *bestring.Rect  `json:"region,omitempty"`
 	RegionLabel string          `json:"regionLabel,omitempty"`
-	// Scorer names a registered scorer ("" means the default BE-LCS).
+	// Scorer is one of the scorer names ("" means the default BE-LCS).
 	Scorer string `json:"scorer,omitempty"`
 	K      int    `json:"k,omitempty"`
 	Offset int    `json:"offset,omitempty"`

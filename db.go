@@ -3,7 +3,6 @@ package bestring
 import (
 	"io"
 
-	"bestring/internal/baseline/typesim"
 	"bestring/internal/imagedb"
 )
 
@@ -15,8 +14,6 @@ type (
 	DB = imagedb.DB
 	// Entry is one stored image with its BE-string index.
 	Entry = imagedb.Entry
-	// Scorer ranks a database entry against a query.
-	Scorer = imagedb.Scorer
 	// DBStats describes shard occupancy of a DB.
 	DBStats = imagedb.Stats
 	// Snapshot is a pinned, immutable view of a DB at one epoch: every
@@ -25,15 +22,6 @@ type (
 	// with DB.Snapshot (one atomic load; the data is shared
 	// copy-on-write, not copied).
 	Snapshot = imagedb.Snapshot
-	// TypeLevel selects the strictness of the baseline type-i similarity.
-	TypeLevel = typesim.Level
-)
-
-// Baseline similarity levels (the 2-D string family's type-0/1/2).
-const (
-	Type0 = typesim.Type0
-	Type1 = typesim.Type1
-	Type2 = typesim.Type2
 )
 
 // Database errors.
@@ -58,18 +46,3 @@ func LoadDB(r io.Reader) (*DB, error) { return imagedb.Load(r) }
 
 // LoadDBFile reads a database snapshot from a file.
 func LoadDBFile(path string) (*DB, error) { return imagedb.LoadFile(path) }
-
-// BEScorer ranks by the paper's modified-LCS similarity (the default).
-func BEScorer() Scorer { return imagedb.BEScorer() }
-
-// InvariantScorer ranks by the best BE-LCS score across query transforms
-// (nil means all eight).
-func InvariantScorer(transforms []Transform) Scorer {
-	return imagedb.InvariantScorer(transforms)
-}
-
-// TypeSimScorer ranks with the clique-based type-i baseline.
-func TypeSimScorer(level TypeLevel) Scorer { return imagedb.TypeSimScorer(level) }
-
-// SymbolsOnlyScorer is the dummy-stripped ablation scorer.
-func SymbolsOnlyScorer() Scorer { return imagedb.SymbolsOnlyScorer() }

@@ -2,8 +2,9 @@
 // ranked BE-LCS similarity with a spatial-predicate filter and a region
 // window — "rank by similarity among images where a sun is above the sea,
 // with a boat somewhere in this harbour area" — then pages through the
-// ranking with a cursor, streams it, and plugs a custom scorer into the
-// registry shared by the library, the CLI and the REST server.
+// ranking with a cursor and streams it. The ranking scorer is one of
+// bestring.ScorerNames; a caller that wants another order re-ranks the
+// hits of a page.
 package main
 
 import (
@@ -93,23 +94,4 @@ func main() {
 		streamed++
 	}
 	fmt.Printf("\nstreamed %d results scoring >= 0.3\n", streamed)
-
-	// Custom scorers join the shared registry and become addressable by
-	// name everywhere (library, CLI -method, REST "scorer").
-	if err := bestring.RegisterScorer("object-count", func(q bestring.Image, _ bestring.BEString, e bestring.Entry) float64 {
-		d := len(q.Objects) - len(e.Image.Objects)
-		if d < 0 {
-			d = -d
-		}
-		return 1 / float64(1+d)
-	}); err != nil {
-		log.Fatal(err)
-	}
-	page, err = db.Query(ctx, bestring.NewQuery(query),
-		bestring.WithK(1), bestring.WithScorer("object-count"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("registered scorers: %v\n", bestring.ScorerNames())
-	fmt.Printf("best by object-count: %s (%.3f)\n", page.Hits[0].ID, page.Hits[0].Score)
 }

@@ -38,19 +38,16 @@ func main() {
 	query := gen.JitterQuery(gen.SubsetQuery(target, 3), 6)
 	fmt.Printf("query: icons %v, boxes jittered by up to 6\n\n", query.Labels())
 
-	scorers := []struct {
-		name   string
-		scorer bestring.Scorer
-	}{
-		{"be-lcs (paper)", bestring.BEScorer()},
-		{"type-0 clique", bestring.TypeSimScorer(bestring.Type0)},
-		{"type-1 clique", bestring.TypeSimScorer(bestring.Type1)},
-		{"type-2 clique", bestring.TypeSimScorer(bestring.Type2)},
+	scorers := []struct{ name, scorer string }{
+		{"be-lcs (paper)", "be"},
+		{"type-0 clique", "type0"},
+		{"type-1 clique", "type1"},
+		{"type-2 clique", "type2"},
 	}
 	fmt.Printf("%-16s %-10s %-10s %s\n", "method", "rank", "score", "top result")
 	for _, sc := range scorers {
 		page, err := db.Query(context.Background(), bestring.NewQuery(query),
-			bestring.WithScorerFunc(sc.scorer))
+			bestring.WithScorer(sc.scorer))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -192,12 +192,12 @@ func Quality(cfg retrieval.WorkloadConfig) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E5: %w", err)
 	}
-	methods := map[string]imagedb.Scorer{
-		"be-lcs":       imagedb.BEScorer(),
-		"be-lcs-nodum": imagedb.SymbolsOnlyScorer(),
-		"type-0":       imagedb.TypeSimScorer(typesim.Type0),
-		"type-1":       imagedb.TypeSimScorer(typesim.Type1),
-		"type-2":       imagedb.TypeSimScorer(typesim.Type2),
+	methods := map[string]string{
+		"be-lcs":       "be",
+		"be-lcs-nodum": "symbols",
+		"type-0":       "type0",
+		"type-1":       "type1",
+		"type-2":       "type2",
 	}
 	rows, err := w.RunMethods(context.Background(), methods)
 	if err != nil {

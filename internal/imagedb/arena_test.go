@@ -71,7 +71,7 @@ func TestArenaRankingByteIdentical(t *testing.T) {
 		{func() *Query { return NewQuery(img) }, []QueryOption{WithK(10)}, composedSpec{image: &img, whereMin: -1, k: 10}},
 		{func() *Query { return NewQuery(img) }, nil, composedSpec{image: &img, whereMin: -1}}, // unbounded: every entry scored
 		{func() *Query { return NewQuery(img) }, []QueryOption{WithK(10), WithScorer("invariant")},
-			composedSpec{image: &img, whereMin: -1, k: 10, scorer: InvariantScorer(nil)}},
+			composedSpec{image: &img, whereMin: -1, k: 10, scorer: "invariant"}},
 		{func() *Query { return NewQuery(img) }, []QueryOption{WithK(10), WithLabelPrefilter(true)},
 			composedSpec{image: &img, whereMin: -1, k: 10, labelPrefilter: true}},
 		{func() *Query { return NewQuery(img) }, []QueryOption{WithK(10), WithMinScore(0.3)},

@@ -1,8 +1,9 @@
 // Package imagedb is the image-database substrate of the demonstration
 // retrieval system (paper section 5): a concurrency-safe store of symbolic
 // images indexed by their 2D BE-strings, with ranked top-k similarity
-// search, pluggable scoring methods (BE-LCS, transform-invariant BE-LCS, or
-// the clique-based type-i baselines) and JSON persistence.
+// search, a closed set of named scorers (BE-LCS, transform-invariant
+// BE-LCS, its dummy-stripped ablation, or the clique-based type-i
+// baselines; scorers.go) and JSON persistence.
 //
 // The store is MVCC: every version of the database — sharded entry maps,
 // scan columns and label posting runs — is an immutable
@@ -26,9 +27,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"bestring/internal/baseline/typesim"
 	"bestring/internal/core"
-	"bestring/internal/similarity"
 	"bestring/internal/wal"
 )
 
@@ -79,7 +78,7 @@ type DB struct {
 	// (metrics.go) that Stats().Search and StoreStats().Commit read.
 	metrics *dbMetrics
 
-	// cache memoises exact scores of BE-pure registry scorers across
+	// cache memoises exact scores of the cacheable scorers across
 	// queries; built once by NewSharded. See scorercache.go for the
 	// pointer-keyed exact invalidation.
 	cache *scorerCache
@@ -204,41 +203,6 @@ func (db *DB) IDs() []string { return db.current.Load().orderedIDs() }
 
 func copyEntry(e *Entry) Entry {
 	return Entry{ID: e.ID, Name: e.Name, Image: e.Image.Clone(), BE: e.BE.Clone()}
-}
-
-// Scorer grades a database entry against a query; higher is more similar.
-// The query is supplied both as image and as precomputed BE-string so
-// scorers pay conversion once per search, not per entry.
-type Scorer func(query core.Image, queryBE core.BEString, e Entry) float64
-
-// BEScorer ranks by the paper's modified-LCS similarity (harmonic score).
-func BEScorer() Scorer {
-	return func(_ core.Image, queryBE core.BEString, e Entry) float64 {
-		return similarity.Evaluate(queryBE, e.BE).Key()
-	}
-}
-
-// InvariantScorer ranks by the best BE-LCS score across the given
-// transforms of the query (nil means all eight of the dihedral group).
-func InvariantScorer(transforms []core.Transform) Scorer {
-	return func(_ core.Image, queryBE core.BEString, e Entry) float64 {
-		return similarity.EvaluateInvariant(queryBE, e.BE, transforms).Key()
-	}
-}
-
-// TypeSimScorer ranks by the clique-based type-i similarity, normalised by
-// the query object count — the 2-D string family baseline.
-func TypeSimScorer(level typesim.Level) Scorer {
-	return func(query core.Image, _ core.BEString, e Entry) float64 {
-		return typesim.NormalizedScore(typesim.Similarity(query, e.Image, level), query)
-	}
-}
-
-// SymbolsOnlyScorer is the ablation scorer: BE-LCS with dummies stripped.
-func SymbolsOnlyScorer() Scorer {
-	return func(_ core.Image, queryBE core.BEString, e Entry) float64 {
-		return similarity.EvaluateSymbolsOnly(queryBE, e.BE).Key()
-	}
 }
 
 // Result is one ranked search hit.

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"bestring/internal/baseline/typesim"
 	"bestring/internal/core"
 	"bestring/internal/workload"
 )
@@ -182,7 +181,7 @@ func TestSearchInvariantScorer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv, err := search(context.Background(), db, rotated, WithK(1), WithScorerFunc(InvariantScorer(nil)))
+	inv, err := search(context.Background(), db, rotated, WithK(1), WithScorer("invariant"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +195,7 @@ func TestSearchInvariantScorer(t *testing.T) {
 
 func TestSearchTypeSimScorer(t *testing.T) {
 	db, scenes := seedDB(t, 10)
-	results, err := search(context.Background(), db, scenes[2], WithK(1), WithScorerFunc(TypeSimScorer(typesim.Type2)))
+	results, err := search(context.Background(), db, scenes[2], WithK(1), WithScorer("type2"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,9 +68,8 @@ type StageCounts struct {
 	// — the set entering ranked scoring.
 	Narrowed int `json:"narrowed"`
 	// Bounded counts candidates whose signature upper bound was
-	// computed in the refine stage (zero when the scorer declares no
-	// bound — the type-i baselines, WithScorerFunc — or the query has no
-	// ranked image).
+	// computed in the refine stage (zero when the scorer has no bound —
+	// the type-i baselines — or the query has no ranked image).
 	Bounded int `json:"bounded"`
 	// Evaluated counts exact score determinations: scorer runs plus
 	// scorer-cache hits (a hit serves the identical exact score; the
@@ -279,20 +278,16 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 	start := time.Now()
 
 	// Resolve the scorer up front so an unknown name fails fast even if
-	// no candidate survives the filters. A registry scorer may carry an
-	// upper bound, enabling the refine stage below, and may be BE-pure —
-	// it then declares a coded kernel, which the rank stage runs over
-	// entry codes and which makes its scores cacheable; an explicit
-	// WithScorerFunc scorer is opaque and always evaluates exactly.
-	scorer := q.scorer
-	var reg registeredScorer
-	if scorer == nil && (q.image != nil || q.scorerName != "") {
+	// no candidate survives the filters. A scorer with a bound enables
+	// the refine stage below; a cacheable one lets the scorer cache
+	// serve its exact scores.
+	var sc *namedScorer
+	if q.image != nil || q.scorerName != "" {
 		var ok bool
-		if reg, ok = lookupRegistered(q.scorerName); !ok {
-			return nil, fmt.Errorf("unknown scorer %q (registered: %s)",
+		if sc, ok = lookupScorer(q.scorerName); !ok {
+			return nil, fmt.Errorf("unknown scorer %q (known: %s)",
 				q.scorerName, strings.Join(ScorerNames(), ", "))
 		}
-		scorer = reg.score
 	}
 
 	var img core.Image
@@ -404,8 +399,8 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 	// spatial satisfaction itself is the ranking, and 0 for region-only
 	// queries (ties break by id, so those list in id order).
 
-	// Scorer cache: a BE-pure registry scorer's exact score is a pure
-	// function of (scorer, query BE, entry version), so the DB-wide memo
+	// Scorer cache: a cacheable scorer's exact score is a pure function
+	// of (scorer, query BE, entry version), so the DB-wide memo
 	// can serve it byte-identically; the *stored pointer in the key is
 	// the entry version (see scorercache.go). The query-side half of the
 	// key is computed once here.
@@ -416,12 +411,8 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 	var cache *scorerCache
 	var qkey string
 	var qhash uint64
-	if reg.coded != nil && q.image != nil {
-		name := q.scorerName
-		if name == "" {
-			name = DefaultScorerName
-		}
-		qkey = cacheQueryKey(name, queryBE)
+	if q.image != nil && sc.cacheable {
+		qkey = cacheQueryKey(sc.name, queryBE)
 		qhash = hashQueryKey(qkey)
 		if db.doorkeeper.sighted(qhash) {
 			cache = db.cache
@@ -437,8 +428,8 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 		heapK = min(q.k+q.offset, narrowed)
 	}
 
-	// The rank stage's filter half. With a bound-declaring scorer and a
-	// ranked image, every candidate's signature upper bound is computed
+	// The rank stage's filter half. With a bounded scorer and a ranked
+	// image, every candidate's signature upper bound is computed
 	// first (O(|labels|), no dynamic program) and the candidates are
 	// refined in descending bound order; the exact scorer runs only while
 	// the bound could still place the candidate. Pruning never alters
@@ -452,19 +443,20 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 	// so a query label no entry of this version carries becomes a symbol
 	// that matches nothing, which is exactly what it is.
 	rk := &ranker{
-		q: q, cur: cur, img: img, queryBE: queryBE, scorer: scorer,
-		cache: cache, qkey: qkey, qhash: qhash, met: db.metrics, cols: cols, filtered: cands,
+		q: q, cur: cur, cache: cache, qkey: qkey, qhash: qhash, met: db.metrics,
+		cols: cols, filtered: cands,
 	}
-	if q.image != nil && (reg.lengths != nil || reg.bound != nil || reg.coded != nil) {
+	if q.image != nil {
 		qsig, ids := core.SignatureOf(queryBE).Lookup(snap.dict)
-		rk.qsig, rk.lengths, rk.bound = &qsig, reg.lengths, reg.bound
-		if reg.lengths != nil {
-			rk.qlen = reg.lengths.norm(&qsig)
+		rk.qsig, rk.lengths = &qsig, sc.lengths
+		if sc.lengths != nil {
+			rk.qlen = sc.lengths.norm(&qsig)
 		}
-		if reg.coded != nil {
-			rk.coded = reg.coded(queryBE, &qsig, func(be core.BEString) core.CodedBE {
-				return core.EncodeBE(make([]uint32, len(be.X)+len(be.Y)), be, qsig.Labels, ids)
-			})
+		rk.kernel = sc.kernel(&preparedQuery{img: img, be: queryBE, sig: &qsig, encode: func(be core.BEString) core.CodedBE {
+			return core.EncodeBE(make([]uint32, len(be.X)+len(be.Y)), be, qsig.Labels, ids)
+		}})
+		if q.wrapKernel != nil {
+			rk.kernel = q.wrapKernel(rk.kernel)
 		}
 	}
 	heaps, tally, err := rk.run(ctx, narrowed, heapK)
@@ -472,7 +464,7 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 		return nil, err
 	}
 	total := tally.admitted
-	if rk.lengths != nil || rk.bound != nil {
+	if rk.lengths != nil {
 		stages.Bounded = narrowed
 	}
 	stages.Evaluated = tally.evaluated

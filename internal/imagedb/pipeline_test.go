@@ -29,7 +29,7 @@ type composedSpec struct {
 	whereMin    float64 // <0 means pipeline default
 	region      *core.Rect
 	regionLabel string
-	scorer      Scorer
+	scorer      string // a scorer name, "" means the default
 	minScore    float64
 	k, offset   int
 	cursor      *cursorPos // resume position: admit only strictly worse results
@@ -72,10 +72,7 @@ func referencePage(t *testing.T, db referenceSource, spec composedSpec) pageKey 
 			whereMin = 0
 		}
 	}
-	scorer := spec.scorer
-	if scorer == nil {
-		scorer = BEScorer()
-	}
+	scorer := referenceScorer(spec.scorer)
 	var queryBE core.BEString
 	if spec.image != nil {
 		queryBE = core.MustConvert(*spec.image)
@@ -281,7 +278,7 @@ func TestQueryMatchesComposedReference(t *testing.T) {
 			NewMatchQuery(), []QueryOption{InRegionLabel(probeRegion, "probe")}},
 		{"image+offset", composedSpec{image: &img, k: 5, offset: 8, whereMin: -1},
 			NewQuery(img), []QueryOption{WithK(5), WithOffset(8)}},
-		{"invariant-scorer", composedSpec{image: &img, scorer: InvariantScorer(nil), k: 6, whereMin: -1},
+		{"invariant-scorer", composedSpec{image: &img, scorer: "invariant", k: 6, whereMin: -1},
 			NewQuery(img), []QueryOption{WithK(6), WithScorer("invariant")}},
 	}
 	for _, tc := range cases {
@@ -854,9 +851,9 @@ func rankChunkedSweep(t *testing.T, db *DB, scenes []core.Image) {
 		{name: "where", opts: []QueryOption{WithK(10), Where(clause), WithWhereMin(0.5)}, spec: composedSpec{k: 10, dsl: clause, whereMin: 0.5}},
 		{name: "where-ranked", match: true, opts: []QueryOption{WithK(10), Where(clause)}, spec: composedSpec{k: 10, dsl: clause, whereMin: -1}},
 		{name: "unknown-labels", img: &stranger, opts: []QueryOption{WithK(10)}, spec: composedSpec{k: 10}},
-		{name: "invariant", opts: []QueryOption{WithK(10), WithScorer("invariant")}, spec: composedSpec{k: 10, scorer: InvariantScorer(nil)}},
-		{name: "invariant-unknown-labels", img: &stranger, opts: []QueryOption{WithK(10), WithScorer("invariant")}, spec: composedSpec{k: 10, scorer: InvariantScorer(nil)}},
-		{name: "symbols", opts: []QueryOption{WithK(10), WithScorer("symbols")}, spec: composedSpec{k: 10, scorer: SymbolsOnlyScorer()}},
+		{name: "invariant", opts: []QueryOption{WithK(10), WithScorer("invariant")}, spec: composedSpec{k: 10, scorer: "invariant"}},
+		{name: "invariant-unknown-labels", img: &stranger, opts: []QueryOption{WithK(10), WithScorer("invariant")}, spec: composedSpec{k: 10, scorer: "invariant"}},
+		{name: "symbols", opts: []QueryOption{WithK(10), WithScorer("symbols")}, spec: composedSpec{k: 10, scorer: "symbols"}},
 		// The pure scan's twin: the label prefilter, answered by the
 		// union of the query labels' posting runs.
 		{name: "prefilter", opts: []QueryOption{WithK(10), WithLabelPrefilter(true)}, spec: composedSpec{k: 10, labelPrefilter: true}},
@@ -973,9 +970,9 @@ func TestDictGrowsUnderReaders(t *testing.T) {
 				img := g.SubsetQuery(scenes[(r*31+i)%len(scenes)], 3).
 					WithObject(core.Object{Label: fresh(i%writers, next+i%3-1), Box: core.NewRect(40, 40, 44, 46)}).
 					WithObject(core.Object{Label: "never-installed", Box: core.NewRect(50, 2, 55, 8)})
-				scorer, ref := "be", BEScorer()
+				scorer := "be"
 				if i%4 == 3 {
-					scorer, ref = "invariant", InvariantScorer(nil)
+					scorer = "invariant"
 				}
 				snap := db.Snapshot()
 				page, err := snap.Query(ctx, NewQuery(img), WithK(10), WithScorer(scorer), WithParallelism(1+i%3))
@@ -987,7 +984,7 @@ func TestDictGrowsUnderReaders(t *testing.T) {
 					t.Errorf("reader %d query %d: page reports epoch %d, pinned %d", r, i, page.Epoch, snap.Epoch())
 					return
 				}
-				want := referencePage(t, snap, composedSpec{image: &img, whereMin: -1, k: 10, scorer: ref})
+				want := referencePage(t, snap, composedSpec{image: &img, whereMin: -1, k: 10, scorer: scorer})
 				wj, _ := json.Marshal(want)
 				if gj := pageID(t, page); gj != string(wj) {
 					t.Errorf("reader %d query %d at epoch %d: diverged from the full-sort reference\n got %s\nwant %s",
@@ -1067,11 +1064,13 @@ func TestQueryCancelled(t *testing.T) {
 	ranked, scenes := seedRankDB(t, 6*rankChunk)
 	before := runtime.NumGoroutine()
 	var calls atomic.Int64
-	counting := func(q core.Image, qbe core.BEString, e Entry) float64 {
-		calls.Add(1)
-		return BEScorer()(q, qbe, e)
-	}
-	_, err := ranked.Query(ctx, NewQuery(scenes[0]), WithK(5), WithScorerFunc(counting), WithParallelism(workers))
+	counting := withKernelWrap(func(k scoreKernel) scoreKernel {
+		return func(e *stored, c cut) (float64, bool) {
+			calls.Add(1)
+			return k(e, c)
+		}
+	})
+	_, err := ranked.Query(ctx, NewQuery(scenes[0]), WithK(5), WithScorer("type0"), counting, WithParallelism(workers))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("rank stage err = %v, want context.Canceled", err)
 	}
@@ -1081,56 +1080,34 @@ func TestQueryCancelled(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// TestScorerRegistry pins the closed set of scorer names: the six
+// resolve, "" resolves to the default, an unknown name fails the query
+// with the list, ScorerNames is sorted, and exactly the LCS family
+// carries a bound and is cacheable.
 func TestScorerRegistry(t *testing.T) {
-	for _, name := range []string{"be", "invariant", "type0", "type1", "type2", "symbols"} {
-		if _, ok := LookupScorer(name); !ok {
-			t.Errorf("builtin scorer %q not registered", name)
+	names := []string{"be", "invariant", "symbols", "type0", "type1", "type2"}
+	for _, name := range names {
+		s, ok := lookupScorer(name)
+		if !ok || s.name != name {
+			t.Fatalf("builtin scorer %q does not resolve", name)
+		}
+		_, bounded := LookupBound(name)
+		if lcs := name == "be" || name == "invariant" || name == "symbols"; bounded != lcs || s.cacheable != lcs {
+			t.Errorf("scorer %q: bounded %v, cacheable %v", name, bounded, s.cacheable)
 		}
 	}
-	if _, ok := LookupScorer(""); !ok {
+	if s, ok := lookupScorer(""); !ok || s.name != DefaultScorerName {
 		t.Error("empty name does not resolve to the default scorer")
 	}
-	if _, ok := LookupScorer("nope"); ok {
+	if _, ok := lookupScorer("nope"); ok {
 		t.Error("unknown name resolved")
 	}
-	if err := RegisterScorer("be", BEScorer()); err == nil {
-		t.Error("duplicate registration accepted")
-	}
-	if err := RegisterScorer("", BEScorer()); err == nil {
-		t.Error("empty name accepted")
-	}
-	if err := RegisterScorer("nil-test", nil); err == nil {
-		t.Error("nil scorer accepted")
-	}
-
-	// A custom scorer is usable by name end to end.
-	constant := func(_ core.Image, _ core.BEString, _ Entry) float64 { return 0.25 }
-	if err := RegisterScorer("registry-test-constant", constant); err != nil {
-		t.Fatal(err)
-	}
 	db := seedSpatial(t, 1, 4)
-	g := workload.NewGenerator(workload.Config{Seed: 25, Vocabulary: 12, Width: 64, Height: 64})
-	page, err := db.Query(context.Background(), NewQuery(g.Scene()), WithScorer("registry-test-constant"))
-	if err != nil {
-		t.Fatal(err)
+	_, err := db.Query(context.Background(), NewQuery(core.Figure1Image()), WithScorer("nope"))
+	if err == nil || !strings.Contains(err.Error(), `unknown scorer "nope"`) || !strings.Contains(err.Error(), strings.Join(names, ", ")) {
+		t.Errorf("unknown scorer err = %v, want the name and the list", err)
 	}
-	for _, h := range page.Hits {
-		if h.Score != 0.25 {
-			t.Fatalf("custom scorer hit = %+v", h)
-		}
-	}
-
-	names := ScorerNames()
-	if !sort.StringsAreSorted(names) {
-		t.Errorf("ScorerNames not sorted: %v", names)
-	}
-	found := false
-	for _, n := range names {
-		if n == "registry-test-constant" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("registered name missing from %v", names)
+	if got := ScorerNames(); !slices.Equal(got, names) || !sort.StringsAreSorted(got) {
+		t.Errorf("ScorerNames = %v, want %v, sorted", got, names)
 	}
 }

@@ -97,7 +97,7 @@ func TestPlannerRankingByteIdentical(t *testing.T) {
 		{"offset", NewQuery(img), []QueryOption{WithK(5), WithOffset(7), InRegion(mid)},
 			ranked(composedSpec{k: 5, offset: 7, region: &mid})},
 		{"scorer-invariant", NewQuery(img), []QueryOption{WithK(10), WithScorer("invariant"), InRegion(tiny)},
-			ranked(composedSpec{k: 10, scorer: InvariantScorer(nil), region: &tiny})},
+			ranked(composedSpec{k: 10, scorer: "invariant", region: &tiny})},
 	}
 	for _, tc := range cases {
 		for _, par := range []int{0, 1, 3} {

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"bestring/internal/baseline/typesim"
 	"bestring/internal/core"
 	"bestring/internal/ingest"
 	"bestring/internal/workload"
@@ -179,9 +178,9 @@ func TestSignatureColumnMatchesEntries(t *testing.T) {
 
 // TestBoundDominatesExactInEngine is the engine-level half of the
 // proof-pinning property test: over three seeds, for every stored entry
-// and every bound-declaring registered scorer, the bound computed from
-// the entry's installed signature must dominate the exact score the
-// scorer returns. Together with the math-level test in
+// and every scorer with a bound, the bound computed from the entry's
+// installed signature must dominate the exact score of the scorer's
+// token-level reference. Together with the math-level test in
 // internal/similarity this guarantees pruning can never drop a true
 // result.
 func TestBoundDominatesExactInEngine(t *testing.T) {
@@ -199,7 +198,7 @@ func TestBoundDominatesExactInEngine(t *testing.T) {
 				if !ok {
 					continue
 				}
-				scorer, _ := LookupScorer(name)
+				scorer := referenceScorer(name)
 				for qi, img := range queries {
 					qbe, err := core.Convert(img)
 					if err != nil {
@@ -250,9 +249,9 @@ func TestPrunedRankingByteIdentical(t *testing.T) {
 		{[]QueryOption{WithK(1)}, ref(composedSpec{k: 1})},
 		{[]QueryOption{WithK(200)}, ref(composedSpec{k: 200})}, // K beyond corpus: heap never fills, nothing heap-pruned
 		{nil, ref(composedSpec{})},                             // unbounded: only MinScore pruning could apply
-		{[]QueryOption{WithK(10), WithScorer("invariant")}, ref(composedSpec{k: 10, scorer: InvariantScorer(nil)})},
-		{[]QueryOption{WithK(10), WithScorer("symbols")}, ref(composedSpec{k: 10, scorer: SymbolsOnlyScorer()})},
-		{[]QueryOption{WithK(10), WithScorer("type1")}, ref(composedSpec{k: 10, scorer: TypeSimScorer(typesim.Type1)})}, // no bound: exact only
+		{[]QueryOption{WithK(10), WithScorer("invariant")}, ref(composedSpec{k: 10, scorer: "invariant"})},
+		{[]QueryOption{WithK(10), WithScorer("symbols")}, ref(composedSpec{k: 10, scorer: "symbols"})},
+		{[]QueryOption{WithK(10), WithScorer("type1")}, ref(composedSpec{k: 10, scorer: "type1"})}, // no bound: exact only
 		{[]QueryOption{WithK(10), WithMinScore(0.4)}, ref(composedSpec{k: 10, minScore: 0.4})},
 		{[]QueryOption{WithMinScore(0.55)}, ref(composedSpec{minScore: 0.55})},
 		{[]QueryOption{WithK(5), WithOffset(7)}, ref(composedSpec{k: 5, offset: 7})},
@@ -324,20 +323,11 @@ func TestStageCountsAndStats(t *testing.T) {
 		t.Fatalf("unbounded scorer: evaluated %d != narrowed %d", off.Stages.Evaluated, off.Stages.Narrowed)
 	}
 
-	// Custom scorer functions are opaque: no bound, everything exact.
-	custom, err := db.Query(ctx, NewQuery(img), WithK(5), WithScorerFunc(BEScorer()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if custom.Stages.Bounded != 0 {
-		t.Fatalf("WithScorerFunc query reported bound work: %+v", custom.Stages)
-	}
-
 	after := db.Stats().Search
-	if after.Queries != before.Queries+3 {
-		t.Fatalf("queries counter %d, want %d", after.Queries, before.Queries+3)
+	if after.Queries != before.Queries+2 {
+		t.Fatalf("queries counter %d, want %d", after.Queries, before.Queries+2)
 	}
-	wantEval := before.Evaluated + uint64(sc.Evaluated+off.Stages.Evaluated+custom.Stages.Evaluated)
+	wantEval := before.Evaluated + uint64(sc.Evaluated+off.Stages.Evaluated)
 	if after.Evaluated != wantEval {
 		t.Fatalf("evaluated counter %d, want %d", after.Evaluated, wantEval)
 	}

@@ -29,8 +29,11 @@ type Query struct {
 	region      *core.Rect
 	regionLabel string
 
-	scorer     Scorer // explicit function, wins over scorerName
-	scorerName string // registry lookup, "" means DefaultScorerName
+	scorerName string // one of ScorerNames, "" means DefaultScorerName
+	// wrapKernel, when set, wraps the scorer's per-query kernel. It is
+	// a test seam: only _test.go files set it, to count or interrupt
+	// kernel calls.
+	wrapKernel func(scoreKernel) scoreKernel
 
 	k      int
 	offset int
@@ -124,17 +127,11 @@ func WithCursor(c string) QueryOption {
 	return func(q *Query) { q.cursor = c }
 }
 
-// WithScorer selects a registered scorer by name (see RegisterScorer;
-// "" means the default BE-LCS scorer). Resolution happens at execution,
-// so scorers registered after the query was built are found.
+// WithScorer selects the ranking scorer by name, one of ScorerNames:
+// be, invariant, symbols, type0, type1 or type2 ("" means the default
+// BE-LCS scorer). An unknown name fails the query when it executes.
 func WithScorer(name string) QueryOption {
 	return func(q *Query) { q.scorerName = name }
-}
-
-// WithScorerFunc ranks with an explicit scorer function, bypassing the
-// registry.
-func WithScorerFunc(s Scorer) QueryOption {
-	return func(q *Query) { q.scorer = s }
 }
 
 // Where filters results with a spatial-predicate expression in the

@@ -68,8 +68,7 @@ func (c cut) rejects(bound float64) bool {
 }
 
 // rankBucket is one run of the visit order: candidates whose bounds are
-// all score (+Inf when the scorer declares no bound, or declares a float
-// one that each candidate computes for itself), at positions up to end.
+// all score (+Inf when the scorer has no bound), at positions up to end.
 type rankBucket struct {
 	score float64
 	key   int
@@ -86,21 +85,15 @@ type ranker struct {
 	q   *Query
 	cur *cursorPos
 
-	// coded is the scorer's integer kernel over entry codes, prepared
-	// for this query; nil for scorers that declare none (WithScorerFunc,
-	// the type-i baselines, externally registered scorers), which are
-	// called as scorer(img, queryBE, entry) instead.
-	coded   codedKernel
-	img     core.Image
-	queryBE core.BEString
-	scorer  Scorer
+	// kernel is the scorer's kernel, prepared for this query; nil when
+	// the query has no ranked image.
+	kernel scoreKernel
 
-	// lengths (a built-in) or bound (registered with a Bound) is the
-	// scorer's bound, nil when it declares none or the query has no
-	// ranked image; qsig is the query's signature, interned against the
-	// pinned version's dictionary, and qlen the bound's query normaliser.
+	// lengths is the scorer's bound, nil when it has none or the query
+	// has no ranked image; qsig is the query's signature, interned
+	// against the pinned version's dictionary, and qlen the bound's
+	// query normaliser.
 	lengths *lengthBound
-	bound   sigBound
 	qsig    *core.Signature
 	qlen    int
 
@@ -388,52 +381,37 @@ func (r *ranker) refine(ctx context.Context, c *claims, cands []candidate, order
 				r.reject(t, c.n-c.rest())
 				return
 			}
-			ub := buckets[j].score
-			if r.bound != nil {
-				ub = r.bound(r.qsig, st.sig)
-			}
-			if ct.rejects(ub) {
+			if ct.rejects(buckets[j].score) {
 				r.reject(t, 1)
 				continue
 			}
 			t.evaluated++
 			var score float64
 			switch {
-			case r.cache != nil:
-				// A cache is only ever attached to a coded (BE-pure)
-				// scorer. A hit skips the whole dynamic program; a miss
-				// runs it to the end, since the cache keeps exact scores.
-				k := cacheKey{query: r.qkey, entry: st}
-				var t0 time.Time
-				timed := (t.cacheHits+t.cacheMisses)%cacheLookupSample == 0
-				if timed {
-					t0 = time.Now()
-				}
-				s, ok := r.cache.get(r.qhash, k)
-				if timed {
-					r.met.cacheLookupSeconds.Observe(time.Since(t0).Seconds())
-				}
-				if ok {
-					t.cacheHits++
-					score = s
-				} else {
-					t.cacheMisses++
-					score, _ = r.coded(st, noCut)
-					r.cache.put(r.qhash, k, score)
-				}
-			case r.coded != nil:
-				var complete bool
-				if score, complete = r.coded(st, ct); !complete {
-					// A bound from the first stage already lost to the
-					// cut: so would the exact score, as above.
-					t.halfRefined++
-					if q.minScore <= 0 {
-						t.admitted++
+			case r.kernel != nil:
+				hit := false
+				if r.cache != nil {
+					// A hit skips the whole dynamic program; a miss runs it
+					// to the end, since the cache keeps exact scores.
+					if score, hit = r.cached(st, t); !hit {
+						ct = noCut
 					}
-					continue
 				}
-			case q.image != nil:
-				score = r.scorer(r.img, r.queryBE, st.Entry)
+				if !hit {
+					var complete bool
+					if score, complete = r.kernel(st, ct); !complete {
+						// A bound from the first stage already lost to the
+						// cut: so would the exact score, as above.
+						t.halfRefined++
+						if q.minScore <= 0 {
+							t.admitted++
+						}
+						continue
+					}
+					if r.cache != nil {
+						r.cache.put(r.qhash, cacheKey{query: r.qkey, entry: st}, score)
+					}
+				}
 			case q.dsl != nil:
 				score = cand.where
 			}
@@ -448,4 +426,24 @@ func (r *ranker) refine(ctx context.Context, c *claims, cands []candidate, order
 			h.add(res)
 		}
 	}
+}
+
+// cached looks st's score up in the scorer cache, counting the hit or
+// miss, and times one lookup in cacheLookupSample.
+func (r *ranker) cached(st *stored, t *rankTally) (float64, bool) {
+	var t0 time.Time
+	timed := (t.cacheHits+t.cacheMisses)%cacheLookupSample == 0
+	if timed {
+		t0 = time.Now()
+	}
+	score, ok := r.cache.get(r.qhash, cacheKey{query: r.qkey, entry: st})
+	if timed {
+		r.met.cacheLookupSeconds.Observe(time.Since(t0).Seconds())
+	}
+	if ok {
+		t.cacheHits++
+	} else {
+		t.cacheMisses++
+	}
+	return score, ok
 }

@@ -16,8 +16,8 @@ import (
 // harnessCorpus bulk-loads the load harness's corpus recipe
 // (benchmark/corpus.go): n 8-object scenes on a 100×100 canvas,
 // vocabulary 64, ids s0000000….
-func harnessCorpus(b *testing.B, n int) (*DB, *workload.Generator, []core.Image) {
-	b.Helper()
+func harnessCorpus(tb testing.TB, n int) (*DB, *workload.Generator, []core.Image) {
+	tb.Helper()
 	gen := workload.NewGenerator(workload.Config{Seed: 1, Width: 100, Height: 100, Objects: 8, Vocabulary: 64})
 	corpus := gen.Dataset(n)
 	items := make([]BulkItem, n)
@@ -26,7 +26,7 @@ func harnessCorpus(b *testing.B, n int) (*DB, *workload.Generator, []core.Image)
 	}
 	db := New()
 	if err := db.BulkInsert(context.Background(), items, 0); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return db, gen, corpus
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"bestring/internal/baseline/typesim"
 	"bestring/internal/core"
 	"bestring/internal/workload"
 )
@@ -51,13 +50,12 @@ func TestBoundOrderedRankingByteIdentical(t *testing.T) {
 
 	scorers := []struct {
 		name    string
-		scorer  Scorer
 		bounded bool
 	}{
-		{"be", BEScorer(), true},
-		{"invariant", InvariantScorer(nil), true},
-		{"symbols", SymbolsOnlyScorer(), true},
-		{"type0", TypeSimScorer(typesim.Type0), false},
+		{"be", true},
+		{"invariant", true},
+		{"symbols", true},
+		{"type0", false},
 	}
 	halfRefined, pruned := 0, 0
 	for qi, img := range queries {
@@ -75,7 +73,7 @@ func TestBoundOrderedRankingByteIdentical(t *testing.T) {
 			}
 			for _, c := range cases {
 				spec := c.spec
-				spec.image, spec.whereMin, spec.scorer = &img, -1, sc.scorer
+				spec.image, spec.whereMin, spec.scorer = &img, -1, sc.name
 				for par := 1; par <= 4; par++ {
 					label := fmt.Sprintf("query %d %s %s parallelism=%d", qi, sc.name, c.name, par)
 					page, err := db.Query(ctx, NewQuery(img), append([]QueryOption{WithScorer(sc.name), WithParallelism(par)}, c.opts...)...)
@@ -95,7 +93,7 @@ func TestBoundOrderedRankingByteIdentical(t *testing.T) {
 				}
 			}
 			for _, par := range []int{1, 3} {
-				spec := composedSpec{image: &img, whereMin: -1, scorer: sc.scorer, k: 11}
+				spec := composedSpec{image: &img, whereMin: -1, scorer: sc.name, k: 11}
 				label := fmt.Sprintf("query %d %s walk parallelism=%d", qi, sc.name, par)
 				assertWalkMatchesReference(t, label, db, spec, func(cursor string) *Page {
 					page, err := db.Query(ctx, NewQuery(img), WithScorer(sc.name), WithParallelism(par), WithK(11), WithCursor(cursor))

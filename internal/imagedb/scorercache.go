@@ -33,12 +33,11 @@ import (
 // TestScorerCacheRankingByteIdentical); the cache can only change how
 // fast they arrive.
 //
-// Only registry scorers marked BE-pure are cacheable: their score is a
-// function of (query BE-string, entry BE-string) alone, so the canonical
-// query-BE encoding plus the entry version pins the exact result. The
-// type-i baselines read raw image coordinates, which the BE-string does
-// not determine, and custom WithScorerFunc scorers are opaque — both
-// always evaluate exactly.
+// Only the LCS-family scorers (be, invariant, symbols) are cacheable:
+// their score is a function of (query BE-string, entry BE-string) alone,
+// so the canonical query-BE encoding plus the entry version pins the
+// exact result. The type-i baselines read raw image coordinates, which
+// the BE-string does not determine, and always evaluate exactly.
 //
 // Admission: a query is allowed to use the cache only from the second
 // time its key is sighted (see cacheDoorkeeper). A stream of distinct

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"bestring/internal/baseline/typesim"
 	"bestring/internal/core"
 	"bestring/internal/obs"
 )
@@ -32,9 +31,9 @@ func TestScorerCacheRankingByteIdentical(t *testing.T) {
 	}{
 		{[]QueryOption{WithK(10)}, ref(composedSpec{k: 10})},
 		{nil, ref(composedSpec{})}, // unbounded: every candidate evaluates, maximal cache traffic
-		{[]QueryOption{WithK(10), WithScorer("invariant")}, ref(composedSpec{k: 10, scorer: InvariantScorer(nil)})},
-		{[]QueryOption{WithK(10), WithScorer("symbols")}, ref(composedSpec{k: 10, scorer: SymbolsOnlyScorer()})},
-		{[]QueryOption{WithK(10), WithScorer("type1")}, ref(composedSpec{k: 10, scorer: TypeSimScorer(typesim.Type1)})}, // not BE-pure: never cached
+		{[]QueryOption{WithK(10), WithScorer("invariant")}, ref(composedSpec{k: 10, scorer: "invariant"})},
+		{[]QueryOption{WithK(10), WithScorer("symbols")}, ref(composedSpec{k: 10, scorer: "symbols"})},
+		{[]QueryOption{WithK(10), WithScorer("type1")}, ref(composedSpec{k: 10, scorer: "type1"})}, // not BE-pure: never cached
 		{[]QueryOption{WithK(10), WithMinScore(0.4)}, ref(composedSpec{k: 10, minScore: 0.4})},
 		{[]QueryOption{WithK(5), WithOffset(7)}, ref(composedSpec{k: 5, offset: 7})},
 		{[]QueryOption{WithK(10), WithLabelPrefilter(true)}, ref(composedSpec{k: 10, labelPrefilter: true})},

@@ -95,10 +95,7 @@ func search(ctx context.Context, db interface {
 func referenceSearch(db *DB, query core.Image, opts ...QueryOption) []Result {
 	spec := NewQuery(query).apply(opts)
 	queryBE := core.MustConvert(query)
-	scorer := spec.scorer
-	if scorer == nil {
-		scorer = BEScorer()
-	}
+	scorer := referenceScorer(spec.scorerName)
 	var all []Result
 	for _, id := range db.IDs() {
 		e, _ := db.Get(id)
@@ -145,7 +142,7 @@ func TestSearchMatchesFullSortReference(t *testing.T) {
 				{name: "k=3 par=1", opts: []QueryOption{WithK(3), WithParallelism(1)}},
 				{name: "k=3 par=2", opts: []QueryOption{WithK(3), WithParallelism(2)}},
 				{name: "k=3 par=16", opts: []QueryOption{WithK(3), WithParallelism(16)}},
-				{name: "k=4 invariant func", opts: []QueryOption{WithK(4), WithScorerFunc(InvariantScorer(nil))}},
+				{name: "k=4 invariant", opts: []QueryOption{WithK(4), WithScorer("invariant")}},
 				{name: "k=5 prefilter", opts: []QueryOption{WithK(5), WithLabelPrefilter(true)}},
 			} {
 				got, err := search(context.Background(), db, q, tc.opts...)
@@ -239,16 +236,19 @@ func TestSearchCancelledMidShard(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
-	// The scorer trips cancellation partway through the corpus, while
+	// The kernel trips cancellation partway through the corpus, while
 	// workers are mid-chunk; the search must report the context error,
-	// and each worker stops when it goes to claim its next chunk.
-	scorer := func(q core.Image, qbe core.BEString, e Entry) float64 {
-		if calls.Add(1) == tripAt {
-			cancel()
+	// and each worker stops when it goes to claim its next chunk. type0
+	// has no bound, so every candidate reaches the kernel in scan order.
+	tripping := withKernelWrap(func(k scoreKernel) scoreKernel {
+		return func(e *stored, c cut) (float64, bool) {
+			if calls.Add(1) == tripAt {
+				cancel()
+			}
+			return k(e, c)
 		}
-		return BEScorer()(q, qbe, e)
-	}
-	_, err := search(ctx, db, scenes[0], WithK(3), WithScorerFunc(scorer), WithParallelism(workers))
+	})
+	_, err := search(ctx, db, scenes[0], WithK(3), WithScorer("type0"), tripping, WithParallelism(workers))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}

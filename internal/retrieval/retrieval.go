@@ -174,11 +174,12 @@ func BuildWorkload(cfg WorkloadConfig) (*Workload, error) {
 	return w, nil
 }
 
-// Run executes every round with the scorer and returns the mean metrics.
-func (w *Workload) Run(ctx context.Context, scorer imagedb.Scorer) (Metrics, error) {
+// Run executes every round with the named scorer (one of
+// imagedb.ScorerNames) and returns the mean metrics.
+func (w *Workload) Run(ctx context.Context, scorer string) (Metrics, error) {
 	ms := make([]Metrics, 0, len(w.Rounds))
 	for i, round := range w.Rounds {
-		page, err := w.DB.Query(ctx, imagedb.NewQuery(round.Query), imagedb.WithScorerFunc(scorer))
+		page, err := w.DB.Query(ctx, imagedb.NewQuery(round.Query), imagedb.WithScorer(scorer))
 		if err != nil {
 			return Metrics{}, fmt.Errorf("run round %d: %w", i, err)
 		}
@@ -197,9 +198,10 @@ type MethodResult struct {
 	Metrics
 }
 
-// RunMethods evaluates several named scorers on the same workload and
-// returns rows sorted by method name.
-func (w *Workload) RunMethods(ctx context.Context, methods map[string]imagedb.Scorer) ([]MethodResult, error) {
+// RunMethods evaluates several scorers on the same workload — methods
+// maps each row's method label to a scorer name — and returns rows
+// sorted by method label.
+func (w *Workload) RunMethods(ctx context.Context, methods map[string]string) ([]MethodResult, error) {
 	out := make([]MethodResult, 0, len(methods))
 	for name, scorer := range methods {
 		m, err := w.Run(ctx, scorer)

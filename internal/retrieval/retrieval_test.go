@@ -4,9 +4,6 @@ import (
 	"context"
 	"math"
 	"testing"
-
-	"bestring/internal/baseline/typesim"
-	"bestring/internal/imagedb"
 )
 
 func TestEvaluateKnownRanking(t *testing.T) {
@@ -105,11 +102,11 @@ func TestWorkloadDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := w1.Run(context.Background(), imagedb.BEScorer())
+	m1, err := w1.Run(context.Background(), "be")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := w2.Run(context.Background(), imagedb.BEScorer())
+	m2, err := w2.Run(context.Background(), "be")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +124,7 @@ func TestBEScorerFindsPlantedVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := w.Run(context.Background(), imagedb.BEScorer())
+	m, err := w.Run(context.Background(), "be")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +146,7 @@ func TestPartialQueriesStillRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := w.Run(context.Background(), imagedb.BEScorer())
+	m, err := w.Run(context.Background(), "be")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +160,9 @@ func TestRunMethodsProducesAllRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := w.RunMethods(context.Background(), map[string]imagedb.Scorer{
-		"be-lcs": imagedb.BEScorer(),
-		"type-0": imagedb.TypeSimScorer(typesim.Type0),
+	rows, err := w.RunMethods(context.Background(), map[string]string{
+		"be-lcs": "be",
+		"type-0": "type0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +179,7 @@ func TestRunCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := w.Run(ctx, imagedb.BEScorer()); err == nil {
+	if _, err := w.Run(ctx, "be"); err == nil {
 		t.Error("cancelled run should fail")
 	}
 }

@@ -2,6 +2,8 @@ package similarity
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"bestring/internal/core"
@@ -77,44 +79,234 @@ func TestUpperBoundDominatesExact(t *testing.T) {
 	for _, seed := range []int64{7, 8881, 20010407} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			for _, p := range workloadPairs(seed) {
-				sq, sd := core.SignatureOf(p.q), core.SignatureOf(p.d)
-				c := codePair(p)
-				transformed := make([]core.CodedBE, len(core.AllTransforms))
-				for i, tr := range core.AllTransforms {
-					transformed[i] = c.encode(p.q.Apply(tr))
-				}
-				stripped := c.encode(core.BEString{X: lcs.StripDummies(p.q.X), Y: lcs.StripDummies(p.q.Y)})
-				checks := []struct {
-					scorer             string
-					bound, internBound float64
-					exact, codedExact  Score
-				}{
-					{"be", UpperBound(sq, sd), Bound(&c.sq, &c.sd),
-						Evaluate(p.q, p.d), EvaluateCoded(c.encode(p.q), c.cd)},
-					{"invariant", UpperBoundInvariant(sq, sd), BoundInvariant(&c.sq, &c.sd),
-						EvaluateInvariant(p.q, p.d, nil).Score, EvaluateInvariantCoded(transformed, c.cd)},
-					{"symbols", UpperBoundSymbolsOnly(sq, sd), BoundSymbolsOnly(&c.sq, &c.sd),
-						EvaluateSymbolsOnly(p.q, p.d), EvaluateSymbolsOnlyCoded(stripped, c.cd)},
-				}
-				for _, c := range checks {
-					if c.bound < c.exact.Key() {
-						t.Fatalf("%s: %s bound %.6f < exact %.6f (q=%s d=%s)",
-							p.name, c.scorer, c.bound, c.exact.Key(), p.q, p.d)
-					}
-					if c.bound < 0 || c.bound > 1+1e-12 {
-						t.Fatalf("%s: %s bound %.6f outside [0, 1]", p.name, c.scorer, c.bound)
-					}
-					if c.internBound != c.bound {
-						t.Fatalf("%s: %s interned bound %v != string bound %v", p.name, c.scorer, c.internBound, c.bound)
-					}
-					if c.codedExact != c.exact {
-						t.Fatalf("%s: %s coded score %+v != token score %+v (q=%s d=%s)",
-							p.name, c.scorer, c.codedExact, c.exact, p.q, p.d)
+				for _, c := range pairChecks(p) {
+					if err := c.verify(p); err != nil {
+						t.Fatal(err)
 					}
 				}
 			}
 		})
 	}
+}
+
+// pairChecks computes the be, invariant and symbols checks of one pair,
+// its coded side built by codePair.
+func pairChecks(p boundedPair) []scorerCheck {
+	sq, sd := core.SignatureOf(p.q), core.SignatureOf(p.d)
+	c := codePair(p)
+	cq := codeQuery(p.q, c.encode)
+	return []scorerCheck{
+		{"be", UpperBound(sq, sd), Bound(&c.sq, &c.sd),
+			Evaluate(p.q, p.d), EvaluateCoded(cq.plain, c.cd)},
+		{"invariant", UpperBoundInvariant(sq, sd), BoundInvariant(&c.sq, &c.sd),
+			EvaluateInvariant(p.q, p.d, nil).Score, EvaluateInvariantCoded(cq.transformed, c.cd)},
+		{"symbols", UpperBoundSymbolsOnly(sq, sd), BoundSymbolsOnly(&c.sq, &c.sd),
+			EvaluateSymbolsOnly(p.q, p.d), EvaluateSymbolsOnlyCoded(cq.stripped, c.cd)},
+	}
+}
+
+// codedQuery is a query coded the three ways the engine's scorers code
+// it: as it stands, under each transform, and stripped of dummies.
+type codedQuery struct {
+	plain, stripped core.CodedBE
+	transformed     []core.CodedBE
+}
+
+func codeQuery(q core.BEString, encode func(core.BEString) core.CodedBE) codedQuery {
+	transformed := make([]core.CodedBE, len(core.AllTransforms))
+	for i, tr := range core.AllTransforms {
+		transformed[i] = encode(q.Apply(tr))
+	}
+	return codedQuery{
+		plain:       encode(q),
+		stripped:    encode(core.BEString{X: lcs.StripDummies(q.X), Y: lcs.StripDummies(q.Y)}),
+		transformed: transformed,
+	}
+}
+
+// scorerCheck is one scorer's view of one pair: its bound from the
+// plain and from the interned signatures, and its score through the
+// token and the coded path.
+type scorerCheck struct {
+	scorer             string
+	bound, internBound float64
+	exact, codedExact  Score
+}
+
+// verify asserts that the bound dominates the token score and lies in
+// [0, 1], and that the interned bound and the coded score equal their
+// twins bit for bit.
+func (c scorerCheck) verify(p boundedPair) error {
+	switch {
+	case c.bound < c.exact.Key():
+		return fmt.Errorf("%s: %s bound %.6f < exact %.6f (q=%s d=%s)",
+			p.name, c.scorer, c.bound, c.exact.Key(), p.q, p.d)
+	case c.bound < 0 || c.bound > 1+1e-12:
+		return fmt.Errorf("%s: %s bound %.6f outside [0, 1]", p.name, c.scorer, c.bound)
+	case c.internBound != c.bound:
+		return fmt.Errorf("%s: %s interned bound %v != string bound %v", p.name, c.scorer, c.internBound, c.bound)
+	case c.codedExact != c.exact:
+		return fmt.Errorf("%s: %s coded score %+v != token score %+v (q=%s d=%s)",
+			p.name, c.scorer, c.codedExact, c.exact, p.q, p.d)
+	}
+	return nil
+}
+
+// smallScopeImages enumerates every image of one or two objects over
+// the labels A and B — labels are unique within an image, so two labels
+// cap it at two objects — whose boxes lie on a 2×2 grid: corners at 0,
+// 1 or 2 on each axis, degenerate (zero-width or zero-height) boxes
+// included. That is 36 boxes, 72 one-object and 1 296 two-object
+// images. The set is closed under the eight dihedral transforms.
+func smallScopeImages() []core.Image {
+	var boxes []core.Rect
+	for x0 := 0; x0 <= 2; x0++ {
+		for x1 := x0; x1 <= 2; x1++ {
+			for y0 := 0; y0 <= 2; y0++ {
+				for y1 := y0; y1 <= 2; y1++ {
+					boxes = append(boxes, core.NewRect(x0, y0, x1, y1))
+				}
+			}
+		}
+	}
+	var imgs []core.Image
+	for _, label := range []string{"A", "B"} {
+		for _, b := range boxes {
+			imgs = append(imgs, core.NewImage(2, 2, core.Object{Label: label, Box: b}))
+		}
+	}
+	for _, a := range boxes {
+		for _, b := range boxes {
+			imgs = append(imgs, core.NewImage(2, 2, core.Object{Label: "A", Box: a}, core.Object{Label: "B", Box: b}))
+		}
+	}
+	return imgs
+}
+
+// TestSmallScopeBoundsAndCodes is the small-scope check (Jackson's
+// hypothesis: most faults show on some small input, so try all of
+// them). Every ordered pair of smallScopeImages — 1 368 images, no two
+// with the same BE-string, 1 871 424 pairs — goes through the
+// assertions of TestUpperBoundDominatesExact for be, invariant and
+// symbols.
+//
+// The work per image is done once, not once per pair. An entry is
+// interned into the dictionary of its label set, which gives it the
+// codes codePair's fresh dictionary would (interning follows the
+// signature's label order), and every query is coded against each of
+// the three dictionaries. The token invariant score is, by
+// EvaluateInvariant's definition, the best token be score over the
+// query's eight transforms; the set is closed under them, so each is
+// the be score of another pair, which a first pass records. The coded
+// invariant score runs EvaluateInvariantCoded, the engine's kernel.
+func TestSmallScopeBoundsAndCodes(t *testing.T) {
+	type entry struct {
+		be       core.BEString
+		sig      core.Signature
+		dict     int
+		interned core.Signature
+		cd       core.CodedBE
+		looked   []core.Signature // as a query, per dictionary
+		coded    []codedQuery     // as a query, per dictionary
+		turns    []int            // the entry each transform turns it into
+	}
+	var dicts []*core.LabelDict
+	dictOf := map[string]int{}
+	index := map[string]int{}
+	var entries []entry
+	for _, img := range smallScopeImages() {
+		be := core.MustConvert(img)
+		if _, dup := index[be.String()]; dup {
+			t.Fatalf("two images convert to %s", be)
+		}
+		index[be.String()] = len(entries)
+		sig := core.SignatureOf(be)
+		key := fmt.Sprint(sig.Labels)
+		i, ok := dictOf[key]
+		if !ok {
+			i = len(dicts)
+			dictOf[key] = i
+			dicts = append(dicts, core.NewLabelDict())
+		}
+		interned, ids := sig.Intern(dicts[i])
+		cd := core.EncodeBE(make([]uint32, len(be.X)+len(be.Y)), be, interned.Labels, ids)
+		entries = append(entries, entry{be: be, sig: sig, dict: i, interned: interned, cd: cd})
+	}
+	for qi := range entries {
+		q := &entries[qi]
+		for _, dict := range dicts {
+			looked, ids := q.sig.Lookup(dict)
+			q.looked = append(q.looked, looked)
+			q.coded = append(q.coded, codeQuery(q.be, func(be core.BEString) core.CodedBE {
+				return core.EncodeBE(make([]uint32, len(be.X)+len(be.Y)), be, looked.Labels, ids)
+			}))
+		}
+		for _, tr := range core.AllTransforms {
+			turned := q.be.Apply(tr)
+			j, ok := index[turned.String()]
+			if !ok || !entries[j].be.Equal(turned) {
+				t.Fatalf("%s under %s leaves the set: %s", q.be, tr, turned)
+			}
+			q.turns = append(q.turns, j)
+		}
+	}
+
+	// lengths[qi*n+di] is the be pair's token LCS lengths (x, y).
+	n := len(entries)
+	lengths := make([][2]uint8, n*n)
+	pass := func(check func(qi, di int) error) {
+		t.Helper()
+		workers := runtime.GOMAXPROCS(0)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for qi := w; qi < n; qi += workers {
+					for di := range n {
+						if errs[w] = check(qi, di); errs[w] != nil {
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pair := func(qi, di int) (p boundedPair, q, d *entry) {
+		q, d = &entries[qi], &entries[di]
+		return boundedPair{"small-scope", q.be, d.be}, q, d
+	}
+	pass(func(qi, di int) error {
+		p, q, d := pair(qi, di)
+		be := scorerCheck{"be", UpperBound(q.sig, d.sig), Bound(&q.looked[d.dict], &d.interned),
+			Evaluate(q.be, d.be), EvaluateCoded(q.coded[d.dict].plain, d.cd)}
+		lengths[qi*n+di] = [2]uint8{uint8(be.exact.LX), uint8(be.exact.LY)}
+		symbols := scorerCheck{"symbols", UpperBoundSymbolsOnly(q.sig, d.sig), BoundSymbolsOnly(&q.looked[d.dict], &d.interned),
+			EvaluateSymbolsOnly(q.be, d.be), EvaluateSymbolsOnlyCoded(q.coded[d.dict].stripped, d.cd)}
+		if err := be.verify(p); err != nil {
+			return err
+		}
+		return symbols.verify(p)
+	})
+	pass(func(qi, di int) error {
+		p, q, d := pair(qi, di)
+		var exact Score
+		for _, j := range q.turns {
+			l := lengths[j*n+di]
+			if s := newScore(int(l[0]), int(l[1]), len(q.be.X)+len(q.be.Y), len(d.be.X)+len(d.be.Y)); s.Key() > exact.Key() {
+				exact = s
+			}
+		}
+		return scorerCheck{"invariant", UpperBoundInvariant(q.sig, d.sig), BoundInvariant(&q.looked[d.dict], &d.interned),
+			exact, EvaluateInvariantCoded(q.coded[d.dict].transformed, d.cd)}.verify(p)
+	})
 }
 
 // TestUpperBoundTightOnAccord pins the equality case: an image scored

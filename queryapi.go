@@ -34,10 +34,6 @@ type (
 	// query (narrowed -> bounded -> evaluated/pruned), reported on every
 	// QueryPage for pruning-efficacy observability.
 	QueryStages = imagedb.StageCounts
-	// ScorerBound is a cheap upper bound on a scorer's exact score,
-	// computed from two symbol signatures (see RegisterBoundedScorer for
-	// the soundness contract).
-	ScorerBound = imagedb.Bound
 	// SearchStats are a DB's cumulative filter-and-refine counters.
 	SearchStats = imagedb.SearchStats
 	// QueryPlan records how one executed query's candidate set was
@@ -46,8 +42,7 @@ type (
 	QueryPlan = imagedb.QueryPlan
 )
 
-// DefaultScorerName is the registry name used when a query names no
-// scorer.
+// DefaultScorerName is the scorer used when a query names none.
 const DefaultScorerName = imagedb.DefaultScorerName
 
 // NewQuery returns a ranked-retrieval query for the image, to be refined
@@ -69,12 +64,10 @@ func WithOffset(n int) QueryOption { return imagedb.WithOffset(n) }
 // previous QueryPage.NextCursor.
 func WithCursor(c string) QueryOption { return imagedb.WithCursor(c) }
 
-// WithScorer selects a registered scorer by name ("" means the default
-// BE-LCS scorer); see RegisterScorer.
+// WithScorer selects the ranking scorer by name, one of ScorerNames:
+// be (the default, the paper's BE-LCS), invariant, symbols, type0,
+// type1 or type2. A caller that wants another order re-ranks the hits.
 func WithScorer(name string) QueryOption { return imagedb.WithScorer(name) }
-
-// WithScorerFunc ranks with an explicit scorer, bypassing the registry.
-func WithScorerFunc(s Scorer) QueryOption { return imagedb.WithScorerFunc(s) }
 
 // Where filters results with a spatial-predicate expression
 // ("A left-of B; B above C"). With a ranked component the filter keeps
@@ -109,38 +102,12 @@ func WithLabelPrefilter(on bool) QueryOption {
 	return imagedb.WithLabelPrefilter(on)
 }
 
-// ScorerCacheable reports whether the named scorer's evaluations are
-// eligible for the scorer cache ("" resolves to the default).
-func ScorerCacheable(name string) bool { return imagedb.ScorerCacheable(name) }
-
-// RegisterScorer adds a named scorer to the registry shared by the
-// library, the CLI and the REST server, with no upper bound (queries
-// ranking with it evaluate every candidate exactly). Built-in names:
-// be, invariant, type0, type1, type2, symbols.
-func RegisterScorer(name string, s Scorer) error {
-	return imagedb.RegisterScorer(name, s)
-}
-
-// RegisterBoundedScorer adds a named scorer together with its signature
-// upper bound, enabling filter-and-refine pruning for queries ranking
-// with it. The bound must dominate the scorer's exact score (which must
-// be non-negative) for every query/entry pair — see the Bound contract
-// in internal/imagedb; a violating bound silently corrupts rankings.
-func RegisterBoundedScorer(name string, s Scorer, b ScorerBound) error {
-	return imagedb.RegisterBoundedScorer(name, s, b)
-}
-
-// LookupScorer resolves a registered scorer by name ("" resolves to the
-// default).
-func LookupScorer(name string) (Scorer, bool) {
-	return imagedb.LookupScorer(name)
-}
-
-// LookupBound resolves the upper bound a registered scorer declared
-// ("" resolves to the default; ok is false for exact-only scorers).
-func LookupBound(name string) (ScorerBound, bool) {
+// LookupBound resolves the named scorer's upper bound on its exact
+// score, computed from two symbol signatures ("" resolves to the
+// default; ok is false for the type-i baselines, which have none).
+func LookupBound(name string) (bound func(query, entry Signature) float64, ok bool) {
 	return imagedb.LookupBound(name)
 }
 
-// ScorerNames lists the registered scorer names, sorted.
+// ScorerNames lists the scorer names, sorted.
 func ScorerNames() []string { return imagedb.ScorerNames() }
