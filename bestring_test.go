@@ -83,17 +83,30 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Errorf("baseline top result = %+v", results[0])
 	}
 
-	// Persistence.
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := bestring.LoadDB(&buf)
+	// Persistence: a store directory keeps its writes across a reopen.
+	dir := t.TempDir()
+	store, err := bestring.OpenStore(dir, bestring.StoreOptions{})
 	if err != nil {
-		t.Fatalf("LoadDB: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
-	if loaded.Len() != db.Len() {
-		t.Errorf("loaded %d entries, want %d", loaded.Len(), db.Len())
+	for i, scene := range scenes {
+		if err := store.Insert(bestring.ClassLabel(i), "scene", scene); err != nil {
+			t.Fatalf("store Insert: %v", err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	reopened, err := bestring.OpenStore(dir, bestring.StoreOptions{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer reopened.Close()
+	if reopened.Len() != db.Len() {
+		t.Errorf("reopened store has %d entries, want %d", reopened.Len(), db.Len())
+	}
+	if got := hits(t, reopened, bestring.NewQuery(scenes[4]), bestring.WithK(1)); got[0].ID != bestring.ClassLabel(4) {
+		t.Errorf("reopened store top result = %+v", got[0])
 	}
 
 	// Raster pipeline.

@@ -7,12 +7,12 @@
 //
 //	bestring convert   -img scene.json
 //	bestring score     -query q.json -db d.json [-invariant]
-//	bestring search    -dbfile db.json [-query q.json] [-k 10] [-offset 0]
+//	bestring search    -scenes scenes.ndjson [-query q.json] [-k 10] [-offset 0]
 //	                   [-method be|invariant|type0|type1|type2|symbols]
 //	                   [-dsl "A left-of B"] [-region x0,y0,x1,y1] [-region-label L]
 //	                   [-min-score 0.4] [-explain]
 //	bestring transform -img scene.json -t rot90|rot180|rot270|flip-x|flip-y
-//	bestring mkdb      -out db.json [-count 50] [-seed 1] [-objects 8] [-vocab 24]
+//	bestring mkdb      -out scenes.ndjson [-count 50] [-seed 1] [-objects 8] [-vocab 24]
 //	bestring store     init|inspect|compact -data-dir DIR [flags]
 //	bestring import    -data-dir DIR -file scenes.ndjson [-format ndjson|csv]
 //	                   [-chunk N] [-parallelism N] [-no-resume]
@@ -22,11 +22,18 @@
 // Image files are JSON in the core.Image format:
 //
 //	{"xmax":6,"ymax":6,"objects":[{"label":"A","box":{"x0":1,"y0":2,"x1":3,"y1":5}}]}
+//
+// Scene files (mkdb's output, search's and import's input) are NDJSON,
+// one {"id":...,"name":...,"image":{...}} object per line — the body of
+// POST /api/v1/import. search holds its database in memory; import
+// writes one into a durable store directory.
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -188,7 +195,7 @@ func parseRegionFlag(s string) (bestring.Rect, error) {
 
 func cmdSearch(args []string) error {
 	fs := flag.NewFlagSet("search", flag.ContinueOnError)
-	dbPath := fs.String("dbfile", "", "database JSON file (see mkdb)")
+	scenesPath := fs.String("scenes", "", "NDJSON scene file to search (see mkdb)")
 	qPath := fs.String("query", "", "query image JSON file (optional with -dsl or -region)")
 	k := fs.Int("k", 10, "number of results")
 	offset := fs.Int("offset", 0, "skip the first N results")
@@ -201,13 +208,13 @@ func cmdSearch(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *dbPath == "" {
-		return fmt.Errorf("search: -dbfile is required")
+	if *scenesPath == "" {
+		return fmt.Errorf("search: -scenes is required")
 	}
 	if *qPath == "" && *dsl == "" && *region == "" {
 		return fmt.Errorf("search: need -query, -dsl or -region")
 	}
-	db, err := bestring.LoadDBFile(*dbPath)
+	db, err := loadScenes(*scenesPath)
 	if err != nil {
 		return err
 	}
@@ -363,7 +370,7 @@ func cmdTransform(args []string) error {
 
 func cmdMkdb(args []string) error {
 	fs := flag.NewFlagSet("mkdb", flag.ContinueOnError)
-	out := fs.String("out", "db.json", "output database file")
+	out := fs.String("out", "scenes.ndjson", "output NDJSON scene file")
 	count := fs.Int("count", 50, "number of scenes")
 	seed := fs.Int64("seed", 1, "generator seed")
 	objects := fs.Int("objects", 8, "objects per scene")
@@ -374,18 +381,42 @@ func cmdMkdb(args []string) error {
 	gen := bestring.NewSceneGenerator(bestring.SceneConfig{
 		Seed: *seed, Objects: *objects, Vocabulary: *vocab,
 	})
-	db := bestring.NewDB()
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	enc := json.NewEncoder(w) // one scene per line
 	for i := 0; i < *count; i++ {
-		id := fmt.Sprintf("scene%04d", i)
-		if err := db.Insert(id, fmt.Sprintf("synthetic scene %d", i), gen.Scene()); err != nil {
+		sc := bestring.Scene{
+			ID:    fmt.Sprintf("scene%04d", i),
+			Name:  fmt.Sprintf("synthetic scene %d", i),
+			Image: gen.Scene(),
+		}
+		if err := enc.Encode(sc); err != nil {
+			f.Close()
 			return err
 		}
 	}
-	if err := db.SaveFile(*out); err != nil {
+	if err := errors.Join(w.Flush(), f.Close()); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d scenes to %s\n", *count, *out)
 	return nil
+}
+
+// loadScenes imports an NDJSON scene file into a new in-memory database.
+func loadScenes(path string) (*bestring.DB, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	db := bestring.NewDB()
+	if _, err := db.Import(context.Background(), bestring.NDJSONScenes(f), bestring.ImportOptions{}); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return db, nil
 }
 
 func cmdRender(args []string) error {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
@@ -59,21 +60,24 @@ func TestScoreCommand(t *testing.T) {
 
 func TestMkdbAndSearchCommands(t *testing.T) {
 	dir := t.TempDir()
-	dbPath := filepath.Join(dir, "db.json")
-	if err := run([]string{"mkdb", "-out", dbPath, "-count", "10", "-seed", "2"}); err != nil {
+	scenesPath := filepath.Join(dir, "scenes.ndjson")
+	if err := run([]string{"mkdb", "-out", scenesPath, "-count", "10", "-seed", "2"}); err != nil {
 		t.Fatalf("mkdb: %v", err)
 	}
 	img := writeFig1(t)
 	for _, method := range []string{"be", "invariant", "type0", "type1", "type2"} {
-		if err := run([]string{"search", "-dbfile", dbPath, "-query", img, "-k", "3", "-method", method}); err != nil {
+		if err := run([]string{"search", "-scenes", scenesPath, "-query", img, "-k", "3", "-method", method}); err != nil {
 			t.Fatalf("search -method %s: %v", method, err)
 		}
 	}
-	if err := run([]string{"search", "-dbfile", dbPath, "-query", img, "-method", "cosine"}); err == nil {
+	if err := run([]string{"search", "-scenes", scenesPath, "-query", img, "-method", "cosine"}); err == nil {
 		t.Error("unknown method accepted")
 	}
 	if err := run([]string{"search", "-query", img}); err == nil {
-		t.Error("missing -dbfile accepted")
+		t.Error("missing -scenes accepted")
+	}
+	if err := run([]string{"search", "-scenes", scenesPath + ".missing", "-query", img}); err == nil {
+		t.Error("missing scene file accepted")
 	}
 }
 
@@ -124,38 +128,41 @@ func TestLoadImageRejectsBadJSON(t *testing.T) {
 // region filters on top of (or instead of) ranked search.
 func TestSearchComposedFlags(t *testing.T) {
 	dir := t.TempDir()
-	dbPath := filepath.Join(dir, "db.json")
-	db := bestring.NewDB()
+	scenesPath := filepath.Join(dir, "scenes.ndjson")
 	fig := bestring.Figure1Image()
-	if err := db.Insert("fig1", "figure one", fig); err != nil {
-		t.Fatal(err)
+	var ndjson bytes.Buffer
+	enc := json.NewEncoder(&ndjson)
+	for _, sc := range []bestring.Scene{
+		{ID: "fig1", Name: "figure one", Image: fig},
+		{ID: "fig1-rot", Name: "rotated", Image: bestring.ApplyToImage(fig, bestring.Rot90)},
+	} {
+		if err := enc.Encode(sc); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := db.Insert("fig1-rot", "rotated", bestring.ApplyToImage(fig, bestring.Rot90)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SaveFile(dbPath); err != nil {
+	if err := os.WriteFile(scenesPath, ndjson.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	img := writeFig1(t)
 
 	for _, args := range [][]string{
-		{"search", "-dbfile", dbPath, "-query", img, "-dsl", "A left-of B", "-k", "5"},
-		{"search", "-dbfile", dbPath, "-query", img, "-region", "0,0,6,6", "-region-label", "A"},
-		{"search", "-dbfile", dbPath, "-dsl", "A left-of B"},
-		{"search", "-dbfile", dbPath, "-region", "0,0,6,6"},
-		{"search", "-dbfile", dbPath, "-query", img, "-min-score", "0.5", "-offset", "1"},
-		{"search", "-dbfile", dbPath, "-query", img, "-method", "symbols"},
+		{"search", "-scenes", scenesPath, "-query", img, "-dsl", "A left-of B", "-k", "5"},
+		{"search", "-scenes", scenesPath, "-query", img, "-region", "0,0,6,6", "-region-label", "A"},
+		{"search", "-scenes", scenesPath, "-dsl", "A left-of B"},
+		{"search", "-scenes", scenesPath, "-region", "0,0,6,6"},
+		{"search", "-scenes", scenesPath, "-query", img, "-min-score", "0.5", "-offset", "1"},
+		{"search", "-scenes", scenesPath, "-query", img, "-method", "symbols"},
 	} {
 		if err := run(args); err != nil {
 			t.Fatalf("%v: %v", args, err)
 		}
 	}
 	for _, args := range [][]string{
-		{"search", "-dbfile", dbPath}, // no query component at all
-		{"search", "-dbfile", dbPath, "-dsl", "A sideways B"},
-		{"search", "-dbfile", dbPath, "-region", "1,2,3"},
-		{"search", "-dbfile", dbPath, "-region", "a,b,c,d"},
-		{"search", "-dbfile", dbPath, "-query", img, "-region-label", "A"}, // label without region
+		{"search", "-scenes", scenesPath}, // no query component at all
+		{"search", "-scenes", scenesPath, "-dsl", "A sideways B"},
+		{"search", "-scenes", scenesPath, "-region", "1,2,3"},
+		{"search", "-scenes", scenesPath, "-region", "a,b,c,d"},
+		{"search", "-scenes", scenesPath, "-query", img, "-region-label", "A"}, // label without region
 
 	} {
 		if err := run(args); err == nil {
@@ -168,8 +175,8 @@ func TestSearchComposedFlags(t *testing.T) {
 // exact score, the plan and the per-stage candidate counts.
 func TestSearchExplain(t *testing.T) {
 	dir := t.TempDir()
-	dbPath := filepath.Join(dir, "db.json")
-	if err := run([]string{"mkdb", "-out", dbPath, "-count", "20", "-seed", "4"}); err != nil {
+	scenesPath := filepath.Join(dir, "scenes.ndjson")
+	if err := run([]string{"mkdb", "-out", scenesPath, "-count", "20", "-seed", "4"}); err != nil {
 		t.Fatalf("mkdb: %v", err)
 	}
 	img := writeFig1(t)
@@ -195,7 +202,7 @@ func TestSearchExplain(t *testing.T) {
 		return string(out)
 	}
 
-	out := capture("search", "-dbfile", dbPath, "-query", img, "-k", "5", "-explain")
+	out := capture("search", "-scenes", scenesPath, "-query", img, "-k", "5", "-explain")
 	if !strings.Contains(out, "bound") || !strings.Contains(out, "stages:") {
 		t.Fatalf("-explain output missing bound column or stage counts:\n%s", out)
 	}
@@ -209,7 +216,7 @@ func TestSearchExplain(t *testing.T) {
 	// Exact-only scorers print "-" for the bound column: every hit line
 	// (rank, id, score, bound, ...) must carry the dash as its fourth
 	// field.
-	out = capture("search", "-dbfile", dbPath, "-query", img, "-k", "3", "-method", "type0", "-explain")
+	out = capture("search", "-scenes", scenesPath, "-query", img, "-k", "3", "-method", "type0", "-explain")
 	hits := 0
 	for _, line := range strings.Split(out, "\n") {
 		f := strings.Fields(line)

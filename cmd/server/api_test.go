@@ -17,10 +17,7 @@ import (
 // seeded is the in-memory database `server -count count -seed seed
 // -shards shards` serves.
 func seeded(count int, seed int64, shards int) (*bestring.DB, error) {
-	db, err := openDB("", shards)
-	if err != nil {
-		return nil, err
-	}
+	db := bestring.NewDBSharded(shards)
 	return db, seedSynthetic(db, count, seed)
 }
 
@@ -252,29 +249,20 @@ func TestRegionEndpoint(t *testing.T) {
 	}
 }
 
+// TestOpenDBVariants pins the in-memory databases a server starts with
+// when it has no -data-dir: empty without -count, -count scenes with it,
+// and -count never adds to a database that already holds images.
 func TestOpenDBVariants(t *testing.T) {
 	db, err := seeded(0, 0, 0)
 	if err != nil || db.Len() != 0 {
 		t.Errorf("empty seeded: %v, len %d", err, db.Len())
 	}
-	// dbfile round trip.
-	path := t.TempDir() + "/db.json"
-	gen := bestring.NewSceneGenerator(bestring.SceneConfig{Seed: 4})
-	src := bestring.NewDB()
-	for i := 0; i < 3; i++ {
-		if err := src.Insert(fmt.Sprintf("s%d", i), "", gen.Scene()); err != nil {
-			t.Fatal(err)
-		}
+	db, err = seeded(5, 2, 3)
+	if err != nil || db.Len() != 5 || db.ShardCount() != 3 {
+		t.Fatalf("seeded(5): %v, len %d, shards %d", err, db.Len(), db.ShardCount())
 	}
-	if err := src.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := openDB(path, 0)
-	if err != nil || loaded.Len() != 3 {
-		t.Errorf("openDB(dbfile): %v, len %d", err, loaded.Len())
-	}
-	if _, err := openDB(path+".missing", 0); err == nil {
-		t.Error("missing dbfile accepted")
+	if err := seedSynthetic(db, 9, 2); err != nil || db.Len() != 5 {
+		t.Errorf("reseed of a non-empty database: %v, len %d", err, db.Len())
 	}
 }
 

@@ -32,7 +32,7 @@
 //	server [-addr :8081] [-data-dir DIR [-fsync always|interval|never]
 //	       [-segment-bytes N] [-commit-batch 128]
 //	       [-replicate-from URL]]
-//	       [-dbfile db.json] [-seed 0 -count 0] [-shards 0]
+//	       [-seed 0 -count 0] [-shards 0]
 //	       [-parallelism 0] [-slow-query 0] [-pprof-addr ""]
 //
 // Observability: GET /metrics serves the engine's registry in the
@@ -68,15 +68,18 @@
 // (appliedLSN) on /healthz. Reads on either role may pass
 // ?min_lsn=N on POST /api/v1/search to wait (bounded) until that LSN is
 // visible, or receive a 404 — the read-your-writes handshake; primary
-// write responses return the "lsn" token to pass. With -dbfile the database is loaded from the file and saved back
-// atomically on shutdown; with -count a synthetic database is generated
-// (seeded into the store when one is configured and empty). -shards
-// partitions a synthetic or empty database (0 means max(GOMAXPROCS, 16));
-// a database recovered from a snapshot keeps the default shard count.
+// write responses return the "lsn" token to pass.
+//
+// Without -data-dir the database lives in memory only and is lost on
+// exit: it starts empty, or with -count synthetic scenes, and takes
+// scenes through POST /api/v1/import. With -data-dir, -count seeds the
+// store when it is empty. -shards partitions a synthetic or empty
+// database (0 means max(GOMAXPROCS, 16)); a database recovered from a
+// snapshot keeps the default shard count.
 //
 // SIGINT/SIGTERM triggers a graceful shutdown: in-flight requests drain,
-// the WAL is flushed (or the -dbfile snapshot rewritten) and the process
-// exits 0 — the recovery smoke test in CI exercises exactly this path.
+// the WAL is flushed and the process exits 0 — the recovery smoke test
+// in CI exercises exactly this path.
 package main
 
 import (
@@ -107,8 +110,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("server", flag.ContinueOnError)
 	addr := fs.String("addr", ":8081", "listen address")
-	dbfile := fs.String("dbfile", "", "database JSON file to serve (optional)")
-	dataDir := fs.String("data-dir", "", "durable store directory (WAL + snapshots); overrides -dbfile")
+	dataDir := fs.String("data-dir", "", "durable store directory (WAL + snapshots); without it the database is in memory only")
 	fsyncS := fs.String("fsync", "always", "WAL fsync policy with -data-dir: always, interval or never")
 	segBytes := fs.Int64("segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = 4 MiB)")
 	commitBatch := fs.Int("commit-batch", bestring.DefaultCommitBatch,
@@ -128,9 +130,6 @@ func run(args []string) error {
 	}
 	// Validate every flag before opening anything: a bad value must be a
 	// one-line startup error, not undefined behavior deep in the engine.
-	if *dataDir != "" && *dbfile != "" {
-		return fmt.Errorf("-data-dir and -dbfile are mutually exclusive")
-	}
 	if *replicateFrom != "" {
 		if *dataDir == "" {
 			return fmt.Errorf("-replicate-from requires -data-dir (the follower's own log and snapshots)")
@@ -166,7 +165,7 @@ func run(args []string) error {
 	defer stop()
 
 	// The engine's instruments count from the moment each component is
-	// built — the seed and the -dbfile load below included — and
+	// built — the seed below included — and
 	// /healthz reads the same counters; EnableMetrics only puts them on
 	// the served registry. A scrape endpoint nobody polls costs nothing.
 	reg := bestring.NewMetricsRegistry()
@@ -185,12 +184,11 @@ func run(args []string) error {
 			CommitBatch:  *commitBatch,
 			Replica:      *replicateFrom != "",
 		}
-		db, err = bestring.OpenStore(*dataDir, opts)
+		if db, err = bestring.OpenStore(*dataDir, opts); err != nil {
+			return err
+		}
 	} else {
-		db, err = openDB(*dbfile, *shards)
-	}
-	if err != nil {
-		return err
+		db = bestring.NewDBSharded(*shards)
 	}
 	defer db.Close()
 	if err := seedSynthetic(db, *count, *seed); err != nil {
@@ -272,21 +270,7 @@ func run(args []string) error {
 	if err := db.Close(); err != nil {
 		return err
 	}
-	if *dbfile != "" {
-		if err := db.SaveFile(*dbfile); err != nil {
-			return err
-		}
-		log.Printf("saved %d images to %s", db.Len(), *dbfile)
-	}
 	return nil
-}
-
-// openDB loads the in-memory database from dbfile, or makes an empty one.
-func openDB(dbfile string, shards int) (*bestring.DB, error) {
-	if dbfile != "" {
-		return bestring.LoadDBFile(dbfile)
-	}
-	return bestring.NewDBSharded(shards), nil
 }
 
 // seedSynthetic fills an empty database with count generated scenes; a

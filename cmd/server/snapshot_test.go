@@ -24,7 +24,6 @@ func TestFlagValidation(t *testing.T) {
 		{"zero commit batch", []string{"-commit-batch", "0"}, "-commit-batch"},
 		{"negative commit batch", []string{"-commit-batch", "-4"}, "-commit-batch"},
 		{"unknown fsync", []string{"-fsync", "sometimes"}, "fsync"},
-		{"dbfile and data-dir", []string{"-dbfile", "x.json", "-data-dir", "d"}, "mutually exclusive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

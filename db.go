@@ -1,16 +1,13 @@
 package bestring
 
-import (
-	"io"
-
-	"bestring/internal/imagedb"
-)
+import "bestring/internal/imagedb"
 
 // Database types, re-exported.
 type (
 	// DB is the concurrency-safe symbolic-image database with ranked
-	// search: volatile from NewDB/LoadDB, durable (write-ahead log,
-	// checkpoints, recovery) from OpenStore, with one API either way.
+	// search: volatile (in memory only) from NewDB, durable (write-ahead
+	// log, checkpoints, recovery) from OpenStore, with one API either way.
+	// Scenes move between databases as NDJSON (NDJSONScenes, DB.Import).
 	DB = imagedb.DB
 	// Entry is one stored image with its BE-string index.
 	Entry = imagedb.Entry
@@ -40,9 +37,3 @@ func NewDB() *DB { return imagedb.New() }
 // serialise on one mutex whatever the count, and shard count does not
 // affect search results.
 func NewDBSharded(shards int) *DB { return imagedb.NewSharded(shards) }
-
-// LoadDB reads a database snapshot written by DB.Save.
-func LoadDB(r io.Reader) (*DB, error) { return imagedb.Load(r) }
-
-// LoadDBFile reads a database snapshot from a file.
-func LoadDBFile(path string) (*DB, error) { return imagedb.LoadFile(path) }

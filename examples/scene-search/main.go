@@ -6,6 +6,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
 	"os"
@@ -86,10 +87,21 @@ func main() {
 	same := bestring.MustConvert(back).Equal(bestring.MustConvert(query))
 	fmt.Printf("\nwrote %s; extract(render(query)) indexes identically: %v\n", pngPath, same)
 
-	// Persist the database for the CLI (bestring search -dbfile ...).
-	dbPath := filepath.Join(dir, "db.json")
-	if err := db.SaveFile(dbPath); err != nil {
+	// Write the collection for the CLI as NDJSON scenes, one per line:
+	// bestring search -scenes scenes.ndjson -query q.json.
+	scenesPath := filepath.Join(dir, "scenes.ndjson")
+	out, err := os.Create(scenesPath)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("saved database to %s\n", dbPath)
+	enc := json.NewEncoder(out)
+	for i, scene := range scenes {
+		if err := enc.Encode(bestring.Scene{ID: fmt.Sprintf("photo%03d", i), Name: "collection", Image: scene}); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := out.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("wrote %d scenes to %s\n", len(scenes), scenesPath)
 }

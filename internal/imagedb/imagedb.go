@@ -50,10 +50,10 @@ var (
 // DB is the symbolic-image database, partitioned into shards and
 // versioned MVCC-style: reads run lock-free against the atomically
 // published current snapshot, writes serialise on mu and publish the
-// next copy-on-write version. New, NewSharded, Load and LoadFile return a
-// volatile engine; OpenStore returns a durable one, whose every mutation
-// is framed into a segmented write-ahead log before it is published,
-// plus checkpointed snapshots so recovery replays a bounded tail.
+// next copy-on-write version. New and NewSharded return a volatile
+// engine; OpenStore returns a durable one, whose every mutation is
+// framed into a segmented write-ahead log before it is published, plus
+// checkpointed snapshots so recovery replays a bounded tail.
 // Durability is exactly whether the engine holds a log: the read,
 // query and write surface is the same either way. The zero value is not
 // ready. All methods are safe for concurrent use.

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -324,7 +323,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := db.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := loadBytes(t, buf.Bytes())
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -374,7 +373,7 @@ func TestSaveMatchesWholeValueEncoding(t *testing.T) {
 		if got := saveBytes(t, db.Save); !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("%s: Save wrote\n%s\nwant\n%s", name, got, want.Bytes())
 		}
-		if _, err := Load(bytes.NewReader(saveBytes(t, db.Save))); err != nil {
+		if _, err := loadBytes(t, saveBytes(t, db.Save)); err != nil {
 			t.Errorf("%s: Load of its own Save: %v", name, err)
 		}
 	}
@@ -388,67 +387,16 @@ func TestLoadRejectsCorruptedBE(t *testing.T) {
 	}
 	// Corrupt the stored BE-string of one entry.
 	text := strings.Replace(buf.String(), "icon", "ICON", 1)
-	if _, err := Load(strings.NewReader(text)); err == nil {
+	if _, err := loadBytes(t, []byte(text)); err == nil {
 		t.Error("corrupted snapshot accepted")
 	}
 }
 
 func TestLoadRejectsBadVersion(t *testing.T) {
-	if _, err := Load(strings.NewReader(`{"version":99,"entries":[]}`)); err == nil {
+	if _, err := loadBytes(t, []byte(`{"version":99,"entries":[]}`)); err == nil {
 		t.Error("unsupported version accepted")
 	}
-	if _, err := Load(strings.NewReader(`not json`)); err == nil {
+	if _, err := loadBytes(t, []byte(`not json`)); err == nil {
 		t.Error("garbage accepted")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	db, _ := seedDB(t, 3)
-	path := t.TempDir() + "/db.json"
-	if err := db.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-	loaded, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
-	}
-	if loaded.Len() != 3 {
-		t.Errorf("loaded %d entries, want 3", loaded.Len())
-	}
-	if _, err := LoadFile(path + ".missing"); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
-// TestSaveFileOverwritesAtomically pins that a resave replaces the
-// previous snapshot in one rename — the temp file never lingers and the
-// target is always a complete snapshot (the crash half of the guarantee
-// is exercised in internal/fsutil).
-func TestSaveFileOverwritesAtomically(t *testing.T) {
-	db, _ := seedDB(t, 2)
-	dir := t.TempDir()
-	path := dir + "/db.json"
-	if err := db.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Insert("extra", "", storeImage(99)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("temp litter next to the snapshot: %v", entries)
-	}
-	loaded, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 3 {
-		t.Errorf("resaved snapshot has %d entries, want 3", loaded.Len())
 	}
 }

@@ -62,7 +62,7 @@ func InspectStore(dataDir string) (*StoreInspection, error) {
 		if info, err := os.Stat(filepath.Join(dataDir, name)); err == nil {
 			si.Bytes = info.Size()
 		}
-		db, err := LoadFile(filepath.Join(dataDir, name))
+		db, err := loadSnapshot(filepath.Join(dataDir, name))
 		if err != nil {
 			si.Entries = -1
 			si.Err = err.Error()

@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 
-	"bestring/internal/fsutil"
 	"bestring/internal/wal"
 )
 
@@ -22,20 +21,14 @@ type snapshotJSON struct {
 // snapshotVersion is bumped on incompatible format changes.
 const snapshotVersion = 1
 
-// Save writes the database as JSON. Entries appear in insertion order.
-// The snapshot is pinned once, so the bytes written are one state the
-// database actually passed through (never half of a bulk batch), and
-// concurrent writers are never blocked — Save holds no lock at all.
-func (db *DB) Save(w io.Writer) error {
-	return saveEntries(w, db.current.Load().orderedEntries())
-}
-
 // saveEntries writes a versioned JSON snapshot of the given entries —
-// the shared encoding behind DB.Save and the store's checkpointer (which
-// pins a version and encodes entirely outside the writer lock). The
-// bytes are those of encoding a snapshotJSON with two-space indentation,
-// produced one entry at a time: encoding/json renders a whole value into
-// memory before it writes the first byte, and a checkpoint that fires
+// the checkpoint file's format. The checkpointer pins a version and
+// encodes it entirely outside the writer lock, so concurrent writers are
+// never blocked, and the bytes are one state the database actually
+// passed through (never half of a bulk batch). The bytes are those of
+// encoding a snapshotJSON with two-space indentation, produced one entry
+// at a time: encoding/json renders a whole value into memory before it
+// writes the first byte, and a checkpoint that fires
 // under write load must not hold a second copy of the corpus as text.
 func saveEntries(w io.Writer, entries []Entry) error {
 	bw := bufio.NewWriter(w)
@@ -73,63 +66,50 @@ func saveEntries(w io.Writer, entries []Entry) error {
 // whole load keeps recovery linear — per-entry Insert would copy the
 // target shard once per entry. Loading restores state; it is not a
 // commit, so it skips the commit group and its counters.
-func (db *DB) loadEntries(entries []Entry, wrap string) error {
+func (db *DB) loadEntries(entries []Entry) error {
 	items := make([]BulkItem, len(entries))
 	for i, e := range entries {
 		items[i] = BulkItem{ID: e.ID, Name: e.Name, Image: e.Image}
 	}
 	mu, err := db.prepare(context.Background(), wal.Record{Op: wal.OpBulk, Items: items}, 0)
 	if err != nil {
-		return fmt.Errorf("%s: %w", wrap, err)
+		return fmt.Errorf("load image db: %w", err)
 	}
 	for i, e := range entries {
 		if len(e.BE.X) > 0 && !mu.sts[i].BE.Equal(e.BE) {
-			return fmt.Errorf("%s: entry %q: stored BE-string does not match its image", wrap, e.ID)
+			return fmt.Errorf("load image db: entry %q: stored BE-string does not match its image", e.ID)
 		}
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	m := db.begin()
 	if err := m.apply(mu); err != nil {
-		return fmt.Errorf("%s: %w", wrap, err)
+		return fmt.Errorf("load image db: %w", err)
 	}
 	db.publish(m) // the whole commit tail of a volatile engine
 	return nil
 }
 
-// Load reads a database snapshot written by Save.
-func Load(r io.Reader) (*DB, error) {
+// loadSnapshot reads a checkpoint file written by saveEntries into a new
+// volatile DB with the default shard count. A file of another format
+// version, or one whose stored BE-strings disagree with its images, is
+// refused.
+func loadSnapshot(path string) (*DB, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("load image db: %w", err)
+	}
+	defer f.Close()
 	var snap snapshotJSON
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
+	if err := json.NewDecoder(f).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("load image db: %w", err)
 	}
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("load image db: unsupported snapshot version %d", snap.Version)
 	}
 	db := New()
-	if err := db.loadEntries(snap.Entries, "load image db"); err != nil {
+	if err := db.loadEntries(snap.Entries); err != nil {
 		return nil, err
 	}
 	return db, nil
-}
-
-// SaveFile writes the database to a file path atomically: the snapshot
-// is written to a temp file in the same directory, fsynced and renamed
-// over path, so a crash mid-save can never clobber the previous good
-// snapshot.
-func (db *DB) SaveFile(path string) error {
-	if err := fsutil.AtomicWriteFile(path, db.Save); err != nil {
-		return fmt.Errorf("save image db: %w", err)
-	}
-	return nil
-}
-
-// LoadFile reads a database from a file path.
-func LoadFile(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("load image db: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }

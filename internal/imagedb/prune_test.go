@@ -349,7 +349,7 @@ func TestSignatureColumnSurvivesPersistence(t *testing.T) {
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := loadBytes(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

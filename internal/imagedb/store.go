@@ -35,9 +35,8 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return wal.ParsePolicy(s)
 var ErrStoreClosed = errors.New("store is closed")
 
 // ErrNotDurable is returned where durability is required of a volatile
-// engine — one made by New, NewSharded, Load or LoadFile rather than
-// OpenStore: it has no write-ahead log to checkpoint, sync, stream or
-// replicate.
+// engine — one made by New or NewSharded rather than OpenStore: it has
+// no write-ahead log to checkpoint, sync, stream or replicate.
 var ErrNotDurable = errors.New("engine is not durable (no write-ahead log)")
 
 // Default store tuning.
@@ -119,7 +118,7 @@ func listSnapshots(dir string) ([]string, error) {
 
 // OpenStore opens (creating if necessary) the durable store in dataDir
 // and recovers its state: the newest snapshot that loads cleanly (through
-// LoadFile), plus a replay of every WAL record with a newer LSN. A torn
+// loadSnapshot), plus a replay of every WAL record with a newer LSN. A torn
 // final record — a crash mid-append — is truncated and tolerated;
 // interior log corruption or a snapshot/WAL gap aborts with a
 // descriptive error rather than serving a state the database never
@@ -167,7 +166,7 @@ func OpenStore(dataDir string, opts StoreOptions) (*DB, error) {
 	var snapLSN uint64
 	var loadErrs []error
 	for _, name := range snaps {
-		d, err := LoadFile(filepath.Join(dataDir, name))
+		d, err := loadSnapshot(filepath.Join(dataDir, name))
 		if err != nil {
 			loadErrs = append(loadErrs, fmt.Errorf("%s: %w", name, err))
 			continue

@@ -35,6 +35,69 @@ func saveBytes(t *testing.T, save func(w io.Writer) error) []byte {
 	return buf.Bytes()
 }
 
+// Save writes the database's current version in the checkpoint format.
+// It exists only under test: byte-identity tests compare whole states
+// through it, and it exercises the same writer a checkpoint runs.
+func (db *DB) Save(w io.Writer) error {
+	return saveEntries(w, db.current.Load().orderedEntries())
+}
+
+// loadBytes reads checkpoint bytes back through the store's reader.
+func loadBytes(t *testing.T, data []byte) (*DB, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), snapshotName(0))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return loadSnapshot(path)
+}
+
+// TestSnapshotFileOpensAsStore pins the migration path for a database
+// kept as one snapshot file: copied into an empty directory under the
+// name of a checkpoint at LSN 0, it opens as a durable store holding the
+// same entries, takes writes that survive a reopen, and is reported by
+// InspectStore.
+func TestSnapshotFileOpensAsStore(t *testing.T) {
+	src, _ := seedDB(t, 6)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(0)), saveBytes(t, src.Save), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenStore(dir, StoreOptions{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := saveBytes(t, s.Save), saveBytes(t, src.Save); !bytes.Equal(got, want) {
+		t.Fatalf("opened store holds\n%s\nwant\n%s", got, want)
+	}
+	if err := s.Insert("after", "n", storeImage(3)); err != nil {
+		t.Fatal(err)
+	}
+	if lsn := s.AppliedLSN(); lsn != 1 {
+		t.Fatalf("first write on the migrated store got lsn %d, want 1", lsn)
+	}
+	want := saveBytes(t, s.Save)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := saveBytes(t, s2.Save); !bytes.Equal(got, want) || s2.Len() != 7 {
+		t.Fatalf("reopened store has %d entries, state differs: %v", s2.Len(), !bytes.Equal(got, want))
+	}
+	ins, err := InspectStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ins.Snapshots) != 1 || ins.Snapshots[0].File != snapshotName(0) ||
+		ins.Snapshots[0].Entries != 6 || ins.Snapshots[0].Err != "" || ins.Replayable != 1 {
+		t.Fatalf("inspection=%+v", ins)
+	}
+}
+
 func TestStoreOpenMutateReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir, StoreOptions{Fsync: FsyncAlways})

@@ -3,6 +3,7 @@ package repl
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -64,13 +65,24 @@ func waitLSN(t *testing.T, store *imagedb.DB, want uint64) {
 	}
 }
 
+// stateBytes renders one version of a store — every entry, in
+// insertion order — so two stores compare byte for byte.
 func stateBytes(t *testing.T, store *imagedb.DB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := store.Save(&buf); err != nil {
+	sn := store.Snapshot()
+	var entries []imagedb.Entry
+	for _, id := range sn.IDs() {
+		e, ok := sn.Get(id)
+		if !ok {
+			t.Fatalf("listed id %q not found", id)
+		}
+		entries = append(entries, e)
+	}
+	data, err := json.Marshal(entries)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return data
 }
 
 func TestReplicationEndToEnd(t *testing.T) {

@@ -46,7 +46,7 @@ const (
 var ErrStoreClosed = imagedb.ErrStoreClosed
 
 // ErrNotDurable is returned where durability is required of a volatile
-// DB (one made by NewDB, LoadDB or LoadDBFile rather than OpenStore):
+// DB (one made by NewDB or NewDBSharded rather than OpenStore):
 // Checkpoint, Sync and the replication constructors.
 var ErrNotDurable = imagedb.ErrNotDurable
 
